@@ -25,7 +25,7 @@ try:
 except Exception as exc:
     print(" ", type(exc).__name__, "-", exc)
 
-print("\n== symmetric eigendecomposition (cyclic Jacobi) ==")
+print("\n== symmetric eigendecomposition (LAPACK) ==")
 m = rng.standard_normal((6, 6))
 sym = (m + m.T) / 2.0
 values, vectors = linalg.eigh(sym)

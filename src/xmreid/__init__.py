@@ -2,7 +2,7 @@
 
 Numpy-based building blocks for matching people across camera views and
 across modalities (images, natural-language descriptions, attribute bits):
-a from-scratch symmetric eigensolver stack, regularized CCA for cross-modal
+a LAPACK-backed symmetric eigensolver stack, regularized CCA for cross-modal
 embedding, XQDA cross-view metric learning, a small text CNN trained by
 explicit backpropagation, CMC evaluation over train/test splits, and a
 seed-deterministic synthetic data generator with brute-force oracles.

@@ -113,8 +113,8 @@ def fit_cca(x, y, k, ridge=DEFAULT_RIDGE, zscore=False) -> CcaModel:
     cov_yy = regularized_cov(y, ridge)
     cov_xy = (x - x.mean(axis=0)).T @ (y - y.mean(axis=0)) / x.shape[0]
 
-    white_x = linalg.inverse_sqrt_psd(cov_xx)
-    white_y = linalg.inverse_sqrt_psd(cov_yy)
+    white_x = linalg.psd_power(cov_xx, -0.5)
+    white_y = linalg.psd_power(cov_yy, -0.5)
     coupling = white_x @ cov_xy @ white_y
     gram = coupling @ coupling.T
     values, u_vecs = linalg.eigh((gram + gram.T) / 2.0)

@@ -1,26 +1,21 @@
 """Dense symmetric linear algebra for the learning stages.
 
-Everything is built from explicit O(n^3) algorithms on float64 numpy arrays:
-row-by-row Cholesky, cyclic Jacobi for the symmetric eigenproblem, and a
-Cholesky reduction for the generalized symmetric-definite problem. Jacobi is
-used instead of a tridiagonalization pipeline because it is unconditionally
-stable on symmetric input and every intermediate is easy to audit.
-
-Inputs whose asymmetry is within a 1e-9 relative tolerance are symmetrized as
-(A + A^T)/2 before use; anything worse is rejected.
+Each solver is a thin wrapper over numpy's LAPACK under one contract: input
+must be finite and symmetric within a 1e-9 relative tolerance (it is then
+symmetrized as (A + A^T)/2), eigenvalues come back descending with each
+eigenvector's first non-negligible component positive, and LAPACK failures
+surface as package errors. The from-scratch row-by-row Cholesky, triangular
+substitution and cyclic Jacobi these replaced are kept in `synth` as oracles.
 """
 
-import math
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NoConvergence, NotPositiveDefinite, NotSquare, NotSymmetric
+from .errors import NoConvergence, NonFiniteValue, NotPositiveDefinite, NotSquare, NotSymmetric
 
 SYMMETRY_RTOL = 1e-9
 PIVOT_RTOL = 1e-12
-JACOBI_OFF_RTOL = 1e-12
-JACOBI_SWEEP_CAP = 100
 
 
 class EigenResult(NamedTuple):
@@ -30,16 +25,13 @@ class EigenResult(NamedTuple):
     vectors: np.ndarray
 
 
-def _as_square(a) -> np.ndarray:
+def symmetrized(a) -> np.ndarray:
+    """(A + A^T)/2 of a finite square matrix whose asymmetry is below tolerance."""
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise NotSquare(f"expected a square matrix, got shape {a.shape}")
-    return a
-
-
-def symmetrized(a) -> np.ndarray:
-    """(A + A^T)/2 when the asymmetry is below tolerance, else NotSymmetric."""
-    a = _as_square(a)
+    if not np.isfinite(a).all():
+        raise NonFiniteValue("matrix has a NaN or infinite entry")
     skew = np.linalg.norm(a - a.T)
     if skew > SYMMETRY_RTOL * np.linalg.norm(a):
         raise NotSymmetric(
@@ -51,115 +43,50 @@ def symmetrized(a) -> np.ndarray:
 def cholesky(a) -> np.ndarray:
     """Lower-triangular L with L L^T = A.
 
-    Rejects matrices that are not positive definite: any pivot at or below
-    1e-12 * trace(A)/n fails, so semidefinite input is reported rather than
-    silently factored into garbage.
+    Rejects matrices that are not positive definite: any pivot L[j, j]^2 at
+    or below 1e-12 * trace(A)/n fails, so semidefinite input is reported
+    rather than silently factored into garbage.
     """
     a = symmetrized(a)
-    n = a.shape[0]
-    pivot_floor = max(PIVOT_RTOL * np.trace(a) / n, 0.0)
-    lower = np.zeros_like(a)
-    for j in range(n):
-        pivot = a[j, j] - lower[j, :j] @ lower[j, :j]
-        if pivot <= pivot_floor:
-            raise NotPositiveDefinite(f"pivot {pivot:.6e} at column {j}")
-        lower[j, j] = math.sqrt(pivot)
-        if j + 1 < n:
-            lower[j + 1:, j] = (a[j + 1:, j] - lower[j + 1:, :j] @ lower[j, :j]) / lower[j, j]
+    try:
+        lower = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefinite(f"LAPACK Cholesky failed: {exc}") from None
+    pivots = np.diag(lower) ** 2
+    small = pivots <= max(PIVOT_RTOL * np.trace(a) / a.shape[0], 0.0)
+    if small.any():
+        j = int(np.argmax(small))
+        raise NotPositiveDefinite(f"pivot {pivots[j]:.6e} at column {j}")
     return lower
-
-
-def _offdiag_norm(a) -> float:
-    off = a - np.diag(np.diag(a))
-    return float(np.linalg.norm(off))
-
-
-def _rotate(a, vecs, p, q):
-    # One Jacobi rotation zeroing a[p, q], accumulated into vecs.
-    apq = a[p, q]
-    if apq == 0.0:
-        return
-    theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-    sign = 1.0 if theta >= 0.0 else -1.0
-    t = sign / (abs(theta) + math.hypot(1.0, theta))
-    c = 1.0 / math.hypot(1.0, t)
-    s = t * c
-
-    row_p = a[p, :].copy()
-    row_q = a[q, :].copy()
-    a[p, :] = c * row_p - s * row_q
-    a[q, :] = s * row_p + c * row_q
-    col_p = a[:, p].copy()
-    col_q = a[:, q].copy()
-    a[:, p] = c * col_p - s * col_q
-    a[:, q] = s * col_p + c * col_q
-    a[p, q] = a[q, p] = 0.0
-
-    v_p = vecs[:, p].copy()
-    v_q = vecs[:, q].copy()
-    vecs[:, p] = c * v_p - s * v_q
-    vecs[:, q] = s * v_p + c * v_q
 
 
 def _fix_signs(vecs):
     # Deterministic orientation: first non-negligible component made positive.
-    for j in range(vecs.shape[1]):
-        col = vecs[:, j]
-        floor = 1e-12 * np.abs(col).max()
-        for value in col:
-            if abs(value) > floor:
-                if value < 0.0:
-                    vecs[:, j] = -col
-                break
+    if not vecs.size:
+        return
+    mags = np.abs(vecs)
+    lead = np.argmax(mags > 1e-12 * mags.max(axis=0), axis=0)
+    flip = vecs[lead, np.arange(vecs.shape[1])] < 0.0
+    vecs[:, flip] *= -1.0
 
 
 def eigh(a) -> EigenResult:
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi sweeps.
+    """Eigendecomposition of a symmetric matrix by LAPACK's symmetric solver.
 
-    Converged when the off-diagonal Frobenius norm falls below
-    1e-12 * ||A||_F; raises NoConvergence if 100 sweeps are not enough.
-    Eigenvalues come back descending and ties keep their order of emergence
-    from the sweep.
+    Eigenvalues come back descending (a stable sort, so equal values keep
+    LAPACK's order) and each eigenvector has its first non-negligible
+    component positive. Raises NoConvergence if LAPACK fails.
     """
     a = symmetrized(a)
-    n = a.shape[0]
-    work = a.copy()
-    vecs = np.eye(n)
-    off_floor = JACOBI_OFF_RTOL * np.linalg.norm(a)
-    converged = _offdiag_norm(work) <= off_floor
-    for _ in range(JACOBI_SWEEP_CAP):
-        if converged:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                _rotate(work, vecs, p, q)
-        converged = _offdiag_norm(work) <= off_floor
-    if not converged:
-        raise NoConvergence(f"off-diagonal mass remains after {JACOBI_SWEEP_CAP} sweeps")
-    values = np.diag(work).copy()
+    try:
+        values, vecs = np.linalg.eigh(a)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"LAPACK eigensolver failed: {exc}") from None
     order = np.argsort(-values, kind="stable")
     values = values[order]
     vecs = vecs[:, order]
     _fix_signs(vecs)
     return EigenResult(values=values, vectors=vecs)
-
-
-def solve_lower(lower, b) -> np.ndarray:
-    """X with L X = B by forward substitution; B may be a vector or matrix."""
-    b = np.asarray(b, dtype=np.float64)
-    x = b.reshape(b.shape[0], -1).copy()
-    for i in range(lower.shape[0]):
-        x[i] = (x[i] - lower[i, :i] @ x[:i]) / lower[i, i]
-    return x.reshape(b.shape)
-
-
-def solve_lower_transpose(lower, b) -> np.ndarray:
-    """X with L^T X = B by back substitution."""
-    b = np.asarray(b, dtype=np.float64)
-    x = b.reshape(b.shape[0], -1).copy()
-    for i in reversed(range(lower.shape[0])):
-        x[i] = (x[i] - lower[i + 1:, i] @ x[i + 1:]) / lower[i, i]
-    return x.reshape(b.shape)
 
 
 def gen_eigh(a, b) -> EigenResult:
@@ -173,21 +100,23 @@ def gen_eigh(a, b) -> EigenResult:
     lower = cholesky(b)
     if a.shape != lower.shape:
         raise NotSquare(f"A is {a.shape} but B is {lower.shape}")
-    half = solve_lower(lower, a)
-    reduced = solve_lower(lower, half.T).T
+    half = np.linalg.solve(lower, a)
+    reduced = np.linalg.solve(lower, half.T).T
     # Symmetric in exact arithmetic; average away the solve round-off.
     reduced = (reduced + reduced.T) / 2.0
     inner = eigh(reduced)
-    vecs = solve_lower_transpose(lower, inner.vectors)
+    vecs = np.linalg.solve(lower.T, inner.vectors)
     _fix_signs(vecs)
     return EigenResult(values=inner.values, vectors=vecs)
 
 
-def inverse_sqrt_psd(a, cutoff_rtol=1e-10) -> np.ndarray:
-    """Symmetric pseudo-inverse square root of a PSD matrix.
+def psd_power(a, p, cutoff_rtol=1e-10) -> np.ndarray:
+    """Symmetric power A^p of a PSD matrix, restricted to its numerical range.
 
     Eigenvalues below cutoff_rtol * lambda_max are treated as zero rank and
-    dropped, which is the standard guard when samples < dimensions.
+    dropped, which is the standard guard when samples < dimensions. With
+    p = -1 this is the pseudo-inverse, with p = -1/2 the pseudo-inverse
+    square root.
     """
     values, vectors = eigh(a)
     top = values[0] if values.size else 0.0
@@ -195,15 +124,4 @@ def inverse_sqrt_psd(a, cutoff_rtol=1e-10) -> np.ndarray:
     if not np.any(keep):
         return np.zeros_like(np.asarray(a, dtype=np.float64))
     kept_vecs = vectors[:, keep]
-    return (kept_vecs / np.sqrt(values[keep])) @ kept_vecs.T
-
-
-def pseudo_inverse_psd(a, cutoff_rtol=1e-10) -> np.ndarray:
-    """Symmetric pseudo-inverse of a PSD matrix via eigendecomposition."""
-    values, vectors = eigh(a)
-    top = values[0] if values.size else 0.0
-    keep = values > max(cutoff_rtol * top, 0.0)
-    if not np.any(keep):
-        return np.zeros_like(np.asarray(a, dtype=np.float64))
-    kept_vecs = vectors[:, keep]
-    return (kept_vecs / values[keep]) @ kept_vecs.T
+    return (kept_vecs / values[keep] ** -p) @ kept_vecs.T

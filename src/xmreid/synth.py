@@ -33,17 +33,20 @@ Philox stream (see rng.py) so files are byte-reproducible and generation can
 be partitioned per identity.
 
 The oracles at the bottom are deliberately naive re-derivations (grid search,
-explicit pair enumeration, Monte Carlo) that never share a code path with the
-modules they check beyond numpy itself.
+explicit pair enumeration, Monte Carlo, and the row-by-row Cholesky,
+triangular substitution and cyclic Jacobi that `linalg` replaced with LAPACK)
+that never share a code path with the modules they check beyond numpy itself.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import rng as streams
 from .dataio import AttributeTable, Dataset, DatasetRecord, SplitAssignment
-from .errors import DimensionNotTwo, InvalidConfig, MissingView, TooFewIdentities, TooLarge
+from .errors import (DimensionNotTwo, InvalidConfig, MissingView, NoConvergence,
+                     NotPositiveDefinite, TooFewIdentities, TooLarge)
 
 _FILLER = ("a", "the", "with", "and", "wearing", "person", "seen", "is")
 _COLORS = ("red", "blue", "green", "black", "white", "grey", "brown", "purple",
@@ -345,3 +348,144 @@ def oracle_cmc_chance(gallery_size, probes, trials, rng):
         counts += np.bincount(ranks, minlength=gallery_size + 1)[1:]
         done += take
     return np.cumsum(counts) / total
+
+
+# -- solver oracles -----------------------------------------------------------
+# Explicit O(n^3) algorithms in float64, one Python-level step per pivot,
+# substitution row or rotation, so every intermediate is easy to audit.
+
+PIVOT_RTOL = 1e-12
+JACOBI_OFF_RTOL = 1e-12
+JACOBI_SWEEP_CAP = 100
+
+
+def oracle_cholesky(a):
+    """Row-by-row Cholesky factor L with L L^T = A.
+
+    Raises NotPositiveDefinite when a pivot falls at or below
+    1e-12 * trace(A)/n.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    a = (a + a.T) / 2.0
+    n = a.shape[0]
+    pivot_floor = max(PIVOT_RTOL * np.trace(a) / n, 0.0)
+    lower = np.zeros_like(a)
+    for j in range(n):
+        pivot = a[j, j] - lower[j, :j] @ lower[j, :j]
+        if pivot <= pivot_floor:
+            raise NotPositiveDefinite(f"pivot {pivot:.6e} at column {j}")
+        lower[j, j] = math.sqrt(pivot)
+        if j + 1 < n:
+            lower[j + 1:, j] = (a[j + 1:, j] - lower[j + 1:, :j] @ lower[j, :j]) / lower[j, j]
+    return lower
+
+
+def _offdiag_norm(a) -> float:
+    off = a - np.diag(np.diag(a))
+    return float(np.linalg.norm(off))
+
+
+def _rotate(a, vecs, p, q):
+    # One Jacobi rotation zeroing a[p, q], accumulated into vecs.
+    apq = a[p, q]
+    if apq == 0.0:
+        return
+    theta = (a[q, q] - a[p, p]) / (2.0 * apq)
+    sign = 1.0 if theta >= 0.0 else -1.0
+    t = sign / (abs(theta) + math.hypot(1.0, theta))
+    c = 1.0 / math.hypot(1.0, t)
+    s = t * c
+
+    row_p = a[p, :].copy()
+    row_q = a[q, :].copy()
+    a[p, :] = c * row_p - s * row_q
+    a[q, :] = s * row_p + c * row_q
+    col_p = a[:, p].copy()
+    col_q = a[:, q].copy()
+    a[:, p] = c * col_p - s * col_q
+    a[:, q] = s * col_p + c * col_q
+    a[p, q] = a[q, p] = 0.0
+
+    v_p = vecs[:, p].copy()
+    v_q = vecs[:, q].copy()
+    vecs[:, p] = c * v_p - s * v_q
+    vecs[:, q] = s * v_p + c * v_q
+
+
+def _fix_signs(vecs):
+    # Deterministic orientation: first non-negligible component made positive.
+    for j in range(vecs.shape[1]):
+        col = vecs[:, j]
+        floor = 1e-12 * np.abs(col).max()
+        for value in col:
+            if abs(value) > floor:
+                if value < 0.0:
+                    vecs[:, j] = -col
+                break
+
+
+def oracle_jacobi_eigh(a):
+    """(values, vectors) of a symmetric matrix by cyclic Jacobi sweeps.
+
+    Converged when the off-diagonal Frobenius norm falls below
+    1e-12 * ||A||_F; raises NoConvergence if JACOBI_SWEEP_CAP sweeps are not
+    enough. Eigenvalues come back descending and ties keep their order of
+    emergence from the sweep; each eigenvector has its first non-negligible
+    component positive.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    a = (a + a.T) / 2.0
+    n = a.shape[0]
+    work = a.copy()
+    vecs = np.eye(n)
+    off_floor = JACOBI_OFF_RTOL * np.linalg.norm(a)
+    converged = _offdiag_norm(work) <= off_floor
+    for _ in range(JACOBI_SWEEP_CAP):
+        if converged:
+            break
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                _rotate(work, vecs, p, q)
+        converged = _offdiag_norm(work) <= off_floor
+    if not converged:
+        raise NoConvergence(f"off-diagonal mass remains after {JACOBI_SWEEP_CAP} sweeps")
+    values = np.diag(work).copy()
+    order = np.argsort(-values, kind="stable")
+    values = values[order]
+    vecs = vecs[:, order]
+    _fix_signs(vecs)
+    return values, vecs
+
+
+def _solve_lower(lower, b):
+    # X with L X = B by forward substitution; B may be a vector or matrix.
+    b = np.asarray(b, dtype=np.float64)
+    x = b.reshape(b.shape[0], -1).copy()
+    for i in range(lower.shape[0]):
+        x[i] = (x[i] - lower[i, :i] @ x[:i]) / lower[i, i]
+    return x.reshape(b.shape)
+
+
+def _solve_lower_transpose(lower, b):
+    # X with L^T X = B by back substitution.
+    b = np.asarray(b, dtype=np.float64)
+    x = b.reshape(b.shape[0], -1).copy()
+    for i in reversed(range(lower.shape[0])):
+        x[i] = (x[i] - lower[i + 1:, i] @ x[i + 1:]) / lower[i, i]
+    return x.reshape(b.shape)
+
+
+def oracle_gen_eigh(a, b):
+    """(values, vectors) with A v = lambda B v, B positive definite.
+
+    Reduction by the oracle Cholesky B = L L^T, Jacobi on L^-1 A L^-T by
+    substitution, and back-substitution V = L^-T V~; columns of V are
+    B-orthonormal and eigenvalues come back descending.
+    """
+    lower = oracle_cholesky(b)
+    half = _solve_lower(lower, a)
+    # The Jacobi oracle symmetrizes the reduced matrix.
+    values, inner = oracle_jacobi_eigh(_solve_lower(lower, half.T).T)
+    vecs = _solve_lower_transpose(lower, inner)
+    _fix_signs(vecs)
+    return values, vecs

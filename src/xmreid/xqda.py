@@ -151,7 +151,7 @@ def fit_xqda(features, identities, views, ridge=DEFAULT_RIDGE,
     w = solution.vectors[:, :rank].copy()
 
     proj_intra, proj_extra = _shared_ridge(w.T @ intra @ w, w.T @ extra @ w, ridge)
-    kernel = linalg.pseudo_inverse_psd(proj_intra) - linalg.pseudo_inverse_psd(proj_extra)
+    kernel = linalg.psd_power(proj_intra, -1) - linalg.psd_power(proj_extra, -1)
     kernel = (kernel + kernel.T) / 2.0
 
     if scale is not None:

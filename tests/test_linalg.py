@@ -3,8 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from xmreid import linalg
-from xmreid.errors import NoConvergence, NotPositiveDefinite, NotSquare, NotSymmetric
+from xmreid import linalg, synth
+from xmreid.errors import (
+    NoConvergence,
+    NonFiniteValue,
+    NotPositiveDefinite,
+    NotSquare,
+    NotSymmetric,
+)
 
 
 def random_symmetric(rng, n, scale=1.0):
@@ -34,6 +40,10 @@ class TestCholesky:
         # eigenvalues 3 and -1
         with pytest.raises(NotPositiveDefinite):
             linalg.cholesky(np.array([[1.0, 2.0], [2.0, 1.0]]))
+        # LAPACK factors this one, but its second pivot (1e-13) is below
+        # 1e-12 * trace/n.
+        with pytest.raises(NotPositiveDefinite, match="at column 1"):
+            linalg.cholesky(np.array([[1.0, 1.0], [1.0, 1.0 + 1e-13]]))
 
     def test_not_square(self):
         with pytest.raises(NotSquare):
@@ -104,6 +114,23 @@ class TestEigh:
             col = res.vectors[:, j]
             lead = col[np.abs(col) > 1e-12 * np.abs(col).max()][0]
             assert lead > 0
+        # Leading entries below 1e-12 * max|column| do not decide the sign.
+        vecs = np.array([[-1e-13, 3e-13, 0.0],
+                         [0.0, -0.8, 0.0],
+                         [-0.6, 0.6, 0.0],
+                         [0.8, 0.0, 0.0]])
+        linalg._fix_signs(vecs)
+        assert np.array_equal(vecs, [[1e-13, -3e-13, 0.0],
+                                     [0.0, 0.8, 0.0],
+                                     [0.6, -0.6, 0.0],
+                                     [-0.8, 0.0, 0.0]])
+        # Same orientation as the per-element loop of the oracle.
+        vecs = rng.standard_normal((40, 30))
+        vecs[:3] *= rng.choice([0.0, 1e-14, 1e-11], size=(3, 30))
+        expected = vecs.copy()
+        synth._fix_signs(expected)
+        linalg._fix_signs(vecs)
+        assert np.array_equal(vecs, expected)
 
     def test_zero_matrix(self):
         res = linalg.eigh(np.zeros((4, 4)))
@@ -141,33 +168,93 @@ class TestGenEigh:
 
 
 class TestHelpers:
-    def test_triangular_solves(self):
-        rng = np.random.default_rng(19)
-        lower = np.tril(rng.standard_normal((6, 6)))
-        lower[np.diag_indices(6)] = rng.uniform(1.0, 2.0, size=6)
-        b = rng.standard_normal((6, 3))
-        x = linalg.solve_lower(lower, b)
-        assert np.allclose(lower @ x, b, atol=1e-12)
-        y = linalg.solve_lower_transpose(lower, b)
-        assert np.allclose(lower.T @ y, b, atol=1e-12)
-
     def test_inverse_sqrt_psd(self):
         rng = np.random.default_rng(23)
         a = random_spd(rng, 5)
-        w = linalg.inverse_sqrt_psd(a)
+        w = linalg.psd_power(a, -0.5)
         assert np.allclose(w @ a @ w, np.eye(5), atol=1e-9)
 
     def test_pseudo_inverse_drops_null_space(self):
         a = np.diag([2.0, 1.0, 0.0])
-        inv = linalg.pseudo_inverse_psd(a)
+        inv = linalg.psd_power(a, -1)
         assert np.allclose(inv, np.diag([0.5, 1.0, 0.0]), atol=1e-12)
 
-    def test_no_convergence_is_reachable(self):
-        # Sanity: the cap triggers only if we artificially starve the sweeps.
-        old = linalg.JACOBI_SWEEP_CAP
-        linalg.JACOBI_SWEEP_CAP = 0
-        try:
-            with pytest.raises(NoConvergence):
-                linalg.eigh(np.array([[2.0, 1.0], [1.0, 2.0]]))
-        finally:
-            linalg.JACOBI_SWEEP_CAP = old
+
+class TestFailures:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        a = np.eye(3)
+        a[0, 2] = a[2, 0] = bad
+        with pytest.raises(NonFiniteValue):
+            linalg.cholesky(a)
+        with pytest.raises(NonFiniteValue):
+            linalg.eigh(a)
+        with pytest.raises(NonFiniteValue):
+            linalg.gen_eigh(a, np.eye(3))
+        with pytest.raises(NonFiniteValue):
+            linalg.gen_eigh(np.eye(3), a)
+
+    def test_lapack_failure_is_no_convergence(self, monkeypatch):
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        with pytest.raises(NoConvergence):
+            linalg.eigh(np.eye(2))
+        with pytest.raises(NoConvergence):
+            linalg.gen_eigh(np.eye(2), np.eye(2))
+
+
+def neighbour_gaps(values):
+    """Distance from each eigenvalue to its nearest neighbour."""
+    gaps = np.full(values.size, np.inf)
+    if values.size > 1:
+        step = np.abs(np.diff(values))
+        gaps[:-1] = step
+        gaps[1:] = np.minimum(gaps[1:], step)
+    return gaps
+
+
+def assert_matches_oracle(fast, oracle, norm_a):
+    values, vectors = fast
+    o_values, o_vectors = oracle
+    assert np.abs(values - o_values).max() <= 1e-10 * norm_a
+    # Eigenvectors are defined up to sign (fixed by both) only where the
+    # eigenvalue is separated; the perturbation bound scales with 1/gap.
+    gaps = neighbour_gaps(values)
+    separated = gaps > 1e-8 * norm_a
+    assert separated.any()
+    err = np.linalg.norm(vectors - o_vectors, axis=0)
+    assert np.all(err[separated] <= 1e-10 * norm_a / gaps[separated])
+
+
+class TestAgainstOracle:
+    @pytest.mark.parametrize("n", [1, 7, 32, 128])
+    def test_eigh_matches_jacobi(self, n):
+        a = random_symmetric(np.random.default_rng(29 + n), n)
+        fast = linalg.eigh(a)
+        assert_matches_oracle(fast, synth.oracle_jacobi_eigh(a), np.linalg.norm(a))
+
+    @pytest.mark.parametrize("n", [1, 7, 32, 128])
+    def test_gen_eigh_matches_oracle(self, n):
+        rng = np.random.default_rng(31 + n)
+        a = random_symmetric(rng, n)
+        b = random_spd(rng, n)
+        assert np.allclose(linalg.cholesky(b), synth.oracle_cholesky(b),
+                           rtol=0, atol=1e-12 * np.linalg.norm(b))
+        fast = linalg.gen_eigh(a, b)
+        assert_matches_oracle(fast, synth.oracle_gen_eigh(a, b), np.linalg.norm(a))
+
+    @pytest.mark.parametrize("n", [256, 1024])
+    def test_large_fast_path_residuals(self, n):
+        rng = np.random.default_rng(37 + n)
+        a = random_symmetric(rng, n)
+        b = random_spd(rng, n)
+        norm_a = np.linalg.norm(a)
+        values, vectors = linalg.eigh(a)
+        assert np.all(np.diff(values) <= 0.0)
+        assert np.linalg.norm(a @ vectors - vectors * values) <= 1e-10 * norm_a
+        assert np.linalg.norm(vectors.T @ vectors - np.eye(n)) <= 1e-10
+        values, vectors = linalg.gen_eigh(a, b)
+        assert np.linalg.norm(a @ vectors - (b @ vectors) * values) <= 1e-10 * norm_a
+        assert np.linalg.norm(vectors.T @ b @ vectors - np.eye(n)) <= 1e-10
