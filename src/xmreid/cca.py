@@ -17,12 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
-from .dataio import format_real
+from . import dataio, linalg
 from .errors import (
     InvalidConfig,
     KOutOfRange,
-    MalformedHeader,
     MissingModality,
     MissingModel,
     ShapeMismatch,
@@ -211,38 +209,16 @@ def fuse(scenario, vision=None, language=None, model=None, side=GALLERY, attribu
 
 # -- model file ------------------------------------------------------------------
 
-CCA_MAGIC = "XMREID-CCA 1"
+CCA_MAGIC = "XMREID-CCA 2"
+_SHAPES = {"w_x": ("d_x", "k"), "w_y": ("d_y", "k"), "correlations": ("k",),
+           "mean_x": ("d_x",), "mean_y": ("d_y",), "ridge": ()}
 
 
 def save_model(model: CcaModel, path):
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(CCA_MAGIC + "\n")
-        handle.write(f"{model.w_x.shape[0]} {model.w_y.shape[0]} {model.k}\n")
-        for row in [model.mean_x, model.mean_y, *model.w_x, *model.w_y, model.correlations]:
-            handle.write(" ".join(format_real(v) for v in np.atleast_1d(row)) + "\n")
+    dataio.save_blocks(path, CCA_MAGIC, {name: getattr(model, name) for name in _SHAPES})
 
 
 def load_model(path) -> CcaModel:
-    with open(path, "r", encoding="utf-8", newline="\n") as handle:
-        lines = handle.read().split("\n")
-    if not lines or lines[0] != CCA_MAGIC:
-        raise MalformedHeader(f"{path}: expected '{CCA_MAGIC}' on line 1")
-    try:
-        d_x, d_y, k = (int(v) for v in lines[1].split(" "))
-    except ValueError as exc:
-        raise MalformedHeader(f"{path}: bad dimension line") from exc
-
-    def vector(line, size):
-        parts = line.split(" ")
-        if len(parts) != size:
-            raise MalformedHeader(f"{path}: expected {size} values per row")
-        return np.array([float(p) for p in parts])
-
-    cursor = 2
-    mean_x = vector(lines[cursor], d_x); cursor += 1
-    mean_y = vector(lines[cursor], d_y); cursor += 1
-    w_x = np.stack([vector(lines[cursor + r], k) for r in range(d_x)]); cursor += d_x
-    w_y = np.stack([vector(lines[cursor + r], k) for r in range(d_y)]); cursor += d_y
-    correlations = vector(lines[cursor], k)
-    return CcaModel(w_x=w_x, w_y=w_y, correlations=correlations,
-                    mean_x=mean_x, mean_y=mean_y, ridge=float("nan"))
+    blocks, _ = dataio.load_blocks(path, CCA_MAGIC, _SHAPES)
+    blocks["ridge"] = float(blocks["ridge"])
+    return CcaModel(**blocks)

@@ -78,7 +78,12 @@ def cmd_gen_synth(args):
     inputs = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as handle:
-            overrides = json.load(handle)
+            try:
+                overrides = json.load(handle)
+            except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+                raise InvalidConfig(f"{args.config}: not a JSON document: {exc}") from exc
+        if not isinstance(overrides, dict):
+            raise InvalidConfig(f"{args.config}: top level must be a JSON object")
         inputs["config"] = args.config
     known = set(synth.SynthConfig.__dataclass_fields__)
     unknown = set(overrides) - known
@@ -256,7 +261,7 @@ def cmd_train_textcnn(args):
 
 # -- evaluate / attr-sweep ---------------------------------------------------------
 
-def _load_dataset(args, need_language, need_attributes):
+def _load_dataset(args):
     vision = dataio.load_features(args.vision)
     language_path = getattr(args, "language", None)
     language = dataio.load_features(language_path) if language_path else None
@@ -293,7 +298,7 @@ def _per_split_summary(report):
     ]
 
 
-def _human_table(args, label, reports):
+def _human_table(args, reports):
     if args.quiet:
         return
     print(f"{'setting':>12s}   {'R1':>6s} {'R5':>6s} {'R10':>6s}")
@@ -306,9 +311,7 @@ def _human_table(args, label, reports):
 def cmd_evaluate(args):
     started = time.perf_counter()
     scenario = args.scenario
-    dataset, splits = _load_dataset(args, need_language=scenario in
-                                    ("LxL", "VxL", "VxVL", "VLxVL"),
-                                    need_attributes=scenario == "VAxVA")
+    dataset, splits = _load_dataset(args)
     seed = args.seed if args.seed is not None else 42
     config = _pipeline_config(args, flip_bits=args.flip_n)
     report = evaluation.evaluate_scenario(dataset, splits, scenario, config,
@@ -335,29 +338,26 @@ def cmd_evaluate(args):
                    cli_config, seed, inputs, [csv_path], started,
                    extra={"scenario": scenario, "per_split": _per_split_summary(report),
                           "mean_R1": report.mean_rank(1)})
-    _human_table(args, "rank accuracy (%), mean over splits", [(scenario, report)])
+    _human_table(args, [(scenario, report)])
     return 0
 
 
 def cmd_attr_sweep(args):
     started = time.perf_counter()
-    dataset, splits = _load_dataset(args, need_language=False, need_attributes=True)
+    dataset, splits = _load_dataset(args)
     seed = args.seed if args.seed is not None else 42
     try:
         n_values = [int(v) for v in args.n.split(",")]
     except ValueError as exc:
         raise InvalidConfig(f"--n must be a comma-separated integer list: {exc}") from exc
 
+    reports = evaluation.attribute_degradation_sweep(
+        dataset, splits, n_values, _pipeline_config(args), master_seed=seed,
+        threads=args.threads)
     outputs = []
-    reports = {}
-    for n in n_values:
-        config = _pipeline_config(args, flip_bits=n)
-        report = evaluation.evaluate_scenario(dataset, splits, "VAxVA", config,
-                                              master_seed=seed, threads=args.threads)
-        reports[n] = report
-        csv_path = f"{args.out_dir}/report_VAxVA_n{n}.csv"
-        _write_report_csv(csv_path, report)
-        outputs.append(csv_path)
+    for n, report in reports.items():
+        outputs.append(f"{args.out_dir}/report_VAxVA_n{n}.csv")
+        _write_report_csv(outputs[-1], report)
 
     cli_config = {
         "n": n_values, "vision": args.vision, "attributes": args.attributes,
@@ -374,16 +374,22 @@ def cmd_attr_sweep(args):
                    outputs, started,
                    extra={"per_n": {str(n): _per_split_summary(r) for n, r in reports.items()},
                           "mean_R1": {str(n): r.mean_rank(1) for n, r in reports.items()}})
-    _human_table(args, "attribute flips", [(f"N={n}", reports[n]) for n in n_values])
+    _human_table(args, [(f"N={n}", report) for n, report in reports.items()])
     return 0
 
 
 # -- parser -----------------------------------------------------------------------
 
+def _positive_int(text):
+    if not (text.isdecimal() and int(text) >= 1):
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return int(text)
+
+
 def _add_common(parser):
     parser.add_argument("--seed", type=int, default=None,
                         help="master seed (default 42; gen-synth defaults to the config's seed)")
-    parser.add_argument("--threads", type=int, default=1,
+    parser.add_argument("--threads", type=_positive_int, default=1,
                         help="parallel split evaluation (results are thread-count invariant)")
     parser.add_argument("--quiet", action="store_true", help="suppress progress output")
 

@@ -1,6 +1,6 @@
 """Bit-exact text formats and loaders.
 
-Five line-oriented formats cover everything the pipeline exchanges on disk:
+Five line-oriented formats carry the pipeline's data:
 
   FEAT    ``XMREID-FEAT 1`` / ``<N> <D>`` / N lines ``id<TAB>view<TAB>v1 v2 ..``
   CORPUS  ``XMREID-CORPUS 1`` / lines ``id<TAB>view<TAB>raw description text``
@@ -8,11 +8,17 @@ Five line-oriented formats cover everything the pipeline exchanges on disk:
   ATTR    ``XMREID-ATTR 1 <B>`` / lines ``id<TAB>b1b2..bB`` with bits in {0,1}
   SPLIT   ``XMREID-SPLIT 1 <num_splits>`` / lines ``index<TAB>id<TAB>train|test``
 
+and one block codec carries every fitted model (CCA, XQDA, CNN):
+
+  BLOCKS  ``<magic>`` / per block ``<name> <d0> <d1> ..`` then the array as
+          d0 rows (one row for a 1-d or 0-d array) of space-separated reals
+
 All files are UTF-8 with LF line endings; fields are separated by single
 tabs, vector components by single spaces, and reals carry 17 significant
 digits so that save -> load -> save is byte-identical.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,8 +49,11 @@ def format_real(x) -> str:
 
 
 def _read_lines(path):
-    with open(path, "r", encoding="utf-8", newline="\n") as handle:
-        return handle.read().split("\n")
+    try:
+        with open(path, "r", encoding="utf-8", newline="\n") as handle:
+            return handle.read().split("\n")
+    except UnicodeDecodeError as exc:
+        raise MalformedHeader(f"{path}: not valid UTF-8: {exc}") from exc
 
 
 def _parse_view(token, path):
@@ -54,7 +63,7 @@ def _parse_view(token, path):
 
 
 def _parse_vector(text, dim, path, lineno):
-    parts = text.split(" ")
+    parts = text.split(" ") if text else []
     if len(parts) != dim:
         raise DimensionMismatch(
             f"{path}:{lineno}: expected {dim} components, got {len(parts)}"
@@ -309,6 +318,62 @@ def save_splits(splits, path):
         for split in splits:
             for identity, role in split.roles.items():
                 handle.write(f"{split.index}\t{identity}\t{role}\n")
+
+
+# -- model blocks ----------------------------------------------------------------
+
+def _grid(shape):
+    """A block's (rows, values per row): d0 rows from 2-d up, else one row."""
+    return (shape[0], math.prod(shape[1:])) if len(shape) > 1 else (1, math.prod(shape))
+
+
+def save_blocks(path, magic, blocks):
+    """Write a name -> array mapping in order: the magic line, then per block
+    ``<name> <d0> <d1> ..`` and the array reshaped to (d0, -1), one line per row."""
+    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+        handle.write(magic + "\n")
+        for name, value in blocks.items():
+            array = np.asarray(value, dtype=np.float64)
+            handle.write(" ".join([name, *map(str, array.shape)]) + "\n")
+            for row in array.reshape(_grid(array.shape)).tolist():
+                handle.write(" ".join(map(format_real, row)) + "\n")
+
+
+def load_blocks(path, magic, shapes):
+    """Read what save_blocks wrote; returns (name -> array, dimension sizes).
+
+    shapes maps each block name, in file order, to its dimension names, e.g.
+    {"w": ("d", "r"), "m": ("r", "r")}; a dimension name must have one size
+    throughout the file.
+    """
+    lines = _read_lines(path)
+    if lines[0] != magic:
+        raise MalformedHeader(f"{path}: expected '{magic}' on line 1")
+    end = len(lines) - 1  # lines[end] is what follows the final newline
+    cursor, blocks, sizes = 1, {}, {}
+    for name, dims in shapes.items():
+        head = lines[cursor].split(" ") if cursor < end else [None]
+        if head[0] != name:
+            raise MalformedHeader(f"{path}:{cursor + 1}: expected block {name!r}")
+        if not all(d.isascii() and d.isdigit() for d in head[1:]):
+            raise MalformedHeader(f"{path}:{cursor + 1}: dimensions must be non-negative integers")
+        shape = tuple(map(int, head[1:]))
+        if len(shape) != len(dims) or any(sizes.setdefault(d, n) != n for d, n in zip(dims, shape)):
+            raise DimensionMismatch(f"{path}:{cursor + 1}: block {name!r} has shape {shape}, "
+                                    f"expected {dims} with {sizes}")
+        rows, width = _grid(shape)
+        if cursor + rows >= end:
+            raise MalformedHeader(f"{path}: file ends inside block {name!r}")
+        values = [_parse_vector(lines[cursor + 1 + r], width, path, cursor + 2 + r)
+                  for r in range(rows)]
+        try:
+            blocks[name] = np.array(values, dtype=np.float64).reshape(shape)
+        except ValueError as exc:  # an empty block declared with oversized dimensions
+            raise MalformedHeader(f"{path}:{cursor + 1}: bad shape {shape}: {exc}") from exc
+        cursor += 1 + rows
+    if lines[cursor:] != [""]:
+        raise MalformedHeader(f"{path}:{cursor + 1}: unexpected data after the last block")
+    return blocks, sizes
 
 
 # -- synonym maps ----------------------------------------------------------------

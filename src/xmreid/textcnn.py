@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import EmptyCorpus, EmptySubset, InvalidConfig, ShapeMismatch
+from . import dataio
+from .errors import EmptyCorpus, EmptySubset, InvalidConfig, MalformedHeader, ShapeMismatch
 
 
 @dataclass
@@ -29,6 +30,18 @@ class TextCnnConfig:
     hidden_dim: int = 1024
     max_len: int = 70
     dropout: float = 0.5
+
+    def validate(self):
+        if min(self.num_classes, self.embed_dim, self.kernel_count, self.kernel_width,
+               self.hidden_dim) < 1:
+            raise InvalidConfig("all layer sizes must be >= 1")
+        if self.kernel_width > self.max_len:
+            raise InvalidConfig(f"kernel width {self.kernel_width} exceeds max_len {self.max_len}")
+        if not 0.0 <= self.dropout < 1.0:
+            raise InvalidConfig(f"dropout must lie in [0, 1), got {self.dropout}")
+
+
+PARAM_NAMES = ("conv_w", "conv_b", "fc1_w", "fc1_b", "fc2_w", "fc2_b")
 
 
 @dataclass
@@ -42,14 +55,7 @@ class TextCnnModel:
     fc2_b: np.ndarray   # K
 
     def params(self):
-        return [
-            ("conv_w", self.conv_w),
-            ("conv_b", self.conv_b),
-            ("fc1_w", self.fc1_w),
-            ("fc1_b", self.fc1_b),
-            ("fc2_w", self.fc2_w),
-            ("fc2_b", self.fc2_b),
-        ]
+        return [(name, getattr(self, name)) for name in PARAM_NAMES]
 
 
 @dataclass
@@ -62,14 +68,7 @@ class Gradients:
     fc2_b: np.ndarray
 
     def params(self):
-        return [
-            ("conv_w", self.conv_w),
-            ("conv_b", self.conv_b),
-            ("fc1_w", self.fc1_w),
-            ("fc1_b", self.fc1_b),
-            ("fc2_w", self.fc2_w),
-            ("fc2_b", self.fc2_b),
-        ]
+        return [(name, getattr(self, name)) for name in PARAM_NAMES]
 
     def scaled(self, factor):
         return Gradients(*(arr * factor for _, arr in self.params()))
@@ -107,13 +106,8 @@ def _glorot(rng, fan_in, fan_out, shape):
 
 def init_model(config: TextCnnConfig, rng) -> TextCnnModel:
     """Glorot-uniform weights, zero biases."""
+    config.validate()
     c = config
-    if min(c.num_classes, c.embed_dim, c.kernel_count, c.kernel_width, c.hidden_dim) < 1:
-        raise InvalidConfig("all layer sizes must be >= 1")
-    if c.kernel_width > c.max_len:
-        raise InvalidConfig(f"kernel width {c.kernel_width} exceeds max_len {c.max_len}")
-    if not 0.0 <= c.dropout < 1.0:
-        raise InvalidConfig(f"dropout must lie in [0, 1), got {c.dropout}")
     conv_fan_in = c.embed_dim * c.kernel_width
     return TextCnnModel(
         config=c,
@@ -321,63 +315,31 @@ def find_detector_channel(model, tensors, truth_positions):
 
 # -- checkpoint format -------------------------------------------------------
 
-CNN_MAGIC = "XMREID-CNN 1"
+CNN_MAGIC = "XMREID-CNN 2"
+# Dimension names are the TextCnnConfig fields they set.
+_SHAPES = {
+    "max_len": (),
+    "dropout": (),
+    "conv_w": ("kernel_count", "embed_dim", "kernel_width"),
+    "conv_b": ("kernel_count",),
+    "fc1_w": ("hidden_dim", "kernel_count"),
+    "fc1_b": ("hidden_dim",),
+    "fc2_w": ("num_classes", "hidden_dim"),
+    "fc2_b": ("num_classes",),
+}
 
 
 def save_model(model, path):
-    from .dataio import format_real
-
     cfg = model.config
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(CNN_MAGIC + "\n")
-        handle.write(
-            f"{cfg.num_classes} {cfg.embed_dim} {cfg.kernel_count} "
-            f"{cfg.kernel_width} {cfg.hidden_dim} {cfg.max_len} {format_real(cfg.dropout)}\n"
-        )
-        for _, arr in model.params():
-            block = arr.reshape(arr.shape[0], -1) if arr.ndim > 1 else arr.reshape(1, -1)
-            for row in block:
-                handle.write(" ".join(format_real(v) for v in row) + "\n")
+    dataio.save_blocks(path, CNN_MAGIC, {"max_len": cfg.max_len, "dropout": cfg.dropout,
+                                         **dict(model.params())})
 
 
 def load_model(path) -> TextCnnModel:
-    from .errors import MalformedHeader
-
-    with open(path, "r", encoding="utf-8", newline="\n") as handle:
-        lines = handle.read().split("\n")
-    if not lines or lines[0] != CNN_MAGIC:
-        raise MalformedHeader(f"{path}: expected '{CNN_MAGIC}' on line 1")
-    head = lines[1].split(" ")
-    if len(head) != 7:
-        raise MalformedHeader(f"{path}: bad config line")
-    cfg = TextCnnConfig(
-        num_classes=int(head[0]),
-        embed_dim=int(head[1]),
-        kernel_count=int(head[2]),
-        kernel_width=int(head[3]),
-        hidden_dim=int(head[4]),
-        max_len=int(head[5]),
-        dropout=float(head[6]),
-    )
-    shapes = [
-        (cfg.kernel_count, cfg.embed_dim, cfg.kernel_width),
-        (cfg.kernel_count,),
-        (cfg.hidden_dim, cfg.kernel_count),
-        (cfg.hidden_dim,),
-        (cfg.num_classes, cfg.hidden_dim),
-        (cfg.num_classes,),
-    ]
-    cursor = 2
-    arrays = []
-    for shape in shapes:
-        rows = shape[0] if len(shape) > 1 else 1
-        width = int(np.prod(shape)) // rows
-        block = np.empty((rows, width))
-        for r in range(rows):
-            parts = lines[cursor].split(" ")
-            if len(parts) != width:
-                raise MalformedHeader(f"{path}:{cursor + 1}: expected {width} values")
-            block[r] = [float(p) for p in parts]
-            cursor += 1
-        arrays.append(block.reshape(shape))
-    return TextCnnModel(cfg, *arrays)
+    blocks, sizes = dataio.load_blocks(path, CNN_MAGIC, _SHAPES)
+    max_len = float(blocks.pop("max_len"))
+    if not max_len.is_integer():
+        raise MalformedHeader(f"{path}: max_len must be an integer, got {max_len}")
+    config = TextCnnConfig(max_len=int(max_len), dropout=float(blocks.pop("dropout")), **sizes)
+    config.validate()
+    return TextCnnModel(config, **blocks)

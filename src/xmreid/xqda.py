@@ -19,8 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
-from .dataio import format_real
+from . import dataio, linalg
 from .errors import (
     DegenerateMetric,
     InvalidConfig,
@@ -183,34 +182,17 @@ def score_matrix(model: XqdaModel, gallery, probes) -> np.ndarray:
 
 # -- model file ------------------------------------------------------------------
 
-XQDA_MAGIC = "XMREID-XQDA 1"
+XQDA_MAGIC = "XMREID-XQDA 2"
+_SHAPES = {"w": ("d", "r"), "m": ("r", "r"), "mean": ("d",), "fallback": ()}
 
 
 def save_model(model: XqdaModel, path):
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(XQDA_MAGIC + "\n")
-        handle.write(f"{model.w.shape[0]} {model.rank}\n")
-        for row in [model.mean, *model.w, *model.m]:
-            handle.write(" ".join(format_real(v) for v in np.atleast_1d(row)) + "\n")
+    dataio.save_blocks(path, XQDA_MAGIC, {name: getattr(model, name) for name in _SHAPES})
 
 
 def load_model(path) -> XqdaModel:
-    with open(path, "r", encoding="utf-8", newline="\n") as handle:
-        lines = handle.read().split("\n")
-    if not lines or lines[0] != XQDA_MAGIC:
-        raise MalformedHeader(f"{path}: expected '{XQDA_MAGIC}' on line 1")
-    try:
-        dim, rank = (int(v) for v in lines[1].split(" "))
-    except ValueError as exc:
-        raise MalformedHeader(f"{path}: bad dimension line") from exc
-
-    def vector(line, size):
-        parts = line.split(" ")
-        if len(parts) != size:
-            raise MalformedHeader(f"{path}: expected {size} values per row")
-        return np.array([float(p) for p in parts])
-
-    mean = vector(lines[2], dim)
-    w = np.stack([vector(lines[3 + r], rank) for r in range(dim)])
-    m = np.stack([vector(lines[3 + dim + r], rank) for r in range(rank)])
-    return XqdaModel(w=w, m=m, mean=mean)
+    blocks, _ = dataio.load_blocks(path, XQDA_MAGIC, _SHAPES)
+    if blocks["fallback"] not in (0.0, 1.0):
+        raise MalformedHeader(f"{path}: fallback must be 0 or 1")
+    blocks["fallback"] = bool(blocks["fallback"])
+    return XqdaModel(**blocks)

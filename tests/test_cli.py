@@ -78,6 +78,15 @@ class TestGenSynth:
         out.mkdir()
         assert run(["gen-synth", "--config", str(config_path), "--out", str(out)]) == 2
 
+    def test_malformed_config_is_config_error(self, tmp_path):
+        out = tmp_path / "data"
+        out.mkdir()
+        config_path = tmp_path / "bad.json"
+        for body in (b'{"seed": 1', b"5", b"[]", b'{"seed": "\xff"}'):
+            config_path.write_bytes(body)
+            assert run(["gen-synth", "--config", str(config_path), "--out", str(out),
+                        "--quiet"]) == 2, body
+
     def test_seed_flag_overrides_config(self, tmp_path):
         out_a = gen_dataset(tmp_path / "a")
         out_b = tmp_path / "b" / "data"
@@ -197,6 +206,16 @@ class TestEvaluateCli:
                  "--out-dir", str(tmp_path)])
         assert exc.value.code == 2
 
+    def test_threads_below_one_is_usage_error(self, tmp_path):
+        out = gen_dataset(tmp_path)
+        for threads in ("0", "-3", "two"):
+            with pytest.raises(SystemExit) as exc:
+                run(["evaluate", "--scenario", "VxV",
+                     "--vision", str(out / "vision.feat"),
+                     "--splits", str(out / "splits.split"),
+                     "--out-dir", str(tmp_path), "--threads", threads])
+            assert exc.value.code == 2, threads
+
     def test_threads_invariant_report(self, tmp_path):
         out = gen_dataset(tmp_path)
         reports = []
@@ -266,6 +285,15 @@ class TestExitCodePartition:
         out = gen_dataset(tmp_path)
         bad = tmp_path / "bad.feat"
         bad.write_text("XMREID-FEAT 1\n2 3\nid0000\t1\t1 2 3\n", encoding="utf-8")
+        code = run(["evaluate", "--scenario", "VxV", "--vision", str(bad),
+                    "--splits", str(out / "splits.split"),
+                    "--out-dir", str(tmp_path), "--quiet"])
+        assert code == 4
+
+    def test_non_utf8_input_is_4(self, tmp_path):
+        out = gen_dataset(tmp_path)
+        bad = tmp_path / "bad.feat"
+        bad.write_bytes(b"XMREID-FEAT 1\n1 3\nid0000\t1\t1 2 \xff\n")
         code = run(["evaluate", "--scenario", "VxV", "--vision", str(bad),
                     "--splits", str(out / "splits.split"),
                     "--out-dir", str(tmp_path), "--quiet"])

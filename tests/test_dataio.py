@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from xmreid import dataio
 from xmreid.errors import (
@@ -180,6 +183,106 @@ class TestSynonyms:
         path = write(tmp_path / "syn.tsv", "a\tb\na\tc\n")
         with pytest.raises(DuplicateToken):
             dataio.load_synonyms(path)
+
+
+class TestNonUtf8:
+    @pytest.mark.parametrize("load", [
+        dataio.load_features, dataio.load_corpus, dataio.load_embeddings,
+        dataio.load_attributes, dataio.load_splits, dataio.load_synonyms,
+        lambda path: dataio.load_blocks(path, "XMREID-TEST 1", {"a": ()}),
+    ])
+    def test_undecodable_byte_is_malformed(self, tmp_path, load):
+        path = tmp_path / "bad"
+        path.write_bytes(b"XMREID-FEAT 1\n1 3\nid0\t1\t1 2 \xff\n")
+        with pytest.raises(MalformedHeader, match="UTF-8"):
+            load(path)
+
+
+MAGIC = "XMREID-TEST 1"
+SHAPES = {"k": (), "v": ("n",), "m": ("r", "n"), "t": ("r", "n", "w")}
+LAYOUT = (
+    "XMREID-TEST 1\n"
+    "k\n70\n"
+    "v 2\n0.5 -0\n"
+    "m 2 2\n1 2\n3 4\n"
+    "t 2 2 1\n1 2\n3 4\n"
+)
+
+
+class TestBlocks:
+    def blocks(self):
+        return {"k": 70, "v": np.array([0.5, -0.0]), "m": np.array([[1.0, 2.0], [3.0, 4.0]]),
+                "t": np.arange(1.0, 5.0).reshape(2, 2, 1)}
+
+    def test_layout(self, tmp_path):
+        path = tmp_path / "a.model"
+        dataio.save_blocks(path, MAGIC, self.blocks())
+        assert path.read_text(encoding="utf-8") == LAYOUT
+        blocks, sizes = dataio.load_blocks(path, MAGIC, SHAPES)
+        assert sizes == {"n": 2, "r": 2, "w": 1}
+        for name, value in self.blocks().items():
+            assert blocks[name].shape == np.shape(value)
+            assert np.array_equal(blocks[name], value)
+        assert np.signbit(blocks["v"][1])
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(st.lists(arrays(np.float64, array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4),
+                           elements=st.floats(allow_nan=False, allow_infinity=False)),
+                    min_size=1, max_size=3))
+    def test_roundtrip_any_shapes(self, tmp_path_factory, values):
+        first = tmp_path_factory.mktemp("blocks") / "first"
+        second = first.with_name("second")
+        blocks = {f"b{i}": value for i, value in enumerate(values)}
+        shapes = {name: tuple(f"{name}.{axis}" for axis in range(value.ndim))
+                  for name, value in blocks.items()}
+        dataio.save_blocks(first, MAGIC, blocks)
+        loaded, _ = dataio.load_blocks(first, MAGIC, shapes)
+        for name, value in blocks.items():
+            assert loaded[name].shape == value.shape
+            assert loaded[name].tobytes() == value.tobytes()
+        dataio.save_blocks(second, MAGIC, loaded)
+        assert first.read_bytes() == second.read_bytes()
+
+    @pytest.mark.parametrize("text", [
+        pytest.param(LAYOUT.replace("XMREID-TEST 1", "XMREID-TEST 2"), id="wrong-magic"),
+        pytest.param(LAYOUT.replace("v 2\n0.5 -0\n", ""), id="missing-block"),
+        pytest.param(LAYOUT.replace("m 2 2", "M 2 2"), id="renamed-block"),
+        pytest.param(LAYOUT.replace("k\n70\nv 2\n0.5 -0\n", "v 2\n0.5 -0\nk\n70\n"), id="out-of-order"),
+        pytest.param(LAYOUT + "x\n1\n", id="extra-block"),
+        pytest.param(LAYOUT + "\n", id="trailing-empty-line"),
+        pytest.param(LAYOUT[:-1], id="no-final-newline"),
+        pytest.param(LAYOUT[:LAYOUT.index("3 4")], id="ends-inside-a-block"),
+        pytest.param(LAYOUT[:LAYOUT.index("t 2")], id="ends-before-a-block"),
+        pytest.param(LAYOUT.replace("v 2", "v -2"), id="negative-dimension"),
+        pytest.param(LAYOUT.replace("v 2", "v 2.0"), id="non-integer-dimension"),
+        pytest.param(LAYOUT.replace("v 2", "v  2"), id="empty-dimension"),
+        pytest.param(LAYOUT.replace("0.5 -0", "0.5 -0x"), id="garbled-real"),
+    ])
+    def test_malformed(self, tmp_path, text):
+        path = write(tmp_path / "a.model", text)
+        with pytest.raises(MalformedHeader):
+            dataio.load_blocks(path, MAGIC, SHAPES)
+
+    @pytest.mark.parametrize("text", [
+        pytest.param(LAYOUT.replace("m 2 2", "m 2 3"), id="n-bound-to-2-by-v"),
+        pytest.param(LAYOUT.replace("t 2 2 1", "t 2 2"), id="wrong-rank"),
+        pytest.param(LAYOUT.replace("0.5 -0", "0.5 -0 1"), id="row-longer-than-declared"),
+    ])
+    def test_inconsistent_shapes(self, tmp_path, text):
+        path = write(tmp_path / "a.model", text)
+        with pytest.raises(DimensionMismatch):
+            dataio.load_blocks(path, MAGIC, SHAPES)
+
+    def test_oversized_empty_block(self, tmp_path):
+        path = write(tmp_path / "a.model", "XMREID-TEST 1\nm 0 99999999999999999999999\n")
+        with pytest.raises(MalformedHeader):
+            dataio.load_blocks(path, MAGIC, {"m": ("r", "n")})
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite(self, tmp_path, value):
+        path = write(tmp_path / "a.model", LAYOUT.replace("k\n70", f"k\n{value}"))
+        with pytest.raises(NonFiniteValue):
+            dataio.load_blocks(path, MAGIC, SHAPES)
 
 
 class TestAssembly:
