@@ -8,9 +8,9 @@ the generalized-eigenproblem route expressed through the plain symmetric
 solver. Covariances carry a relative ridge so 2048-dimensional features with
 few training samples stay invertible.
 
-fuse() builds the gallery/query vectors for the six evaluation scenarios:
-vision-only, language-only, cross-modal, query-enriched, full concatenation,
-and vision-plus-attributes.
+SCENARIO_SPEC is the one table of the six evaluation scenarios: vision-only,
+language-only, cross-modal, query-enriched, full concatenation, and
+vision-plus-attributes. fuse() builds their gallery/query vectors from it.
 """
 
 from dataclasses import dataclass
@@ -30,9 +30,28 @@ from .errors import (
 DEFAULT_RIDGE = 1e-4
 DEFAULT_RANK_BUDGET = 128
 
-SCENARIOS = ("VxV", "LxL", "VxL", "VxVL", "VLxVL", "VAxVA")
 GALLERY = "gallery"
 QUERY = "query"
+
+# Per side, the parts a scenario concatenates in order (cca_x/cca_y: the
+# canonical projections W_x^T x, W_y^T y). The order keys the rng streams.
+SCENARIO_SPEC = {
+    "VxV": {GALLERY: ("vision",), QUERY: ("vision",)},
+    "LxL": {GALLERY: ("language",), QUERY: ("language",)},
+    "VxL": {GALLERY: ("cca_x",), QUERY: ("cca_y",)},
+    "VxVL": {GALLERY: ("vision", "cca_x"), QUERY: ("vision", "cca_y")},
+    "VLxVL": {GALLERY: ("vision", "language"), QUERY: ("vision", "language")},
+    "VAxVA": {GALLERY: ("vision", "attribute"), QUERY: ("vision", "attribute")},
+}
+SCENARIOS = tuple(SCENARIO_SPEC)
+# The fuse() keyword, i.e. the dataset record field, each part is built from.
+PART_SOURCES = {"vision": "vision", "language": "language", "attribute": "attributes",
+                "cca_x": "vision", "cca_y": "language"}
+
+
+def scenario_sources(scenario):
+    """The record fields a scenario reads on either side, sorted."""
+    return sorted({PART_SOURCES[p] for side in SCENARIO_SPEC[scenario].values() for p in side})
 
 
 @dataclass
@@ -70,17 +89,17 @@ def _complete_orthonormal(columns, index, dim):
     for basis in range(dim):
         candidate = np.zeros(dim)
         candidate[basis] = 1.0
-        if index > 0:
-            candidate -= columns[:, :index] @ (columns[:, :index].T @ candidate)
+        candidate -= columns[:, :index] @ (columns[:, :index].T @ candidate)
         norm = np.linalg.norm(candidate)
         if norm > 1e-8:
             return candidate / norm
     raise KOutOfRange("cannot complete an orthonormal set; k exceeds the usable rank")
 
 
-def fit_cca(x, y, k, ridge=DEFAULT_RIDGE, zscore=False) -> CcaModel:
+def fit_cca(x, y, k=None, ridge=DEFAULT_RIDGE, zscore=False) -> CcaModel:
     """Top-k canonical projection pairs of row-aligned sample matrices.
 
+    k defaults to min(d_x, d_y, DEFAULT_RANK_BUDGET).
     Whitening uses pseudo-inverse square roots (eigenvalues below 1e-10 of
     the largest are treated as null directions), and the returned
     correlations are clipped into [0, 1]. Correlations are invariant to
@@ -93,6 +112,8 @@ def fit_cca(x, y, k, ridge=DEFAULT_RIDGE, zscore=False) -> CcaModel:
         raise ShapeMismatch(f"X and Y must be row-aligned, got {x.shape} and {y.shape}")
     if x.shape[0] < 2:
         raise TooFewSamples("CCA needs at least 2 paired samples")
+    if k is None:
+        k = min(x.shape[1], y.shape[1], DEFAULT_RANK_BUDGET)
     if not 1 <= k <= min(x.shape[1], y.shape[1]):
         raise KOutOfRange(f"k={k} outside 1..{min(x.shape[1], y.shape[1])}")
 
@@ -100,10 +121,8 @@ def fit_cca(x, y, k, ridge=DEFAULT_RIDGE, zscore=False) -> CcaModel:
     mean_y = y.mean(axis=0)
     scale_x = scale_y = None
     if zscore:
-        scale_x = x.std(axis=0)
-        scale_x[scale_x < 1e-12] = 1.0
-        scale_y = y.std(axis=0)
-        scale_y[scale_y < 1e-12] = 1.0
+        scale_x = linalg.column_scale(x)
+        scale_y = linalg.column_scale(y)
         x = x / scale_x
         y = y / scale_y
 
@@ -160,51 +179,32 @@ def project(model: CcaModel, side, features):
     return (features - mean) @ w
 
 
-def standardized_bits(attributes):
-    """Binary attribute bits mapped onto {-1, +1}."""
-    bits = np.asarray(attributes, dtype=np.float64)
-    return 2.0 * bits - 1.0
-
-
 def fuse(scenario, vision=None, language=None, model=None, side=GALLERY, attributes=None):
-    """Build the matching feature for one record under a scenario.
+    """Concatenate the parts SCENARIO_SPEC lists for one side of a scenario.
 
-    VxV: x.   LxL: y.   VLxVL: x ++ y both sides.
-    VxL:  gallery = W_x^T x,       query = W_y^T y.
-    VxVL: gallery = x ++ W_x^T x,  query = x ++ W_y^T y.
-    VAxVA: x ++ attribute bits mapped to {-1, +1}.
+    Each modality is a single vector or a rows-by-dim matrix; the result has
+    the same leading shape. cca_x/cca_y parts need a fitted CCA model.
     """
-    if scenario not in SCENARIOS:
+    if scenario not in SCENARIO_SPEC:
         raise InvalidConfig(f"unknown scenario {scenario!r}; choose from {SCENARIOS}")
     if side not in (GALLERY, QUERY):
         raise InvalidConfig(f"side must be '{GALLERY}' or '{QUERY}', got {side!r}")
-
-    def need(value, name):
-        if value is None:
-            raise MissingModality(f"scenario {scenario} ({side}) needs the {name} modality")
-        return np.asarray(value, dtype=np.float64)
-
-    if scenario == "VxV":
-        return need(vision, "vision")
-    if scenario == "LxL":
-        return need(language, "language")
-    if scenario == "VLxVL":
-        return np.concatenate([need(vision, "vision"), need(language, "language")])
-    if scenario == "VAxVA":
-        return np.concatenate(
-            [need(vision, "vision"), standardized_bits(need(attributes, "attribute"))]
-        )
-    if model is None:
+    parts = SCENARIO_SPEC[scenario][side]
+    if model is None and any(part.startswith("cca_") for part in parts):
         raise MissingModel(f"scenario {scenario} needs a fitted CCA model")
-    if scenario == "VxL":
-        if side == GALLERY:
-            return project(model, "x", need(vision, "vision"))
-        return project(model, "y", need(language, "language"))
-    # VxVL: vision everywhere, canonical part from the side's own modality
-    x = need(vision, "vision")
-    if side == GALLERY:
-        return np.concatenate([x, project(model, "x", x)])
-    return np.concatenate([x, project(model, "y", need(language, "language"))])
+    given = {"vision": vision, "language": language, "attributes": attributes}
+    pieces = []
+    for part in parts:
+        value = given[PART_SOURCES[part]]
+        if value is None:
+            raise MissingModality(f"scenario {scenario} ({side}) needs {PART_SOURCES[part]}")
+        value = np.asarray(value, dtype=np.float64)
+        if part == "attribute":
+            value = 2.0 * value - 1.0  # bits onto {-1, +1}
+        elif part.startswith("cca_"):
+            value = project(model, part[-1], value)
+        pieces.append(value)
+    return np.concatenate(pieces, axis=-1)
 
 
 # -- model file ------------------------------------------------------------------

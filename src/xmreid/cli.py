@@ -85,10 +85,14 @@ def cmd_gen_synth(args):
         if not isinstance(overrides, dict):
             raise InvalidConfig(f"{args.config}: top level must be a JSON object")
         inputs["config"] = args.config
-    known = set(synth.SynthConfig.__dataclass_fields__)
-    unknown = set(overrides) - known
+    fields = synth.SynthConfig.__dataclass_fields__
+    unknown = set(overrides) - set(fields)
     if unknown:
         raise InvalidConfig(f"unknown synth config keys: {sorted(unknown)}")
+    for name, value in overrides.items():
+        kind = type(fields[name].default)  # int, or float (which also takes ints)
+        if isinstance(value, bool) or not isinstance(value, (kind, int)):
+            raise InvalidConfig(f"synth config {name} must be {kind.__name__}, got {value!r}")
     config = synth.SynthConfig(**overrides)
     if args.seed is not None:
         config.seed = args.seed
@@ -134,11 +138,9 @@ def cmd_fit_cca(args):
     dataset = dataio.assemble_dataset(vision=x_records, language=y_records)
     x = np.array([r.vision for r in dataset.records])
     y = np.array([r.language for r in dataset.records])
-    k = args.k if args.k is not None else min(x.shape[1], y.shape[1],
-                                              cca_mod.DEFAULT_RANK_BUDGET)
-    model = cca_mod.fit_cca(x, y, k=k, ridge=args.ridge, zscore=args.zscore)
+    model = cca_mod.fit_cca(x, y, k=args.k, ridge=args.ridge, zscore=args.zscore)
     cca_mod.save_model(model, args.out)
-    config = {"x": args.x, "y": args.y, "k": k, "ridge": args.ridge,
+    config = {"x": args.x, "y": args.y, "k": model.k, "ridge": args.ridge,
               "zscore": args.zscore, "out": args.out}
     write_manifest(args.out + ".manifest.json", "fit-cca", config,
                    args.seed if args.seed is not None else 42,
@@ -315,7 +317,7 @@ def cmd_evaluate(args):
     seed = args.seed if args.seed is not None else 42
     config = _pipeline_config(args, flip_bits=args.flip_n)
     report = evaluation.evaluate_scenario(dataset, splits, scenario, config,
-                                          master_seed=seed, threads=args.threads)
+                                          master_seed=seed)
     csv_path = f"{args.out_dir}/report_{scenario}.csv"
     _write_report_csv(csv_path, report)
 
@@ -327,7 +329,6 @@ def cmd_evaluate(args):
         "xqda_ridge": args.xqda_ridge, "xqda_max_rank": args.xqda_max_rank,
         "xqda_zscore": args.xqda_zscore,
         "flip_n": args.flip_n, "gallery_mode": args.gallery_mode,
-        "threads": args.threads,
     }
     inputs = {"vision": args.vision, "splits": args.splits}
     if args.language:
@@ -352,8 +353,7 @@ def cmd_attr_sweep(args):
         raise InvalidConfig(f"--n must be a comma-separated integer list: {exc}") from exc
 
     reports = evaluation.attribute_degradation_sweep(
-        dataset, splits, n_values, _pipeline_config(args), master_seed=seed,
-        threads=args.threads)
+        dataset, splits, n_values, _pipeline_config(args), master_seed=seed)
     outputs = []
     for n, report in reports.items():
         outputs.append(f"{args.out_dir}/report_VAxVA_n{n}.csv")
@@ -365,7 +365,7 @@ def cmd_attr_sweep(args):
         "cca_zscore": args.cca_zscore,
         "xqda_ridge": args.xqda_ridge, "xqda_max_rank": args.xqda_max_rank,
         "xqda_zscore": args.xqda_zscore,
-        "gallery_mode": args.gallery_mode, "threads": args.threads,
+        "gallery_mode": args.gallery_mode,
     }
     write_manifest(f"{args.out_dir}/manifest_attr_sweep.json", "attr-sweep",
                    cli_config, seed,
@@ -390,7 +390,7 @@ def _add_common(parser):
     parser.add_argument("--seed", type=int, default=None,
                         help="master seed (default 42; gen-synth defaults to the config's seed)")
     parser.add_argument("--threads", type=_positive_int, default=1,
-                        help="parallel split evaluation (results are thread-count invariant)")
+                        help="train-textcnn worker threads (results are thread-count invariant)")
     parser.add_argument("--quiet", action="store_true", help="suppress progress output")
 
 
@@ -501,11 +501,9 @@ def build_parser():
 
 def _validate_scenario_args(parser, args):
     if args.command == "evaluate":
-        needs_language = args.scenario in ("LxL", "VxL", "VxVL", "VLxVL")
-        if needs_language and not args.language:
-            parser.error(f"scenario {args.scenario} requires --language")
-        if args.scenario == "VAxVA" and not args.attributes:
-            parser.error("scenario VAxVA requires --attributes")
+        for source in cca_mod.scenario_sources(args.scenario):
+            if not getattr(args, source):
+                parser.error(f"scenario {args.scenario} requires --{source}")
 
 
 def main(argv=None):

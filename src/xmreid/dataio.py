@@ -68,6 +68,10 @@ def _parse_vector(text, dim, path, lineno):
         raise DimensionMismatch(
             f"{path}:{lineno}: expected {dim} components, got {len(parts)}"
         )
+    # float() would also take digit separators and surrounding whitespace;
+    # every whitespace character but the space is unprintable.
+    if "_" in text or not text.isprintable():
+        raise MalformedHeader(f"{path}:{lineno}: '_' or stray whitespace in a real")
     try:
         values = np.array([float(p) for p in parts], dtype=np.float64)
     except ValueError as exc:

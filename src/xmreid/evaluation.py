@@ -1,27 +1,29 @@
-"""Scenario evaluation: score matrices, CMC curves, split aggregation,
-and the attribute bit-flip simulation.
+"""Scenario evaluation: CMC curves, split aggregation, and the attribute
+bit-flip simulation.
 
 The protocol per split: fit everything (CCA, z-scoring stats, XQDA) on the
 train identities only, build the gallery from view-1 test samples (one per
 identity in single-shot mode, drawn by the split's seeded stream when an
 identity has several), take every view-2 test sample as a probe, and rank
 the gallery by ascending score. Splits are independent, each keyed by
-(master seed, scenario, flip count, split index), so running them across a
-thread pool cannot change any number.
+(master seed, scenario, flip count, split index). A split works on whole
+arrays: each modality is gathered into one matrix per scenario and fused
+once per row set and side, as cca.SCENARIO_SPEC says.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import cca as cca_mod
+from . import linalg
 from . import rng as streams
 from . import xqda as xqda_mod
 from .errors import (
     EmptyGallery,
     InvalidConfig,
     MissingModality,
+    NonFiniteValue,
     NOutOfRange,
     ProbeIdentityAbsent,
     ShapeMismatch,
@@ -67,27 +69,14 @@ class PipelineConfig:
     gallery_mode: str = "single"      # or "multi": min score over an identity's images
 
 
-def score_matrix(scorer, gallery_features, gallery_ids, probe_features, probe_ids):
-    """probes x gallery matrix of scorer(gallery_g, probe_p)."""
-    gallery_features = np.asarray(gallery_features, dtype=np.float64)
-    probe_features = np.asarray(probe_features, dtype=np.float64)
-    if len(gallery_features) == 0:
-        raise EmptyGallery("gallery must contain at least one sample")
-    if len(gallery_ids) != len(gallery_features) or len(probe_ids) != len(probe_features):
-        raise ShapeMismatch("features and identity lists must be row-aligned")
-    out = np.empty((len(probe_features), len(gallery_features)))
-    for p, probe in enumerate(probe_features):
-        for g, gal in enumerate(gallery_features):
-            out[p, g] = scorer(gal, probe)
-    return out
-
-
 def cmc(scores, gallery_ids, probe_ids) -> CmcResult:
     """CMC curve from a probes-by-gallery score matrix (lower = better).
 
     Per probe the gallery is sorted ascending with ties broken by gallery
     index; the probe's rank is the position of its best-ranked correct
-    identity.
+    identity. That entry is the first-index minimum over the correct columns,
+    and its rank is counted, not sorted: 1 + #(lower scores) + #(equal
+    scores at a lower gallery index).
     """
     scores = np.asarray(scores, dtype=np.float64)
     gallery_ids = np.asarray(gallery_ids)
@@ -99,14 +88,18 @@ def cmc(scores, gallery_ids, probe_ids) -> CmcResult:
         )
     if scores.shape[1] == 0:
         raise EmptyGallery("gallery must contain at least one sample")
+    if np.isnan(scores).any():
+        raise NonFiniteValue("score matrix has a NaN entry")
     gallery_size = len(gallery_ids)
-    ranks = np.empty(len(probe_ids), dtype=np.int64)
-    for p in range(len(probe_ids)):
-        order = np.argsort(scores[p], kind="stable")
-        hits = np.nonzero(gallery_ids[order] == probe_ids[p])[0]
-        if hits.size == 0:
-            raise ProbeIdentityAbsent(f"probe identity {probe_ids[p]!r} not in the gallery")
-        ranks[p] = hits[0] + 1
+    correct = probe_ids[:, None] == gallery_ids[None, :]
+    absent = ~correct.any(axis=1)
+    if absent.any():
+        raise ProbeIdentityAbsent(
+            f"probe identity {probe_ids[absent.argmax()]!r} not in the gallery")
+    best = np.where(correct, scores, np.inf).min(axis=1, keepdims=True)
+    first = np.argmax(correct & (scores == best), axis=1)
+    before = np.arange(gallery_size) < first[:, None]
+    ranks = 1 + np.sum((scores < best) | ((scores == best) & before), axis=1)
     counts = np.bincount(ranks, minlength=gallery_size + 1)[1:]
     accuracies = np.cumsum(counts) / len(probe_ids)
     return CmcResult(accuracies=accuracies, probe_count=len(probe_ids),
@@ -125,91 +118,72 @@ def flip_attributes(bits, n, rng):
     return out
 
 
-def _fused_features(records, scenario, side, model, flips):
-    rows = []
-    for rec, bits in zip(records, flips):
-        rows.append(
-            cca_mod.fuse(
-                scenario,
-                vision=rec.vision,
-                language=rec.language,
-                model=model,
-                side=side,
-                attributes=bits if bits is not None else rec.attributes,
-            )
-        )
-    return np.array(rows)
+def _gather(records, scenario):
+    """Identity and view arrays, and one matrix per record field the scenario reads."""
+    fields = {}
+    for source in cca_mod.scenario_sources(scenario):
+        values = [getattr(rec, source) for rec in records]
+        if any(value is None for value in values):
+            raise MissingModality(f"scenario {scenario} needs {source} on every record")
+        fields[source] = np.array(values)
+    ids = np.array([rec.identity for rec in records])
+    views = np.array([rec.view for rec in records])
+    return ids, views, fields
 
 
-def _evaluate_one_split(dataset, split, scenario, config, master_seed):
+def _evaluate_one_split(ids, views, fields, split, scenario, config, master_seed):
     gen = streams.stream(
         master_seed, streams.EVAL, SCENARIO_IDS[scenario], config.flip_bits, split.index
     )
-    records = dataset.records
-    train_ids = set(split.train_identities())
-    test_ids = set(split.test_identities())
-
-    # Per-record attribute copies, independently flipped per view instance.
-    flips = [None] * len(records)
-    if scenario == "VAxVA":
-        for i, rec in enumerate(records):
-            if rec.attributes is None:
-                raise MissingModality(f"record of {rec.identity!r} lacks attribute bits")
-            flips[i] = flip_attributes(rec.attributes, config.flip_bits, gen)
-
-    train_rows = [i for i, r in enumerate(records) if r.identity in train_ids]
-    if not train_rows or not test_ids:
+    spec = cca_mod.SCENARIO_SPEC[scenario]
+    parts = set(spec[cca_mod.GALLERY] + spec[cca_mod.QUERY])
+    # Set lookups: np.isin would import numpy.ma, 1.6 MB of peak RSS.
+    train_ids, test_ids = set(split.train_identities()), set(split.test_identities())
+    train = np.array([identity in train_ids for identity in ids.tolist()], dtype=bool)
+    test = np.array([identity in test_ids for identity in ids.tolist()], dtype=bool)
+    if not train.any() or not test_ids:
         raise InvalidConfig(f"split {split.index} needs both train and test identities")
 
+    if "attribute" in parts:
+        # Per-record attribute copies, independently flipped per view instance.
+        flipped = [flip_attributes(bits, config.flip_bits, gen) for bits in fields["attributes"]]
+        fields = dict(fields, attributes=np.array(flipped))
+
     model = None
-    if scenario in ("VxL", "VxVL"):
-        paired = [
-            i for i in train_rows
-            if records[i].vision is not None and records[i].language is not None
-        ]
-        if not paired:
-            raise MissingModality("CCA needs train records carrying both modalities")
-        x = np.array([records[i].vision for i in paired])
-        y = np.array([records[i].language for i in paired])
-        k = config.cca_k
-        if k is None:
-            k = min(x.shape[1], y.shape[1], cca_mod.DEFAULT_RANK_BUDGET)
-        model = cca_mod.fit_cca(x, y, k=k, ridge=config.cca_ridge,
+    if parts & {"cca_x", "cca_y"}:
+        model = cca_mod.fit_cca(fields["vision"][train], fields["language"][train],
+                                k=config.cca_k, ridge=config.cca_ridge,
                                 zscore=config.cca_zscore)
 
     def fused(rows, side):
-        return _fused_features(
-            [records[i] for i in rows], scenario, side, model, [flips[i] for i in rows]
-        )
+        return cca_mod.fuse(scenario, model=model, side=side,
+                            **{name: matrix[rows] for name, matrix in fields.items()})
 
-    train_view1 = [i for i in train_rows if records[i].view == 1]
-    train_view2 = [i for i in train_rows if records[i].view == 2]
+    train_view1 = np.flatnonzero(train & (views == 1))
+    train_view2 = np.flatnonzero(train & (views == 2))
     train_feats = np.vstack([fused(train_view1, cca_mod.GALLERY),
                              fused(train_view2, cca_mod.QUERY)])
-    train_labels = [records[i].identity for i in train_view1 + train_view2]
-    train_views = [1] * len(train_view1) + [2] * len(train_view2)
+    train_rows = np.concatenate([train_view1, train_view2])
 
     # Scale balance between vision features and {-1,+1} attribute bits.
-    shift = scale = None
-    if scenario == "VAxVA":
+    shift, scale = 0.0, 1.0
+    if "attribute" in parts:
         shift = train_feats.mean(axis=0)
-        scale = train_feats.std(axis=0)
-        scale[scale < 1e-12] = 1.0
+        scale = linalg.column_scale(train_feats)
         train_feats = (train_feats - shift) / scale
 
     metric = xqda_mod.fit_xqda(
-        train_feats, train_labels, train_views,
+        train_feats, ids[train_rows], views[train_rows],
         ridge=config.xqda_ridge, max_rank=config.xqda_max_rank,
         zscore=config.xqda_zscore,
     )
 
     # Gallery: view-1 test samples, one per identity unless multi-shot.
     by_identity = {}
-    for i, rec in enumerate(records):
-        if rec.identity in test_ids and rec.view == 1:
-            by_identity.setdefault(rec.identity, []).append(i)
+    for i in np.flatnonzero(test & (views == 1)):
+        by_identity.setdefault(ids[i], []).append(i)
     gallery_rows = []
-    for identity in (r.identity for r in records):
+    for identity in dict.fromkeys(ids.tolist()):
         if identity not in by_identity:
             continue
         candidates = by_identity.pop(identity)
@@ -219,48 +193,35 @@ def _evaluate_one_split(dataset, split, scenario, config, master_seed):
             gallery_rows.append(candidates[0])
         else:
             gallery_rows.append(candidates[int(gen.integers(len(candidates)))])
-    probe_rows = [i for i, r in enumerate(records) if r.identity in test_ids and r.view == 2]
+    probe_rows = np.flatnonzero(test & (views == 2))
     if not gallery_rows:
         raise EmptyGallery(f"split {split.index} has no view-1 test samples")
-    if not probe_rows:
+    if not probe_rows.size:
         raise InvalidConfig(f"split {split.index} has no view-2 test samples")
 
-    gallery_feats = fused(gallery_rows, cca_mod.GALLERY)
-    probe_feats = fused(probe_rows, cca_mod.QUERY)
-    if scale is not None:
-        gallery_feats = (gallery_feats - shift) / scale
-        probe_feats = (probe_feats - shift) / scale
-    gallery_ids = np.array([records[i].identity for i in gallery_rows])
-    probe_ids = np.array([records[i].identity for i in probe_rows])
-
+    gallery_feats = (fused(gallery_rows, cca_mod.GALLERY) - shift) / scale
+    probe_feats = (fused(probe_rows, cca_mod.QUERY) - shift) / scale
+    gallery_ids = ids[gallery_rows]
     scores = xqda_mod.score_matrix(metric, gallery_feats, probe_feats)
     if config.gallery_mode == "multi":
-        unique = list(dict.fromkeys(gallery_ids.tolist()))
-        folded = np.stack(
-            [scores[:, gallery_ids == identity].min(axis=1) for identity in unique], axis=1
-        )
-        return cmc(folded, np.array(unique), probe_ids)
-    return cmc(scores, gallery_ids, probe_ids)
+        # An identity's images sit next to each other: fold each run to its min.
+        starts = np.flatnonzero(np.r_[True, gallery_ids[1:] != gallery_ids[:-1]])
+        scores = np.minimum.reduceat(scores, starts, axis=1)
+        gallery_ids = gallery_ids[starts]
+    return cmc(scores, gallery_ids, ids[probe_rows])
 
 
-def evaluate_scenario(dataset, splits, scenario, config=None, master_seed=42,
-                      threads=1) -> SplitReport:
+def evaluate_scenario(dataset, splits, scenario, config=None, master_seed=42) -> SplitReport:
     """Run the full per-split protocol and aggregate the CMC curves."""
-    if scenario not in cca_mod.SCENARIOS:
+    if scenario not in cca_mod.SCENARIO_SPEC:
         raise InvalidConfig(f"unknown scenario {scenario!r}; choose from {cca_mod.SCENARIOS}")
     config = config or PipelineConfig()
     splits = list(splits)
     if not splits:
         raise InvalidConfig("need at least one split")
-
-    def job(split):
-        return _evaluate_one_split(dataset, split, scenario, config, master_seed)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(job, splits))
-    else:
-        results = [job(split) for split in splits]
+    ids, views, fields = _gather(dataset.records, scenario)
+    results = [_evaluate_one_split(ids, views, fields, split, scenario, config, master_seed)
+               for split in splits]
 
     sizes = {r.gallery_size for r in results}
     if len(sizes) != 1:
@@ -274,14 +235,12 @@ def evaluate_scenario(dataset, splits, scenario, config=None, master_seed=42,
     )
 
 
-def attribute_degradation_sweep(dataset, splits, n_values, config=None,
-                                master_seed=42, threads=1):
+def attribute_degradation_sweep(dataset, splits, n_values, config=None, master_seed=42):
     """VAxVA evaluation per flip count; returns {n: SplitReport}."""
     config = config or PipelineConfig()
     reports = {}
     for n in n_values:
         flipped = replace(config, flip_bits=int(n))
-        reports[int(n)] = evaluate_scenario(
-            dataset, splits, "VAxVA", flipped, master_seed=master_seed, threads=threads
-        )
+        reports[int(n)] = evaluate_scenario(dataset, splits, "VAxVA", flipped,
+                                            master_seed=master_seed)
     return reports

@@ -6,6 +6,8 @@ symmetrized as (A + A^T)/2), eigenvalues come back descending with each
 eigenvector's first non-negligible component positive, and LAPACK failures
 surface as package errors. The from-scratch row-by-row Cholesky, triangular
 substitution and cyclic Jacobi these replaced are kept in `synth` as oracles.
+column_scale() is the one per-dimension z-scoring scale of the CCA, XQDA and
+VAxVA fits.
 """
 
 from typing import NamedTuple
@@ -38,6 +40,13 @@ def symmetrized(a) -> np.ndarray:
             f"asymmetry {skew:.3e} exceeds {SYMMETRY_RTOL:g} relative tolerance"
         )
     return (a + a.T) / 2.0
+
+
+def column_scale(x) -> np.ndarray:
+    """Per-column standard deviation; near-constant columns (below 1e-12) get 1."""
+    scale = np.asarray(x, dtype=np.float64).std(axis=0)
+    scale[scale < 1e-12] = 1.0
+    return scale
 
 
 def cholesky(a) -> np.ndarray:

@@ -134,8 +134,7 @@ def fit_xqda(features, identities, views, ridge=DEFAULT_RIDGE,
     scale = None
     work = features
     if zscore:
-        scale = features.std(axis=0)
-        scale[scale < 1e-12] = 1.0
+        scale = linalg.column_scale(features)
         work = (features - mean) / scale
 
     intra, extra = build_difference_covariances(work, identities, views)

@@ -125,6 +125,13 @@ class TestFitCca:
         with pytest.raises(KOutOfRange):
             cca.fit_cca(x, x, k=0)
 
+    def test_default_rank(self):
+        rng = stream(31, 10)
+        x, y = shared_latent_pair(rng, 30, d_x=5, d_y=3)
+        assert cca.fit_cca(x, y).k == 3
+        wide = rng.standard_normal((150, 130))
+        assert cca.fit_cca(wide, wide[:, ::-1]).k == cca.DEFAULT_RANK_BUDGET
+
     def test_row_mismatch(self):
         with pytest.raises(ShapeMismatch):
             cca.fit_cca(np.zeros((10, 2)), np.zeros((9, 2)), k=1)
@@ -200,6 +207,25 @@ class TestFuse:
     def test_vaxva_bits(self):
         fused = cca.fuse("VAxVA", vision=self.vision, attributes=self.attributes)
         assert np.array_equal(fused[4:], [1.0, -1.0, 1.0])
+
+    @pytest.mark.parametrize("side", [cca.GALLERY, cca.QUERY])
+    @pytest.mark.parametrize("scenario", cca.SCENARIOS)
+    def test_matrix_equals_rows(self, scenario, side):
+        rng = stream(33, 2)
+        x, y = shared_latent_pair(rng, 40, d_x=6, d_y=4, latent_dim=2)
+        bits = rng.integers(0, 2, size=(40, 5)).astype(np.uint8)
+        model = cca.fit_cca(x, y, k=3)
+        matrix = cca.fuse(scenario, vision=x, language=y, model=model, side=side,
+                          attributes=bits)
+        rows = np.array([
+            cca.fuse(scenario, vision=a, language=b, model=model, side=side, attributes=c)
+            for a, b, c in zip(x, y, bits)
+        ])
+        assert matrix.shape == rows.shape
+        if any(part.startswith("cca_") for part in cca.SCENARIO_SPEC[scenario][side]):
+            assert np.max(np.abs(matrix - rows)) <= 1e-12 * np.max(np.abs(rows))
+        else:
+            assert np.array_equal(matrix, rows)
 
     def test_missing_modality(self):
         with pytest.raises(MissingModality):

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from xmreid import cli, dataio
+from xmreid import cca, cli, dataio
 
 TOY_SYNTH = {
     "identity_count": 12,
@@ -82,10 +82,15 @@ class TestGenSynth:
         out = tmp_path / "data"
         out.mkdir()
         config_path = tmp_path / "bad.json"
-        for body in (b'{"seed": 1', b"5", b"[]", b'{"seed": "\xff"}'):
+        for body in (b'{"seed": 1', b"5", b"[]", b'{"seed": "\xff"}',
+                     b'{"identity_count": "x"}', b'{"identity_count": 12.5}',
+                     b'{"identity_count": true}', b'{"vision_noise": "0.5"}'):
             config_path.write_bytes(body)
             assert run(["gen-synth", "--config", str(config_path), "--out", str(out),
                         "--quiet"]) == 2, body
+
+    def test_int_for_float_field_is_accepted(self, tmp_path):
+        gen_dataset(tmp_path, {"vision_noise": 1})
 
     def test_seed_flag_overrides_config(self, tmp_path):
         out_a = gen_dataset(tmp_path / "a")
@@ -252,6 +257,38 @@ class TestEvaluateCli:
                 entry.pop("path")
             manifest.pop("outputs")
         assert manifests[0] == manifests[1]
+
+
+# The evaluate flag that supplies each scenario part.
+PART_FLAGS = {"vision": "--vision", "cca_x": "--vision", "language": "--language",
+              "cca_y": "--language", "attribute": "--attributes"}
+OPTIONAL_FILES = {"--language": "language.feat", "--attributes": "attributes.attr"}
+
+
+@pytest.fixture(scope="module")
+def toy_data(tmp_path_factory):
+    return gen_dataset(tmp_path_factory.mktemp("toy"))
+
+
+class TestScenarioInputs:
+    @pytest.mark.parametrize("scenario", cca.SCENARIOS)
+    def test_usage_error_exactly_when_a_needed_file_is_missing(self, scenario, toy_data,
+                                                                tmp_path):
+        needed = {PART_FLAGS[part] for parts in cca.SCENARIO_SPEC[scenario].values()
+                  for part in parts}
+        for given in ((), ("--language",), ("--attributes",), ("--language", "--attributes")):
+            argv = ["evaluate", "--scenario", scenario,
+                    "--vision", str(toy_data / "vision.feat"),
+                    "--splits", str(toy_data / "splits.split"),
+                    "--out-dir", str(tmp_path), "--quiet"]
+            for flag in given:
+                argv += [flag, str(toy_data / OPTIONAL_FILES[flag])]
+            try:
+                code = run(argv)
+            except SystemExit as exc:
+                code = exc.code
+            missing = needed - {"--vision", *given}
+            assert code == (2 if missing else 0), (given, code)
 
 
 class TestAttrSweepCli:

@@ -44,6 +44,13 @@ class TestFeat:
         with pytest.raises(NonFiniteValue):
             dataio.load_features(path)
 
+    @pytest.mark.parametrize("row", ["1_0 2\r", "1_0 2", "1 2\r", "1 \u00a02", "1 2\x0b"],
+                             ids=["separator-crlf", "separator", "crlf", "nbsp", "vtab"])
+    def test_separator_or_whitespace_in_real(self, tmp_path, row):
+        path = write(tmp_path / "a.feat", f"XMREID-FEAT 1\n1 2\nid1\t1\t{row}\n")
+        with pytest.raises(MalformedHeader):
+            dataio.load_features(path)
+
     def test_count_disagreement(self, tmp_path):
         path = write(tmp_path / "a.feat", "XMREID-FEAT 1\n2 2\nid1\t1\t1 2\n")
         with pytest.raises(MalformedHeader):
@@ -257,6 +264,9 @@ class TestBlocks:
         pytest.param(LAYOUT.replace("v 2", "v 2.0"), id="non-integer-dimension"),
         pytest.param(LAYOUT.replace("v 2", "v  2"), id="empty-dimension"),
         pytest.param(LAYOUT.replace("0.5 -0", "0.5 -0x"), id="garbled-real"),
+        pytest.param(LAYOUT.replace("k\n70", "k\n7_0"), id="digit-separator"),
+        pytest.param(LAYOUT.replace("0.5 -0\n", "0.5 -0\r\n"), id="carriage-return"),
+        pytest.param(LAYOUT.replace("0.5 -0", "\t0.5 -0"), id="tab-before-real"),
     ])
     def test_malformed(self, tmp_path, text):
         path = write(tmp_path / "a.model", text)
