@@ -226,8 +226,7 @@ def cmd_train_textcnn(args):
         weight_decay=args.weight_decay, batch_size=args.batch,
         lr_drop_factor=args.lr_drop_factor, lr_drop_every=args.lr_drop_every,
     )
-    history = textcnn.train(model, samples, solver, streams.stream(seed, streams.TRAIN, 1),
-                            threads=args.threads)
+    history = textcnn.train(model, samples, solver, streams.stream(seed, streams.TRAIN, 1))
 
     model_path = f"{args.out_dir}/model.cnn"
     history_path = f"{args.out_dir}/loss_history.csv"
@@ -237,9 +236,9 @@ def cmd_train_textcnn(args):
         for it, loss in enumerate(history):
             handle.write(f"{it},{dataio.format_real(loss)}\n")
 
-    clean = [(labels[i], textprep.to_tensor(t, table, args.max_len)) for i, v, t in tokenized]
-    correct = sum(textcnn.predict(model, tensor) == label for label, tensor in clean)
-    accuracy = correct / len(clean)
+    clean = [textprep.to_tensor(t, table, args.max_len) for _, _, t in tokenized]
+    truth = np.array([labels[i] for i, _, _ in tokenized])
+    accuracy = float(np.mean(textcnn.predict(model, clean) == truth))
 
     config = {
         "corpus": args.corpus, "embeddings": args.embeddings,
@@ -390,7 +389,8 @@ def _add_common(parser):
     parser.add_argument("--seed", type=int, default=None,
                         help="master seed (default 42; gen-synth defaults to the config's seed)")
     parser.add_argument("--threads", type=_positive_int, default=1,
-                        help="train-textcnn worker threads (results are thread-count invariant)")
+                        help="accepted and checked (an integer >= 1) for compatibility; "
+                             "it no longer changes anything")
     parser.add_argument("--quiet", action="store_true", help="suppress progress output")
 
 

@@ -48,6 +48,20 @@ def format_real(x) -> str:
     return format(float(x), ".17g")
 
 
+def format_row(values) -> str:
+    """format_real of each value, space-separated, through one %-template."""
+    values = np.asarray(values, dtype=np.float64).reshape(-1).tolist()
+    return " ".join(["%.17g"] * len(values)) % tuple(values)
+
+
+def _parse_count(text, path, what):
+    # int() would also take '_', '+', '-', surrounding whitespace and
+    # non-ASCII digits; a header integer is plain ASCII digits.
+    if not (text.isascii() and text.isdigit()):
+        raise MalformedHeader(f"{path}: {what} must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _read_lines(path):
     try:
         with open(path, "r", encoding="utf-8", newline="\n") as handle:
@@ -88,12 +102,11 @@ def load_features(path):
     lines = _read_lines(path)
     if not lines or lines[0] != FEAT_MAGIC:
         raise MalformedHeader(f"{path}: expected '{FEAT_MAGIC}' on line 1")
-    try:
-        count_s, dim_s = lines[1].split(" ")
-        count, dim = int(count_s), int(dim_s)
-    except (IndexError, ValueError) as exc:
-        raise MalformedHeader(f"{path}: bad count/dimension line") from exc
-    if count < 0 or dim < 1:
+    head = lines[1].split(" ") if len(lines) > 1 else []
+    if len(head) != 2:
+        raise MalformedHeader(f"{path}: bad count/dimension line")
+    count, dim = (_parse_count(h, path, "record count/dimension") for h in head)
+    if dim < 1:
         raise MalformedHeader(f"{path}: invalid counts {count} x {dim}")
     body = [line for line in lines[2:] if line != ""]
     if len(body) != count:
@@ -123,8 +136,7 @@ def save_features(records, path):
             raise NonFiniteValue(f"record {identity!r} has a non-finite component")
         if view not in (1, 2):
             raise MalformedHeader(f"record {identity!r} has view {view}")
-        body = " ".join(format_real(v) for v in vector)
-        rows.append(f"{identity}\t{view}\t{body}")
+        rows.append(f"{identity}\t{view}\t{format_row(vector)}")
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(f"{FEAT_MAGIC}\n{len(records)} {dim}\n")
         for row in rows:
@@ -180,12 +192,11 @@ class EmbeddingTable:
 
 def load_embeddings(path) -> EmbeddingTable:
     lines = _read_lines(path)
-    try:
-        count_s, dim_s = lines[0].split(" ")
-        count, dim = int(count_s), int(dim_s)
-    except (IndexError, ValueError) as exc:
-        raise MalformedHeader(f"{path}: bad vocabulary/dimension line") from exc
-    if count < 0 or dim < 1:
+    head = lines[0].split(" ")
+    if len(head) != 2:
+        raise MalformedHeader(f"{path}: bad vocabulary/dimension line")
+    count, dim = (_parse_count(h, path, "vocabulary size/dimension") for h in head)
+    if dim < 1:
         raise MalformedHeader(f"{path}: invalid counts {count} x {dim}")
     body = [line for line in lines[1:] if line != ""]
     if len(body) != count:
@@ -203,8 +214,7 @@ def save_embeddings(table: EmbeddingTable, path):
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(f"{len(table.vectors)} {table.dimension}\n")
         for token, vector in table.vectors.items():
-            body = " ".join(format_real(v) for v in vector)
-            handle.write(f"{token} {body}\n")
+            handle.write(f"{token} {format_row(vector)}\n")
 
 
 # -- ATTR ----------------------------------------------------------------------
@@ -228,10 +238,7 @@ def load_attributes(path, known_identities=None) -> AttributeTable:
     head = lines[0].split(" ") if lines else []
     if len(head) != 3 or " ".join(head[:2]) != ATTR_MAGIC:
         raise MalformedHeader(f"{path}: expected '{ATTR_MAGIC} <B>' on line 1")
-    try:
-        width = int(head[2])
-    except ValueError as exc:
-        raise MalformedHeader(f"{path}: bad attribute width") from exc
+    width = _parse_count(head[2], path, "attribute width")
     if width < 1:
         raise MalformedHeader(f"{path}: attribute width must be >= 1")
     table = AttributeTable(width=width)
@@ -284,10 +291,7 @@ def load_splits(path, known_identities=None):
     head = lines[0].split(" ") if lines else []
     if len(head) != 3 or " ".join(head[:2]) != SPLIT_MAGIC:
         raise MalformedHeader(f"{path}: expected '{SPLIT_MAGIC} <num_splits>' on line 1")
-    try:
-        declared = int(head[2])
-    except ValueError as exc:
-        raise MalformedHeader(f"{path}: bad split count") from exc
+    declared = _parse_count(head[2], path, "split count")
     by_index = {}
     for offset, line in enumerate(lines[1:]):
         if line == "":
@@ -296,10 +300,7 @@ def load_splits(path, known_identities=None):
         if len(fields) != 3:
             raise MalformedHeader(f"{path}:{offset + 2}: expected 3 tab-separated fields")
         index_s, identity, role = fields
-        try:
-            index = int(index_s)
-        except ValueError as exc:
-            raise MalformedHeader(f"{path}:{offset + 2}: bad split index") from exc
+        index = _parse_count(index_s, f"{path}:{offset + 2}", "split index")
         if role not in (TRAIN, TEST):
             raise MalformedHeader(f"{path}:{offset + 2}: role must be train or test")
         if known_identities is not None and identity not in known_identities:
@@ -339,8 +340,8 @@ def save_blocks(path, magic, blocks):
         for name, value in blocks.items():
             array = np.asarray(value, dtype=np.float64)
             handle.write(" ".join([name, *map(str, array.shape)]) + "\n")
-            for row in array.reshape(_grid(array.shape)).tolist():
-                handle.write(" ".join(map(format_real, row)) + "\n")
+            for row in array.reshape(_grid(array.shape)):
+                handle.write(format_row(row) + "\n")
 
 
 def load_blocks(path, magic, shapes):
@@ -359,9 +360,7 @@ def load_blocks(path, magic, shapes):
         head = lines[cursor].split(" ") if cursor < end else [None]
         if head[0] != name:
             raise MalformedHeader(f"{path}:{cursor + 1}: expected block {name!r}")
-        if not all(d.isascii() and d.isdigit() for d in head[1:]):
-            raise MalformedHeader(f"{path}:{cursor + 1}: dimensions must be non-negative integers")
-        shape = tuple(map(int, head[1:]))
+        shape = tuple(_parse_count(d, f"{path}:{cursor + 1}", "a dimension") for d in head[1:])
         if len(shape) != len(dims) or any(sizes.setdefault(d, n) != n for d, n in zip(dims, shape)):
             raise DimensionMismatch(f"{path}:{cursor + 1}: block {name!r} has shape {shape}, "
                                     f"expected {dims} with {sizes}")

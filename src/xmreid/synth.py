@@ -34,19 +34,23 @@ be partitioned per identity.
 
 The oracles at the bottom are deliberately naive re-derivations (grid search,
 explicit pair enumeration, Monte Carlo, and the row-by-row Cholesky,
-triangular substitution and cyclic Jacobi that `linalg` replaced with LAPACK)
-that never share a code path with the modules they check beyond numpy itself.
+triangular substitution and cyclic Jacobi that `linalg` replaced with LAPACK,
+and the sample-at-a-time text CNN backpropagation that `textcnn` replaced
+with batched GEMMs) that never share a code path with the modules they check
+beyond numpy itself.
 """
 
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import rng as streams
 from .dataio import AttributeTable, Dataset, DatasetRecord, SplitAssignment
 from .errors import (DimensionNotTwo, InvalidConfig, MissingView, NoConvergence,
                      NotPositiveDefinite, TooFewIdentities, TooLarge)
+from .textcnn import Gradients
 
 _FILLER = ("a", "the", "with", "and", "wearing", "person", "seen", "is")
 _COLORS = ("red", "blue", "green", "black", "white", "grey", "brown", "purple",
@@ -489,3 +493,48 @@ def oracle_gen_eigh(a, b):
     vecs = _solve_lower_transpose(lower, inner)
     _fix_signs(vecs)
     return values, vecs
+
+
+# -- text CNN oracle ---------------------------------------------------------------
+# One sample at a time: a tensordot per channel response, outer products for
+# the FC gradients and one window copy per active channel for the kernels.
+
+
+def oracle_cnn_loss_and_gradients(model, tensor, label, dropout_mask=None):
+    """(loss, Gradients) of one sample; a given dropout_mask (H booleans,
+    True = kept) applies inverted dropout at the model's rate."""
+    cfg = model.config
+    x = tensor.values
+    windows = sliding_window_view(x, cfg.kernel_width, axis=1)  # E x P x w
+    pre = np.tensordot(model.conv_w, windows, axes=[(1, 2), (0, 2)]) + model.conv_b[:, None]
+    conv = np.maximum(pre, 0.0)
+    argmax = conv.argmax(axis=1)
+    pooled = conv[np.arange(conv.shape[0]), argmax]
+    fc1 = np.maximum(model.fc1_w @ pooled + model.fc1_b, 0.0)
+    hidden = fc1
+    if dropout_mask is not None:
+        hidden = fc1 * dropout_mask / (1.0 - cfg.dropout)
+    logits = model.fc2_w @ hidden + model.fc2_b
+
+    shift = logits - logits.max()
+    exp = np.exp(shift)
+    total = exp.sum()
+    loss = math.log(total) - shift[label]
+    dlogits = exp / total
+    dlogits[label] -= 1.0
+
+    dfc2_w = np.outer(dlogits, hidden)
+    dhidden = model.fc2_w.T @ dlogits
+    if dropout_mask is not None:
+        dhidden = dhidden * dropout_mask / (1.0 - cfg.dropout)
+    dfc1_pre = dhidden * (fc1 > 0.0)
+    dfc1_w = np.outer(dfc1_pre, pooled)
+    dpooled = model.fc1_w.T @ dfc1_pre
+
+    # A zero pooled value means the whole channel was clipped by the ReLU.
+    dpeak = dpooled * (pooled > 0.0)
+    dconv_w = np.zeros_like(model.conv_w)
+    for channel in np.nonzero(dpeak)[0]:
+        start = argmax[channel]
+        dconv_w[channel] = dpeak[channel] * x[:, start : start + cfg.kernel_width]
+    return loss, Gradients(dconv_w, dpeak, dfc1_w, dfc1_pre, dfc2_w, dlogits)

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from xmreid import cca, cli, dataio
+from xmreid import cca, cli, dataio, textcnn, textprep
 
 TOY_SYNTH = {
     "identity_count": 12,
@@ -182,6 +182,35 @@ class TestTrainTextCnn:
         history = (out_dir / "loss_history.csv").read_text().splitlines()
         assert history[0] == "iteration,loss"
         assert len(history) == 501
+
+    def test_threads_change_no_byte(self, tmp_path):
+        corpus_path, emb_path = toy_text_corpus(tmp_path, classes=6)
+        outputs = []
+        for threads in ("1", "4", "1"):
+            out_dir = tmp_path / f"run{len(outputs)}"
+            out_dir.mkdir()
+            assert run(["train-textcnn", "--corpus", str(corpus_path),
+                        "--embeddings", str(emb_path), "--out-dir", str(out_dir),
+                        "--iters", "15", "--lr", "0.05", "--batch", "7",
+                        "--kernels", "6", "--kernel-width", "3", "--hidden", "16",
+                        "--max-len", "10", "--dropout", "0.5",
+                        "--threads", threads, "--quiet"]) == 0
+            outputs.append([(out_dir / name).read_bytes()
+                            for name in ("model.cnn", "loss_history.csv")])
+        assert outputs[0] == outputs[1] == outputs[2]
+
+        # the manifest's accuracy, counted one tensor at a time
+        model = textcnn.load_model(tmp_path / "run0" / "model.cnn")
+        table = dataio.load_embeddings(emb_path)
+        corpus = dataio.load_corpus(corpus_path)
+        labels = {}
+        for identity, _, _ in corpus:
+            labels.setdefault(identity, len(labels))
+        correct = sum(
+            textcnn.predict(model, textprep.to_tensor(textprep.tokenize(text), table, 10))
+            == labels[identity] for identity, _, text in corpus)
+        manifest = json.loads((tmp_path / "run0" / "manifest.json").read_text())
+        assert manifest["train_accuracy"] == correct / len(corpus)
 
 
 class TestEvaluateCli:

@@ -205,6 +205,67 @@ class TestNonUtf8:
             load(path)
 
 
+# One header integer per template; every bad spelling below is one that
+# int() reads as the good value.
+HEADER_INTEGERS = [
+    pytest.param(dataio.load_features, "XMREID-FEAT 1\n{} 2\nid1\t1\t1 2\n", "1", id="feat-count"),
+    pytest.param(dataio.load_features, "XMREID-FEAT 1\n1 {}\nid1\t1\t1 2\n", "2", id="feat-dim"),
+    pytest.param(dataio.load_embeddings, "{} 2\nred 1 0\n", "1", id="emb-count"),
+    pytest.param(dataio.load_embeddings, "1 {}\nred 1 0\n", "2", id="emb-dim"),
+    pytest.param(dataio.load_attributes, "XMREID-ATTR 1 {}\nid1\t01\n", "2", id="attr-width"),
+    pytest.param(dataio.load_splits, "XMREID-SPLIT 1 {}\n0\tid1\ttrain\n", "1", id="split-count"),
+    pytest.param(dataio.load_splits, "XMREID-SPLIT 1 1\n{}\tid1\ttrain\n", "0", id="split-index"),
+]
+BAD_SPELLINGS = {
+    "plus": lambda g: "+" + g,
+    "separator": lambda g: "0_" + g,
+    "carriage-return": lambda g: g + "\r",
+    "arabic-indic": lambda g: chr(0x660 + int(g)),
+    "fullwidth": lambda g: chr(0xFF10 + int(g)),
+}
+
+
+class TestHeaderIntegers:
+    @pytest.mark.parametrize("load, template, good", HEADER_INTEGERS)
+    def test_plain_digits_load(self, tmp_path, load, template, good):
+        load(write(tmp_path / "f", template.format(good)))
+
+    @pytest.mark.parametrize("spelling", sorted(BAD_SPELLINGS))
+    @pytest.mark.parametrize("load, template, good", HEADER_INTEGERS)
+    def test_other_spellings_are_malformed(self, tmp_path, load, template, good, spelling):
+        bad = BAD_SPELLINGS[spelling](good)
+        assert int(bad) == int(good)
+        with pytest.raises(MalformedHeader):
+            load(write(tmp_path / "f", template.format(bad)))
+
+    def test_separated_count_is_not_ten_records(self, tmp_path):
+        rows = "".join(f"id{i}\t1\t1 2\n" for i in range(10))
+        with pytest.raises(MalformedHeader):
+            dataio.load_features(write(tmp_path / "a.feat", f"XMREID-FEAT 1\n1_0 2\r\n{rows}"))
+
+    def test_negative_split_index(self, tmp_path):
+        with pytest.raises(MalformedHeader):
+            dataio.load_splits(write(tmp_path / "s", "XMREID-SPLIT 1 1\n-1\tid1\ttrain\n"))
+
+
+class TestFormatRow:
+    EDGES = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, 1e308, -1e308,
+             1.7976931348623157e308, 1.0, -3.0, 2.0**53, 1e16, 0.1]
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(EDGES),
+                    max_size=24))
+    def test_equals_format_real_join(self, row):
+        want = " ".join(map(dataio.format_real, row))
+        assert dataio.format_row(row) == want
+        assert dataio.format_row(np.array(row, dtype=np.float64)) == want
+
+    def test_edges(self):
+        want = " ".join(map(dataio.format_real, self.EDGES))
+        assert dataio.format_row(self.EDGES) == want
+        assert want.startswith("-0 0 4.9406564584124654e-324")
+
+
 MAGIC = "XMREID-TEST 1"
 SHAPES = {"k": (), "v": ("n",), "m": ("r", "n"), "t": ("r", "n", "w")}
 LAYOUT = (

@@ -1,9 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from xmreid import textcnn
+from xmreid import synth, textcnn
 from xmreid.errors import EmptyCorpus, EmptySubset, InvalidConfig, ShapeMismatch
 from xmreid.rng import stream
 from xmreid.textprep import DescriptionTensor
@@ -27,6 +28,42 @@ def random_tensor(rng, config, used=None):
     values = np.zeros((config.embed_dim, config.max_len))
     values[:, :used] = rng.standard_normal((config.embed_dim, used))
     return DescriptionTensor(values=values, used=used)
+
+
+def paper_config(num_classes=10):
+    return textcnn.TextCnnConfig(num_classes=num_classes, embed_dim=300, kernel_count=256,
+                                 kernel_width=5, hidden_dim=1024, max_len=70, dropout=0.5)
+
+
+def relative_error(got, want):
+    """Largest absolute difference over the largest reference magnitude."""
+    scale = np.max(np.abs(want), initial=0.0)
+    diff = np.max(np.abs(np.asarray(got) - want), initial=0.0)
+    return diff / scale if scale > 0.0 else diff
+
+
+def oracle_batch(model, tensors, labels, masks=None):
+    """Per-sample oracle losses and their summed gradients, in batch order."""
+    losses, total = [], None
+    for slot, (tensor, label) in enumerate(zip(tensors, labels)):
+        mask = None if masks is None else masks[slot]
+        loss, grads = synth.oracle_cnn_loss_and_gradients(model, tensor, label, mask)
+        losses.append(loss)
+        if total is None:
+            total = grads
+        else:
+            total.add_(grads)
+    return np.array(losses), total
+
+
+def assert_batch_matches_oracle(model, tensors, labels, masks=None):
+    values = np.stack([t.values for t in tensors])
+    losses, grads = textcnn.batch_loss_and_gradients(model, values, labels, masks)
+    want_losses, want = oracle_batch(model, tensors, labels, masks)
+    assert relative_error(losses, want_losses) <= 1e-12
+    assert abs(losses.sum() - want_losses.sum()) <= 1e-12 * abs(want_losses.sum())
+    for (name, got), (_, ref) in zip(grads.params(), want.params()):
+        assert relative_error(got, ref) <= 1e-12, name
 
 
 def finite_difference_check(model, tensor, label, step=1e-5):
@@ -200,6 +237,9 @@ class TestGradients:
         model = textcnn.init_model(cfg, stream(11, 1))
         with pytest.raises(ShapeMismatch):
             textcnn.loss_and_gradients(model, random_tensor(stream(11, 2), cfg), 3)
+        values = np.stack([random_tensor(stream(11, 3), cfg).values] * 2)
+        with pytest.raises(ShapeMismatch):
+            textcnn.batch_loss_and_gradients(model, values, [0])
 
 
 class TestTrain:
@@ -257,19 +297,132 @@ class TestTrain:
         assert solver.base_lr * solver.lr_drop_factor ** (49999 // 50000) == 0.01
         assert solver.base_lr * solver.lr_drop_factor ** (50000 // 50000) == 0.001
 
-    def test_thread_fanout_bit_identical(self):
-        # masks are pre-drawn and reduction is slot-ordered, so a pool of
-        # workers must produce exactly the sequential parameters
+    def test_matches_oracle_sgd_loop(self):
+        # The same rng draws (batch indices, then dropout masks) fed through
+        # the per-sample oracle gradients and the same update rule.
         cfg = toy_config(num_classes=4, dropout=0.5, hidden_dim=16)
         samples = self.make_corpus(cfg, stream(25, 2), per_class=2)
         solver = textcnn.SolverConfig(iterations=30, base_lr=0.05, batch_size=6)
-        trained = []
-        for threads in (1, 4):
-            model = textcnn.init_model(cfg, stream(25, 1))
-            textcnn.train(model, samples, solver, stream(25, 3), threads=threads)
-            trained.append(model)
-        for (_, a), (_, b) in zip(trained[0].params(), trained[1].params()):
-            assert np.array_equal(a, b)
+        model = textcnn.init_model(cfg, stream(25, 1))
+        history = textcnn.train(model, samples, solver, stream(25, 3))
+
+        oracle = textcnn.init_model(cfg, stream(25, 1))
+        rng = stream(25, 3)
+        velocity = {name: np.zeros_like(arr) for name, arr in oracle.params()}
+        want_history = []
+        for step in range(solver.iterations):
+            lr = solver.base_lr * solver.lr_drop_factor ** (step // solver.lr_drop_every)
+            batch = rng.integers(0, len(samples), size=solver.batch_size)
+            masks = rng.random((solver.batch_size, cfg.hidden_dim)) >= cfg.dropout
+            losses, total = oracle_batch(oracle, [samples[i][1] for i in batch],
+                                         [samples[i][0] for i in batch], masks)
+            want_history.append(sum(losses) / solver.batch_size)
+            grad_map = dict(total.params())
+            for name, param in oracle.params():
+                grad = grad_map[name] / solver.batch_size + solver.weight_decay * param
+                velocity[name] = solver.momentum * velocity[name] - lr * grad
+                param += velocity[name]
+
+        assert relative_error(history, np.array(want_history)) <= 1e-10
+        for (name, got), (_, want) in zip(model.params(), oracle.params()):
+            assert relative_error(got, want) <= 1e-10, name
+
+    def test_paper_size_iteration_memory(self):
+        # The batch is stacked once and gradients are summed by GEMMs; holding
+        # 100 per-sample gradients would alone take about 500 MB here.
+        cfg = paper_config()
+        model = textcnn.init_model(cfg, stream(27, 1))
+        gen = stream(27, 2)
+        samples = [(label, random_tensor(gen, cfg, used=40)) for label in range(cfg.num_classes)]
+        solver = textcnn.SolverConfig(iterations=1, batch_size=100)
+        tracemalloc.start()
+        try:
+            history = textcnn.train(model, samples, solver, stream(27, 3))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.isfinite(history[0])
+        assert peak < 300 * 2**20
+
+    def test_mixed_shapes_rejected(self):
+        cfg = toy_config()
+        model = textcnn.init_model(cfg, stream(28, 1))
+        short = DescriptionTensor(values=np.zeros((cfg.embed_dim, cfg.max_len - 1)), used=0)
+        samples = [(0, random_tensor(stream(28, 2), cfg)), (1, short)]
+        with pytest.raises(ShapeMismatch):
+            textcnn.train(model, samples, textcnn.SolverConfig(iterations=1), stream(28, 3))
+
+
+class TestBatchedOracle:
+    """The batched core against the summed per-sample oracle, to 1e-12."""
+
+    def test_dropout_masks(self):
+        cfg = toy_config(dropout=0.5, hidden_dim=16)
+        model = textcnn.init_model(cfg, stream(30, 1))
+        gen = stream(30, 2)
+        tensors = [random_tensor(gen, cfg) for _ in range(8)]
+        labels = gen.integers(0, cfg.num_classes, size=8)
+        masks = gen.random((8, cfg.hidden_dim)) >= cfg.dropout
+        assert_batch_matches_oracle(model, tensors, labels, masks)
+
+    def test_relu_clipped_channels(self):
+        cfg = toy_config(kernel_count=8)
+        model = textcnn.init_model(cfg, stream(31, 1))
+        model.conv_b[::2] = -100.0  # every window of these channels is clipped
+        gen = stream(31, 2)
+        tensors = [random_tensor(gen, cfg) for _ in range(8)]
+        _, trace = textcnn.forward(model, tensors[0])
+        assert np.all(trace.pooled[::2] == 0.0) and np.all(trace.pooled[1::2] > 0.0)
+        assert_batch_matches_oracle(model, tensors, gen.integers(0, cfg.num_classes, size=8))
+
+    def test_argmax_ties_on_constant_windows(self):
+        # Small integers and halves keep every sum exact, so equal windows
+        # tie exactly and both paths must pick the lowest position.
+        cfg = toy_config()
+        model = textcnn.init_model(cfg, stream(32, 1))
+        gen = stream(32, 2)
+        model.conv_w[...] = gen.integers(-2, 3, size=model.conv_w.shape) / 2.0
+        model.conv_b[...] = 0.5
+        tensors = []
+        for _ in range(8):
+            column = gen.integers(-3, 4, size=(cfg.embed_dim, 1)).astype(float)
+            tensors.append(DescriptionTensor(values=np.repeat(column, cfg.max_len, axis=1),
+                                             used=cfg.max_len))
+        _, trace = textcnn.forward(model, tensors[0])
+        assert np.all(trace.argmax == 0) and np.any(trace.pooled > 0.0)
+        assert np.all(trace.conv == trace.conv[:, :1])
+        assert_batch_matches_oracle(model, tensors, gen.integers(0, cfg.num_classes, size=8))
+
+    def test_zero_padded_columns(self):
+        # A positive bias lets an all-padding window win the pool.
+        cfg = toy_config(max_len=12)
+        model = textcnn.init_model(cfg, stream(33, 1))
+        model.conv_b[...] = 0.8
+        gen = stream(33, 2)
+        tensors = [random_tensor(gen, cfg, used=int(gen.integers(3, 7))) for _ in range(8)]
+        peaks = [textcnn.forward(model, t)[1].argmax for t in tensors]
+        assert any(np.any(p >= t.used) for p, t in zip(peaks, tensors))
+        assert_batch_matches_oracle(model, tensors, gen.integers(0, cfg.num_classes, size=8))
+
+    def test_paper_layer_sizes(self):
+        cfg = paper_config()
+        model = textcnn.init_model(cfg, stream(34, 1))
+        gen = stream(34, 2)
+        tensors = [random_tensor(gen, cfg, used=int(gen.integers(5, 71))) for _ in range(8)]
+        labels = gen.integers(0, cfg.num_classes, size=8)
+        masks = gen.random((8, cfg.hidden_dim)) >= cfg.dropout
+        assert_batch_matches_oracle(model, tensors, labels, masks)
+
+    def test_single_sample_path_is_the_core(self):
+        cfg = toy_config(dropout=0.5, hidden_dim=16)
+        model = textcnn.init_model(cfg, stream(35, 1))
+        tensor = random_tensor(stream(35, 2), cfg)
+        mask = stream(35, 3).random(cfg.hidden_dim) >= cfg.dropout
+        loss, grads = textcnn.loss_and_gradients(model, tensor, 2, train=True, dropout_mask=mask)
+        want_loss, want = synth.oracle_cnn_loss_and_gradients(model, tensor, 2, mask)
+        assert abs(loss - want_loss) <= 1e-12 * abs(want_loss)
+        for (name, got), (_, ref) in zip(grads.params(), want.params()):
+            assert relative_error(got, ref) <= 1e-12, name
 
 
 class TestFeatures:
@@ -297,6 +450,37 @@ class TestFeatures:
         assert np.array_equal(
             textcnn.extract_features(model, tensor), textcnn.extract_features(model, tensor)
         )
+
+
+class TestManyTensors:
+    def tensors(self, cfg, gen):
+        # two widths, interleaved, so runs of one shape split the sequence
+        out = []
+        for width in (9, 9, 9, 7, 7, 9, 9, 9, 9, 7):
+            values = np.zeros((cfg.embed_dim, width))
+            values[:, :5] = gen.standard_normal((cfg.embed_dim, 5))
+            out.append(DescriptionTensor(values=values, used=5))
+        return out
+
+    @pytest.mark.parametrize("chunk", [1, 3, textcnn.INFER_CHUNK])
+    def test_sequence_equals_one_by_one(self, monkeypatch, chunk):
+        monkeypatch.setattr(textcnn, "INFER_CHUNK", chunk)
+        cfg = toy_config(dropout=0.5)
+        model = textcnn.init_model(cfg, stream(36, 1))
+        tensors = self.tensors(cfg, stream(36, 2))
+        feats = textcnn.extract_features(model, tensors)
+        assert feats.shape == (len(tensors), cfg.hidden_dim)
+        for row, tensor in zip(feats, tensors):
+            assert np.allclose(row, textcnn.forward(model, tensor)[1].fc1, rtol=1e-13, atol=1e-15)
+        labels = textcnn.predict(model, tensors)
+        assert list(labels) == [textcnn.predict(model, t) for t in tensors]
+        assert isinstance(textcnn.predict(model, tensors[0]), int)
+
+    def test_empty_sequence(self):
+        cfg = toy_config()
+        model = textcnn.init_model(cfg, stream(37, 1))
+        with pytest.raises(EmptySubset):
+            textcnn.predict(model, [])
 
 
 class TestDetector:
