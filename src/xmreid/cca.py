@@ -2,11 +2,12 @@
 
 CCA finds paired projections W_x, W_y maximizing tr(W_x^T S_xy W_y) under the
 unit-variance constraints W_x^T S_xx W_x = W_y^T S_yy W_y = I. We solve it by
-whitening both covariances with pseudo-inverse square roots and taking the
-eigendecomposition of the whitened cross-covariance's Gram matrix, which is
-the generalized-eigenproblem route expressed through the plain symmetric
-solver. Covariances carry a relative ridge so 2048-dimensional features with
-few training samples stay invertible.
+whitening both covariances with pseudo-inverse square roots and taking one
+thin SVD of the whitened cross-covariance S_xx^-1/2 S_xy S_yy^-1/2: its
+singular values are the canonical correlations and its singular vector pairs,
+mapped back through the whitening, are W_x and W_y. Covariances carry a
+relative ridge so 2048-dimensional features with few training samples stay
+invertible.
 
 SCENARIO_SPEC is the one table of the six evaluation scenarios: vision-only,
 language-only, cross-modal, query-enriched, full concatenation, and
@@ -75,36 +76,22 @@ def regularized_cov(x, ridge) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < 2:
         raise TooFewSamples(f"need a samples-by-dim matrix with >= 2 rows, got {x.shape}")
-    if ridge < 0:
-        raise InvalidConfig(f"ridge must be >= 0, got {ridge}")
+    if not (np.isfinite(ridge) and ridge >= 0):
+        raise InvalidConfig(f"ridge must be finite and >= 0, got {ridge}")
     centered = x - x.mean(axis=0)
     cov = centered.T @ centered / x.shape[0]
     dim = cov.shape[0]
     return cov + ridge * (np.trace(cov) / dim) * np.eye(dim)
 
 
-def _complete_orthonormal(columns, index, dim):
-    # Fallback direction for a vanishing correlation: any unit vector
-    # orthogonal to the columns already placed.
-    for basis in range(dim):
-        candidate = np.zeros(dim)
-        candidate[basis] = 1.0
-        candidate -= columns[:, :index] @ (columns[:, :index].T @ candidate)
-        norm = np.linalg.norm(candidate)
-        if norm > 1e-8:
-            return candidate / norm
-    raise KOutOfRange("cannot complete an orthonormal set; k exceeds the usable rank")
-
-
-def fit_cca(x, y, k=None, ridge=DEFAULT_RIDGE, zscore=False) -> CcaModel:
+def fit_cca(x, y, k=None, ridge=DEFAULT_RIDGE) -> CcaModel:
     """Top-k canonical projection pairs of row-aligned sample matrices.
 
     k defaults to min(d_x, d_y, DEFAULT_RANK_BUDGET).
     Whitening uses pseudo-inverse square roots (eigenvalues below 1e-10 of
-    the largest are treated as null directions), and the returned
-    correlations are clipped into [0, 1]. Correlations are invariant to
-    per-dimension z-scoring; the flag only changes the ridge geometry and is
-    folded into the projections so project() still consumes raw features.
+    the largest are treated as null directions); the canonical pairs are the
+    leading singular vector pairs of the whitened cross-covariance, and the
+    returned correlations are its singular values clipped into [0, 1].
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -119,43 +106,14 @@ def fit_cca(x, y, k=None, ridge=DEFAULT_RIDGE, zscore=False) -> CcaModel:
 
     mean_x = x.mean(axis=0)
     mean_y = y.mean(axis=0)
-    scale_x = scale_y = None
-    if zscore:
-        scale_x = linalg.column_scale(x)
-        scale_y = linalg.column_scale(y)
-        x = x / scale_x
-        y = y / scale_y
-
-    cov_xx = regularized_cov(x, ridge)
-    cov_yy = regularized_cov(y, ridge)
-    cov_xy = (x - x.mean(axis=0)).T @ (y - y.mean(axis=0)) / x.shape[0]
-
-    white_x = linalg.psd_power(cov_xx, -0.5)
-    white_y = linalg.psd_power(cov_yy, -0.5)
-    coupling = white_x @ cov_xy @ white_y
-    gram = coupling @ coupling.T
-    values, u_vecs = linalg.eigh((gram + gram.T) / 2.0)
-
-    rho = np.sqrt(np.clip(values[:k], 0.0, None))
-    u_k = u_vecs[:, :k]
-    v_k = np.zeros((y.shape[1], k))
-    for i in range(k):
-        candidate = coupling.T @ u_k[:, i]
-        norm = np.linalg.norm(candidate)
-        if norm > 1e-12:
-            v_k[:, i] = candidate / norm
-        else:
-            v_k[:, i] = _complete_orthonormal(v_k, i, y.shape[1])
-
-    w_x = white_x @ u_k
-    w_y = white_y @ v_k
-    if zscore:
-        w_x = w_x / scale_x[:, None]
-        w_y = w_y / scale_y[:, None]
+    white_x = linalg.psd_power(regularized_cov(x, ridge), -0.5)
+    white_y = linalg.psd_power(regularized_cov(y, ridge), -0.5)
+    cov_xy = (x - mean_x).T @ (y - mean_y) / x.shape[0]
+    u, rho, vt = linalg.svd(white_x @ cov_xy @ white_y)
     return CcaModel(
-        w_x=w_x,
-        w_y=w_y,
-        correlations=np.clip(rho, 0.0, 1.0),
+        w_x=white_x @ u[:, :k],
+        w_y=white_y @ vt[:k].T,
+        correlations=np.clip(rho[:k], 0.0, 1.0),
         mean_x=mean_x,
         mean_y=mean_y,
         ridge=ridge,

@@ -138,10 +138,9 @@ def cmd_fit_cca(args):
     dataset = dataio.assemble_dataset(vision=x_records, language=y_records)
     x = np.array([r.vision for r in dataset.records])
     y = np.array([r.language for r in dataset.records])
-    model = cca_mod.fit_cca(x, y, k=args.k, ridge=args.ridge, zscore=args.zscore)
+    model = cca_mod.fit_cca(x, y, k=args.k, ridge=args.ridge)
     cca_mod.save_model(model, args.out)
-    config = {"x": args.x, "y": args.y, "k": model.k, "ridge": args.ridge,
-              "zscore": args.zscore, "out": args.out}
+    config = {"x": args.x, "y": args.y, "k": model.k, "ridge": args.ridge, "out": args.out}
     write_manifest(args.out + ".manifest.json", "fit-cca", config,
                    args.seed if args.seed is not None else 42,
                    {"x": args.x, "y": args.y}, [args.out], started,
@@ -276,12 +275,11 @@ def _load_dataset(args):
     return dataset, splits
 
 
-def _pipeline_config(args, flip_bits=0):
+def _pipeline_config(args):
     return evaluation.PipelineConfig(
-        cca_k=args.cca_k, cca_ridge=args.cca_ridge, cca_zscore=args.cca_zscore,
+        cca_k=args.cca_k, cca_ridge=args.cca_ridge,
         xqda_ridge=args.xqda_ridge, xqda_max_rank=args.xqda_max_rank,
-        xqda_zscore=args.xqda_zscore,
-        flip_bits=flip_bits, gallery_mode=args.gallery_mode,
+        gallery_mode=args.gallery_mode,
     )
 
 
@@ -314,8 +312,7 @@ def cmd_evaluate(args):
     scenario = args.scenario
     dataset, splits = _load_dataset(args)
     seed = args.seed if args.seed is not None else 42
-    config = _pipeline_config(args, flip_bits=args.flip_n)
-    report = evaluation.evaluate_scenario(dataset, splits, scenario, config,
+    report = evaluation.evaluate_scenario(dataset, splits, scenario, _pipeline_config(args),
                                           master_seed=seed)
     csv_path = f"{args.out_dir}/report_{scenario}.csv"
     _write_report_csv(csv_path, report)
@@ -324,10 +321,8 @@ def cmd_evaluate(args):
         "scenario": scenario, "vision": args.vision, "language": args.language,
         "attributes": args.attributes, "splits": args.splits,
         "cca_k": args.cca_k, "cca_ridge": args.cca_ridge,
-        "cca_zscore": args.cca_zscore,
         "xqda_ridge": args.xqda_ridge, "xqda_max_rank": args.xqda_max_rank,
-        "xqda_zscore": args.xqda_zscore,
-        "flip_n": args.flip_n, "gallery_mode": args.gallery_mode,
+        "gallery_mode": args.gallery_mode,
     }
     inputs = {"vision": args.vision, "splits": args.splits}
     if args.language:
@@ -361,9 +356,7 @@ def cmd_attr_sweep(args):
     cli_config = {
         "n": n_values, "vision": args.vision, "attributes": args.attributes,
         "splits": args.splits, "cca_k": args.cca_k, "cca_ridge": args.cca_ridge,
-        "cca_zscore": args.cca_zscore,
         "xqda_ridge": args.xqda_ridge, "xqda_max_rank": args.xqda_max_rank,
-        "xqda_zscore": args.xqda_zscore,
         "gallery_mode": args.gallery_mode,
     }
     write_manifest(f"{args.out_dir}/manifest_attr_sweep.json", "attr-sweep",
@@ -398,12 +391,8 @@ def _add_pipeline_flags(parser):
     parser.add_argument("--cca-k", type=int, default=None,
                         help="canonical pairs to keep (default: min(dims, 128))")
     parser.add_argument("--cca-ridge", type=float, default=cca_mod.DEFAULT_RIDGE)
-    parser.add_argument("--cca-zscore", action="store_true",
-                        help="z-score features per dimension before CCA")
     parser.add_argument("--xqda-ridge", type=float, default=xqda_mod.DEFAULT_RIDGE)
     parser.add_argument("--xqda-max-rank", type=int, default=xqda_mod.DEFAULT_MAX_RANK)
-    parser.add_argument("--xqda-zscore", action="store_true",
-                        help="z-score features per dimension before metric learning")
     parser.add_argument("--gallery-mode", choices=("single", "multi"), default="single")
 
 
@@ -426,8 +415,6 @@ def build_parser():
     p.add_argument("--y", required=True, help="language FEAT file (row-aligned with --x)")
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--ridge", type=float, default=cca_mod.DEFAULT_RIDGE)
-    p.add_argument("--zscore", action="store_true",
-                   help="z-score each dimension before fitting (correlations unchanged)")
     p.add_argument("--out", required=True)
     _add_common(p)
     p.set_defaults(func=cmd_fit_cca)
@@ -481,7 +468,6 @@ def build_parser():
     p.add_argument("--attributes")
     p.add_argument("--splits", required=True)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--flip-n", type=int, default=0)
     _add_pipeline_flags(p)
     _add_common(p)
     p.set_defaults(func=cmd_evaluate)

@@ -413,15 +413,14 @@ class DatasetRecord:
     """One observation of one identity in one camera view.
 
     Vision and language features are the ingested per-sample vectors
-    (x and y); tokens are the raw description words; attributes are the
-    identity's binary annotation as seen by this record.
+    (x and y); attributes are the identity's binary annotation as seen by
+    this record.
     """
 
     identity: str
     view: int
     vision: np.ndarray | None = None
     language: np.ndarray | None = None
-    tokens: tuple | None = None
     attributes: np.ndarray | None = None
 
 
@@ -439,13 +438,13 @@ class Dataset:
         return len(self.records)
 
 
-def assemble_dataset(vision=None, language=None, attributes=None, corpus=None) -> Dataset:
+def assemble_dataset(vision=None, language=None, attributes=None) -> Dataset:
     """Join per-modality files into aligned records.
 
     When both vision and language feature lists are given they must carry the
     same (identity, view) sequence row by row; that row order is the pairing.
-    Attribute bits are looked up per identity; token lists attach to the
-    first matching (identity, view) record.
+    Attribute bits are looked up per identity. Descriptions are not attached:
+    the text CNN reads the corpus on its own.
     """
     base = vision if vision is not None else language
     if base is None:
@@ -460,10 +459,6 @@ def assemble_dataset(vision=None, language=None, attributes=None, corpus=None) -
                 raise MisalignedRecords(
                     f"row pairing broken at identity {vid!r}/{lid!r} view {vview}/{lview}"
                 )
-    token_lookup = {}
-    if corpus is not None:
-        for identity, view, text in corpus:
-            token_lookup.setdefault((identity, view), text)
     records = []
     for row, (identity, view, vector) in enumerate(base):
         rec = DatasetRecord(identity=identity, view=view)

@@ -1,14 +1,16 @@
 """Scenario evaluation: CMC curves, split aggregation, and the attribute
 bit-flip simulation.
 
-The protocol per split: fit everything (CCA, z-scoring stats, XQDA) on the
-train identities only, build the gallery from view-1 test samples (one per
-identity in single-shot mode, drawn by the split's seeded stream when an
-identity has several), take every view-2 test sample as a probe, and rank
-the gallery by ascending score. Splits are independent, each keyed by
-(master seed, scenario, flip count, split index). A split works on whole
-arrays: each modality is gathered into one matrix per scenario and fused
-once per row set and side, as cca.SCENARIO_SPEC says.
+The protocol per split: fit everything (CCA, XQDA) on the train identities
+only, build the gallery from view-1 test samples (one per identity in
+single-shot mode, drawn by the split's seeded stream when an identity has
+several), take every view-2 test sample as a probe, and rank the gallery by
+ascending score. Splits are independent, each keyed by (master seed,
+scenario, flip count, split index). A split works on whole arrays: each
+modality is gathered into one matrix per scenario and fused once per row set
+and side, as cca.SCENARIO_SPEC says. This module rescales no feature itself:
+when a scenario has attribute parts, fit_xqda(zscore=True) z-scores the
+fused training features and folds the scale into its subspace.
 """
 
 from dataclasses import dataclass, replace
@@ -16,7 +18,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import cca as cca_mod
-from . import linalg
 from . import rng as streams
 from . import xqda as xqda_mod
 from .errors import (
@@ -61,10 +62,8 @@ class PipelineConfig:
 
     cca_k: int | None = None          # None -> min(d_x, d_y, rank budget 128)
     cca_ridge: float = cca_mod.DEFAULT_RIDGE
-    cca_zscore: bool = False
     xqda_ridge: float = xqda_mod.DEFAULT_RIDGE
     xqda_max_rank: int = xqda_mod.DEFAULT_MAX_RANK
-    xqda_zscore: bool = False
     flip_bits: int = 0
     gallery_mode: str = "single"      # or "multi": min score over an identity's images
 
@@ -152,8 +151,7 @@ def _evaluate_one_split(ids, views, fields, split, scenario, config, master_seed
     model = None
     if parts & {"cca_x", "cca_y"}:
         model = cca_mod.fit_cca(fields["vision"][train], fields["language"][train],
-                                k=config.cca_k, ridge=config.cca_ridge,
-                                zscore=config.cca_zscore)
+                                k=config.cca_k, ridge=config.cca_ridge)
 
     def fused(rows, side):
         return cca_mod.fuse(scenario, model=model, side=side,
@@ -164,18 +162,11 @@ def _evaluate_one_split(ids, views, fields, split, scenario, config, master_seed
     train_feats = np.vstack([fused(train_view1, cca_mod.GALLERY),
                              fused(train_view2, cca_mod.QUERY)])
     train_rows = np.concatenate([train_view1, train_view2])
-
-    # Scale balance between vision features and {-1,+1} attribute bits.
-    shift, scale = 0.0, 1.0
-    if "attribute" in parts:
-        shift = train_feats.mean(axis=0)
-        scale = linalg.column_scale(train_feats)
-        train_feats = (train_feats - shift) / scale
-
+    # Z-scoring balances the scales of vision features and {-1,+1} attribute bits.
     metric = xqda_mod.fit_xqda(
         train_feats, ids[train_rows], views[train_rows],
         ridge=config.xqda_ridge, max_rank=config.xqda_max_rank,
-        zscore=config.xqda_zscore,
+        zscore="attribute" in parts,
     )
 
     # Gallery: view-1 test samples, one per identity unless multi-shot.
@@ -199,10 +190,9 @@ def _evaluate_one_split(ids, views, fields, split, scenario, config, master_seed
     if not probe_rows.size:
         raise InvalidConfig(f"split {split.index} has no view-2 test samples")
 
-    gallery_feats = (fused(gallery_rows, cca_mod.GALLERY) - shift) / scale
-    probe_feats = (fused(probe_rows, cca_mod.QUERY) - shift) / scale
     gallery_ids = ids[gallery_rows]
-    scores = xqda_mod.score_matrix(metric, gallery_feats, probe_feats)
+    scores = xqda_mod.score_matrix(metric, fused(gallery_rows, cca_mod.GALLERY),
+                                   fused(probe_rows, cca_mod.QUERY))
     if config.gallery_mode == "multi":
         # An identity's images sit next to each other: fold each run to its min.
         starts = np.flatnonzero(np.r_[True, gallery_ids[1:] != gallery_ids[:-1]])

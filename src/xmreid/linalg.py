@@ -1,13 +1,12 @@
-"""Dense symmetric linear algebra for the learning stages.
+"""Dense linear algebra for the learning stages.
 
 Each solver is a thin wrapper over numpy's LAPACK under one contract: input
-must be finite and symmetric within a 1e-9 relative tolerance (it is then
-symmetrized as (A + A^T)/2), eigenvalues come back descending with each
-eigenvector's first non-negligible component positive, and LAPACK failures
-surface as package errors. The from-scratch row-by-row Cholesky, triangular
-substitution and cyclic Jacobi these replaced are kept in `synth` as oracles.
-column_scale() is the one per-dimension z-scoring scale of the CCA, XQDA and
-VAxVA fits.
+must be finite and, for all but svd(), symmetric within a 1e-9 relative
+tolerance (it is then symmetrized as (A + A^T)/2); eigen- and singular values
+come back descending with each eigenvector (each left singular vector) having
+its first non-negligible component positive; and LAPACK failures surface as
+package errors. The from-scratch row-by-row Cholesky, triangular substitution
+and cyclic Jacobi these replaced are kept in `synth` as oracles.
 """
 
 from typing import NamedTuple
@@ -18,6 +17,7 @@ from .errors import NoConvergence, NonFiniteValue, NotPositiveDefinite, NotSquar
 
 SYMMETRY_RTOL = 1e-9
 PIVOT_RTOL = 1e-12
+RANGE_RTOL = 1e-10
 
 
 class EigenResult(NamedTuple):
@@ -42,13 +42,6 @@ def symmetrized(a) -> np.ndarray:
     return (a + a.T) / 2.0
 
 
-def column_scale(x) -> np.ndarray:
-    """Per-column standard deviation; near-constant columns (below 1e-12) get 1."""
-    scale = np.asarray(x, dtype=np.float64).std(axis=0)
-    scale[scale < 1e-12] = 1.0
-    return scale
-
-
 def cholesky(a) -> np.ndarray:
     """Lower-triangular L with L L^T = A.
 
@@ -71,12 +64,14 @@ def cholesky(a) -> np.ndarray:
 
 def _fix_signs(vecs):
     # Deterministic orientation: first non-negligible component made positive.
+    # Returns the mask of flipped columns.
     if not vecs.size:
-        return
+        return np.zeros(vecs.shape[1], dtype=bool)
     mags = np.abs(vecs)
     lead = np.argmax(mags > 1e-12 * mags.max(axis=0), axis=0)
     flip = vecs[lead, np.arange(vecs.shape[1])] < 0.0
     vecs[:, flip] *= -1.0
+    return flip
 
 
 def eigh(a) -> EigenResult:
@@ -119,17 +114,35 @@ def gen_eigh(a, b) -> EigenResult:
     return EigenResult(values=inner.values, vectors=vecs)
 
 
-def psd_power(a, p, cutoff_rtol=1e-10) -> np.ndarray:
+def svd(a):
+    """Thin SVD A = U diag(s) V^T of a finite matrix, singular values descending.
+
+    Each column of U has its first non-negligible component positive and the
+    matching row of V^T is flipped with it, so U diag(s) V^T still equals A.
+    Raises NonFiniteValue on a NaN/inf entry and NoConvergence if LAPACK fails.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    if not np.isfinite(a).all():
+        raise NonFiniteValue("matrix has a NaN or infinite entry")
+    try:
+        u, s, vt = np.linalg.svd(a, full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"LAPACK SVD failed: {exc}") from None
+    vt[_fix_signs(u)] *= -1.0
+    return u, s, vt
+
+
+def psd_power(a, p) -> np.ndarray:
     """Symmetric power A^p of a PSD matrix, restricted to its numerical range.
 
-    Eigenvalues below cutoff_rtol * lambda_max are treated as zero rank and
+    Eigenvalues below RANGE_RTOL * lambda_max are treated as zero rank and
     dropped, which is the standard guard when samples < dimensions. With
     p = -1 this is the pseudo-inverse, with p = -1/2 the pseudo-inverse
     square root.
     """
     values, vectors = eigh(a)
     top = values[0] if values.size else 0.0
-    keep = values > max(cutoff_rtol * top, 0.0)
+    keep = values > max(RANGE_RTOL * top, 0.0)
     if not np.any(keep):
         return np.zeros_like(np.asarray(a, dtype=np.float64))
     kept_vecs = vectors[:, keep]

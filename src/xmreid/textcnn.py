@@ -112,6 +112,16 @@ class SolverConfig:
     lr_drop_factor: float = 0.1
     lr_drop_every: int = 50000
 
+    def validate(self):
+        if self.iterations < 0:
+            raise InvalidConfig(f"iterations must be >= 0, got {self.iterations}")
+        if min(self.batch_size, self.lr_drop_every) < 1:
+            raise InvalidConfig("batch_size and lr_drop_every must be >= 1")
+        for name in ("base_lr", "momentum", "weight_decay", "lr_drop_factor"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0.0):
+                raise InvalidConfig(f"{name} must be finite and >= 0, got {value}")
+
 
 def _glorot(rng, fan_in, fan_out, shape):
     bound = math.sqrt(6.0 / (fan_in + fan_out))
@@ -253,6 +263,7 @@ def train(model, samples, solver: SolverConfig, rng):
     tensors, and applies the Caffe-style update v = mu*v - lr*(grad + wd*param);
     param += v, with grad the batch-mean gradient.
     """
+    solver.validate()
     samples = list(samples)
     if not samples:
         raise EmptyCorpus("no training samples")

@@ -103,8 +103,8 @@ def augment_gaussian(tensor, sigma, rng) -> DescriptionTensor:
     Padding columns stay exactly zero so augmented and clean tensors have the
     same footprint.
     """
-    if sigma < 0:
-        raise InvalidConfig(f"sigma must be >= 0, got {sigma}")
+    if not (np.isfinite(sigma) and sigma >= 0):
+        raise InvalidConfig(f"sigma must be finite and >= 0, got {sigma}")
     values = tensor.values.copy()
     if tensor.used > 0:
         values[:, : tensor.used] += rng.normal(0.0, sigma, size=(tensor.embed_dim, tensor.used))

@@ -124,8 +124,8 @@ def fit_xqda(features, identities, views, ridge=DEFAULT_RIDGE,
     the model is flagged as a fallback. Optional per-dimension z-scoring is
     folded into W so scoring still consumes raw features.
     """
-    if ridge < 0:
-        raise InvalidConfig(f"ridge must be >= 0, got {ridge}")
+    if not (np.isfinite(ridge) and ridge >= 0):
+        raise InvalidConfig(f"ridge must be finite and >= 0, got {ridge}")
     if max_rank < 1:
         raise InvalidConfig(f"max_rank must be >= 1, got {max_rank}")
     features, identities, views, _ = _check_inputs(features, identities, views)
@@ -134,7 +134,8 @@ def fit_xqda(features, identities, views, ridge=DEFAULT_RIDGE,
     scale = None
     work = features
     if zscore:
-        scale = linalg.column_scale(features)
+        scale = features.std(axis=0)
+        scale[scale < 1e-12] = 1.0  # near-constant columns stay unscaled
         work = (features - mean) / scale
 
     intra, extra = build_difference_covariances(work, identities, views)

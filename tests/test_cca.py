@@ -38,6 +38,13 @@ class TestRegularizedCov:
         with pytest.raises(TooFewSamples):
             cca.regularized_cov(np.ones((1, 3)), 0.0)
 
+    @pytest.mark.parametrize("ridge", [-1e-3, np.nan, np.inf])
+    def test_bad_ridge_rejected(self, ridge):
+        with pytest.raises(InvalidConfig):
+            cca.regularized_cov(np.eye(3), ridge)
+        with pytest.raises(InvalidConfig):
+            cca.fit_cca(np.eye(3), np.eye(3), k=1, ridge=ridge)
+
 
 class TestFitCca:
     def test_self_correlation(self):
@@ -106,16 +113,18 @@ class TestFitCca:
         assert np.all(model.correlations >= 0.0)
         assert np.all(np.diff(model.correlations) <= 1e-12)
 
-    def test_zscore_leaves_correlations_and_raw_projection_valid(self):
-        rng = stream(31, 10)
-        x, y = shared_latent_pair(rng, 150, d_x=4, d_y=3, latent_dim=2)
-        x = x * np.array([1.0, 10.0, 0.1, 100.0])
-        plain = cca.fit_cca(x, y, k=2, ridge=0.0)
-        scaled = cca.fit_cca(x, y, k=2, ridge=0.0, zscore=True)
-        assert np.allclose(plain.correlations, scaled.correlations, atol=1e-6)
-        # projections still consume raw features and satisfy unit variance
-        proj = cca.project(scaled, "x", x)
-        assert np.allclose(proj.var(axis=0), 1.0, atol=1e-6)
+    def test_vanishing_correlation_keeps_constraints(self):
+        # A constant y column has zero cross-covariance with x, so its pair's
+        # correlation vanishes; with k = d_y that pair must still be whitened.
+        rng = stream(31, 11)
+        x, y = shared_latent_pair(rng, 80, d_x=5, d_y=3, latent_dim=2)
+        y[:, 1] = 2.5
+        model = cca.fit_cca(x, y, k=3)
+        assert model.correlations[-1] <= 1e-12
+        assert model.correlations[0] > 0.5
+        for w, data in ((model.w_x, x), (model.w_y, y)):
+            gram = w.T @ cca.regularized_cov(data, model.ridge) @ w
+            assert np.max(np.abs(gram - np.eye(3))) <= 1e-12
 
     def test_k_out_of_range(self):
         rng = stream(31, 9)

@@ -212,6 +212,28 @@ class TestTrainTextCnn:
         manifest = json.loads((tmp_path / "run0" / "manifest.json").read_text())
         assert manifest["train_accuracy"] == correct / len(corpus)
 
+    @pytest.mark.parametrize("flags", [
+        ("--batch", "0"), ("--lr-drop-every", "0"), ("--iters", "-1"),
+        ("--lr", "nan"), ("--momentum", "nan"), ("--weight-decay", "nan"),
+        ("--lr-drop-factor", "inf"),
+        ("--augment", "gaussian", "--factor", "2", "--sigma", "nan"),
+    ], ids=" ".join)
+    def test_bad_solver_flag_is_config_error(self, tmp_path, flags):
+        corpus_path, emb_path = toy_text_corpus(tmp_path, classes=3)
+        code = run(["train-textcnn", "--corpus", str(corpus_path),
+                    "--embeddings", str(emb_path), "--out-dir", str(tmp_path),
+                    "--iters", "2", "--batch", "4", "--kernels", "4",
+                    "--kernel-width", "3", "--hidden", "8", "--max-len", "10",
+                    "--quiet", *flags])
+        assert code == 2
+        assert not (tmp_path / "model.cnn").exists()
+
+
+EVALUATE_VXV = ("evaluate --scenario VxV --vision {d}/vision.feat --splits {d}/splits.split "
+                "--out-dir {t}")
+ATTR_SWEEP = ("attr-sweep --n 0 --vision {d}/vision.feat --attributes {d}/attributes.attr "
+              "--splits {d}/splits.split --out-dir {t}")
+
 
 class TestEvaluateCli:
     def test_report_and_manifest(self, tmp_path):
@@ -249,6 +271,31 @@ class TestEvaluateCli:
                      "--splits", str(out / "splits.split"),
                      "--out-dir", str(tmp_path), "--threads", threads])
             assert exc.value.code == 2, threads
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    @pytest.mark.parametrize("flag", ["--cca-ridge", "--xqda-ridge"])
+    def test_bad_ridge_is_config_error(self, toy_data, tmp_path, flag, value):
+        code = run(["evaluate", "--scenario", "VxL",
+                    "--vision", str(toy_data / "vision.feat"),
+                    "--language", str(toy_data / "language.feat"),
+                    "--splits", str(toy_data / "splits.split"),
+                    "--out-dir", str(tmp_path), "--quiet", flag, value])
+        assert code == 2
+
+    @pytest.mark.parametrize("command, flag", [
+        (EVALUATE_VXV, "--flip-n 1"),
+        (EVALUATE_VXV, "--cca-zscore"),
+        (EVALUATE_VXV, "--xqda-zscore"),
+        (ATTR_SWEEP, "--cca-zscore"),
+        (ATTR_SWEEP, "--xqda-zscore"),
+        ("fit-cca --x {d}/vision.feat --y {d}/language.feat --out {t}/m.cca", "--zscore"),
+    ], ids=lambda text: text.split()[0])
+    def test_removed_flags_are_unknown(self, toy_data, tmp_path, command, flag):
+        argv = (command + " --quiet").format(d=toy_data, t=tmp_path).split()
+        assert run(argv) == 0
+        with pytest.raises(SystemExit) as exc:
+            run(argv + flag.split())
+        assert exc.value.code == 2
 
     def test_threads_invariant_report(self, tmp_path):
         out = gen_dataset(tmp_path)

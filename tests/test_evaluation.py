@@ -228,3 +228,17 @@ class TestAttributeSweep:
         )
         assert reports[0].mean_rank(1) == 1.0
         assert reports[3].mean_rank(1) < 0.7 * reports[0].mean_rank(1)
+
+    def test_vision_scale_is_normalised_away(self):
+        # VAxVA features are z-scored on train statistics, so scaling the
+        # vision part by 1000 must leave every rank as it was. (48 train rows
+        # for 23 dimensions: with fewer rows than dimensions, rounding decides
+        # which unit generalised eigenvalues XQDA keeps.)
+        config = small_config(identity_count=24, vision_noise=1.5)
+        dataset = self.make_attributed_dataset(config)
+        splits = synth.gen_splits(config)
+        base = evaluation.attribute_degradation_sweep(dataset, splits, [2], master_seed=4)
+        for rec in dataset.records:
+            rec.vision = rec.vision * 1e3
+        scaled = evaluation.attribute_degradation_sweep(dataset, splits, [2], master_seed=4)
+        assert np.array_equal(base[2].mean, scaled[2].mean)

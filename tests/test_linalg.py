@@ -131,6 +131,15 @@ class TestEigh:
         synth._fix_signs(expected)
         linalg._fix_signs(vecs)
         assert np.array_equal(vecs, expected)
+        # svd orients U's columns the same way and flips V^T's rows with them.
+        for shape in ((7, 4), (4, 7)):
+            a = rng.standard_normal(shape)
+            u, s, vt = linalg.svd(a)
+            expected = u.copy()
+            linalg._fix_signs(expected)
+            assert np.array_equal(u, expected)
+            assert np.all(np.diff(s) <= 0.0)
+            assert np.allclose((u * s) @ vt, a, atol=1e-12)
 
     def test_zero_matrix(self):
         res = linalg.eigh(np.zeros((4, 4)))
@@ -193,16 +202,21 @@ class TestFailures:
             linalg.gen_eigh(a, np.eye(3))
         with pytest.raises(NonFiniteValue):
             linalg.gen_eigh(np.eye(3), a)
+        with pytest.raises(NonFiniteValue):
+            linalg.svd(a[:, :2])
 
     def test_lapack_failure_is_no_convergence(self, monkeypatch):
         def fail(a):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
         monkeypatch.setattr(np.linalg, "eigh", fail)
+        monkeypatch.setattr(np.linalg, "svd", lambda a, full_matrices: fail(a))
         with pytest.raises(NoConvergence):
             linalg.eigh(np.eye(2))
         with pytest.raises(NoConvergence):
             linalg.gen_eigh(np.eye(2), np.eye(2))
+        with pytest.raises(NoConvergence):
+            linalg.svd(np.eye(2))
 
 
 def neighbour_gaps(values):

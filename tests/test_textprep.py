@@ -138,8 +138,9 @@ class TestAugmentGaussian:
         assert abs(sample.std() - 0.05) < 0.001
 
     def test_negative_sigma_rejected(self):
-        with pytest.raises(InvalidConfig):
-            textprep.augment_gaussian(self.make_tensor(), -1.0, stream(0, 0))
+        for sigma in (-1.0, np.nan, np.inf):
+            with pytest.raises(InvalidConfig):
+                textprep.augment_gaussian(self.make_tensor(), sigma, stream(0, 0))
 
 
 class TestAugmentCorpus:

@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 from xmreid import synth, xqda
-from xmreid.errors import DegenerateMetric, MissingView, ShapeMismatch, TooFewIdentities
+from xmreid.errors import (
+    DegenerateMetric,
+    InvalidConfig,
+    MissingView,
+    ShapeMismatch,
+    TooFewIdentities,
+)
 from xmreid.rng import stream
 
 
@@ -96,6 +102,12 @@ class TestFit:
         ]
         assert np.max(np.abs(scores)) < 1.0
         assert model.rank >= 1
+
+    @pytest.mark.parametrize("ridge", [-1e-3, np.nan, np.inf])
+    def test_bad_ridge_rejected(self, ridge):
+        feats, ids, views = random_reid_data(stream(42, 6))
+        with pytest.raises(InvalidConfig):
+            xqda.fit_xqda(feats, ids, views, ridge=ridge)
 
     def test_beats_euclidean_on_anisotropic_noise(self):
         # identity signal in few dimensions, heavy shared noise elsewhere:
