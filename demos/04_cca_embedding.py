@@ -36,16 +36,13 @@ print("\n== scenario fusion ==")
 config = synth.SynthConfig(identity_count=20, samples_per_view=2, latent_dim=3,
                            vision_dim=12, language_dim=8, seed=3)
 dataset = synth.gen_paired(config)
-xs = np.array([r.vision for r in dataset.records])
-ys = np.array([r.language for r in dataset.records])
-pair_model = cca.fit_cca(xs, ys, k=3)
-sample = dataset.records[0]
+pair_model = cca.fit_cca(dataset.vision, dataset.language, k=3)
 for scenario, side in (("VxV", "gallery"), ("LxL", "query"), ("VxL", "gallery"),
                        ("VxL", "query"), ("VxVL", "query"), ("VLxVL", "gallery")):
-    fused = cca.fuse(scenario, vision=sample.vision, language=sample.language,
+    fused = cca.fuse(scenario, vision=dataset.vision[0], language=dataset.language[0],
                      model=pair_model, side=side)
     print(f"  {scenario:6s} {side:7s} -> {fused.shape[0]:3d}-dim feature")
 bits = np.array([1, 0, 1, 1, 0], dtype=np.uint8)
-fused = cca.fuse("VAxVA", vision=sample.vision, attributes=bits)
+fused = cca.fuse("VAxVA", vision=dataset.vision[0], attributes=bits)
 print(f"  VAxVA  gallery -> {fused.shape[0]:3d}-dim feature "
       f"(bits mapped to +/-1: {fused[-5:]})")

@@ -14,6 +14,8 @@ costs accuracy.
 
 import time
 
+import numpy as np
+
 from xmreid import evaluation, synth
 
 print("== five scenarios on the reference benchmark (20 splits, seed 42) ==")
@@ -35,8 +37,7 @@ print("\n== attribute bit flips (10 splits, unique attributes per identity) ==")
 attr_config = synth.reference_attribute_config()
 attr_dataset = synth.gen_paired(attr_config)
 attributes = synth.gen_attributes(attr_config)
-for record in attr_dataset.records:
-    record.attributes = attributes.get(record.identity)
+attr_dataset.attributes = np.array([attributes.get(i) for i in attr_dataset.identities])
 attr_splits = synth.gen_splits(attr_config)
 
 reports = evaluation.attribute_degradation_sweep(attr_dataset, attr_splits,

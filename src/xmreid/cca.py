@@ -45,13 +45,13 @@ SCENARIO_SPEC = {
     "VAxVA": {GALLERY: ("vision", "attribute"), QUERY: ("vision", "attribute")},
 }
 SCENARIOS = tuple(SCENARIO_SPEC)
-# The fuse() keyword, i.e. the dataset record field, each part is built from.
+# The fuse() keyword, i.e. the dataset column, each part is built from.
 PART_SOURCES = {"vision": "vision", "language": "language", "attribute": "attributes",
                 "cca_x": "vision", "cca_y": "language"}
 
 
 def scenario_sources(scenario):
-    """The record fields a scenario reads on either side, sorted."""
+    """The dataset columns a scenario reads on either side, sorted."""
     return sorted({PART_SOURCES[p] for side in SCENARIO_SPEC[scenario].values() for p in side})
 
 

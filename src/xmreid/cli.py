@@ -60,9 +60,9 @@ def write_manifest(path, subcommand, config, seed, inputs, outputs, started, ext
     }
     if extra:
         body.update(extra)
+    text = json.dumps(body, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        json.dump(body, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+        handle.write(text + "\n")
 
 
 def _say(args, message):
@@ -111,10 +111,9 @@ def cmd_gen_synth(args):
         "splits": f"{out}/splits.split",
         "corpus": f"{out}/corpus.corpus",
     }
-    dataio.save_features([(r.identity, r.view, r.vision) for r in dataset.records],
-                         paths["vision"])
-    dataio.save_features([(r.identity, r.view, r.language) for r in dataset.records],
-                         paths["language"])
+    for modality in ("vision", "language"):
+        dataio.save_features(zip(dataset.identities, dataset.views, getattr(dataset, modality)),
+                             paths[modality])
     dataio.save_attributes(attributes, paths["attributes"])
     dataio.save_splits(splits, paths["splits"])
     dataio.save_corpus(corpus, paths["corpus"])
@@ -133,12 +132,9 @@ def cmd_gen_synth(args):
 
 def cmd_fit_cca(args):
     started = time.perf_counter()
-    x_records = dataio.load_features(args.x)
-    y_records = dataio.load_features(args.y)
-    dataset = dataio.assemble_dataset(vision=x_records, language=y_records)
-    x = np.array([r.vision for r in dataset.records])
-    y = np.array([r.language for r in dataset.records])
-    model = cca_mod.fit_cca(x, y, k=args.k, ridge=args.ridge)
+    dataset = dataio.assemble_dataset(vision=dataio.load_features(args.x),
+                                      language=dataio.load_features(args.y))
+    model = cca_mod.fit_cca(dataset.vision, dataset.language, k=args.k, ridge=args.ridge)
     cca_mod.save_model(model, args.out)
     config = {"x": args.x, "y": args.y, "k": model.k, "ridge": args.ridge, "out": args.out}
     write_manifest(args.out + ".manifest.json", "fit-cca", config,
@@ -153,12 +149,9 @@ def cmd_fit_cca(args):
 
 def cmd_fit_xqda(args):
     started = time.perf_counter()
-    records = dataio.load_features(args.features)
-    feats = np.array([vec for _, _, vec in records])
-    ids = [identity for identity, _, _ in records]
-    views = [view for _, view, _ in records]
-    model = xqda_mod.fit_xqda(feats, ids, views, ridge=args.ridge,
-                              max_rank=args.max_rank, zscore=args.zscore)
+    dataset = dataio.assemble_dataset(vision=dataio.load_features(args.features))
+    model = xqda_mod.fit_xqda(dataset.vision, dataset.identities, dataset.views,
+                              ridge=args.ridge, max_rank=args.max_rank, zscore=args.zscore)
     xqda_mod.save_model(model, args.out)
     config = {"features": args.features, "ridge": args.ridge,
               "max_rank": args.max_rank, "zscore": args.zscore, "out": args.out}

@@ -400,51 +400,34 @@ def load_synonyms(path):
     return synonyms
 
 
-def save_synonyms(synonyms, path):
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        for token, ranked in synonyms.items():
-            handle.write(f"{token}\t{','.join(ranked)}\n")
-
-
 # -- dataset assembly -------------------------------------------------------------
 
 @dataclass
-class DatasetRecord:
-    """One observation of one identity in one camera view.
+class Dataset:
+    """Row-aligned columns: row i observes identities[i] in camera views[i].
 
-    Vision and language features are the ingested per-sample vectors
-    (x and y); attributes are the identity's binary annotation as seen by
-    this record.
+    vision and language are N-row feature matrices (x and y), attributes the
+    N-row matrix of each row's identity bits; a modality not loaded is None.
     """
 
-    identity: str
-    view: int
+    identities: np.ndarray
+    views: np.ndarray
     vision: np.ndarray | None = None
     language: np.ndarray | None = None
     attributes: np.ndarray | None = None
 
-
-@dataclass
-class Dataset:
-    records: list
-
-    def identities(self):
-        seen = {}
-        for rec in self.records:
-            seen.setdefault(rec.identity, None)
-        return list(seen)
-
     def __len__(self):
-        return len(self.records)
+        return len(self.identities)
 
 
 def assemble_dataset(vision=None, language=None, attributes=None) -> Dataset:
-    """Join per-modality files into aligned records.
+    """Join per-modality files into one Dataset of row-aligned columns.
 
     When both vision and language feature lists are given they must carry the
     same (identity, view) sequence row by row; that row order is the pairing.
-    Attribute bits are looked up per identity. Descriptions are not attached:
-    the text CNN reads the corpus on its own.
+    Each feature list becomes one matrix and attribute bits are looked up per
+    identity. Descriptions are not attached: the text CNN reads the corpus on
+    its own.
     """
     base = vision if vision is not None else language
     if base is None:
@@ -459,16 +442,15 @@ def assemble_dataset(vision=None, language=None, attributes=None) -> Dataset:
                 raise MisalignedRecords(
                     f"row pairing broken at identity {vid!r}/{lid!r} view {vview}/{lview}"
                 )
-    records = []
-    for row, (identity, view, vector) in enumerate(base):
-        rec = DatasetRecord(identity=identity, view=view)
-        if vision is not None:
-            rec.vision = vector
-        if language is not None:
-            rec.language = language[row][2]
-        if attributes is not None:
+    identities = [identity for identity, _, _ in base]
+    if attributes is not None:
+        for identity in identities:
             if identity not in attributes:
                 raise UnknownIdentity(f"identity {identity!r} has no attribute row")
-            rec.attributes = attributes.get(identity)
-        records.append(rec)
-    return Dataset(records=records)
+        attributes = np.array([attributes.get(identity) for identity in identities])
+
+    def stack(records):
+        return None if records is None else np.array([vector for _, _, vector in records])
+
+    return Dataset(identities=np.array(identities), views=np.array([view for _, view, _ in base]),
+                   vision=stack(vision), language=stack(language), attributes=attributes)

@@ -6,13 +6,14 @@ only, build the gallery from view-1 test samples (one per identity in
 single-shot mode, drawn by the split's seeded stream when an identity has
 several), take every view-2 test sample as a probe, and rank the gallery by
 ascending score. Splits are independent, each keyed by (master seed,
-scenario, flip count, split index). A split works on whole arrays: each
-modality is gathered into one matrix per scenario and fused once per row set
-and side, as cca.SCENARIO_SPEC says. This module rescales no feature itself:
+scenario, flip count, split index). A split works on whole arrays: it takes
+the dataset columns the scenario reads and fuses them once per row set and
+side, as cca.SCENARIO_SPEC says. This module rescales no feature itself:
 when a scenario has attribute parts, fit_xqda(zscore=True) z-scores the
 fused training features and folds the scale into its subspace.
 """
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -67,6 +68,16 @@ class PipelineConfig:
     flip_bits: int = 0
     gallery_mode: str = "single"      # or "multi": min score over an identity's images
 
+    def validate(self):
+        if min(1 if self.cca_k is None else self.cca_k, self.xqda_max_rank) < 1:
+            raise InvalidConfig("cca_k (unless None) and xqda_max_rank must be >= 1")
+        for name in ("cca_ridge", "xqda_ridge"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0.0):
+                raise InvalidConfig(f"{name} must be finite and >= 0, got {value}")
+        if self.gallery_mode not in ("single", "multi"):
+            raise InvalidConfig(f"gallery_mode must be single or multi, got {self.gallery_mode!r}")
+
 
 def cmc(scores, gallery_ids, probe_ids) -> CmcResult:
     """CMC curve from a probes-by-gallery score matrix (lower = better).
@@ -117,19 +128,6 @@ def flip_attributes(bits, n, rng):
     return out
 
 
-def _gather(records, scenario):
-    """Identity and view arrays, and one matrix per record field the scenario reads."""
-    fields = {}
-    for source in cca_mod.scenario_sources(scenario):
-        values = [getattr(rec, source) for rec in records]
-        if any(value is None for value in values):
-            raise MissingModality(f"scenario {scenario} needs {source} on every record")
-        fields[source] = np.array(values)
-    ids = np.array([rec.identity for rec in records])
-    views = np.array([rec.view for rec in records])
-    return ids, views, fields
-
-
 def _evaluate_one_split(ids, views, fields, split, scenario, config, master_seed):
     gen = streams.stream(
         master_seed, streams.EVAL, SCENARIO_IDS[scenario], config.flip_bits, split.index
@@ -144,7 +142,7 @@ def _evaluate_one_split(ids, views, fields, split, scenario, config, master_seed
         raise InvalidConfig(f"split {split.index} needs both train and test identities")
 
     if "attribute" in parts:
-        # Per-record attribute copies, independently flipped per view instance.
+        # Per-row attribute copies, independently flipped per view instance.
         flipped = [flip_attributes(bits, config.flip_bits, gen) for bits in fields["attributes"]]
         fields = dict(fields, attributes=np.array(flipped))
 
@@ -203,14 +201,18 @@ def _evaluate_one_split(ids, views, fields, split, scenario, config, master_seed
 
 def evaluate_scenario(dataset, splits, scenario, config=None, master_seed=42) -> SplitReport:
     """Run the full per-split protocol and aggregate the CMC curves."""
+    config = config or PipelineConfig()
+    config.validate()
     if scenario not in cca_mod.SCENARIO_SPEC:
         raise InvalidConfig(f"unknown scenario {scenario!r}; choose from {cca_mod.SCENARIOS}")
-    config = config or PipelineConfig()
     splits = list(splits)
     if not splits:
         raise InvalidConfig("need at least one split")
-    ids, views, fields = _gather(dataset.records, scenario)
-    results = [_evaluate_one_split(ids, views, fields, split, scenario, config, master_seed)
+    fields = {source: getattr(dataset, source) for source in cca_mod.scenario_sources(scenario)}
+    if any(column is None for column in fields.values()):
+        raise MissingModality(f"scenario {scenario} needs {' and '.join(fields)}")
+    results = [_evaluate_one_split(dataset.identities, dataset.views, fields, split, scenario,
+                                   config, master_seed)
                for split in splits]
 
     sizes = {r.gallery_size for r in results}

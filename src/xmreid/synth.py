@@ -47,7 +47,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import rng as streams
-from .dataio import AttributeTable, Dataset, DatasetRecord, SplitAssignment
+from .dataio import AttributeTable, Dataset, SplitAssignment
 from .errors import (DimensionNotTwo, InvalidConfig, MissingView, NoConvergence,
                      NotPositiveDefinite, TooFewIdentities, TooLarge)
 from .textcnn import Gradients
@@ -161,7 +161,7 @@ def gen_paired(config: SynthConfig) -> Dataset:
     The full identity latent is [shared | vision-private | language-private];
     the vision mixing sees the first two blocks, the language mixing the
     first and third. With zero private dims both modalities observe the same
-    latent vector.
+    latent vector. Rows run identity by identity, view 1 before view 2.
     """
     config.validate()
     shared = config.latent_dim
@@ -185,7 +185,7 @@ def gen_paired(config: SynthConfig) -> Dataset:
     if leak > 0.0:
         a_leak = mix.standard_normal((config.vision_dim, config.language_private_dim))
         yp_slice = np.arange(x_dims, total)
-    records = []
+    rows = []
     for idx in range(config.identity_count):
         gen = streams.stream(config.seed, streams.LATENT, idx)
         latent = gen.standard_normal(total)
@@ -201,10 +201,10 @@ def gen_paired(config: SynthConfig) -> Dataset:
                     u = config.nuisance_scale * gen.standard_normal(nuis)
                     x += c_x @ u
                     y += c_y @ u
-                records.append(
-                    DatasetRecord(identity=label, view=view, vision=x, language=y)
-                )
-    return Dataset(records=records)
+                rows.append((label, view, x, y))
+    ids, views, xs, ys = zip(*rows)
+    return Dataset(identities=np.array(ids), views=np.array(views),
+                   vision=np.array(xs), language=np.array(ys))
 
 
 def gen_attributes(config: SynthConfig) -> AttributeTable:

@@ -28,7 +28,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import dataio
-from .errors import EmptyCorpus, EmptySubset, InvalidConfig, MalformedHeader, ShapeMismatch
+from .errors import (EmptyCorpus, EmptySubset, InvalidConfig, MalformedHeader, NoConvergence,
+                     ShapeMismatch)
 from .textprep import DescriptionTensor
 
 # Inference stacks at most this many tensors at once; at paper sizes
@@ -261,7 +262,8 @@ def train(model, samples, solver: SolverConfig, rng):
     tensors of one shape. Each iteration draws batch_size sample indices
     with replacement and then the batch's dropout masks, stacks just those
     tensors, and applies the Caffe-style update v = mu*v - lr*(grad + wd*param);
-    param += v, with grad the batch-mean gradient.
+    param += v, with grad the batch-mean gradient. A non-finite batch loss
+    (divergence) raises NoConvergence.
     """
     solver.validate()
     samples = list(samples)
@@ -286,6 +288,8 @@ def train(model, samples, solver: SolverConfig, rng):
         values = np.stack([samples[idx][1].values for idx in batch])
         losses, grads = batch_loss_and_gradients(model, values, labels[batch], masks)
         history.append(float(losses.sum()) / solver.batch_size)
+        if not math.isfinite(history[-1]):
+            raise NoConvergence(f"training diverged: batch loss {history[-1]} at iteration {step}")
 
         grad_map = dict(grads.params())
         for name, param in model.params():

@@ -3,8 +3,8 @@
 Models the cross-view difference g - q of same-identity pairs and of
 different-identity pairs as two zero-mean Gaussians with covariances S_I and
 S_E, learns the subspace W from the generalized eigenproblem
-S_E w = lambda S_I w (keeping eigenvalues above 1), and scores a pair by the
-quadratic form
+S_E w = lambda S_I w (keeping eigenvalues clearly above 1), and scores a
+pair by the quadratic form
 
     s(g, q) = (g - q)^T W M W^T (g - q),
     M = (W^T S_I W)^-1 - (W^T S_E W)^-1   (symmetrized)
@@ -31,6 +31,9 @@ from .errors import (
 
 DEFAULT_RIDGE = 1e-3
 DEFAULT_MAX_RANK = 64
+# Where both covariances are ridge only the eigenvalue is exactly 1, scattered
+# by rounding (to 1e-10 at d = 2048); a kept direction must clear 1 by more.
+UNIT_EIGENVALUE_TOL = 1e-8
 
 
 @dataclass
@@ -39,7 +42,6 @@ class XqdaModel:
 
     w: np.ndarray        # d x r
     m: np.ndarray        # r x r symmetric
-    mean: np.ndarray     # d, stored for reference; differences cancel it
     fallback: bool = False
 
     @property
@@ -118,7 +120,7 @@ def fit_xqda(features, identities, views, ridge=DEFAULT_RIDGE,
              max_rank=DEFAULT_MAX_RANK, zscore=False) -> XqdaModel:
     """Learn the XQDA subspace and kernel from labelled cross-view features.
 
-    Directions with generalized eigenvalue strictly above 1 separate
+    Directions with generalized eigenvalue above 1 + UNIT_EIGENVALUE_TOL separate
     extra-personal from intra-personal variation and are kept (up to
     max_rank); if none qualify the strongest direction is kept anyway and
     the model is flagged as a fallback. Optional per-dimension z-scoring is
@@ -129,14 +131,13 @@ def fit_xqda(features, identities, views, ridge=DEFAULT_RIDGE,
     if max_rank < 1:
         raise InvalidConfig(f"max_rank must be >= 1, got {max_rank}")
     features, identities, views, _ = _check_inputs(features, identities, views)
-    mean = features.mean(axis=0)
 
     scale = None
     work = features
     if zscore:
         scale = features.std(axis=0)
         scale[scale < 1e-12] = 1.0  # near-constant columns stay unscaled
-        work = (features - mean) / scale
+        work = (features - features.mean(axis=0)) / scale
 
     intra, extra = build_difference_covariances(work, identities, views)
     if np.trace(intra) + np.trace(extra) <= 0.0:
@@ -144,7 +145,7 @@ def fit_xqda(features, identities, views, ridge=DEFAULT_RIDGE,
 
     extra_r, intra_r = _shared_ridge(extra, intra, ridge)
     solution = linalg.gen_eigh(extra_r, intra_r)
-    keep = int(np.sum(solution.values > 1.0))
+    keep = int(np.sum(solution.values > 1.0 + UNIT_EIGENVALUE_TOL))
     fallback = keep == 0
     rank = max(min(keep, max_rank), 1)
     w = solution.vectors[:, :rank].copy()
@@ -155,7 +156,7 @@ def fit_xqda(features, identities, views, ridge=DEFAULT_RIDGE,
 
     if scale is not None:
         w = w / scale[:, None]
-    return XqdaModel(w=w, m=kernel, mean=mean, fallback=fallback)
+    return XqdaModel(w=w, m=kernel, fallback=fallback)
 
 
 def score(model: XqdaModel, gallery, query) -> float:
@@ -182,8 +183,8 @@ def score_matrix(model: XqdaModel, gallery, probes) -> np.ndarray:
 
 # -- model file ------------------------------------------------------------------
 
-XQDA_MAGIC = "XMREID-XQDA 2"
-_SHAPES = {"w": ("d", "r"), "m": ("r", "r"), "mean": ("d",), "fallback": ()}
+XQDA_MAGIC = "XMREID-XQDA 3"
+_SHAPES = {"w": ("d", "r"), "m": ("r", "r"), "fallback": ()}
 
 
 def save_model(model: XqdaModel, path):

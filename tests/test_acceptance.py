@@ -258,8 +258,7 @@ def test_criterion_8_attribute_flip_degradation():
     config = synth.reference_attribute_config()
     dataset = synth.gen_paired(config)
     attributes = synth.gen_attributes(config)
-    for rec in dataset.records:
-        rec.attributes = attributes.get(rec.identity)
+    dataset.attributes = np.array([attributes.get(i) for i in dataset.identities])
     splits = synth.gen_splits(config)
     assert len(splits) == 10
     reports = evaluation.attribute_degradation_sweep(dataset, splits, [0, 1, 2, 3],

@@ -228,6 +228,18 @@ class TestTrainTextCnn:
         assert code == 2
         assert not (tmp_path / "model.cnn").exists()
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow on the way to NaN
+    def test_divergence_is_numerical_failure(self, tmp_path):
+        corpus_path, emb_path = toy_text_corpus(tmp_path, classes=3)
+        out_dir = tmp_path / "run"
+        out_dir.mkdir()
+        code = run(["train-textcnn", "--corpus", str(corpus_path),
+                    "--embeddings", str(emb_path), "--out-dir", str(out_dir),
+                    "--iters", "20", "--lr", "1e6", "--batch", "4", "--kernels", "4",
+                    "--kernel-width", "3", "--hidden", "8", "--max-len", "10", "--quiet"])
+        assert code == 5
+        assert list(out_dir.iterdir()) == []
+
 
 EVALUATE_VXV = ("evaluate --scenario VxV --vision {d}/vision.feat --splits {d}/splits.split "
                 "--out-dir {t}")
@@ -281,6 +293,15 @@ class TestEvaluateCli:
                     "--splits", str(toy_data / "splits.split"),
                     "--out-dir", str(tmp_path), "--quiet", flag, value])
         assert code == 2
+
+    @pytest.mark.parametrize("flags", [
+        ("--cca-ridge", "nan"), ("--cca-k", "-5"), ("--cca-k", "0"), ("--xqda-max-rank", "0"),
+    ], ids=" ".join)
+    def test_bad_pipeline_flag_is_config_error(self, toy_data, tmp_path, flags):
+        # VxV fits no CCA, yet its flags are checked too
+        argv = (EVALUATE_VXV + " --quiet").format(d=toy_data, t=tmp_path).split()
+        assert run(argv + list(flags)) == 2
+        assert not (tmp_path / "manifest_VxV.json").exists()
 
     @pytest.mark.parametrize("command, flag", [
         (EVALUATE_VXV, "--flip-n 1"),

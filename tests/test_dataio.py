@@ -363,10 +363,11 @@ class TestAssembly:
         attrs = dataio.AttributeTable(width=2, bits={"id1": np.array([1, 0], dtype=np.uint8)})
         ds = dataio.assemble_dataset(vision=vision, language=language, attributes=attrs)
         assert len(ds) == 2
-        assert ds.records[0].vision.shape == (3,)
-        assert ds.records[0].language.shape == (2,)
-        assert ds.records[1].attributes is not None
-        assert ds.identities() == ["id1"]
+        assert ds.identities.tolist() == ["id1", "id1"]
+        assert ds.views.tolist() == [1, 2]
+        assert np.array_equal(ds.vision, [[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
+        assert ds.language.shape == (2, 2)
+        assert np.array_equal(ds.attributes, [[1, 0], [1, 0]])
 
     def test_misaligned_rejected(self):
         vision = [("id1", 1, np.zeros(3))]

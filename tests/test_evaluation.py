@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from xmreid import evaluation, synth
+from xmreid import evaluation, synth, xqda
 from xmreid.errors import (
     EmptyGallery,
     InvalidConfig,
+    MissingModality,
     NonFiniteValue,
     NOutOfRange,
     ProbeIdentityAbsent,
@@ -151,12 +152,8 @@ class TestEvaluateScenario:
         # view-2 features identical to view-1 -> every probe matches exactly
         config = small_config(vision_noise=0.3, view_shift=0.0, samples_per_view=1)
         dataset = synth.gen_paired(config)
-        by_key = {}
-        for rec in dataset.records:
-            by_key.setdefault(rec.identity, {}).setdefault(rec.view, []).append(rec)
-        for identity, views in by_key.items():
-            for a, b in zip(views[1], views[2]):
-                b.vision = a.vision.copy()
+        # rows alternate view 1, view 2 per identity
+        dataset.vision[dataset.views == 2] = dataset.vision[dataset.views == 1]
         splits = synth.gen_splits(config)
         report = evaluation.evaluate_scenario(dataset, splits, "VxV", master_seed=1)
         assert report.mean_rank(1) == 1.0
@@ -199,13 +196,26 @@ class TestEvaluateScenario:
         with pytest.raises(InvalidConfig):
             evaluation.evaluate_scenario(None, [], "VxX")
 
+    def test_unknown_gallery_mode(self):
+        config = small_config()
+        cfg = evaluation.PipelineConfig(gallery_mode="Multi")
+        with pytest.raises(InvalidConfig):
+            evaluation.evaluate_scenario(synth.gen_paired(config), synth.gen_splits(config),
+                                         "VxV", cfg)
+
+    def test_scenario_needs_a_missing_modality(self):
+        config = small_config()
+        dataset = synth.gen_paired(config)
+        dataset.language = None
+        with pytest.raises(MissingModality):
+            evaluation.evaluate_scenario(dataset, synth.gen_splits(config), "LxL")
+
 
 class TestAttributeSweep:
     def make_attributed_dataset(self, config):
         dataset = synth.gen_paired(config)
         attrs = synth.gen_attributes(config)
-        for rec in dataset.records:
-            rec.attributes = attrs.get(rec.identity)
+        dataset.attributes = np.array([attrs.get(i) for i in dataset.identities])
         return dataset
 
     def test_unique_attributes_no_flips_perfect(self):
@@ -229,16 +239,26 @@ class TestAttributeSweep:
         assert reports[0].mean_rank(1) == 1.0
         assert reports[3].mean_rank(1) < 0.7 * reports[0].mean_rank(1)
 
-    def test_vision_scale_is_normalised_away(self):
+    def test_vision_scale_is_normalised_away(self, monkeypatch):
         # VAxVA features are z-scored on train statistics, so scaling the
-        # vision part by 1000 must leave every rank as it was. (48 train rows
-        # for 23 dimensions: with fewer rows than dimensions, rounding decides
-        # which unit generalised eigenvalues XQDA keeps.)
-        config = small_config(identity_count=24, vision_noise=1.5)
-        dataset = self.make_attributed_dataset(config)
-        splits = synth.gen_splits(config)
-        base = evaluation.attribute_degradation_sweep(dataset, splits, [2], master_seed=4)
-        for rec in dataset.records:
-            rec.vision = rec.vision * 1e3
-        scaled = evaluation.attribute_degradation_sweep(dataset, splits, [2], master_seed=4)
-        assert np.array_equal(base[2].mean, scaled[2].mean)
+        # vision part by 1000 must leave every CMC rank and every split's
+        # XQDA rank as it was.
+        ranks = []
+        fit = xqda.fit_xqda
+
+        def recording_fit(*args, **kwargs):
+            model = fit(*args, **kwargs)
+            ranks.append(model.rank)
+            return model
+
+        monkeypatch.setattr(xqda, "fit_xqda", recording_fit)
+        for config in (small_config(identity_count=24, vision_noise=1.5),
+                       small_config(vision_noise=1.5)):
+            dataset = self.make_attributed_dataset(config)
+            splits = synth.gen_splits(config)
+            ranks.clear()
+            base = evaluation.attribute_degradation_sweep(dataset, splits, [2], master_seed=4)
+            dataset.vision = dataset.vision * 1e3
+            scaled = evaluation.attribute_degradation_sweep(dataset, splits, [2], master_seed=4)
+            assert np.array_equal(base[2].mean, scaled[2].mean)
+            assert ranks[:len(splits)] == ranks[len(splits):]

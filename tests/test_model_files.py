@@ -27,8 +27,7 @@ def make_cca():
 def make_xqda():
     rng = stream(62, 1)
     m = rng.standard_normal((2, 2))
-    return xqda.XqdaModel(w=rng.standard_normal((4, 2)), m=m + m.T,
-                          mean=rng.standard_normal(4), fallback=True)
+    return xqda.XqdaModel(w=rng.standard_normal((4, 2)), m=m + m.T, fallback=True)
 
 
 def make_cnn():

@@ -25,10 +25,9 @@ class TestGenPaired:
         config = tiny_config()
         dataset = synth.gen_paired(config)
         assert len(dataset) == 8 * 2 * 2
-        rec = dataset.records[0]
-        assert rec.vision.shape == (6,)
-        assert rec.language.shape == (4,)
-        assert len(dataset.identities()) == 8
+        assert dataset.vision.shape == (32, 6)
+        assert dataset.language.shape == (32, 4)
+        assert len(set(dataset.identities)) == 8
 
     def test_seed_determinism_bytewise(self, tmp_path):
         config = tiny_config()
@@ -36,16 +35,14 @@ class TestGenPaired:
         for name in ("one.feat", "two.feat"):
             dataset = synth.gen_paired(config)
             path = tmp_path / name
-            dataio.save_features(
-                [(r.identity, r.view, r.vision) for r in dataset.records], path
-            )
+            dataio.save_features(zip(dataset.identities, dataset.views, dataset.vision), path)
             paths.append(path)
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
     def test_different_seeds_differ(self):
         a = synth.gen_paired(tiny_config(seed=1))
         b = synth.gen_paired(tiny_config(seed=2))
-        assert not np.array_equal(a.records[0].vision, b.records[0].vision)
+        assert not np.array_equal(a.vision[0], b.vision[0])
 
     def test_noiseless_shared_latent_recovered_by_cca(self):
         config = tiny_config(
@@ -58,18 +55,14 @@ class TestGenPaired:
             language_dim=5,
         )
         dataset = synth.gen_paired(config)
-        x = np.array([r.vision for r in dataset.records])
-        y = np.array([r.language for r in dataset.records])
-        model = cca.fit_cca(x, y, k=3, ridge=1e-9)
+        model = cca.fit_cca(dataset.vision, dataset.language, k=3, ridge=1e-9)
         assert np.all(model.correlations >= 0.999)
 
     def test_private_dims_reduce_cross_modal_correlation(self):
         noisy = tiny_config(identity_count=40, latent_dim=1, vision_private_dim=4,
                             language_private_dim=4, vision_noise=0.2, language_noise=0.2)
         dataset = synth.gen_paired(noisy)
-        x = np.array([r.vision for r in dataset.records])
-        y = np.array([r.language for r in dataset.records])
-        model = cca.fit_cca(x, y, k=3, ridge=1e-6)
+        model = cca.fit_cca(dataset.vision, dataset.language, k=3, ridge=1e-6)
         assert model.correlations[0] > 0.8   # the one shared dimension
         assert model.correlations[1] < 0.75  # private structure does not align
 
@@ -78,10 +71,8 @@ class TestGenPaired:
         # max rho_6 0.46; the gap cleanly separates latent rank from noise
         config = synth.SynthConfig()
         dataset = synth.gen_paired(config)
-        x = np.array([r.vision for r in dataset.records])
-        y = np.array([r.language for r in dataset.records])
         k = config.latent_dim + 1
-        model = cca.fit_cca(x, y, k=k, ridge=1e-6)
+        model = cca.fit_cca(dataset.vision, dataset.language, k=k, ridge=1e-6)
         assert np.all(model.correlations[: config.latent_dim] >= 0.8)
         assert model.correlations[config.latent_dim] <= 0.55
 

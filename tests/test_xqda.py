@@ -200,9 +200,7 @@ class TestScore:
 
     def test_hand_indefinite_kernel(self):
         # W = I, M = diag(1, -1): difference (1, 1) scores exactly zero
-        model = xqda.XqdaModel(
-            w=np.eye(2), m=np.array([[1.0, 0.0], [0.0, -1.0]]), mean=np.zeros(2)
-        )
+        model = xqda.XqdaModel(w=np.eye(2), m=np.array([[1.0, 0.0], [0.0, -1.0]]))
         assert xqda.score(model, np.array([1.0, 1.0]), np.array([0.0, 0.0])) == 0.0
 
     def test_score_matrix_matches_loops(self):
