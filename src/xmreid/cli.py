@@ -47,12 +47,28 @@ def _config_hash(payload):
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def write_manifest(path, subcommand, config, seed, inputs, outputs, started, extra=None):
+# Parsed flags that are not configuration: dispatch, output locations, the
+# seed (recorded on its own) and flags that change no output.
+NOT_CONFIG = {"command", "func", "inputs", "out", "out_dir", "embeddings_out",
+              "seed", "threads", "quiet"}
+
+
+def write_manifest(path, args, outputs, started, extra=None, config=None, seed=None):
+    """Write the JSON run manifest of the subcommand that parsed args.
+
+    config defaults to every parsed flag outside NOT_CONFIG and seed to
+    --seed; inputs are the files named by the flags listed in the
+    subcommand's ``inputs`` default, those given only.
+    """
+    if config is None:
+        config = {name: value for name, value in vars(args).items() if name not in NOT_CONFIG}
+    seed = args.seed if seed is None else seed
+    inputs = {name: getattr(args, name) for name in args.inputs if getattr(args, name)}
     body = {
-        "subcommand": subcommand,
+        "subcommand": args.command,
         "config": config,
         "seed": seed,
-        "config_hash": _config_hash({"subcommand": subcommand, "config": config, "seed": seed}),
+        "config_hash": _config_hash({"subcommand": args.command, "config": config, "seed": seed}),
         "inputs": {name: {"path": str(p), "sha256": _sha256(p)} for name, p in inputs.items()},
         "outputs": [str(p) for p in outputs],
         "timestamp": datetime.now(timezone.utc).isoformat(),
@@ -75,7 +91,6 @@ def _say(args, message):
 def cmd_gen_synth(args):
     started = time.perf_counter()
     overrides = {}
-    inputs = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as handle:
             try:
@@ -84,7 +99,6 @@ def cmd_gen_synth(args):
                 raise InvalidConfig(f"{args.config}: not a JSON document: {exc}") from exc
         if not isinstance(overrides, dict):
             raise InvalidConfig(f"{args.config}: top level must be a JSON object")
-        inputs["config"] = args.config
     fields = synth.SynthConfig.__dataclass_fields__
     unknown = set(overrides) - set(fields)
     if unknown:
@@ -121,8 +135,8 @@ def cmd_gen_synth(args):
         dataio.save_embeddings(synth.gen_vocabulary_embeddings(config), args.embeddings_out)
         paths["embeddings"] = args.embeddings_out
 
-    write_manifest(f"{out}/manifest.json", "gen-synth", asdict(config), config.seed,
-                   inputs, list(paths.values()), started)
+    write_manifest(f"{out}/manifest.json", args, list(paths.values()), started,
+                   config=asdict(config), seed=config.seed)
     _say(args, f"wrote {len(paths)} files to {out} "
                f"({config.identity_count} identities, {len(dataset)} records)")
     return 0
@@ -136,11 +150,8 @@ def cmd_fit_cca(args):
                                       language=dataio.load_features(args.y))
     model = cca_mod.fit_cca(dataset.vision, dataset.language, k=args.k, ridge=args.ridge)
     cca_mod.save_model(model, args.out)
-    config = {"x": args.x, "y": args.y, "k": model.k, "ridge": args.ridge, "out": args.out}
-    write_manifest(args.out + ".manifest.json", "fit-cca", config,
-                   args.seed if args.seed is not None else 42,
-                   {"x": args.x, "y": args.y}, [args.out], started,
-                   extra={"correlations": [float(c) for c in model.correlations]})
+    write_manifest(args.out + ".manifest.json", args, [args.out], started,
+                   extra={"k": model.k, "correlations": [float(c) for c in model.correlations]})
     _say(args, "correlations: " + " ".join(f"{c:.4f}" for c in model.correlations))
     return 0
 
@@ -153,11 +164,7 @@ def cmd_fit_xqda(args):
     model = xqda_mod.fit_xqda(dataset.vision, dataset.identities, dataset.views,
                               ridge=args.ridge, max_rank=args.max_rank, zscore=args.zscore)
     xqda_mod.save_model(model, args.out)
-    config = {"features": args.features, "ridge": args.ridge,
-              "max_rank": args.max_rank, "zscore": args.zscore, "out": args.out}
-    write_manifest(args.out + ".manifest.json", "fit-xqda", config,
-                   args.seed if args.seed is not None else 42,
-                   {"features": args.features}, [args.out], started,
+    write_manifest(args.out + ".manifest.json", args, [args.out], started,
                    extra={"rank": model.rank, "fallback": model.fallback})
     _say(args, f"subspace rank {model.rank}" + (" (fallback)" if model.fallback else ""))
     return 0
@@ -170,18 +177,11 @@ def cmd_augment(args):
     corpus = dataio.load_corpus(args.corpus)
     tokenized = [(i, v, textprep.tokenize(text)) for i, v, text in corpus]
     synonyms = dataio.load_synonyms(args.synonyms) if args.synonyms else None
-    seed = args.seed if args.seed is not None else 42
-    gen = streams.stream(seed, streams.AUGMENT)
+    gen = streams.stream(args.seed, streams.AUGMENT)
     augmented = textprep.augment_corpus(tokenized, args.method, args.factor, gen,
                                         synonyms=synonyms)
     dataio.save_corpus([(i, v, " ".join(t)) for i, v, t in augmented], args.out)
-    config = {"corpus": args.corpus, "method": args.method, "factor": args.factor,
-              "synonyms": args.synonyms, "out": args.out}
-    inputs = {"corpus": args.corpus}
-    if args.synonyms:
-        inputs["synonyms"] = args.synonyms
-    write_manifest(args.out + ".manifest.json", "augment", config, seed,
-                   inputs, [args.out], started,
+    write_manifest(args.out + ".manifest.json", args, [args.out], started,
                    extra={"records": len(augmented)})
     _say(args, f"{len(corpus)} descriptions -> {len(augmented)} records")
     return 0
@@ -194,7 +194,6 @@ def cmd_train_textcnn(args):
     corpus = dataio.load_corpus(args.corpus)
     table = dataio.load_embeddings(args.embeddings)
     synonyms = dataio.load_synonyms(args.synonyms) if args.synonyms else None
-    seed = args.seed if args.seed is not None else 42
 
     labels = {}
     for identity, _, _ in corpus:
@@ -202,7 +201,7 @@ def cmd_train_textcnn(args):
     tokenized = [(i, v, textprep.tokenize(text)) for i, v, text in corpus]
     tensors = textprep.build_training_tensors(
         tokenized, table, max_len=args.max_len, method=args.augment,
-        factor=args.factor, rng=streams.stream(seed, streams.AUGMENT),
+        factor=args.factor, rng=streams.stream(args.seed, streams.AUGMENT),
         synonyms=synonyms, sigma=args.sigma,
     )
     samples = [(labels[identity], tensor) for identity, _, tensor in tensors]
@@ -212,13 +211,13 @@ def cmd_train_textcnn(args):
         kernel_count=args.kernels, kernel_width=args.kernel_width,
         hidden_dim=args.hidden, max_len=args.max_len, dropout=args.dropout,
     )
-    model = textcnn.init_model(config_net, streams.stream(seed, streams.TRAIN, 0))
+    model = textcnn.init_model(config_net, streams.stream(args.seed, streams.TRAIN, 0))
     solver = textcnn.SolverConfig(
         iterations=args.iters, base_lr=args.lr, momentum=args.momentum,
         weight_decay=args.weight_decay, batch_size=args.batch,
         lr_drop_factor=args.lr_drop_factor, lr_drop_every=args.lr_drop_every,
     )
-    history = textcnn.train(model, samples, solver, streams.stream(seed, streams.TRAIN, 1))
+    history = textcnn.train(model, samples, solver, streams.stream(args.seed, streams.TRAIN, 1))
 
     model_path = f"{args.out_dir}/model.cnn"
     history_path = f"{args.out_dir}/loss_history.csv"
@@ -232,20 +231,7 @@ def cmd_train_textcnn(args):
     truth = np.array([labels[i] for i, _, _ in tokenized])
     accuracy = float(np.mean(textcnn.predict(model, clean) == truth))
 
-    config = {
-        "corpus": args.corpus, "embeddings": args.embeddings,
-        "augment": args.augment, "factor": args.factor, "sigma": args.sigma,
-        "iters": args.iters, "lr": args.lr, "momentum": args.momentum,
-        "weight_decay": args.weight_decay, "batch": args.batch,
-        "lr_drop_factor": args.lr_drop_factor, "lr_drop_every": args.lr_drop_every,
-        "kernels": args.kernels, "kernel_width": args.kernel_width,
-        "hidden": args.hidden, "max_len": args.max_len, "dropout": args.dropout,
-    }
-    inputs = {"corpus": args.corpus, "embeddings": args.embeddings}
-    if args.synonyms:
-        inputs["synonyms"] = args.synonyms
-    write_manifest(f"{args.out_dir}/manifest.json", "train-textcnn", config, seed,
-                   inputs, [model_path, history_path], started,
+    write_manifest(f"{args.out_dir}/manifest.json", args, [model_path, history_path], started,
                    extra={"classes": len(labels), "train_accuracy": accuracy,
                           "final_loss": history[-1] if history else None})
     _say(args, f"final train accuracy {accuracy:.3f} over {len(labels)} classes")
@@ -304,26 +290,12 @@ def cmd_evaluate(args):
     started = time.perf_counter()
     scenario = args.scenario
     dataset, splits = _load_dataset(args)
-    seed = args.seed if args.seed is not None else 42
     report = evaluation.evaluate_scenario(dataset, splits, scenario, _pipeline_config(args),
-                                          master_seed=seed)
+                                          master_seed=args.seed)
     csv_path = f"{args.out_dir}/report_{scenario}.csv"
     _write_report_csv(csv_path, report)
 
-    cli_config = {
-        "scenario": scenario, "vision": args.vision, "language": args.language,
-        "attributes": args.attributes, "splits": args.splits,
-        "cca_k": args.cca_k, "cca_ridge": args.cca_ridge,
-        "xqda_ridge": args.xqda_ridge, "xqda_max_rank": args.xqda_max_rank,
-        "gallery_mode": args.gallery_mode,
-    }
-    inputs = {"vision": args.vision, "splits": args.splits}
-    if args.language:
-        inputs["language"] = args.language
-    if args.attributes:
-        inputs["attributes"] = args.attributes
-    write_manifest(f"{args.out_dir}/manifest_{scenario}.json", "evaluate",
-                   cli_config, seed, inputs, [csv_path], started,
+    write_manifest(f"{args.out_dir}/manifest_{scenario}.json", args, [csv_path], started,
                    extra={"scenario": scenario, "per_split": _per_split_summary(report),
                           "mean_R1": report.mean_rank(1)})
     _human_table(args, [(scenario, report)])
@@ -333,30 +305,19 @@ def cmd_evaluate(args):
 def cmd_attr_sweep(args):
     started = time.perf_counter()
     dataset, splits = _load_dataset(args)
-    seed = args.seed if args.seed is not None else 42
     try:
-        n_values = [int(v) for v in args.n.split(",")]
+        args.n = [int(v) for v in args.n.split(",")]  # the manifest records the list
     except ValueError as exc:
         raise InvalidConfig(f"--n must be a comma-separated integer list: {exc}") from exc
 
     reports = evaluation.attribute_degradation_sweep(
-        dataset, splits, n_values, _pipeline_config(args), master_seed=seed)
+        dataset, splits, args.n, _pipeline_config(args), master_seed=args.seed)
     outputs = []
     for n, report in reports.items():
         outputs.append(f"{args.out_dir}/report_VAxVA_n{n}.csv")
         _write_report_csv(outputs[-1], report)
 
-    cli_config = {
-        "n": n_values, "vision": args.vision, "attributes": args.attributes,
-        "splits": args.splits, "cca_k": args.cca_k, "cca_ridge": args.cca_ridge,
-        "xqda_ridge": args.xqda_ridge, "xqda_max_rank": args.xqda_max_rank,
-        "gallery_mode": args.gallery_mode,
-    }
-    write_manifest(f"{args.out_dir}/manifest_attr_sweep.json", "attr-sweep",
-                   cli_config, seed,
-                   {"vision": args.vision, "attributes": args.attributes,
-                    "splits": args.splits},
-                   outputs, started,
+    write_manifest(f"{args.out_dir}/manifest_attr_sweep.json", args, outputs, started,
                    extra={"per_n": {str(n): _per_split_summary(r) for n, r in reports.items()},
                           "mean_R1": {str(n): r.mean_rank(1) for n, r in reports.items()}})
     _human_table(args, [(f"N={n}", report) for n, report in reports.items()])
@@ -371,8 +332,11 @@ def _positive_int(text):
     return int(text)
 
 
-def _add_common(parser):
-    parser.add_argument("--seed", type=int, default=None,
+def _add_common(parser, func, inputs, seed=42):
+    """Add the flags every subcommand takes; record its handler and the flags
+    that name its input files, which write_manifest digests when given."""
+    parser.set_defaults(func=func, inputs=inputs)
+    parser.add_argument("--seed", type=int, default=seed,
                         help="master seed (default 42; gen-synth defaults to the config's seed)")
     parser.add_argument("--threads", type=_positive_int, default=1,
                         help="accepted and checked (an integer >= 1) for compatibility; "
@@ -400,8 +364,7 @@ def build_parser():
     p.add_argument("--config", help="JSON file of synth config overrides")
     p.add_argument("--out", required=True, help="existing output directory")
     p.add_argument("--embeddings-out", help="also write a toy embedding table here")
-    _add_common(p)
-    p.set_defaults(func=cmd_gen_synth)
+    _add_common(p, cmd_gen_synth, ("config",), seed=None)
 
     p = sub.add_parser("fit-cca", help="fit the cross-modal CCA embedding")
     p.add_argument("--x", required=True, help="vision FEAT file")
@@ -409,8 +372,7 @@ def build_parser():
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--ridge", type=float, default=cca_mod.DEFAULT_RIDGE)
     p.add_argument("--out", required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_fit_cca)
+    _add_common(p, cmd_fit_cca, ("x", "y"))
 
     p = sub.add_parser("fit-xqda", help="fit the cross-view metric")
     p.add_argument("--features", required=True, help="FEAT file with both views")
@@ -418,8 +380,7 @@ def build_parser():
     p.add_argument("--max-rank", type=int, default=xqda_mod.DEFAULT_MAX_RANK)
     p.add_argument("--zscore", action="store_true")
     p.add_argument("--out", required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_fit_xqda)
+    _add_common(p, cmd_fit_xqda, ("features",))
 
     p = sub.add_parser("augment", help="expand a description corpus")
     p.add_argument("--corpus", required=True)
@@ -428,8 +389,7 @@ def build_parser():
     p.add_argument("--factor", type=int, required=True)
     p.add_argument("--synonyms", help="token<TAB>syn1,syn2 ranked synonym file")
     p.add_argument("--out", required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_augment)
+    _add_common(p, cmd_augment, ("corpus", "synonyms"))
 
     p = sub.add_parser("train-textcnn", help="train the description network")
     p.add_argument("--corpus", required=True)
@@ -451,8 +411,7 @@ def build_parser():
     p.add_argument("--factor", type=int, default=1)
     p.add_argument("--sigma", type=float, default=textprep.DEFAULT_NOISE_SIGMA)
     p.add_argument("--synonyms")
-    _add_common(p)
-    p.set_defaults(func=cmd_train_textcnn)
+    _add_common(p, cmd_train_textcnn, ("corpus", "embeddings", "synonyms"))
 
     p = sub.add_parser("evaluate", help="run one gallery x query scenario over splits")
     p.add_argument("--scenario", required=True, choices=cca_mod.SCENARIOS)
@@ -462,8 +421,7 @@ def build_parser():
     p.add_argument("--splits", required=True)
     p.add_argument("--out-dir", required=True)
     _add_pipeline_flags(p)
-    _add_common(p)
-    p.set_defaults(func=cmd_evaluate)
+    _add_common(p, cmd_evaluate, ("vision", "language", "attributes", "splits"))
 
     p = sub.add_parser("attr-sweep", help="VAxVA degradation over attribute flips")
     p.add_argument("--n", required=True, help="comma-separated flip counts, e.g. 0,1,2,3")
@@ -472,8 +430,7 @@ def build_parser():
     p.add_argument("--splits", required=True)
     p.add_argument("--out-dir", required=True)
     _add_pipeline_flags(p)
-    _add_common(p)
-    p.set_defaults(func=cmd_attr_sweep)
+    _add_common(p, cmd_attr_sweep, ("vision", "attributes", "splits"))
 
     return parser
 

@@ -70,6 +70,14 @@ def _read_lines(path):
         raise MalformedHeader(f"{path}: not valid UTF-8: {exc}") from exc
 
 
+def _check_labels(labels, what, separators="\t\n"):
+    """Refuse, before any file is opened, a label holding a character that
+    separates its fields or lines, which the loader would split on."""
+    for label in labels:
+        if any(c in str(label) for c in separators):
+            raise MalformedHeader(f"{what} {label!r} holds a field or line separator")
+
+
 def _parse_view(token, path):
     if token not in ("1", "2"):
         raise MalformedHeader(f"{path}: view must be 1 or 2, got {token!r}")
@@ -126,6 +134,7 @@ def load_features(path):
 def save_features(records, path):
     """Write (identity, view, vector) records in canonical FEAT form."""
     records = list(records)
+    _check_labels((identity for identity, _, _ in records), "identity")
     dim = len(records[0][2]) if records else 0
     rows = []
     for identity, view, vector in records:
@@ -163,11 +172,12 @@ def load_corpus(path):
 
 
 def save_corpus(records, path):
+    records = list(records)
+    _check_labels((identity for identity, _, _ in records), "identity")
+    _check_labels((text for _, _, text in records), "description", separators="\n")
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(CORPUS_MAGIC + "\n")
         for identity, view, text in records:
-            if "\n" in text or "\t" in identity:
-                raise MalformedHeader(f"record {identity!r}: text/identity not serializable")
             handle.write(f"{identity}\t{view}\t{text}\n")
 
 
@@ -211,6 +221,7 @@ def load_embeddings(path) -> EmbeddingTable:
 
 
 def save_embeddings(table: EmbeddingTable, path):
+    _check_labels(table.vectors, "token", separators=" \n")
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(f"{len(table.vectors)} {table.dimension}\n")
         for token, vector in table.vectors.items():
@@ -264,6 +275,7 @@ def load_attributes(path, known_identities=None) -> AttributeTable:
 
 
 def save_attributes(table: AttributeTable, path):
+    _check_labels(table.bits, "identity")
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(f"{ATTR_MAGIC} {table.width}\n")
         for identity, bits in table.bits.items():
@@ -318,6 +330,7 @@ def load_splits(path, known_identities=None):
 
 
 def save_splits(splits, path):
+    _check_labels((identity for split in splits for identity in split.roles), "identity")
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(f"{SPLIT_MAGIC} {len(splits)}\n")
         for split in splits:

@@ -24,6 +24,7 @@ from . import xqda as xqda_mod
 from .errors import (
     EmptyGallery,
     InvalidConfig,
+    KOutOfRange,
     MissingModality,
     NonFiniteValue,
     NOutOfRange,
@@ -48,7 +49,6 @@ class CmcResult:
 
 @dataclass
 class SplitReport:
-    scenario: str
     per_split: list
     mean: np.ndarray
     std: np.ndarray
@@ -208,6 +208,10 @@ def evaluate_scenario(dataset, splits, scenario, config=None, master_seed=42) ->
     splits = list(splits)
     if not splits:
         raise InvalidConfig("need at least one split")
+    # Checked whether or not the scenario fits a CCA, like every other knob.
+    dims = [m.shape[1] for m in (dataset.vision, dataset.language) if m is not None]
+    if config.cca_k is not None and dims and config.cca_k > min(dims):
+        raise KOutOfRange(f"cca_k={config.cca_k} exceeds the feature dimension {min(dims)}")
     fields = {source: getattr(dataset, source) for source in cca_mod.scenario_sources(scenario)}
     if any(column is None for column in fields.values()):
         raise MissingModality(f"scenario {scenario} needs {' and '.join(fields)}")
@@ -219,12 +223,7 @@ def evaluate_scenario(dataset, splits, scenario, config=None, master_seed=42) ->
     if len(sizes) != 1:
         raise ShapeMismatch(f"splits produced unequal gallery sizes {sorted(sizes)}")
     curves = np.stack([r.accuracies for r in results])
-    return SplitReport(
-        scenario=scenario,
-        per_split=results,
-        mean=curves.mean(axis=0),
-        std=curves.std(axis=0),
-    )
+    return SplitReport(per_split=results, mean=curves.mean(axis=0), std=curves.std(axis=0))
 
 
 def attribute_degradation_sweep(dataset, splits, n_values, config=None, master_seed=42):

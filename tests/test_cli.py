@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -296,11 +297,13 @@ class TestEvaluateCli:
 
     @pytest.mark.parametrize("flags", [
         ("--cca-ridge", "nan"), ("--cca-k", "-5"), ("--cca-k", "0"), ("--xqda-max-rank", "0"),
+        ("--cca-k", "999"), ("--language", "{d}/language.feat", "--cca-k", "7"),
     ], ids=" ".join)
     def test_bad_pipeline_flag_is_config_error(self, toy_data, tmp_path, flags):
-        # VxV fits no CCA, yet its flags are checked too
-        argv = (EVALUATE_VXV + " --quiet").format(d=toy_data, t=tmp_path).split()
-        assert run(argv + list(flags)) == 2
+        # VxV fits no CCA, yet its flags are checked too; --cca-k 7 exceeds
+        # the 6-d language features once they are loaded
+        argv = (EVALUATE_VXV + " --quiet " + " ".join(flags)).format(d=toy_data, t=tmp_path)
+        assert run(argv.split()) == 2
         assert not (tmp_path / "manifest_VxV.json").exists()
 
     @pytest.mark.parametrize("command, flag", [
@@ -354,6 +357,48 @@ class TestEvaluateCli:
                 entry.pop("path")
             manifest.pop("outputs")
         assert manifests[0] == manifests[1]
+
+
+# Each subcommand with its outputs under {t}, and the manifest it writes there.
+OUTPUT_PLACES = [
+    ("fit-cca --x {d}/vision.feat --y {d}/language.feat --out {t}/m.cca", "m.cca.manifest.json"),
+    ("fit-xqda --features {d}/vision.feat --out {t}/m.xqda", "m.xqda.manifest.json"),
+    ("augment --corpus {d}/corpus.corpus --method drop --factor 2 --out {t}/a.corpus",
+     "a.corpus.manifest.json"),
+    ("train-textcnn --corpus {d}/corpus.corpus --embeddings {d}/embeddings.emb --out-dir {t} "
+     "--iters 2 --batch 4 --kernels 4 --kernel-width 3 --hidden 8 --max-len 10", "manifest.json"),
+    (EVALUATE_VXV, "manifest_VxV.json"),
+    (ATTR_SWEEP, "manifest_attr_sweep.json"),
+]
+
+
+def run_manifest(command, manifest, data, where):
+    where.mkdir(parents=True)
+    assert run((command + " --quiet").format(d=data, t=where).split()) == 0
+    return json.loads((where / manifest).read_text())
+
+
+class TestManifest:
+    @pytest.mark.parametrize("command, manifest", OUTPUT_PLACES,
+                             ids=[command.split()[0] for command, _ in OUTPUT_PLACES])
+    def test_config_hash_ignores_output_location(self, toy_data, tmp_path, command, manifest):
+        one, two = (run_manifest(command, manifest, toy_data, tmp_path / name)
+                    for name in ("r1", "r2"))
+        assert one["config_hash"] == two["config_hash"]
+        assert one["config"] == two["config"] and one["seed"] == two["seed"] == 42
+
+    def test_fit_cca_records_resolved_k(self, toy_data, tmp_path):
+        manifest = run_manifest(*OUTPUT_PLACES[0], toy_data, tmp_path / "run")
+        assert manifest["config"]["k"] is None
+        assert manifest["k"] == cca.load_model(tmp_path / "run" / "m.cca").k == 6
+
+    def test_inputs_are_the_given_files(self, toy_data, tmp_path):
+        manifest = run_manifest(EVALUATE_VXV, "manifest_VxV.json", toy_data, tmp_path / "run")
+        assert manifest["config"]["language"] is None
+        assert set(manifest["inputs"]) == {"vision", "splits"}
+        vision = manifest["inputs"]["vision"]
+        assert vision["sha256"] == hashlib.sha256(
+            (toy_data / "vision.feat").read_bytes()).hexdigest()
 
 
 # The evaluate flag that supplies each scenario part.

@@ -192,6 +192,34 @@ class TestSynonyms:
             dataio.load_synonyms(path)
 
 
+# Each writer, putting a label where its format splits fields or lines.
+LABEL_WRITERS = {
+    "feat": lambda label, path: dataio.save_features([(label, 1, np.zeros(2))], path),
+    "corpus-identity": lambda label, path: dataio.save_corpus([(label, 1, "a coat")], path),
+    "corpus-text": lambda label, path: dataio.save_corpus([("id1", 1, label)], path),
+    "emb": lambda label, path: dataio.save_embeddings(
+        dataio.EmbeddingTable(dimension=2, vectors={label: np.zeros(2)}), path),
+    "attr": lambda label, path: dataio.save_attributes(
+        dataio.AttributeTable(width=2, bits={label: np.array([0, 1])}), path),
+    "split": lambda label, path: dataio.save_splits(
+        [dataio.SplitAssignment(index=0, roles={label: dataio.TRAIN})], path),
+}
+BAD_LABELS = [(writer, label) for writer in ("feat", "corpus-identity", "attr", "split")
+              for label in ("a\tb", "a\nb")] + [
+    ("corpus-text", "a\nb"), ("emb", "a b"), ("emb", "a\nb")]
+
+
+class TestWritersRefuseBadLabels:
+    @pytest.mark.parametrize("writer, label", BAD_LABELS)
+    def test_refused_before_any_file_is_opened(self, tmp_path, writer, label):
+        path = tmp_path / "out"
+        with pytest.raises(MalformedHeader):
+            LABEL_WRITERS[writer](label, path)
+        assert not path.exists()
+        LABEL_WRITERS[writer]("a", path)  # the same call with a plain label writes
+        assert path.exists()
+
+
 class TestNonUtf8:
     @pytest.mark.parametrize("load", [
         dataio.load_features, dataio.load_corpus, dataio.load_embeddings,
