@@ -13,6 +13,17 @@ so lower scores mean more similar and M may be indefinite. Both covariances
 come from a closed-form expansion over per-identity sums rather than explicit
 pair enumeration; synth.oracle_pairwise_covariances re-derives them the slow
 way for cross-checking.
+
+score_matrix scores every probe q against every gallery entry g without a
+pair loop or a difference tensor. With z = W^T x it expands
+
+    s(g, q) = z_q^T M z_q + z_g^T M z_g - 2 z_q^T M z_g,
+
+one GEMM for the cross term and a row-wise sum per self term, after
+subtracting the mean projected row (s depends on g - q only). Equal rows
+score alike: each distinct raw row (-0.0 counted as 0.0) is projected and
+scored once, and a probe equal to a gallery row scores exactly 0.0, as
+`score`, the pair oracle, does. cmc's first-index tie-break relies on both.
 """
 
 from dataclasses import dataclass
@@ -25,6 +36,7 @@ from .errors import (
     InvalidConfig,
     MalformedHeader,
     MissingView,
+    NonFiniteValue,
     ShapeMismatch,
     TooFewIdentities,
 )
@@ -50,20 +62,26 @@ class XqdaModel:
 
 
 def _check_inputs(features, identities, views):
+    """Row-aligned features, identity codes and views, plus per-code view counts.
+
+    Identities are coded 0, 1, ... in order of first appearance.
+    """
     features = np.asarray(features, dtype=np.float64)
     identities = np.asarray(identities)
     views = np.asarray(views)
     if features.ndim != 2 or len(identities) != features.shape[0] or len(views) != features.shape[0]:
         raise ShapeMismatch("features, identities, and views must be row-aligned")
-    unique = list(dict.fromkeys(identities.tolist()))
-    if len(unique) < 2:
+    lookup = {}
+    codes = np.array([lookup.setdefault(identity, len(lookup)) for identity in identities.tolist()],
+                     dtype=np.intp)
+    if len(lookup) < 2:
         raise TooFewIdentities("need at least two identities for extra-personal pairs")
-    for identity in unique:
-        mask = identities == identity
-        present = set(views[mask].tolist())
-        if not {1, 2} <= present:
-            raise MissingView(f"identity {identity!r} lacks a sample in one view")
-    return features, identities, views, unique
+    n1 = np.bincount(codes[views == 1], minlength=len(lookup)).astype(np.float64)
+    n2 = np.bincount(codes[views == 2], minlength=len(lookup)).astype(np.float64)
+    lacking = np.flatnonzero((n1 == 0) | (n2 == 0))
+    if lacking.size:
+        raise MissingView(f"identity {list(lookup)[lacking[0]]!r} lacks a sample in one view")
+    return features, codes, views, n1, n2
 
 
 def build_difference_covariances(features, identities, views):
@@ -74,22 +92,22 @@ def build_difference_covariances(features, identities, views):
     (g - q)(g - q)^T needs no pair loop. Extra-personal pairs are all pairs
     minus the same-identity ones.
     """
-    features, identities, views, unique = _check_inputs(features, identities, views)
+    features, codes, views, n1, n2 = _check_inputs(features, identities, views)
     dim = features.shape[1]
     v1 = features[views == 1]
     v2 = features[views == 2]
-    id1 = identities[views == 1]
-    id2 = identities[views == 2]
+    id1 = codes[views == 1]
+    id2 = codes[views == 2]
 
-    n1 = np.array([(id1 == i).sum() for i in unique], dtype=np.float64)
-    n2 = np.array([(id2 == i).sum() for i in unique], dtype=np.float64)
-    sums1 = np.stack([v1[id1 == i].sum(axis=0) for i in unique])
-    sums2 = np.stack([v2[id2 == i].sum(axis=0) for i in unique])
+    # np.add.at adds the rows in order, as a per-identity sum(axis=0) would.
+    sums1 = np.zeros((len(n1), dim))
+    sums2 = np.zeros((len(n2), dim))
+    np.add.at(sums1, id1, v1)
+    np.add.at(sums2, id2, v2)
 
     # Per-row weights: how many counterpart-view samples share the identity.
-    lookup = {identity: row for row, identity in enumerate(unique)}
-    w1 = np.array([n2[lookup[i]] for i in id1.tolist()])
-    w2 = np.array([n1[lookup[i]] for i in id2.tolist()])
+    w1 = n2[id1]
+    w2 = n1[id2]
 
     intra_sum = (v1 * w1[:, None]).T @ v1 + (v2 * w2[:, None]).T @ v2
     intra_sum -= sums1.T @ sums2 + sums2.T @ sums1
@@ -130,7 +148,7 @@ def fit_xqda(features, identities, views, ridge=DEFAULT_RIDGE,
         raise InvalidConfig(f"ridge must be finite and >= 0, got {ridge}")
     if max_rank < 1:
         raise InvalidConfig(f"max_rank must be >= 1, got {max_rank}")
-    features, identities, views, _ = _check_inputs(features, identities, views)
+    features = _check_inputs(features, identities, views)[0]
 
     scale = None
     work = features
@@ -171,14 +189,43 @@ def score(model: XqdaModel, gallery, query) -> float:
     return float(z @ model.m @ z)
 
 
+def _check_rows(model, rows, name):
+    rows = np.asarray(rows, dtype=np.float64)
+    if rows.ndim != 2 or rows.shape[1] != model.w.shape[0]:
+        raise ShapeMismatch(f"{name} must be rows of {model.w.shape[0]} features, got {rows.shape}")
+    if not np.isfinite(rows).all():
+        raise NonFiniteValue(f"{name} has a NaN or infinite entry")
+    return rows
+
+
 def score_matrix(model: XqdaModel, gallery, probes) -> np.ndarray:
-    """All probe-vs-gallery scores at once; rows are probes."""
-    gallery = np.asarray(gallery, dtype=np.float64)
-    probes = np.asarray(probes, dtype=np.float64)
-    zg = gallery @ model.w
-    zq = probes @ model.w
-    diff = zq[:, None, :] - zg[None, :, :]
-    return np.einsum("pgr,rs,pgs->pg", diff, model.m, diff)
+    """All probe-vs-gallery scores at once; rows are probes.
+
+    Each distinct row is projected and scored once, so equal gallery rows
+    give equal columns, equal probes give equal rows, and a probe equal to
+    a gallery row scores exactly 0.0, as `score` does.
+    """
+    gallery = _check_rows(model, gallery, "gallery")
+    probes = _check_rows(model, probes, "probes")
+    # One code per distinct row, numbered by first appearance; + 0.0 turns
+    # -0.0 into 0.0 so that equal rows have equal bytes.
+    rows = np.vstack([gallery, probes]) + 0.0
+    codes = {}
+    code = np.array([codes.setdefault(row.tobytes(), len(codes)) for row in rows], dtype=np.intp)
+    z = rows[np.unique(code, return_index=True)[1]] @ model.w
+    if len(z):
+        z -= z.mean(axis=0)  # the score depends on g - q only; centring limits cancellation
+    gcodes, ginv = np.unique(code[:len(gallery)], return_inverse=True)
+    pcodes, pinv = np.unique(code[len(gallery):], return_inverse=True)
+    zg, zq = z[gcodes], z[pcodes]
+    zqm = zq @ model.m
+    block = zqm @ zg.T
+    block *= -2.0
+    block += np.einsum("ur,ur->u", zqm, zq)[:, None]
+    block += np.einsum("ur,ur->u", zg @ model.m, zg)[None, :]
+    _, same_p, same_g = np.intersect1d(pcodes, gcodes, assume_unique=True, return_indices=True)
+    block[same_p, same_g] = 0.0
+    return block[np.ix_(pinv, ginv)]
 
 
 # -- model file ------------------------------------------------------------------

@@ -211,6 +211,37 @@ class TestEvaluateScenario:
             evaluation.evaluate_scenario(dataset, synth.gen_splits(config), "LxL")
 
 
+class TestScoreTies:
+    def test_multi_shot_ranks_match_pairwise_scores(self, monkeypatch):
+        # Gallery images duplicated across identities, and probes copied from
+        # them, tie exactly under xqda.score; score_matrix must keep those
+        # ties so that cmc's first-index tie-break decides as it does there.
+        # The last pair puts copies at the first and last rows of the gallery
+        # and probe matrices, where BLAS tiles split (at 39-d this ranked
+        # differently when each matrix was projected on its own).
+        config = small_config(identity_count=60, samples_per_view=3, vision_dim=39,
+                              language_dim=14)
+        dataset = synth.gen_paired(config)
+        splits = synth.gen_splits(config)[:1]
+        ids, views = dataset.identities, dataset.views
+        test = set(splits[0].test_identities())
+        order = [i for i in dict.fromkeys(ids.tolist()) if i in test]
+        for first, second in [*zip(order[::2], order[1::2]), (order[0], order[-1])]:
+            image = np.flatnonzero((ids == first) & (views == 1))[0]
+            copy = np.flatnonzero((ids == second) & (views == 1))[-1]
+            probe = np.flatnonzero((ids == second) & (views == 2))[-1]
+            dataset.vision[[copy, probe]] = dataset.vision[image]
+        cfg = evaluation.PipelineConfig(gallery_mode="multi")
+        fast = evaluation.evaluate_scenario(dataset, splits, "VxV", cfg, master_seed=3)
+
+        def pairwise(model, gallery, probes):
+            return np.array([[xqda.score(model, g, q) for g in gallery] for q in probes])
+
+        monkeypatch.setattr(xqda, "score_matrix", pairwise)
+        slow = evaluation.evaluate_scenario(dataset, splits, "VxV", cfg, master_seed=3)
+        assert np.array_equal(fast.per_split[0].accuracies, slow.per_split[0].accuracies)
+
+
 class TestAttributeSweep:
     def make_attributed_dataset(self, config):
         dataset = synth.gen_paired(config)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from xmreid.errors import (
     DegenerateMetric,
     InvalidConfig,
     MissingView,
+    NonFiniteValue,
     ShapeMismatch,
     TooFewIdentities,
 )
@@ -50,6 +53,22 @@ class TestDifferenceCovariances:
             assert np.linalg.norm(intra - o_intra) <= 1e-9 * scale
             assert np.linalg.norm(extra - o_extra) <= 1e-9 * scale
 
+    def test_matches_enumeration_shuffled_rows(self):
+        # identities interleaved and views mixed, as a split's rows arrive
+        rng = stream(41, 3)
+        for trial in range(10):
+            feats, ids, views = random_reid_data(rng, n_ids=int(rng.integers(2, 9)),
+                                                 per_view=int(rng.integers(1, 4)), dim=3)
+            order = rng.permutation(len(ids))
+            feats = feats[order]
+            ids = [ids[i] for i in order]
+            views = [views[i] for i in order]
+            intra, extra = xqda.build_difference_covariances(feats, ids, views)
+            o_intra, o_extra = synth.oracle_pairwise_covariances(feats, ids, views)
+            scale = max(np.linalg.norm(o_intra), np.linalg.norm(o_extra), 1.0)
+            assert np.linalg.norm(intra - o_intra) <= 1e-9 * scale
+            assert np.linalg.norm(extra - o_extra) <= 1e-9 * scale
+
     def test_identical_samples_give_zero(self):
         feats = np.ones((8, 3))
         ids = ["a", "a", "b", "b"] * 2
@@ -62,6 +81,12 @@ class TestDifferenceCovariances:
         feats = np.zeros((3, 2))
         with pytest.raises(MissingView):
             xqda.build_difference_covariances(feats, ["a", "a", "b"], [1, 2, 1])
+
+    def test_missing_view_names_the_first_lacking_identity(self):
+        feats = np.zeros((6, 2))
+        with pytest.raises(MissingView, match="'c'"):
+            xqda.build_difference_covariances(feats, ["a", "c", "a", "b", "d", "b"],
+                                              [1, 2, 2, 1, 1, 2])
 
     def test_single_identity(self):
         feats = np.zeros((2, 2))
@@ -216,6 +241,105 @@ class TestScore:
         model, _ = self.make_model()
         with pytest.raises(ShapeMismatch):
             xqda.score(model, np.zeros(3), np.zeros(4))
+
+
+def random_model(rng, dim, rank):
+    """A model with a random subspace and a random indefinite kernel."""
+    kernel = rng.standard_normal((rank, rank))
+    return xqda.XqdaModel(w=rng.standard_normal((dim, rank)) / np.sqrt(dim),
+                          m=(kernel + kernel.T) / 2.0)
+
+
+class TestScoreMatrix:
+    def test_matches_pair_oracle_at_size(self):
+        rng = stream(43, 4)
+        dim, rank, probes, gallery = 128, 64, 300, 400
+        model = random_model(rng, dim, rank)
+        assert np.linalg.eigvalsh(model.m).min() < 0.0 < np.linalg.eigvalsh(model.m).max()
+        # features away from the origin, where the expansion's terms cancel most
+        offset = 3.0 * rng.standard_normal(dim)
+        g = offset + rng.standard_normal((gallery, dim))
+        q = offset + rng.standard_normal((probes, dim))
+        matrix = xqda.score_matrix(model, g, q)
+        assert matrix.shape == (probes, gallery)
+        oracle = np.array([[xqda.score(model, gg, qq) for gg in g] for qq in q])
+        norm_m = np.linalg.norm(model.m, 2)
+        sq_g = np.sum((g @ model.w) ** 2, axis=1)
+        sq_q = np.sum((q @ model.w) ** 2, axis=1)
+        bound = 1e-13 * (sq_q[:, None] + sq_g[None, :]) * norm_m
+        assert np.all(np.abs(matrix - oracle) <= bound)
+
+    def test_equal_rows_score_equal_and_zero(self):
+        # Copies sit at the first and last rows, where BLAS tiles split; at
+        # d = 39, r = 35 equal rows projected by separate GEMMs round apart.
+        rng = stream(43, 5)
+        model = random_model(rng, 39, 35)
+        g = rng.standard_normal((50, 39))
+        g[[7, 19, 31, 49]] = g[0]
+        q = rng.standard_normal((30, 39))
+        q[[4, 29]] = q[0]
+        q[20] = g[0]
+        q[25] = g[40]
+        matrix = xqda.score_matrix(model, g, q)
+        for column in (7, 19, 31, 49):
+            assert np.array_equal(matrix[:, column], matrix[:, 0])
+        for row in (4, 29):
+            assert np.array_equal(matrix[row], matrix[0])
+        for row, columns in ((20, (0, 7, 19, 31, 49)), (25, (40,))):
+            assert all(matrix[row, c] == 0.0 for c in columns)
+            assert xqda.score(model, g[columns[0]], q[row]) == 0.0
+        assert np.count_nonzero(matrix == 0.0) == 5 + 1
+
+    def test_negative_zero_is_zero(self):
+        rng = stream(43, 10)
+        model = random_model(rng, 39, 35)
+        g = rng.standard_normal((40, 39))
+        g[:, ::3] = 0.0
+        q = g.copy()
+        q[:, ::3] = -0.0
+        matrix = xqda.score_matrix(model, g, q)
+        assert np.array_equal(matrix, xqda.score_matrix(model, g, g))
+        assert np.all(np.diag(matrix) == 0.0)
+
+    def test_memory_stays_at_the_output_size(self):
+        # the P x G x r difference tensor would take 512 MB here
+        rng = stream(43, 6)
+        model = random_model(rng, 64, 64)
+        g = rng.standard_normal((1000, 64))
+        q = rng.standard_normal((1000, 64))
+        tracemalloc.start()
+        try:
+            xqda.score_matrix(model, g, q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+
+    def test_empty_sides(self):
+        model = random_model(stream(43, 7), 4, 2)
+        assert xqda.score_matrix(model, np.zeros((0, 4)), np.ones((3, 4))).shape == (3, 0)
+        assert xqda.score_matrix(model, np.ones((2, 4)), np.zeros((0, 4))).shape == (0, 2)
+
+    @pytest.mark.parametrize("gallery_shape, probe_shape", [
+        ((5,), (3, 5)), ((4, 5), (5,)), ((4, 6), (3, 5)), ((4, 5), (3, 4)), ((2, 5, 1), (3, 5)),
+    ])
+    def test_shape_mismatch(self, gallery_shape, probe_shape):
+        model = random_model(stream(43, 8), 5, 2)
+        with pytest.raises(ShapeMismatch):
+            xqda.score_matrix(model, np.zeros(gallery_shape), np.zeros(probe_shape))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        # a NaN probe bitwise equal to a NaN gallery row must not score 0.0
+        model = random_model(stream(43, 9), 3, 2)
+        rows = np.ones((2, 3))
+        rows[1, 2] = bad
+        with pytest.raises(NonFiniteValue):
+            xqda.score_matrix(model, rows, np.ones((1, 3)))
+        with pytest.raises(NonFiniteValue):
+            xqda.score_matrix(model, np.ones((1, 3)), rows)
+        with pytest.raises(NonFiniteValue):
+            xqda.score_matrix(model, rows, rows)
 
 
 class TestZscore:
