@@ -52,10 +52,12 @@ config = textcnn.TextCnnConfig(num_classes=len(classes), embed_dim=8,
 model = textcnn.init_model(config, stream(99, 2))
 solver = textcnn.SolverConfig(iterations=400, base_lr=0.05, batch_size=16)
 history = textcnn.train(model, samples, solver, stream(99, 3))
-accuracy = np.mean([textcnn.predict(model, t) == label for label, t in samples])
+tensors = [t for _, t in samples]
+labels = np.array([label for label, _ in samples])
+accuracy = np.mean(textcnn.predict(model, tensors) == labels)
 print(f"loss {history[0]:.3f} -> {history[-1]:.4f}; train accuracy {accuracy:.2f}")
-features = textcnn.extract_features(model, samples[0][1])
-print("description feature vector:", features.shape, "(FC1 activations)")
+features = textcnn.extract_features(model, tensors)
+print("description features:", features.shape, "(FC1 activations, one row per description)")
 
 print("\n== detector channel ==")
 # plant a kernel whose center slice is the 'sunglasses' embedding

@@ -37,7 +37,9 @@ explicit pair enumeration, Monte Carlo, and the row-by-row Cholesky,
 triangular substitution and cyclic Jacobi that `linalg` replaced with LAPACK,
 and the sample-at-a-time text CNN backpropagation that `textcnn` replaced
 with batched GEMMs) that never share a code path with the modules they check
-beyond numpy itself.
+beyond numpy itself. This module imports none of linalg, cca, xqda,
+evaluation or textcnn; the CNN oracle returns its gradients as a plain dict
+keyed by parameter name, the same form textcnn uses.
 """
 
 import math
@@ -50,7 +52,6 @@ from . import rng as streams
 from .dataio import AttributeTable, Dataset, SplitAssignment
 from .errors import (DimensionNotTwo, InvalidConfig, MissingView, NoConvergence,
                      NotPositiveDefinite, TooFewIdentities, TooLarge)
-from .textcnn import Gradients
 
 _FILLER = ("a", "the", "with", "and", "wearing", "person", "seen", "is")
 _COLORS = ("red", "blue", "green", "black", "white", "grey", "brown", "purple",
@@ -89,8 +90,8 @@ class SynthConfig:
             raise InvalidConfig("private latent and nuisance dims must be >= 0")
         scales = (self.vision_noise, self.language_noise, self.view_shift,
                   self.nuisance_scale, self.vision_leak)
-        if any(s < 0 for s in scales):
-            raise InvalidConfig("noise and shift scales must be >= 0")
+        if not all(math.isfinite(s) and s >= 0 for s in scales):
+            raise InvalidConfig("noise, shift and leak scales must be finite and >= 0")
         if not 0.0 < self.train_fraction < 1.0:
             raise InvalidConfig("train_fraction must lie strictly inside (0, 1)")
         if self.identity_count > 2 ** self.attribute_bits:
@@ -501,8 +502,9 @@ def oracle_gen_eigh(a, b):
 
 
 def oracle_cnn_loss_and_gradients(model, tensor, label, dropout_mask=None):
-    """(loss, Gradients) of one sample; a given dropout_mask (H booleans,
-    True = kept) applies inverted dropout at the model's rate."""
+    """(loss, gradients) of one sample, the gradients a dict keyed by
+    parameter name; a given dropout_mask (H booleans, True = kept) applies
+    inverted dropout at the model's rate."""
     cfg = model.config
     x = tensor.values
     windows = sliding_window_view(x, cfg.kernel_width, axis=1)  # E x P x w
@@ -537,4 +539,5 @@ def oracle_cnn_loss_and_gradients(model, tensor, label, dropout_mask=None):
     for channel in np.nonzero(dpeak)[0]:
         start = argmax[channel]
         dconv_w[channel] = dpeak[channel] * x[:, start : start + cfg.kernel_width]
-    return loss, Gradients(dconv_w, dpeak, dfc1_w, dfc1_pre, dfc2_w, dlogits)
+    return loss, {"conv_w": dconv_w, "conv_b": dpeak, "fc1_w": dfc1_w, "fc1_b": dfc1_pre,
+                  "fc2_w": dfc2_w, "fc2_b": dlogits}

@@ -6,21 +6,21 @@ ReLU, inverted dropout, FC2 to the class logits, softmax cross-entropy. All
 gradients are derived and applied by explicit backpropagation; the SGD
 loop uses momentum, weight decay, and a step learning-rate schedule.
 
-One batched core serves training and inference. The convolution over a
-B x E x T stack is one im2col GEMM, (B*P) x (E*w) @ (E*w) x C (as in Caffe,
-Jia et al. 2014), and FC1/FC2 are B-row GEMMs. The backward pass scatters
-each channel's peak gradient into a dense B x P x C array at its argmax and
-multiplies that against the same im2col matrix, so no per-sample gradient
-is ever held. The per-sample forward and loss_and_gradients are batch-of-one
-calls into the core; synth.oracle_cnn_loss_and_gradients keeps the
-per-sample derivation as its oracle.
+Every entry point takes a batch. forward runs a B x E x T stack: the
+convolution is one im2col GEMM, (B*P) x (E*w) @ (E*w) x C (as in Caffe,
+Jia et al. 2014), and FC1/FC2 are B-row GEMMs. batch_loss_and_gradients
+scatters each channel's peak gradient into a dense B x P x C array at its
+argmax and multiplies that against the same im2col matrix, so no
+per-sample gradient is ever held. Inference (predict, extract_features,
+find_detector_channel) takes a sequence of same-shape tensors and stacks
+it in chunks. synth.oracle_cnn_loss_and_gradients keeps the per-sample
+derivation as the oracle.
 
 The max-pool routes its gradient to the argmax position with ties broken
 to the lowest index, and the inference path draws no randomness, so
 features are byte-identical across runs.
 """
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -30,7 +30,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 from . import dataio
 from .errors import (EmptyCorpus, EmptySubset, InvalidConfig, MalformedHeader, NoConvergence,
                      ShapeMismatch)
-from .textprep import DescriptionTensor
 
 # Inference stacks at most this many tensors at once; at paper sizes
 # (E300, w5, T70) one chunk's im2col matrix takes 79 MB.
@@ -75,32 +74,15 @@ class TextCnnModel:
 
 
 @dataclass
-class Gradients:
-    conv_w: np.ndarray
-    conv_b: np.ndarray
-    fc1_w: np.ndarray
-    fc1_b: np.ndarray
-    fc2_w: np.ndarray
-    fc2_b: np.ndarray
-
-    def params(self):
-        return [(name, getattr(self, name)) for name in PARAM_NAMES]
-
-    def add_(self, other):
-        for (_, mine), (_, theirs) in zip(self.params(), other.params()):
-            mine += theirs
-
-
-@dataclass
 class ForwardTrace:
-    """One sample's activations; the batched core adds a leading B axis."""
+    """The activations of a B x E x T stack that the backward pass reads."""
 
-    conv: np.ndarray          # C x P response after ReLU
-    argmax: np.ndarray        # per-channel peak position, 0-based
-    pooled: np.ndarray        # C
-    fc1: np.ndarray           # H, after ReLU, before dropout
-    dropout_mask: np.ndarray | None
-    logits: np.ndarray
+    cols: np.ndarray          # (B*P) x (E*w) im2col matrix
+    conv: np.ndarray          # B x C x P response after ReLU
+    argmax: np.ndarray        # B x C peak position, 0-based
+    pooled: np.ndarray        # B x C
+    fc1: np.ndarray           # B x H, after ReLU, before dropout
+    logits: np.ndarray        # B x K
 
 
 @dataclass
@@ -150,10 +132,11 @@ def _dropout(units, masks, rate):
     return units if masks is None else units * masks / (1.0 - rate)
 
 
-def _forward_batch(model, values, masks=None):
-    """Run a B x E x T stack; returns (batched trace, im2col matrix).
+def forward(model, values, masks=None) -> ForwardTrace:
+    """Run a B x E x T stack through the network.
 
-    masks (B x H booleans, True = kept) switch inverted dropout on.
+    masks (B x H booleans, True = kept) switch on inverted dropout, which
+    scales the kept FC1 units by 1/(1-rate); without masks nothing is dropped.
     """
     cfg = model.config
     count, embed, width = values.shape
@@ -170,45 +153,17 @@ def _forward_batch(model, values, masks=None):
     pooled = conv[np.arange(count)[:, None], argmax, np.arange(cfg.kernel_count)]
     fc1 = np.maximum(pooled @ model.fc1_w.T + model.fc1_b, 0.0)
     logits = _dropout(fc1, masks, cfg.dropout) @ model.fc2_w.T + model.fc2_b
-    trace = ForwardTrace(conv=conv.transpose(0, 2, 1), argmax=argmax, pooled=pooled, fc1=fc1,
-                         dropout_mask=masks, logits=logits)
-    return trace, cols
+    return ForwardTrace(cols=cols, conv=conv.transpose(0, 2, 1), argmax=argmax, pooled=pooled,
+                        fc1=fc1, logits=logits)
 
 
-def _sample_mask(cfg, train, rng, dropout_mask):
-    # The 1 x H dropout mask of a batch-of-one training pass, or None.
-    if not (train and cfg.dropout > 0.0):
-        return None
-    if dropout_mask is None:
-        if rng is None:
-            raise InvalidConfig("training forward pass needs an rng for dropout")
-        dropout_mask = rng.random(cfg.hidden_dim) >= cfg.dropout
-    return dropout_mask[None]
-
-
-def forward(model, tensor, train=False, rng=None, dropout_mask=None):
-    """Run the network on one tensor; returns (logits, trace).
-
-    Dropout is inverted (activations scaled by 1/(1-rate) at train time) and
-    only active when train=True, with the mask drawn from rng unless a
-    pre-drawn dropout_mask is supplied.
-    """
-    masks = _sample_mask(model.config, train, rng, dropout_mask)
-    batch, _ = _forward_batch(model, tensor.values[None], masks)
-    trace = ForwardTrace(*(None if v is None else v[0] for v in vars(batch).values()))
-    return trace.logits, trace
-
-
-def softmax_cross_entropy(logits, label):
-    """(loss, probabilities) with the usual max-shift stabilization.
-
-    logits may be one K vector with an int label or a B x K matrix with B
-    labels, giving B losses and a B x K probability matrix.
-    """
+def softmax_cross_entropy(logits, labels):
+    """(B losses, B x K probabilities) of B x K logits and B labels, with
+    the usual max-shift stabilization."""
     shift = logits - logits.max(axis=-1, keepdims=True)
     exp = np.exp(shift)
     total = exp.sum(axis=-1, keepdims=True)
-    picked = np.take_along_axis(shift, np.expand_dims(label, -1), axis=-1)
+    picked = np.take_along_axis(shift, np.expand_dims(labels, -1), axis=-1)
     loss = np.log(total) - picked
     return loss[..., 0], exp / total
 
@@ -218,7 +173,8 @@ def batch_loss_and_gradients(model, values, labels, dropout_masks=None):
 
     values is a B x E x T stack, labels holds B class indices and
     dropout_masks is None or B x H booleans (True = kept). The gradients
-    equal the sum of the B per-sample gradients.
+    come as a dict keyed by PARAM_NAMES and equal the sum of the B
+    per-sample gradients.
     """
     cfg = model.config
     labels = np.asarray(labels, dtype=np.int64)
@@ -226,7 +182,7 @@ def batch_loss_and_gradients(model, values, labels, dropout_masks=None):
         raise ShapeMismatch(f"{len(values)} tensors need {len(values)} labels, got {labels.shape}")
     if np.any((labels < 0) | (labels >= cfg.num_classes)):
         raise ShapeMismatch(f"label outside 0..{cfg.num_classes - 1}")
-    trace, cols = _forward_batch(model, values, dropout_masks)
+    trace = forward(model, values, dropout_masks)
     rows = np.arange(len(labels))
     losses, dlogits = softmax_cross_entropy(trace.logits, labels)
     dlogits[rows, labels] -= 1.0
@@ -241,18 +197,10 @@ def batch_loss_and_gradients(model, values, labels, dropout_masks=None):
     dpeak = (dfc1_pre @ model.fc1_w) * (trace.pooled > 0.0)
     dconv = np.zeros((len(labels), trace.conv.shape[2], cfg.kernel_count))  # B x P x C
     dconv[rows[:, None], trace.argmax, np.arange(cfg.kernel_count)] = dpeak
-    dconv_w = (dconv.reshape(len(cols), -1).T @ cols).reshape(model.conv_w.shape)
+    dconv_w = (dconv.reshape(len(trace.cols), -1).T @ trace.cols).reshape(model.conv_w.shape)
 
-    grads = Gradients(dconv_w, dpeak.sum(axis=0), dfc1_w, dfc1_pre.sum(axis=0),
-                      dfc2_w, dlogits.sum(axis=0))
-    return losses, grads
-
-
-def loss_and_gradients(model, tensor, label, train=False, rng=None, dropout_mask=None):
-    """Softmax cross-entropy of one tensor and its exact parameter gradients."""
-    masks = _sample_mask(model.config, train, rng, dropout_mask)
-    losses, grads = batch_loss_and_gradients(model, tensor.values[None], [label], masks)
-    return float(losses[0]), grads
+    grads = (dconv_w, dpeak.sum(axis=0), dfc1_w, dfc1_pre.sum(axis=0), dfc2_w, dlogits.sum(axis=0))
+    return losses, dict(zip(PARAM_NAMES, grads))
 
 
 def train(model, samples, solver: SolverConfig, rng):
@@ -272,8 +220,7 @@ def train(model, samples, solver: SolverConfig, rng):
     labels = np.array([label for label, _ in samples], dtype=np.int64)
     if np.any((labels < 0) | (labels >= model.config.num_classes)):
         raise ShapeMismatch("label outside the class range")
-    if len({tensor.values.shape for _, tensor in samples}) > 1:
-        raise ShapeMismatch("training tensors differ in shape")
+    _check_one_shape([tensor for _, tensor in samples])
 
     velocity = {name: np.zeros_like(arr) for name, arr in model.params()}
     history = []
@@ -291,9 +238,8 @@ def train(model, samples, solver: SolverConfig, rng):
         if not math.isfinite(history[-1]):
             raise NoConvergence(f"training diverged: batch loss {history[-1]} at iteration {step}")
 
-        grad_map = dict(grads.params())
         for name, param in model.params():
-            grad = grad_map[name] * scale + solver.weight_decay * param
+            grad = grads[name] * scale + solver.weight_decay * param
             vel = velocity[name]
             vel *= solver.momentum
             vel -= lr * grad
@@ -301,38 +247,37 @@ def train(model, samples, solver: SolverConfig, rng):
     return history
 
 
-def _infer(model, tensors, pick):
-    """pick(batched trace) over one tensor, or stacked over a sequence of them.
+def _check_one_shape(tensors):
+    # The batched core stacks tensors, so a batch must share one shape.
+    if len({tensor.values.shape for tensor in tensors}) > 1:
+        raise ShapeMismatch("description tensors differ in shape")
 
-    A sequence runs in chunks of consecutive same-shape tensors, at most
-    INFER_CHUNK each, so memory stays bounded on large corpora.
+
+def _infer(model, tensors, pick):
+    """pick(trace) over a sequence of same-shape tensors, concatenated.
+
+    The sequence runs in chunks of at most INFER_CHUNK tensors, so memory
+    stays bounded on large corpora.
     """
-    single = isinstance(tensors, DescriptionTensor)
-    tensors = [tensors] if single else list(tensors)
-    parts = []
-    for _, run in itertools.groupby(tensors, key=lambda t: t.values.shape):
-        run = list(run)
-        for start in range(0, len(run), INFER_CHUNK):
-            chunk = np.stack([t.values for t in run[start:start + INFER_CHUNK]])
-            parts.append(pick(_forward_batch(model, chunk)[0]))
-    if not parts:
+    tensors = list(tensors)
+    if not tensors:
         raise EmptySubset("no description tensors to run")
-    out = np.concatenate(parts)
-    return out[0] if single else out
+    _check_one_shape(tensors)
+    return np.concatenate([
+        pick(forward(model, np.stack([t.values for t in tensors[start:start + INFER_CHUNK]])))
+        for start in range(0, len(tensors), INFER_CHUNK)
+    ])
 
 
 def extract_features(model, tensors):
-    """FC1 activations with dropout disabled: the 1024-d description feature.
-
-    One DescriptionTensor gives an H vector, a sequence of them an N x H matrix.
-    """
+    """N x H FC1 activations of N tensors with dropout disabled: the 1024-d
+    description feature."""
     return _infer(model, tensors, lambda trace: trace.fc1)
 
 
 def predict(model, tensors):
-    """Class index of one DescriptionTensor (an int), or of each in a sequence."""
-    labels = _infer(model, tensors, lambda trace: trace.logits.argmax(axis=1))
-    return int(labels) if labels.ndim == 0 else labels
+    """The class index of each tensor in a sequence, as an int array."""
+    return _infer(model, tensors, lambda trace: trace.logits.argmax(axis=1))
 
 
 def find_detector_channel(model, tensors, truth_positions):
@@ -344,8 +289,6 @@ def find_detector_channel(model, tensors, truth_positions):
     to the lowest channel index. Returns (channel, per-description errors).
     """
     tensors = list(tensors)
-    if not tensors:
-        raise EmptySubset("detector analysis needs at least one description")
     truth = np.asarray(truth_positions, dtype=np.int64)
     if truth.shape != (len(tensors),):
         raise ShapeMismatch("one ground-truth position per description required")

@@ -97,14 +97,18 @@ def augment_synonym(tokens, synonyms, rng, replace_prob=DEFAULT_REPLACE_PROB):
     return out
 
 
+def _check_sigma(sigma):
+    if not (np.isfinite(sigma) and sigma >= 0):
+        raise InvalidConfig(f"sigma must be finite and >= 0, got {sigma}")
+
+
 def augment_gaussian(tensor, sigma, rng) -> DescriptionTensor:
     """Add zero-mean Gaussian noise to the data columns only.
 
     Padding columns stay exactly zero so augmented and clean tensors have the
     same footprint.
     """
-    if not (np.isfinite(sigma) and sigma >= 0):
-        raise InvalidConfig(f"sigma must be finite and >= 0, got {sigma}")
+    _check_sigma(sigma)
     values = tensor.values.copy()
     if tensor.used > 0:
         values[:, : tensor.used] += rng.normal(0.0, sigma, size=(tensor.embed_dim, tensor.used))
@@ -153,8 +157,10 @@ def build_training_tensors(
 
     Augmentation runs in each method's natural domain: drop and synonym
     rewrite the token list before embedding, gaussian perturbs the embedded
-    matrix. method=None embeds the corpus as-is.
+    matrix. method=None embeds the corpus as-is. sigma is checked on every
+    call, whether or not the gaussian method uses it.
     """
+    _check_sigma(sigma)
     if method is not None and method not in ALL_METHODS:
         raise UnknownMethod(f"unknown augmentation {method!r}; methods are {ALL_METHODS}")
     if factor < 1:

@@ -134,10 +134,8 @@ def test_criterion_4_textcnn_gradients_and_overfit():
         used = int(gen.integers(3, cfg.max_len + 1))
         values = np.zeros((cfg.embed_dim, cfg.max_len))
         values[:, :used] = gen.standard_normal((cfg.embed_dim, used))
-        tensor = DescriptionTensor(values=values, used=used)
         label = int(gen.integers(0, cfg.num_classes))
-        _, grads = textcnn.loss_and_gradients(model, tensor, label)
-        grad_map = dict(grads.params())
+        _, grads = textcnn.batch_loss_and_gradients(model, values[None], [label])
         step = 1e-5
         for name, param in model.params():
             flat = param.reshape(-1)
@@ -145,12 +143,12 @@ def test_criterion_4_textcnn_gradients_and_overfit():
             for i in range(flat.size):
                 keep = flat[i]
                 flat[i] = keep + step
-                up, _ = textcnn.loss_and_gradients(model, tensor, label)
+                up, _ = textcnn.batch_loss_and_gradients(model, values[None], [label])
                 flat[i] = keep - step
-                down, _ = textcnn.loss_and_gradients(model, tensor, label)
+                down, _ = textcnn.batch_loss_and_gradients(model, values[None], [label])
                 flat[i] = keep
-                numeric[i] = (up - down) / (2.0 * step)
-            analytic = grad_map[name].reshape(-1)
+                numeric[i] = (up[0] - down[0]) / (2.0 * step)
+            analytic = grads[name].reshape(-1)
             denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-6)
             worst = max(worst, float(np.max(np.abs(analytic - numeric) / denom)))
     assert worst < 1e-4
@@ -160,9 +158,9 @@ def test_criterion_4_textcnn_gradients_and_overfit():
     zero_model = textcnn.init_model(zero_cfg, stream(2003, 0))
     for _, arr in zero_model.params():
         arr[...] = 0.0
-    tensor = DescriptionTensor(values=stream(2003, 1).standard_normal((5, 8)), used=8)
-    loss, _ = textcnn.loss_and_gradients(zero_model, tensor, 3)
-    assert abs(loss - math.log(11)) <= 1e-12
+    values = stream(2003, 1).standard_normal((1, 5, 8))
+    loss, _ = textcnn.batch_loss_and_gradients(zero_model, values, [3])
+    assert abs(loss[0] - math.log(11)) <= 1e-12
 
     toy_cfg = textcnn.TextCnnConfig(num_classes=10, embed_dim=8, kernel_count=12,
                                     kernel_width=3, hidden_dim=24, max_len=10, dropout=0.0)
@@ -175,7 +173,8 @@ def test_criterion_4_textcnn_gradients_and_overfit():
         samples.append((label, DescriptionTensor(values=values, used=10)))
     solver = textcnn.SolverConfig(iterations=500, base_lr=0.05, batch_size=10)
     textcnn.train(toy_model, samples, solver, stream(2004, 2))
-    correct = sum(textcnn.predict(toy_model, t) == label for label, t in samples)
+    predicted = textcnn.predict(toy_model, [t for _, t in samples])
+    correct = int(np.sum(predicted == np.arange(10)))
     assert correct == 10
 
     elapsed = time.perf_counter() - start

@@ -85,10 +85,12 @@ class TestGenSynth:
         config_path = tmp_path / "bad.json"
         for body in (b'{"seed": 1', b"5", b"[]", b'{"seed": "\xff"}',
                      b'{"identity_count": "x"}', b'{"identity_count": 12.5}',
-                     b'{"identity_count": true}', b'{"vision_noise": "0.5"}'):
+                     b'{"identity_count": true}', b'{"vision_noise": "0.5"}',
+                     b'{"nuisance_scale": NaN}', b'{"vision_noise": Infinity}'):
             config_path.write_bytes(body)
             assert run(["gen-synth", "--config", str(config_path), "--out", str(out),
                         "--quiet"]) == 2, body
+            assert not any(out.iterdir()), body
 
     def test_int_for_float_field_is_accepted(self, tmp_path):
         gen_dataset(tmp_path, {"vision_noise": 1})
@@ -200,16 +202,16 @@ class TestTrainTextCnn:
                             for name in ("model.cnn", "loss_history.csv")])
         assert outputs[0] == outputs[1] == outputs[2]
 
-        # the manifest's accuracy, counted one tensor at a time
+        # the manifest's accuracy, recounted from the saved model
         model = textcnn.load_model(tmp_path / "run0" / "model.cnn")
         table = dataio.load_embeddings(emb_path)
         corpus = dataio.load_corpus(corpus_path)
         labels = {}
         for identity, _, _ in corpus:
             labels.setdefault(identity, len(labels))
-        correct = sum(
-            textcnn.predict(model, textprep.to_tensor(textprep.tokenize(text), table, 10))
-            == labels[identity] for identity, _, text in corpus)
+        tensors = [textprep.to_tensor(textprep.tokenize(text), table, 10) for _, _, text in corpus]
+        predicted = textcnn.predict(model, tensors)
+        correct = int(np.sum(predicted == [labels[identity] for identity, _, _ in corpus]))
         manifest = json.loads((tmp_path / "run0" / "manifest.json").read_text())
         assert manifest["train_accuracy"] == correct / len(corpus)
 
@@ -218,6 +220,7 @@ class TestTrainTextCnn:
         ("--lr", "nan"), ("--momentum", "nan"), ("--weight-decay", "nan"),
         ("--lr-drop-factor", "inf"),
         ("--augment", "gaussian", "--factor", "2", "--sigma", "nan"),
+        ("--sigma", "nan"), ("--sigma", "-1"),
     ], ids=" ".join)
     def test_bad_solver_flag_is_config_error(self, tmp_path, flags):
         corpus_path, emb_path = toy_text_corpus(tmp_path, classes=3)

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -81,6 +84,9 @@ class TestGenPaired:
             synth.gen_paired(tiny_config(identity_count=0))
         with pytest.raises(InvalidConfig):
             synth.gen_paired(tiny_config(vision_noise=-1.0))
+        for scale in (float("nan"), float("inf")):
+            with pytest.raises(InvalidConfig):
+                synth.gen_paired(tiny_config(nuisance_scale=scale))
 
 
 class TestGenAttributes:
@@ -196,3 +202,23 @@ class TestSolverOracles:
         monkeypatch.setattr(synth, "JACOBI_SWEEP_CAP", 0)
         with pytest.raises(NoConvergence):
             synth.oracle_jacobi_eigh(np.array([[2.0, 1.0], [1.0, 2.0]]))
+
+
+class TestOracleIndependence:
+    CHECKED = {"linalg", "cca", "xqda", "evaluation", "textcnn"}
+
+    def test_synth_imports_no_checked_module(self):
+        # An oracle that imports what it checks could share the fault it
+        # should catch.
+        tree = ast.parse(Path(synth.__file__).read_text(encoding="utf-8"))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[-1] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                if node.module:
+                    imported.add(node.module.split(".")[-1])
+                if node.level:  # `from . import x` names modules of the package
+                    imported.update(alias.name for alias in node.names)
+        assert imported, "the import scan found nothing"
+        assert not imported & self.CHECKED

@@ -42,17 +42,26 @@ def relative_error(got, want):
     return diff / scale if scale > 0.0 else diff
 
 
+def one(tensor):
+    """A 1 x E x T batch holding one tensor."""
+    return tensor.values[None]
+
+
+def sample_loss_and_gradients(model, tensor, label):
+    """Loss and gradients of one tensor, run as a batch of one."""
+    losses, grads = textcnn.batch_loss_and_gradients(model, one(tensor), [label])
+    return float(losses[0]), grads
+
+
 def oracle_batch(model, tensors, labels, masks=None):
     """Per-sample oracle losses and their summed gradients, in batch order."""
-    losses, total = [], None
+    losses, total = [], {}
     for slot, (tensor, label) in enumerate(zip(tensors, labels)):
         mask = None if masks is None else masks[slot]
         loss, grads = synth.oracle_cnn_loss_and_gradients(model, tensor, label, mask)
         losses.append(loss)
-        if total is None:
-            total = grads
-        else:
-            total.add_(grads)
+        for name, grad in grads.items():
+            total[name] = total[name] + grad if name in total else grad
     return np.array(losses), total
 
 
@@ -62,14 +71,14 @@ def assert_batch_matches_oracle(model, tensors, labels, masks=None):
     want_losses, want = oracle_batch(model, tensors, labels, masks)
     assert relative_error(losses, want_losses) <= 1e-12
     assert abs(losses.sum() - want_losses.sum()) <= 1e-12 * abs(want_losses.sum())
-    for (name, got), (_, ref) in zip(grads.params(), want.params()):
-        assert relative_error(got, ref) <= 1e-12, name
+    assert list(grads) == list(want) == list(textcnn.PARAM_NAMES)
+    for name in textcnn.PARAM_NAMES:
+        assert relative_error(grads[name], want[name]) <= 1e-12, name
 
 
 def finite_difference_check(model, tensor, label, step=1e-5):
     """Max relative error of backprop gradients vs central differences."""
-    _, grads = textcnn.loss_and_gradients(model, tensor, label)
-    grad_map = dict(grads.params())
+    _, grads = sample_loss_and_gradients(model, tensor, label)
     worst = 0.0
     for name, param in model.params():
         flat = param.reshape(-1)
@@ -77,12 +86,12 @@ def finite_difference_check(model, tensor, label, step=1e-5):
         for i in range(flat.size):
             keep = flat[i]
             flat[i] = keep + step
-            up, _ = textcnn.loss_and_gradients(model, tensor, label)
+            up, _ = sample_loss_and_gradients(model, tensor, label)
             flat[i] = keep - step
-            down, _ = textcnn.loss_and_gradients(model, tensor, label)
+            down, _ = sample_loss_and_gradients(model, tensor, label)
             flat[i] = keep
             numeric[i] = (up - down) / (2.0 * step)
-        analytic = grad_map[name].reshape(-1)
+        analytic = grads[name].reshape(-1)
         denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-6)
         worst = max(worst, float(np.max(np.abs(analytic - numeric) / denom)))
     return worst
@@ -99,9 +108,9 @@ class TestInit:
 
     def test_seed_determinism(self):
         cfg = toy_config()
-        one = textcnn.init_model(cfg, stream(3, 1))
-        two = textcnn.init_model(cfg, stream(3, 1))
-        for (_, a), (_, b) in zip(one.params(), two.params()):
+        first = textcnn.init_model(cfg, stream(3, 1))
+        second = textcnn.init_model(cfg, stream(3, 1))
+        for (_, a), (_, b) in zip(first.params(), second.params()):
             assert np.array_equal(a, b)
 
     def test_kernel_wider_than_input(self):
@@ -119,8 +128,9 @@ class TestForward:
         cfg = toy_config(embed_dim=4, kernel_width=5, max_len=70)
         model = textcnn.init_model(cfg, stream(1, 1))
         tensor = random_tensor(stream(1, 2), cfg)
-        _, trace = textcnn.forward(model, tensor)
-        assert trace.conv.shape == (cfg.kernel_count, 66)
+        trace = textcnn.forward(model, one(tensor))
+        assert trace.conv.shape == (1, cfg.kernel_count, 66)
+        assert trace.cols.shape == (66, cfg.embed_dim * cfg.kernel_width)
 
     def test_zero_model_uniform_softmax(self):
         cfg = toy_config(num_classes=8)
@@ -128,35 +138,36 @@ class TestForward:
         for _, arr in model.params():
             arr[...] = 0.0
         tensor = random_tensor(stream(2, 2), cfg)
-        logits, _ = textcnn.forward(model, tensor)
-        assert np.array_equal(logits, np.zeros(8))
-        loss, probs = textcnn.softmax_cross_entropy(logits, 3)
-        assert abs(loss - math.log(8)) < 1e-12
+        logits = textcnn.forward(model, one(tensor)).logits
+        assert np.array_equal(logits, np.zeros((1, 8)))
+        loss, probs = textcnn.softmax_cross_entropy(logits, [3])
+        assert abs(loss[0] - math.log(8)) < 1e-12
         assert np.allclose(probs, 1.0 / 8.0)
 
     def test_inference_deterministic(self):
         cfg = toy_config(dropout=0.5)
         model = textcnn.init_model(cfg, stream(4, 1))
         tensor = random_tensor(stream(4, 2), cfg)
-        one, _ = textcnn.forward(model, tensor, train=False)
-        two, _ = textcnn.forward(model, tensor, train=False)
-        assert np.array_equal(one, two)
+        first = textcnn.forward(model, one(tensor)).logits
+        second = textcnn.forward(model, one(tensor)).logits
+        assert np.array_equal(first, second)
 
     def test_train_dropout_changes_logits(self):
         cfg = toy_config(dropout=0.5, hidden_dim=64)
         model = textcnn.init_model(cfg, stream(5, 1))
         tensor = random_tensor(stream(5, 2), cfg)
-        plain, _ = textcnn.forward(model, tensor, train=False)
-        dropped, trace = textcnn.forward(model, tensor, train=True, rng=stream(5, 3))
-        assert trace.dropout_mask is not None
-        assert not np.array_equal(plain, dropped)
+        masks = stream(5, 3).random((1, cfg.hidden_dim)) >= cfg.dropout
+        plain = textcnn.forward(model, one(tensor))
+        dropped = textcnn.forward(model, one(tensor), masks)
+        assert np.array_equal(plain.fc1, dropped.fc1)  # dropout acts after FC1
+        assert not np.array_equal(plain.logits, dropped.logits)
 
     def test_pooled_is_rowwise_max(self):
         cfg = toy_config()
         model = textcnn.init_model(cfg, stream(6, 1))
         tensor = random_tensor(stream(6, 2), cfg)
-        _, trace = textcnn.forward(model, tensor)
-        assert np.array_equal(trace.pooled, trace.conv.max(axis=1))
+        trace = textcnn.forward(model, one(tensor))
+        assert np.array_equal(trace.pooled, trace.conv.max(axis=2))
 
     def test_width_one_pooling_is_permutation_invariant(self):
         # with w=1 each column scores independently, so shuffling the used
@@ -168,8 +179,8 @@ class TestForward:
         permuted = DescriptionTensor(
             values=tensor.values[:, gen.permutation(8)], used=8
         )
-        _, trace_a = textcnn.forward(model, tensor)
-        _, trace_b = textcnn.forward(model, permuted)
+        trace_a = textcnn.forward(model, one(tensor))
+        trace_b = textcnn.forward(model, one(permuted))
         assert np.allclose(trace_a.pooled, trace_b.pooled)
 
     def test_padding_never_changes_pooling(self):
@@ -181,8 +192,8 @@ class TestForward:
         padded = DescriptionTensor(
             values=np.hstack([short.values, np.zeros((cfg.embed_dim, 4))]), used=3
         )
-        _, trace_a = textcnn.forward(model, short)
-        _, trace_b = textcnn.forward(model, padded)
+        trace_a = textcnn.forward(model, one(short))
+        trace_b = textcnn.forward(model, one(padded))
         assert np.allclose(trace_a.pooled, trace_b.pooled)
 
     def test_embed_dim_mismatch(self):
@@ -190,7 +201,7 @@ class TestForward:
         model = textcnn.init_model(cfg, stream(8, 1))
         bad = DescriptionTensor(values=np.zeros((cfg.embed_dim + 1, cfg.max_len)), used=1)
         with pytest.raises(ShapeMismatch):
-            textcnn.forward(model, bad)
+            textcnn.forward(model, one(bad))
 
 
 class TestGradients:
@@ -216,27 +227,26 @@ class TestGradients:
         for _, arr in model.params():
             arr[...] = 0.0
         tensor = random_tensor(stream(9, 2), cfg)
-        _, grads = textcnn.loss_and_gradients(model, tensor, 2)
+        _, grads = sample_loss_and_gradients(model, tensor, 2)
         expected = np.full(5, 1.0 / 5.0)
         expected[2] -= 1.0
-        assert np.allclose(grads.fc2_b, expected, atol=1e-12)
+        assert np.allclose(grads["fc2_b"], expected, atol=1e-12)
 
     def test_gradient_mean_linearity(self):
         cfg = toy_config()
         model = textcnn.init_model(cfg, stream(10, 1))
         tensor = random_tensor(stream(10, 2), cfg)
-        _, single = textcnn.loss_and_gradients(model, tensor, 1)
-        _, a = textcnn.loss_and_gradients(model, tensor, 1)
-        _, b = textcnn.loss_and_gradients(model, tensor, 1)
-        a.add_(b)
-        for (_, one), (_, avg) in zip(single.params(), a.params()):
-            assert np.allclose(one, avg / 2.0, atol=1e-14)
+        # a batch holding the same sample twice sums two equal gradients
+        _, single = sample_loss_and_gradients(model, tensor, 1)
+        _, double = textcnn.batch_loss_and_gradients(model, np.stack([tensor.values] * 2), [1, 1])
+        for name in textcnn.PARAM_NAMES:
+            assert np.allclose(single[name], double[name] / 2.0, atol=1e-14), name
 
     def test_label_out_of_range(self):
         cfg = toy_config(num_classes=3)
         model = textcnn.init_model(cfg, stream(11, 1))
         with pytest.raises(ShapeMismatch):
-            textcnn.loss_and_gradients(model, random_tensor(stream(11, 2), cfg), 3)
+            sample_loss_and_gradients(model, random_tensor(stream(11, 2), cfg), 3)
         values = np.stack([random_tensor(stream(11, 3), cfg).values] * 2)
         with pytest.raises(ShapeMismatch):
             textcnn.batch_loss_and_gradients(model, values, [0])
@@ -258,8 +268,8 @@ class TestTrain:
         solver = textcnn.SolverConfig(iterations=500, base_lr=0.05, batch_size=10)
         history = textcnn.train(model, samples, solver, stream(12, 3))
         assert len(history) == 500
-        correct = sum(textcnn.predict(model, t) == label for label, t in samples)
-        assert correct == 10
+        predicted = textcnn.predict(model, [t for _, t in samples])
+        assert list(predicted) == [label for label, _ in samples]
 
     def test_loss_trend_on_separable_corpus(self):
         cfg = toy_config(num_classes=6, embed_dim=8, kernel_count=10,
@@ -317,9 +327,8 @@ class TestTrain:
             losses, total = oracle_batch(oracle, [samples[i][1] for i in batch],
                                          [samples[i][0] for i in batch], masks)
             want_history.append(sum(losses) / solver.batch_size)
-            grad_map = dict(total.params())
             for name, param in oracle.params():
-                grad = grad_map[name] / solver.batch_size + solver.weight_decay * param
+                grad = total[name] / solver.batch_size + solver.weight_decay * param
                 velocity[name] = solver.momentum * velocity[name] - lr * grad
                 param += velocity[name]
 
@@ -371,8 +380,8 @@ class TestBatchedOracle:
         model.conv_b[::2] = -100.0  # every window of these channels is clipped
         gen = stream(31, 2)
         tensors = [random_tensor(gen, cfg) for _ in range(8)]
-        _, trace = textcnn.forward(model, tensors[0])
-        assert np.all(trace.pooled[::2] == 0.0) and np.all(trace.pooled[1::2] > 0.0)
+        pooled = textcnn.forward(model, one(tensors[0])).pooled[0]
+        assert np.all(pooled[::2] == 0.0) and np.all(pooled[1::2] > 0.0)
         assert_batch_matches_oracle(model, tensors, gen.integers(0, cfg.num_classes, size=8))
 
     def test_argmax_ties_on_constant_windows(self):
@@ -388,9 +397,9 @@ class TestBatchedOracle:
             column = gen.integers(-3, 4, size=(cfg.embed_dim, 1)).astype(float)
             tensors.append(DescriptionTensor(values=np.repeat(column, cfg.max_len, axis=1),
                                              used=cfg.max_len))
-        _, trace = textcnn.forward(model, tensors[0])
+        trace = textcnn.forward(model, one(tensors[0]))
         assert np.all(trace.argmax == 0) and np.any(trace.pooled > 0.0)
-        assert np.all(trace.conv == trace.conv[:, :1])
+        assert np.all(trace.conv == trace.conv[:, :, :1])
         assert_batch_matches_oracle(model, tensors, gen.integers(0, cfg.num_classes, size=8))
 
     def test_zero_padded_columns(self):
@@ -400,7 +409,7 @@ class TestBatchedOracle:
         model.conv_b[...] = 0.8
         gen = stream(33, 2)
         tensors = [random_tensor(gen, cfg, used=int(gen.integers(3, 7))) for _ in range(8)]
-        peaks = [textcnn.forward(model, t)[1].argmax for t in tensors]
+        peaks = [textcnn.forward(model, one(t)).argmax[0] for t in tensors]
         assert any(np.any(p >= t.used) for p, t in zip(peaks, tensors))
         assert_batch_matches_oracle(model, tensors, gen.integers(0, cfg.num_classes, size=8))
 
@@ -413,17 +422,6 @@ class TestBatchedOracle:
         masks = gen.random((8, cfg.hidden_dim)) >= cfg.dropout
         assert_batch_matches_oracle(model, tensors, labels, masks)
 
-    def test_single_sample_path_is_the_core(self):
-        cfg = toy_config(dropout=0.5, hidden_dim=16)
-        model = textcnn.init_model(cfg, stream(35, 1))
-        tensor = random_tensor(stream(35, 2), cfg)
-        mask = stream(35, 3).random(cfg.hidden_dim) >= cfg.dropout
-        loss, grads = textcnn.loss_and_gradients(model, tensor, 2, train=True, dropout_mask=mask)
-        want_loss, want = synth.oracle_cnn_loss_and_gradients(model, tensor, 2, mask)
-        assert abs(loss - want_loss) <= 1e-12 * abs(want_loss)
-        for (name, got), (_, ref) in zip(grads.params(), want.params()):
-            assert relative_error(got, ref) <= 1e-12, name
-
 
 class TestFeatures:
     def test_default_feature_dimension(self):
@@ -431,8 +429,8 @@ class TestFeatures:
                                     kernel_width=3, max_len=12)
         model = textcnn.init_model(cfg, stream(16, 1))
         tensor = DescriptionTensor(values=np.zeros((20, 12)), used=0)
-        feats = textcnn.extract_features(model, tensor)
-        assert feats.shape == (1024,)
+        feats = textcnn.extract_features(model, [tensor])
+        assert feats.shape == (1, 1024)
 
     def test_zero_tensor_zero_bias_gives_zero_feature(self):
         cfg = toy_config()
@@ -440,23 +438,22 @@ class TestFeatures:
         model.conv_b[...] = 0.0
         model.fc1_b[...] = 0.0
         tensor = DescriptionTensor(values=np.zeros((cfg.embed_dim, cfg.max_len)), used=0)
-        feats = textcnn.extract_features(model, tensor)
-        assert np.array_equal(feats, np.zeros(cfg.hidden_dim))
+        feats = textcnn.extract_features(model, [tensor])
+        assert np.array_equal(feats, np.zeros((1, cfg.hidden_dim)))
 
     def test_repeatable(self):
         cfg = toy_config(dropout=0.5)
         model = textcnn.init_model(cfg, stream(18, 1))
         tensor = random_tensor(stream(18, 2), cfg)
         assert np.array_equal(
-            textcnn.extract_features(model, tensor), textcnn.extract_features(model, tensor)
+            textcnn.extract_features(model, [tensor]), textcnn.extract_features(model, [tensor])
         )
 
 
 class TestManyTensors:
-    def tensors(self, cfg, gen):
-        # two widths, interleaved, so runs of one shape split the sequence
+    def tensors(self, cfg, gen, widths=(9,) * 10):
         out = []
-        for width in (9, 9, 9, 7, 7, 9, 9, 9, 9, 7):
+        for width in widths:
             values = np.zeros((cfg.embed_dim, width))
             values[:, :5] = gen.standard_normal((cfg.embed_dim, 5))
             out.append(DescriptionTensor(values=values, used=5))
@@ -471,10 +468,22 @@ class TestManyTensors:
         feats = textcnn.extract_features(model, tensors)
         assert feats.shape == (len(tensors), cfg.hidden_dim)
         for row, tensor in zip(feats, tensors):
-            assert np.allclose(row, textcnn.forward(model, tensor)[1].fc1, rtol=1e-13, atol=1e-15)
+            assert np.allclose(row, textcnn.forward(model, one(tensor)).fc1[0],
+                               rtol=1e-13, atol=1e-15)
         labels = textcnn.predict(model, tensors)
-        assert list(labels) == [textcnn.predict(model, t) for t in tensors]
-        assert isinstance(textcnn.predict(model, tensors[0]), int)
+        assert list(labels) == [textcnn.predict(model, [t])[0] for t in tensors]
+
+    def test_mixed_widths_rejected(self):
+        # the batched core stacks its inputs, so one sequence has one shape
+        cfg = toy_config()
+        model = textcnn.init_model(cfg, stream(36, 1))
+        tensors = self.tensors(cfg, stream(36, 2), widths=(9, 9, 9, 7, 7, 9, 9, 9, 9, 7))
+        with pytest.raises(ShapeMismatch):
+            textcnn.extract_features(model, tensors)
+        with pytest.raises(ShapeMismatch):
+            textcnn.predict(model, tensors)
+        with pytest.raises(ShapeMismatch):
+            textcnn.find_detector_channel(model, tensors, [3] * len(tensors))
 
     def test_empty_sequence(self):
         cfg = toy_config()
@@ -514,8 +523,8 @@ class TestDetector:
         values = np.zeros((2, 10))
         values[:, 4] = 1.0  # peak response at conv position 3 (1-based)
         tensor = DescriptionTensor(values=values, used=10)
-        _, trace = textcnn.forward(model, tensor)
-        assert trace.argmax[0] + 1 == 3
+        trace = textcnn.forward(model, one(tensor))
+        assert trace.argmax[0, 0] + 1 == 3
         channel, errors = textcnn.find_detector_channel(model, [tensor], [5])
         assert errors[0] == 0
 
