@@ -1,10 +1,11 @@
-"""The five text formats and their byte-exact round trips.
+"""The five data formats and their byte-exact round trips.
 
-Feature matrices (FEAT), description corpora (CORPUS), embedding tables
-(EMB), attribute annotations (ATTR), and train/test splits (SPLIT) all share
-the same conventions: UTF-8, LF endings, tab-separated fields, space-
-separated vector components, reals at 17 significant digits. Saving what was
-just loaded reproduces the file bit for bit.
+Description corpora (CORPUS), attribute annotations (ATTR) and train/test
+splits (SPLIT) are UTF-8 text with LF endings and tab-separated fields.
+Feature matrices (FEAT) and embedding tables (EMB) keep a text header, one
+label line per row, and then every value as a raw little-endian float64, so
+the bits round-trip exactly. Saving what was just loaded reproduces each
+file bit for bit.
 """
 
 import tempfile
@@ -13,6 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from xmreid import dataio
+from xmreid.errors import XmreidError
 
 workdir = Path(tempfile.mkdtemp(prefix="xmreid_formats_"))
 rng = np.random.default_rng(7)
@@ -24,7 +26,7 @@ records = [("alice", 1, rng.standard_normal(4)),
            ("bob", 2, rng.standard_normal(4) * 1e9)]
 feat = workdir / "demo.feat"
 dataio.save_features(records, feat)
-print(feat.read_text().splitlines()[0:3], "...")
+print(feat.read_bytes().split(b"\n", 6)[:6], "+ 4 x 4 x 8 bytes")
 again = workdir / "again.feat"
 dataio.save_features(dataio.load_features(feat), again)
 print("byte-identical after load->save:", feat.read_bytes() == again.read_bytes())
@@ -43,7 +45,7 @@ table = dataio.EmbeddingTable(dimension=3, vectors={
 })
 epath = workdir / "demo.emb"
 dataio.save_embeddings(table, epath)
-print(epath.read_text(), end="")
+print(epath.read_bytes().split(b"\n", 4)[:4], "+ 2 x 3 x 8 bytes")
 
 print("\n== ATTR ==")
 attrs = dataio.AttributeTable(width=15, bits={
@@ -63,10 +65,10 @@ print(spath.read_text(), end="")
 
 print("\n== malformed input is rejected, not guessed at ==")
 bad = workdir / "bad.feat"
-bad.write_text("XMREID-FEAT 1\n1 3\nalice\t1\t1 2\n", encoding="utf-8")
+bad.write_bytes(b"XMREID-FEAT 2\n1 3\nalice\t1\n" + np.array([1.0, 2.0], dtype="<f8").tobytes())
 try:
-    dataio.load_features(bad)
-except Exception as exc:
+    dataio.load_features(bad)  # a body one value short of the 1 x 3 header
+except XmreidError as exc:
     print(" ", type(exc).__name__, "-", exc)
 
 print("\nfiles written under", workdir)

@@ -167,7 +167,7 @@ def fuse(scenario, vision=None, language=None, model=None, side=GALLERY, attribu
 
 # -- model file ------------------------------------------------------------------
 
-CCA_MAGIC = "XMREID-CCA 2"
+CCA_MAGIC = "XMREID-CCA 3"
 _SHAPES = {"w_x": ("d_x", "k"), "w_y": ("d_y", "k"), "correlations": ("k",),
            "mean_x": ("d_x",), "mean_y": ("d_y",), "ridge": ()}
 

@@ -15,6 +15,7 @@ the timestamp and duration fields. Exit codes partition the error classes:
 import argparse
 import hashlib
 import json
+import os
 import sys
 import time
 from dataclasses import asdict
@@ -51,6 +52,18 @@ def _config_hash(payload):
 # seed (recorded on its own) and flags that change no output.
 NOT_CONFIG = {"command", "func", "inputs", "out", "out_dir", "embeddings_out",
               "seed", "threads", "quiet"}
+THREAD_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+              "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
+
+
+def _blas():
+    """The BLAS numpy was built with and the thread variables it reads."""
+    try:
+        build = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # a numpy whose show_config has no dict mode
+        build = {}
+    return {"name": build.get("name", "unknown"), "version": build.get("version", "unknown"),
+            "thread_env": {name: os.environ.get(name) for name in THREAD_ENV}}
 
 
 def write_manifest(path, args, outputs, started, extra=None, config=None, seed=None):
@@ -71,6 +84,7 @@ def write_manifest(path, args, outputs, started, extra=None, config=None, seed=N
         "config_hash": _config_hash({"subcommand": args.command, "config": config, "seed": seed}),
         "inputs": {name: {"path": str(p), "sha256": _sha256(p)} for name, p in inputs.items()},
         "outputs": [str(p) for p in outputs],
+        "blas": _blas(),
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "duration_s": round(time.perf_counter() - started, 6),
     }
@@ -227,7 +241,8 @@ def cmd_train_textcnn(args):
         for it, loss in enumerate(history):
             handle.write(f"{it},{dataio.format_real(loss)}\n")
 
-    clean = [textprep.to_tensor(t, table, args.max_len) for _, _, t in tokenized]
+    # Each description's clean tensor leads the variants augmentation made of it.
+    clean = [tensor for _, _, tensor in tensors[::args.factor if args.augment else 1]]
     truth = np.array([labels[i] for i, _, _ in tokenized])
     accuracy = float(np.mean(textcnn.predict(model, clean) == truth))
 

@@ -1,21 +1,21 @@
-"""Bit-exact text formats and loaders.
+"""File formats and loaders.
 
-Five line-oriented formats carry the pipeline's data:
+Three formats are UTF-8 text, one record per LF-terminated line:
 
-  FEAT    ``XMREID-FEAT 1`` / ``<N> <D>`` / N lines ``id<TAB>view<TAB>v1 v2 ..``
   CORPUS  ``XMREID-CORPUS 1`` / lines ``id<TAB>view<TAB>raw description text``
-  EMB     ``<V> <E>`` / V lines ``token v1 .. vE`` (word2vec text style)
   ATTR    ``XMREID-ATTR 1 <B>`` / lines ``id<TAB>b1b2..bB`` with bits in {0,1}
   SPLIT   ``XMREID-SPLIT 1 <num_splits>`` / lines ``index<TAB>id<TAB>train|test``
 
-and one block codec carries every fitted model (CCA, XQDA, CNN):
+and every real-valued file is a UTF-8 text header followed by one raw
+little-endian float64 body in C order:
 
-  BLOCKS  ``<magic>`` / per block ``<name> <d0> <d1> ..`` then the array as
-          d0 rows (one row for a 1-d or 0-d array) of space-separated reals
+  FEAT    ``XMREID-FEAT 2`` / ``<N> <D>`` / N lines ``id<TAB>view`` / N*D values
+  EMB     ``XMREID-EMB 1`` / ``<V> <E>`` / V lines ``token`` / V*E values
+  BLOCKS  ``<magic>`` / per block a line ``<name> <d0> <d1> ..`` and d0*d1*.. values
 
-All files are UTF-8 with LF line endings; fields are separated by single
-tabs, vector components by single spaces, and reals carry 17 significant
-digits so that save -> load -> save is byte-identical.
+A body holds exactly the values its header declares, so truncation and
+trailing data are byte-count errors, and save -> load -> save is
+byte-identical. Every file is written by ``_save``.
 """
 
 import math
@@ -34,7 +34,8 @@ from .errors import (
     UnknownIdentity,
 )
 
-FEAT_MAGIC = "XMREID-FEAT 1"
+FEAT_MAGIC = "XMREID-FEAT 2"
+EMB_MAGIC = "XMREID-EMB 1"
 CORPUS_MAGIC = "XMREID-CORPUS 1"
 ATTR_MAGIC = "XMREID-ATTR 1"
 SPLIT_MAGIC = "XMREID-SPLIT 1"
@@ -48,17 +49,12 @@ def format_real(x) -> str:
     return format(float(x), ".17g")
 
 
-def format_row(values) -> str:
-    """format_real of each value, space-separated, through one %-template."""
-    values = np.asarray(values, dtype=np.float64).reshape(-1).tolist()
-    return " ".join(["%.17g"] * len(values)) % tuple(values)
-
-
 def _parse_count(text, path, what):
     # int() would also take '_', '+', '-', surrounding whitespace and
-    # non-ASCII digits; a header integer is plain ASCII digits.
-    if not (text.isascii() and text.isdigit()):
-        raise MalformedHeader(f"{path}: {what} must be a non-negative integer, got {text!r}")
+    # non-ASCII digits; a header integer is plain ASCII digits, at most 18 of
+    # them, so that it fits an int64 and int() never refuses its length.
+    if not (text.isascii() and text.isdigit()) or len(text) > 18:
+        raise MalformedHeader(f"{path}: {what} must be a non-negative integer, got {text[:40]!r}")
     return int(text)
 
 
@@ -68,6 +64,17 @@ def _read_lines(path):
             return handle.read().split("\n")
     except UnicodeDecodeError as exc:
         raise MalformedHeader(f"{path}: not valid UTF-8: {exc}") from exc
+
+
+def _rows(path, lines, width, maxsplit=-1, first=2):
+    """(path:lineno, fields) of each non-empty text line, which must split on
+    tabs into exactly width fields; lines[0] is line number first."""
+    for lineno, line in enumerate(lines, start=first):
+        if line:
+            fields = line.split("\t", maxsplit)
+            if len(fields) != width:
+                raise MalformedHeader(f"{path}:{lineno}: expected {width} tab-separated fields")
+            yield f"{path}:{lineno}", fields
 
 
 def _check_labels(labels, what, separators="\t\n"):
@@ -84,72 +91,111 @@ def _parse_view(token, path):
     return int(token)
 
 
-def _parse_vector(text, dim, path, lineno):
-    parts = text.split(" ") if text else []
-    if len(parts) != dim:
-        raise DimensionMismatch(
-            f"{path}:{lineno}: expected {dim} components, got {len(parts)}"
-        )
-    # float() would also take digit separators and surrounding whitespace;
-    # every whitespace character but the space is unprintable.
-    if "_" in text or not text.isprintable():
-        raise MalformedHeader(f"{path}:{lineno}: '_' or stray whitespace in a real")
+# -- the one writer and the raw float64 bodies --------------------------------------
+
+def _save(path, parts):
+    """Write str parts as UTF-8 text and every other part as raw <f8 values in
+    C order; a non-finite value is refused before the file is opened."""
+    parts = [p.encode("utf-8") if isinstance(p, str) else np.ascontiguousarray(p, dtype="<f8")
+             for p in parts]
+    if not all(np.isfinite(p).all() for p in parts if isinstance(p, np.ndarray)):
+        raise NonFiniteValue(f"{path}: refusing to write a non-finite value")
+    with open(path, "wb") as handle:
+        for part in parts:
+            handle.write(part)
+
+
+def _lines(data, start, count, path):
+    """count LF-terminated UTF-8 lines from data[start:], and the offset after them."""
+    end = start
+    for _ in range(count):
+        end = data.find(b"\n", end) + 1
+        if end == 0:
+            raise MalformedHeader(f"{path}: file ends inside a header")
     try:
-        values = np.array([float(p) for p in parts], dtype=np.float64)
-    except ValueError as exc:
-        raise MalformedHeader(f"{path}:{lineno}: unparseable real: {exc}") from exc
-    if not np.all(np.isfinite(values)):
-        raise NonFiniteValue(f"{path}:{lineno}: non-finite vector component")
-    return values
+        return data[start:end].decode("utf-8").split("\n")[:-1], end
+    except UnicodeDecodeError as exc:
+        raise MalformedHeader(f"{path}: not valid UTF-8: {exc}") from exc
+
+
+def _read(path, magic):
+    """The file's bytes and the offset after its first line, which must be magic."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    (first,), offset = _lines(data, 0, 1, path)
+    if first != magic:
+        raise MalformedHeader(f"{path}: expected '{magic}' on line 1")
+    return data, offset
+
+
+def _reals(data, start, shape, path):
+    """The shape's values stored raw at data[start:], checked to fit the file
+    before anything is allocated, as a writable native float64 array; and the
+    offset after them."""
+    count = math.prod(shape)
+    if start + 8 * count > len(data):
+        raise MalformedHeader(f"{path}: file ends inside a body of shape {shape}")
+    try:
+        values = np.frombuffer(data, "<f8", count, start).reshape(shape)
+    except ValueError as exc:  # an empty body declared with oversized dimensions
+        raise MalformedHeader(f"{path}: bad shape {shape}: {exc}") from exc
+    if not np.isfinite(values).all():
+        raise NonFiniteValue(f"{path}: non-finite value in a body of shape {shape}")
+    return values.astype(np.float64), start + 8 * count
+
+
+def _load_matrix(path, magic, what):
+    """A FEAT or EMB file's N label lines and its N x D matrix."""
+    data, offset = _read(path, magic)
+    (head,), offset = _lines(data, offset, 1, path)
+    head = head.split(" ")
+    if len(head) != 2:
+        raise MalformedHeader(f"{path}: bad {what} line")
+    count, dim = (_parse_count(h, path, what) for h in head)
+    if dim < 1:
+        raise MalformedHeader(f"{path}: invalid counts {count} x {dim}")
+    labels, offset = _lines(data, offset, count, path)
+    matrix, offset = _reals(data, offset, (count, dim), path)
+    if offset != len(data):
+        raise MalformedHeader(f"{path}: {len(data) - offset} bytes after the body")
+    return labels, matrix
+
+
+def _save_matrix(path, magic, labels, vectors, dim):
+    """Write the magic, ``<N> <D>``, one line per label, then the vectors' body."""
+    vectors = [np.asarray(v, dtype=np.float64) for v in vectors]
+    for label, vector in zip(labels, vectors):
+        if vector.shape != (dim,):
+            raise DimensionMismatch(f"{label!r} has dimension {vector.shape}, expected ({dim},)")
+    body = np.array(vectors).reshape(len(vectors), dim)
+    _save(path, [f"{magic}\n{len(labels)} {dim}\n" + "".join(f"{lb}\n" for lb in labels), body])
 
 
 # -- FEAT ----------------------------------------------------------------------
 
+def _feat_label(label, where):
+    """(identity, view) of a FEAT label line ``id<TAB>view``."""
+    fields = label.split("\t")
+    if len(fields) != 2:
+        raise MalformedHeader(f"{where}: label {label!r} is not 'id<TAB>view'")
+    return fields[0], _parse_view(fields[1], where)
+
+
 def load_features(path):
     """Parse a FEAT file into a list of (identity, view, vector) records."""
-    lines = _read_lines(path)
-    if not lines or lines[0] != FEAT_MAGIC:
-        raise MalformedHeader(f"{path}: expected '{FEAT_MAGIC}' on line 1")
-    head = lines[1].split(" ") if len(lines) > 1 else []
-    if len(head) != 2:
-        raise MalformedHeader(f"{path}: bad count/dimension line")
-    count, dim = (_parse_count(h, path, "record count/dimension") for h in head)
-    if dim < 1:
-        raise MalformedHeader(f"{path}: invalid counts {count} x {dim}")
-    body = [line for line in lines[2:] if line != ""]
-    if len(body) != count:
-        raise MalformedHeader(f"{path}: header says {count} records, body has {len(body)}")
-    records = []
-    for offset, line in enumerate(body):
-        fields = line.split("\t")
-        if len(fields) != 3:
-            raise MalformedHeader(f"{path}:{offset + 3}: expected 3 tab-separated fields")
-        identity, view_s, vector_s = fields
-        view = _parse_view(view_s, path)
-        vector = _parse_vector(vector_s, dim, path, offset + 3)
-        records.append((identity, view, vector))
-    return records
+    labels, matrix = _load_matrix(path, FEAT_MAGIC, "record count/dimension")
+    return [(*_feat_label(label, path), vector) for label, vector in zip(labels, matrix)]
 
 
 def save_features(records, path):
     """Write (identity, view, vector) records in canonical FEAT form."""
     records = list(records)
-    _check_labels((identity for identity, _, _ in records), "identity")
+    labels = [f"{identity}\t{view}" for identity, view, _ in records]
+    _check_labels(labels, "record", separators="\n")
+    for label in labels:  # refuse what the loader would not read back
+        _feat_label(label, "record")
     dim = len(records[0][2]) if records else 0
-    rows = []
-    for identity, view, vector in records:
-        vector = np.asarray(vector, dtype=np.float64)
-        if vector.shape != (dim,):
-            raise DimensionMismatch(f"record {identity!r} has dimension {vector.shape}")
-        if not np.all(np.isfinite(vector)):
-            raise NonFiniteValue(f"record {identity!r} has a non-finite component")
-        if view not in (1, 2):
-            raise MalformedHeader(f"record {identity!r} has view {view}")
-        rows.append(f"{identity}\t{view}\t{format_row(vector)}")
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(f"{FEAT_MAGIC}\n{len(records)} {dim}\n")
-        for row in rows:
-            handle.write(row + "\n")
+    _save_matrix(path, FEAT_MAGIC, labels, [vector for _, _, vector in records], dim)
 
 
 # -- CORPUS --------------------------------------------------------------------
@@ -157,28 +203,17 @@ def save_features(records, path):
 def load_corpus(path):
     """Parse a CORPUS file into (identity, view, raw text) records."""
     lines = _read_lines(path)
-    if not lines or lines[0] != CORPUS_MAGIC:
+    if lines[0] != CORPUS_MAGIC:
         raise MalformedHeader(f"{path}: expected '{CORPUS_MAGIC}' on line 1")
-    records = []
-    for offset, line in enumerate(lines[1:]):
-        if line == "":
-            continue
-        fields = line.split("\t", 2)
-        if len(fields) != 3:
-            raise MalformedHeader(f"{path}:{offset + 2}: expected 3 tab-separated fields")
-        identity, view_s, text = fields
-        records.append((identity, _parse_view(view_s, path), text))
-    return records
+    return [(identity, _parse_view(view, where), text)
+            for where, (identity, view, text) in _rows(path, lines[1:], 3, maxsplit=2)]
 
 
 def save_corpus(records, path):
     records = list(records)
     _check_labels((identity for identity, _, _ in records), "identity")
     _check_labels((text for _, _, text in records), "description", separators="\n")
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(CORPUS_MAGIC + "\n")
-        for identity, view, text in records:
-            handle.write(f"{identity}\t{view}\t{text}\n")
+    _save(path, [CORPUS_MAGIC + "\n" + "".join(f"{i}\t{v}\t{t}\n" for i, v, t in records)])
 
 
 # -- EMB -----------------------------------------------------------------------
@@ -201,31 +236,18 @@ class EmbeddingTable:
 
 
 def load_embeddings(path) -> EmbeddingTable:
-    lines = _read_lines(path)
-    head = lines[0].split(" ")
-    if len(head) != 2:
-        raise MalformedHeader(f"{path}: bad vocabulary/dimension line")
-    count, dim = (_parse_count(h, path, "vocabulary size/dimension") for h in head)
-    if dim < 1:
-        raise MalformedHeader(f"{path}: invalid counts {count} x {dim}")
-    body = [line for line in lines[1:] if line != ""]
-    if len(body) != count:
-        raise MalformedHeader(f"{path}: header says {count} tokens, body has {len(body)}")
-    table = EmbeddingTable(dimension=dim)
-    for offset, line in enumerate(body):
-        token, _, rest = line.partition(" ")
+    tokens, matrix = _load_matrix(path, EMB_MAGIC, "vocabulary size/dimension")
+    table = EmbeddingTable(dimension=matrix.shape[1])
+    for lineno, (token, vector) in enumerate(zip(tokens, matrix), start=3):
         if token in table.vectors:
-            raise DuplicateToken(f"{path}:{offset + 2}: token {token!r} repeated")
-        table.vectors[token] = _parse_vector(rest, dim, path, offset + 2)
+            raise DuplicateToken(f"{path}:{lineno}: token {token!r} repeated")
+        table.vectors[token] = vector
     return table
 
 
 def save_embeddings(table: EmbeddingTable, path):
     _check_labels(table.vectors, "token", separators=" \n")
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(f"{len(table.vectors)} {table.dimension}\n")
-        for token, vector in table.vectors.items():
-            handle.write(f"{token} {format_row(vector)}\n")
+    _save_matrix(path, EMB_MAGIC, list(table.vectors), table.vectors.values(), table.dimension)
 
 
 # -- ATTR ----------------------------------------------------------------------
@@ -246,40 +268,30 @@ class AttributeTable:
 
 def load_attributes(path, known_identities=None) -> AttributeTable:
     lines = _read_lines(path)
-    head = lines[0].split(" ") if lines else []
+    head = lines[0].split(" ")
     if len(head) != 3 or " ".join(head[:2]) != ATTR_MAGIC:
         raise MalformedHeader(f"{path}: expected '{ATTR_MAGIC} <B>' on line 1")
     width = _parse_count(head[2], path, "attribute width")
     if width < 1:
         raise MalformedHeader(f"{path}: attribute width must be >= 1")
     table = AttributeTable(width=width)
-    for offset, line in enumerate(lines[1:]):
-        if line == "":
-            continue
-        fields = line.split("\t")
-        if len(fields) != 2:
-            raise MalformedHeader(f"{path}:{offset + 2}: expected 2 tab-separated fields")
-        identity, bit_s = fields
+    for where, (identity, bit_s) in _rows(path, lines[1:], 2):
         if len(bit_s) != width:
-            raise RaggedAttributes(
-                f"{path}:{offset + 2}: row has {len(bit_s)} bits, header says {width}"
-            )
+            raise RaggedAttributes(f"{where}: row has {len(bit_s)} bits, header says {width}")
         if any(c not in "01" for c in bit_s):
-            raise MalformedHeader(f"{path}:{offset + 2}: bits must be 0 or 1")
+            raise MalformedHeader(f"{where}: bits must be 0 or 1")
         if identity in table.bits:
-            raise DuplicateAssignment(f"{path}:{offset + 2}: identity {identity!r} repeated")
+            raise DuplicateAssignment(f"{where}: identity {identity!r} repeated")
         if known_identities is not None and identity not in known_identities:
-            raise UnknownIdentity(f"{path}:{offset + 2}: identity {identity!r} unknown")
+            raise UnknownIdentity(f"{where}: identity {identity!r} unknown")
         table.bits[identity] = np.array([int(c) for c in bit_s], dtype=np.uint8)
     return table
 
 
 def save_attributes(table: AttributeTable, path):
     _check_labels(table.bits, "identity")
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(f"{ATTR_MAGIC} {table.width}\n")
-        for identity, bits in table.bits.items():
-            handle.write(f"{identity}\t{''.join(str(int(b)) for b in bits)}\n")
+    rows = "".join(f"{i}\t{''.join(str(int(b)) for b in bits)}\n" for i, bits in table.bits.items())
+    _save(path, [f"{ATTR_MAGIC} {table.width}\n{rows}"])
 
 
 # -- SPLIT ---------------------------------------------------------------------
@@ -300,28 +312,21 @@ class SplitAssignment:
 
 def load_splits(path, known_identities=None):
     lines = _read_lines(path)
-    head = lines[0].split(" ") if lines else []
+    head = lines[0].split(" ")
     if len(head) != 3 or " ".join(head[:2]) != SPLIT_MAGIC:
         raise MalformedHeader(f"{path}: expected '{SPLIT_MAGIC} <num_splits>' on line 1")
     declared = _parse_count(head[2], path, "split count")
     by_index = {}
-    for offset, line in enumerate(lines[1:]):
-        if line == "":
-            continue
-        fields = line.split("\t")
-        if len(fields) != 3:
-            raise MalformedHeader(f"{path}:{offset + 2}: expected 3 tab-separated fields")
-        index_s, identity, role = fields
-        index = _parse_count(index_s, f"{path}:{offset + 2}", "split index")
+    for where, (index_s, identity, role) in _rows(path, lines[1:], 3):
+        index = _parse_count(index_s, where, "split index")
         if role not in (TRAIN, TEST):
-            raise MalformedHeader(f"{path}:{offset + 2}: role must be train or test")
+            raise MalformedHeader(f"{where}: role must be train or test")
         if known_identities is not None and identity not in known_identities:
-            raise UnknownIdentity(f"{path}:{offset + 2}: identity {identity!r} unknown")
+            raise UnknownIdentity(f"{where}: identity {identity!r} unknown")
         split = by_index.setdefault(index, SplitAssignment(index=index))
         if identity in split.roles:
             raise DuplicateAssignment(
-                f"{path}:{offset + 2}: identity {identity!r} assigned twice in split {index}"
-            )
+                f"{where}: identity {identity!r} assigned twice in split {index}")
         split.roles[identity] = role
     splits = [by_index[i] for i in sorted(by_index)]
     if len(splits) != declared:
@@ -331,30 +336,21 @@ def load_splits(path, known_identities=None):
 
 def save_splits(splits, path):
     _check_labels((identity for split in splits for identity in split.roles), "identity")
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(f"{SPLIT_MAGIC} {len(splits)}\n")
-        for split in splits:
-            for identity, role in split.roles.items():
-                handle.write(f"{split.index}\t{identity}\t{role}\n")
+    rows = "".join(f"{split.index}\t{identity}\t{role}\n"
+                   for split in splits for identity, role in split.roles.items())
+    _save(path, [f"{SPLIT_MAGIC} {len(splits)}\n{rows}"])
 
 
 # -- model blocks ----------------------------------------------------------------
 
-def _grid(shape):
-    """A block's (rows, values per row): d0 rows from 2-d up, else one row."""
-    return (shape[0], math.prod(shape[1:])) if len(shape) > 1 else (1, math.prod(shape))
-
-
 def save_blocks(path, magic, blocks):
     """Write a name -> array mapping in order: the magic line, then per block
-    ``<name> <d0> <d1> ..`` and the array reshaped to (d0, -1), one line per row."""
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(magic + "\n")
-        for name, value in blocks.items():
-            array = np.asarray(value, dtype=np.float64)
-            handle.write(" ".join([name, *map(str, array.shape)]) + "\n")
-            for row in array.reshape(_grid(array.shape)):
-                handle.write(format_row(row) + "\n")
+    ``<name> <d0> <d1> ..`` and the array's values raw in C order."""
+    parts = [magic + "\n"]
+    for name, value in blocks.items():
+        array = np.asarray(value, dtype=np.float64)
+        parts += [" ".join([name, *map(str, array.shape)]) + "\n", array]
+    _save(path, parts)
 
 
 def load_blocks(path, magic, shapes):
@@ -364,31 +360,20 @@ def load_blocks(path, magic, shapes):
     {"w": ("d", "r"), "m": ("r", "r")}; a dimension name must have one size
     throughout the file.
     """
-    lines = _read_lines(path)
-    if lines[0] != magic:
-        raise MalformedHeader(f"{path}: expected '{magic}' on line 1")
-    end = len(lines) - 1  # lines[end] is what follows the final newline
-    cursor, blocks, sizes = 1, {}, {}
+    data, offset = _read(path, magic)
+    blocks, sizes = {}, {}
     for name, dims in shapes.items():
-        head = lines[cursor].split(" ") if cursor < end else [None]
+        (head,), offset = _lines(data, offset, 1, path)
+        head = head.split(" ")
         if head[0] != name:
-            raise MalformedHeader(f"{path}:{cursor + 1}: expected block {name!r}")
-        shape = tuple(_parse_count(d, f"{path}:{cursor + 1}", "a dimension") for d in head[1:])
+            raise MalformedHeader(f"{path}: expected block {name!r}, got {head[0]!r}")
+        shape = tuple(_parse_count(d, f"{path}: block {name!r}", "a dimension") for d in head[1:])
         if len(shape) != len(dims) or any(sizes.setdefault(d, n) != n for d, n in zip(dims, shape)):
-            raise DimensionMismatch(f"{path}:{cursor + 1}: block {name!r} has shape {shape}, "
+            raise DimensionMismatch(f"{path}: block {name!r} has shape {shape}, "
                                     f"expected {dims} with {sizes}")
-        rows, width = _grid(shape)
-        if cursor + rows >= end:
-            raise MalformedHeader(f"{path}: file ends inside block {name!r}")
-        values = [_parse_vector(lines[cursor + 1 + r], width, path, cursor + 2 + r)
-                  for r in range(rows)]
-        try:
-            blocks[name] = np.array(values, dtype=np.float64).reshape(shape)
-        except ValueError as exc:  # an empty block declared with oversized dimensions
-            raise MalformedHeader(f"{path}:{cursor + 1}: bad shape {shape}: {exc}") from exc
-        cursor += 1 + rows
-    if lines[cursor:] != [""]:
-        raise MalformedHeader(f"{path}:{cursor + 1}: unexpected data after the last block")
+        blocks[name], offset = _reals(data, offset, shape, path)
+    if offset != len(data):
+        raise MalformedHeader(f"{path}: unexpected data after the last block")
     return blocks, sizes
 
 
@@ -397,18 +382,12 @@ def load_blocks(path, magic, shapes):
 def load_synonyms(path):
     """Parse ``token<TAB>syn1,syn2,..`` lines into a ranked synonym map."""
     synonyms = {}
-    for offset, line in enumerate(_read_lines(path)):
-        if line == "":
-            continue
-        fields = line.split("\t")
-        if len(fields) != 2 or not fields[1]:
-            raise MalformedHeader(f"{path}:{offset + 1}: expected 'token<TAB>syn1,syn2,..'")
-        token, ranked_s = fields
+    for where, (token, ranked_s) in _rows(path, _read_lines(path), 2, first=1):
         if token in synonyms:
-            raise DuplicateToken(f"{path}:{offset + 1}: token {token!r} repeated")
+            raise DuplicateToken(f"{where}: token {token!r} repeated")
         ranked = tuple(ranked_s.split(","))
         if len(set(ranked)) != len(ranked) or any(not s for s in ranked):
-            raise MalformedHeader(f"{path}:{offset + 1}: ranked list must be non-empty and duplicate-free")
+            raise MalformedHeader(f"{where}: ranked list must be non-empty and duplicate-free")
         synonyms[token] = ranked
     return synonyms
 

@@ -301,7 +301,7 @@ def find_detector_channel(model, tensors, truth_positions):
 
 # -- checkpoint format -------------------------------------------------------
 
-CNN_MAGIC = "XMREID-CNN 2"
+CNN_MAGIC = "XMREID-CNN 3"
 # Dimension names are the TextCnnConfig fields they set.
 _SHAPES = {
     "max_len": (),

@@ -230,7 +230,7 @@ def score_matrix(model: XqdaModel, gallery, probes) -> np.ndarray:
 
 # -- model file ------------------------------------------------------------------
 
-XQDA_MAGIC = "XMREID-XQDA 3"
+XQDA_MAGIC = "XMREID-XQDA 4"
 _SHAPES = {"w": ("d", "r"), "m": ("r", "r"), "fallback": ()}
 
 

@@ -215,6 +215,36 @@ class TestTrainTextCnn:
         manifest = json.loads((tmp_path / "run0" / "manifest.json").read_text())
         assert manifest["train_accuracy"] == correct / len(corpus)
 
+    @pytest.mark.parametrize("flags, per_description", [
+        ((), 1), (("--augment", "gaussian", "--factor", "3"), 1),
+        (("--augment", "drop", "--factor", "3"), 3), (("--factor", "3"), 1),
+    ], ids=["plain", "gaussian", "drop", "factor-without-method"])
+    def test_embeds_each_description_once(self, tmp_path, monkeypatch, flags, per_description):
+        corpus_path, emb_path = toy_text_corpus(tmp_path, classes=6)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return embed(*args, **kwargs)
+
+        embed = textprep.to_tensor
+        monkeypatch.setattr(textprep, "to_tensor", counted)
+        assert run(["train-textcnn", "--corpus", str(corpus_path),
+                    "--embeddings", str(emb_path), "--out-dir", str(tmp_path),
+                    "--iters", "6", "--batch", "4", "--kernels", "4", "--kernel-width", "3",
+                    "--hidden", "8", "--max-len", "10", "--quiet", *flags]) == 0
+        assert len(calls) == 12 * per_description
+        monkeypatch.undo()
+
+        # the accuracy pass still scores the clean descriptions
+        model = textcnn.load_model(tmp_path / "model.cnn")
+        table = dataio.load_embeddings(emb_path)
+        corpus = dataio.load_corpus(corpus_path)
+        clean = [textprep.to_tensor(textprep.tokenize(text), table, 10) for _, _, text in corpus]
+        truth = [int(identity[len("person"):]) for identity, _, _ in corpus]
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["train_accuracy"] == float(np.mean(textcnn.predict(model, clean) == truth))
+
     @pytest.mark.parametrize("flags", [
         ("--batch", "0"), ("--lr-drop-every", "0"), ("--iters", "-1"),
         ("--lr", "nan"), ("--momentum", "nan"), ("--weight-decay", "nan"),
@@ -390,6 +420,18 @@ class TestManifest:
         assert one["config_hash"] == two["config_hash"]
         assert one["config"] == two["config"] and one["seed"] == two["seed"] == 42
 
+    @pytest.mark.parametrize("command, manifest", OUTPUT_PLACES,
+                             ids=[command.split()[0] for command, _ in OUTPUT_PLACES])
+    def test_names_its_blas(self, toy_data, tmp_path, monkeypatch, command, manifest):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        blas = run_manifest(command, manifest, toy_data, tmp_path / "run")["blas"]
+        assert set(blas) == {"name", "version", "thread_env"}
+        assert isinstance(blas["name"], str) and isinstance(blas["version"], str)
+        assert set(blas["thread_env"]) == set(cli.THREAD_ENV)
+        assert blas["thread_env"]["OPENBLAS_NUM_THREADS"] == "1"
+        assert blas["thread_env"]["OMP_NUM_THREADS"] is None
+
     def test_fit_cca_records_resolved_k(self, toy_data, tmp_path):
         manifest = run_manifest(*OUTPUT_PLACES[0], toy_data, tmp_path / "run")
         assert manifest["config"]["k"] is None
@@ -465,8 +507,9 @@ class TestAttrSweepCli:
 class TestExitCodePartition:
     def test_data_error_is_4(self, tmp_path):
         out = gen_dataset(tmp_path)
-        bad = tmp_path / "bad.feat"
-        bad.write_text("XMREID-FEAT 1\n2 3\nid0000\t1\t1 2 3\n", encoding="utf-8")
+        bad = tmp_path / "bad.feat"  # two records declared, one record's body
+        bad.write_bytes(b"XMREID-FEAT 2\n2 3\nid0000\t1\nid0000\t2\n"
+                        + np.array([1.0, 2.0, 3.0], dtype="<f8").tobytes())
         code = run(["evaluate", "--scenario", "VxV", "--vision", str(bad),
                     "--splits", str(out / "splits.split"),
                     "--out-dir", str(tmp_path), "--quiet"])
@@ -475,7 +518,18 @@ class TestExitCodePartition:
     def test_non_utf8_input_is_4(self, tmp_path):
         out = gen_dataset(tmp_path)
         bad = tmp_path / "bad.feat"
-        bad.write_bytes(b"XMREID-FEAT 1\n1 3\nid0000\t1\t1 2 \xff\n")
+        bad.write_bytes(b"XMREID-FEAT 2\n1 3\nid\xff\t1\n" + bytes(24))
+        code = run(["evaluate", "--scenario", "VxV", "--vision", str(bad),
+                    "--splits", str(out / "splits.split"),
+                    "--out-dir", str(tmp_path), "--quiet"])
+        assert code == 4
+
+    @pytest.mark.parametrize("head", ["1000000000000000000000000000000 3", "1 1000000000000000",
+                                      "1000000000 1000000000"])
+    def test_oversized_header_is_4(self, tmp_path, head):
+        out = gen_dataset(tmp_path)
+        bad = tmp_path / "bad.feat"
+        bad.write_bytes(f"XMREID-FEAT 2\n{head}\nid0000\t1\n".encode("utf-8") + bytes(24))
         code = run(["evaluate", "--scenario", "VxV", "--vision", str(bad),
                     "--splits", str(out / "splits.split"),
                     "--out-dir", str(tmp_path), "--quiet"])

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,52 +16,69 @@ from xmreid.errors import (
     NonFiniteValue,
     RaggedAttributes,
     UnknownIdentity,
+    XmreidError,
 )
 
+FINFO = np.finfo(np.float64)
+# Signed zeros, subnormals, the extremes and values with no short decimal.
+EDGES = [-0.0, 0.0, 5e-324, -5e-324, FINFO.smallest_normal / 3, FINFO.max, -FINFO.max,
+         FINFO.smallest_normal, 1.0, -3.0, 2.0**53, 1e16, 0.1]
 
-def write(path, text):
-    path.write_text(text, encoding="utf-8")
+
+def write(path, data):
+    path.write_bytes(data.encode("utf-8") if isinstance(data, str) else data)
     return str(path)
+
+
+def reals(*values):
+    return np.array(values, dtype="<f8").tobytes()
+
+
+def assert_native_writable(array):
+    assert array.dtype == np.float64 and array.dtype.isnative and array.flags.writeable
 
 
 class TestFeat:
     def test_basic_parse(self, tmp_path):
-        path = write(
-            tmp_path / "a.feat",
-            "XMREID-FEAT 1\n2 3\nid1\t1\t1 2 3\nid2\t2\t-1 0.5 2e-3\n",
-        )
+        path = write(tmp_path / "a.feat",
+                     b"XMREID-FEAT 2\n2 3\nid1\t1\nid2\t2\n" + reals(1, 2, 3, -1, 0.5, 2e-3))
         records = dataio.load_features(path)
         assert len(records) == 2
         assert records[0][0] == "id1" and records[0][1] == 1
+        assert records[1][0] == "id2" and records[1][1] == 2
         assert np.array_equal(records[0][2], [1.0, 2.0, 3.0])
         assert records[1][2][2] == 2e-3
+        assert_native_writable(records[0][2])
 
     def test_dimension_mismatch(self, tmp_path):
-        path = write(tmp_path / "a.feat", "XMREID-FEAT 1\n1 3\nid1\t1\t1 2\n")
+        # a body carries no per-row dimension, so a ragged record is refused
+        # when it is written
+        path = tmp_path / "a.feat"
         with pytest.raises(DimensionMismatch):
-            dataio.load_features(path)
+            dataio.save_features([("id1", 1, np.zeros(3)), ("id2", 1, np.zeros(2))], path)
+        assert not path.exists()
 
     def test_nan_rejected(self, tmp_path):
-        path = write(tmp_path / "a.feat", "XMREID-FEAT 1\n1 2\nid1\t1\t1 NaN\n")
+        path = write(tmp_path / "a.feat", b"XMREID-FEAT 2\n1 2\nid1\t1\n" + reals(1, np.nan))
         with pytest.raises(NonFiniteValue):
             dataio.load_features(path)
 
-    @pytest.mark.parametrize("row", ["1_0 2\r", "1_0 2", "1 2\r", "1 \u00a02", "1 2\x0b"],
-                             ids=["separator-crlf", "separator", "crlf", "nbsp", "vtab"])
-    def test_separator_or_whitespace_in_real(self, tmp_path, row):
-        path = write(tmp_path / "a.feat", f"XMREID-FEAT 1\n1 2\nid1\t1\t{row}\n")
+    def test_count_disagreement(self, tmp_path):
+        path = write(tmp_path / "a.feat", b"XMREID-FEAT 2\n2 2\nid1\t1\n" + reals(1, 2, 3, 4))
         with pytest.raises(MalformedHeader):
             dataio.load_features(path)
 
-    def test_count_disagreement(self, tmp_path):
-        path = write(tmp_path / "a.feat", "XMREID-FEAT 1\n2 2\nid1\t1\t1 2\n")
+    @pytest.mark.parametrize("body", [reals(1, 2, 3), reals(1, 2, 3, 4, 5)],
+                             ids=["short", "long"])
+    def test_body_length_must_match_header(self, tmp_path, body):
+        path = write(tmp_path / "a.feat", b"XMREID-FEAT 2\n2 2\nid1\t1\nid2\t1\n" + body)
         with pytest.raises(MalformedHeader):
             dataio.load_features(path)
 
     def test_bad_magic(self, tmp_path):
-        path = write(tmp_path / "a.feat", "FEAT 1\n0 1\n")
-        with pytest.raises(MalformedHeader):
-            dataio.load_features(path)
+        for text in ("FEAT 1\n0 1\n", "XMREID-FEAT 1\n1 2\nid1\t1\t1 2\n"):
+            with pytest.raises(MalformedHeader):
+                dataio.load_features(write(tmp_path / "a.feat", text))
 
     def test_roundtrip_bytes(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -92,24 +111,31 @@ class TestCorpus:
 
 class TestEmbeddings:
     def test_basic(self, tmp_path):
-        path = write(tmp_path / "e.emb", "3 4\nred 1 0 0 0\nblue 0 1 0 0\nhat 0 0 1 0\n")
+        path = write(tmp_path / "e.emb", b"XMREID-EMB 1\n3 4\nred\nblue\nhat\n"
+                     + reals(1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0))
         table = dataio.load_embeddings(path)
         assert table.dimension == 4
         assert len(table) == 3
         assert np.array_equal(table.get("blue"), [0, 1, 0, 0])
+        assert_native_writable(table.get("hat"))
 
     def test_duplicate_token(self, tmp_path):
-        path = write(tmp_path / "e.emb", "2 2\nred 1 0\nred 0 1\n")
+        path = write(tmp_path / "e.emb", b"XMREID-EMB 1\n2 2\nred\nred\n" + reals(1, 0, 0, 1))
         with pytest.raises(DuplicateToken):
             dataio.load_embeddings(path)
 
     def test_dimension_300_fragment(self, tmp_path):
-        # word2vec-style fragment at the published embedding width
-        vec = " ".join(dataio.format_real(v) for v in np.linspace(-1, 1, 300))
-        path = write(tmp_path / "e.emb", f"2 300\nking {vec}\nqueen {vec}\n")
+        # a two-token table at the published embedding width
+        body = reals(*np.linspace(-1, 1, 300)) * 2
+        path = write(tmp_path / "e.emb", b"XMREID-EMB 1\n2 300\nking\nqueen\n" + body)
         table = dataio.load_embeddings(path)
         assert table.dimension == 300
         assert table.get("king").shape == (300,)
+        assert np.array_equal(table.get("queen"), np.linspace(-1, 1, 300))
+
+    def test_headerless_word2vec_text_is_malformed(self, tmp_path):
+        with pytest.raises(MalformedHeader):
+            dataio.load_embeddings(write(tmp_path / "e.emb", "1 2\nred 1 0\n"))
 
     def test_roundtrip(self, tmp_path):
         table = dataio.EmbeddingTable(dimension=2, vectors={"a": np.array([0.1, -0.2])})
@@ -228,21 +254,37 @@ class TestNonUtf8:
     ])
     def test_undecodable_byte_is_malformed(self, tmp_path, load):
         path = tmp_path / "bad"
-        path.write_bytes(b"XMREID-FEAT 1\n1 3\nid0\t1\t1 2 \xff\n")
+        path.write_bytes(b"XMREID-\xff 1\n1 3\nid0\t1\n" + reals(1, 2, 3))
         with pytest.raises(MalformedHeader, match="UTF-8"):
             load(path)
 
+    @pytest.mark.parametrize("load, data", [
+        (dataio.load_features, b"XMREID-FEAT 2\n1 2\nid\xff\t1\n" + reals(1, 2)),
+        (dataio.load_embeddings, b"XMREID-EMB 1\n1 2\nr\xffd\n" + reals(1, 2)),
+        (lambda path: dataio.load_blocks(path, "XMREID-TEST 1", {"a": (), "b": ()}),
+         b"XMREID-TEST 1\na\n" + reals(1) + b"\xff\n" + reals(2)),
+    ], ids=["feat-label", "emb-token", "block-header"])
+    def test_undecodable_header_line_after_a_body(self, tmp_path, load, data):
+        with pytest.raises(MalformedHeader, match="UTF-8"):
+            load(write(tmp_path / "bad", data))
+
 
 # One header integer per template; every bad spelling below is one that
-# int() reads as the good value.
+# int() reads as the good value. The body is what a good header needs.
 HEADER_INTEGERS = [
-    pytest.param(dataio.load_features, "XMREID-FEAT 1\n{} 2\nid1\t1\t1 2\n", "1", id="feat-count"),
-    pytest.param(dataio.load_features, "XMREID-FEAT 1\n1 {}\nid1\t1\t1 2\n", "2", id="feat-dim"),
-    pytest.param(dataio.load_embeddings, "{} 2\nred 1 0\n", "1", id="emb-count"),
-    pytest.param(dataio.load_embeddings, "1 {}\nred 1 0\n", "2", id="emb-dim"),
-    pytest.param(dataio.load_attributes, "XMREID-ATTR 1 {}\nid1\t01\n", "2", id="attr-width"),
-    pytest.param(dataio.load_splits, "XMREID-SPLIT 1 {}\n0\tid1\ttrain\n", "1", id="split-count"),
-    pytest.param(dataio.load_splits, "XMREID-SPLIT 1 1\n{}\tid1\ttrain\n", "0", id="split-index"),
+    pytest.param(dataio.load_features, "XMREID-FEAT 2\n{} 2\nid1\t1\n", reals(1, 2),
+                 "1", id="feat-count"),
+    pytest.param(dataio.load_features, "XMREID-FEAT 2\n1 {}\nid1\t1\n", reals(1, 2),
+                 "2", id="feat-dim"),
+    pytest.param(dataio.load_embeddings, "XMREID-EMB 1\n{} 2\nred\n", reals(1, 0),
+                 "1", id="emb-count"),
+    pytest.param(dataio.load_embeddings, "XMREID-EMB 1\n1 {}\nred\n", reals(1, 0),
+                 "2", id="emb-dim"),
+    pytest.param(dataio.load_attributes, "XMREID-ATTR 1 {}\nid1\t01\n", b"", "2", id="attr-width"),
+    pytest.param(dataio.load_splits, "XMREID-SPLIT 1 {}\n0\tid1\ttrain\n", b"", "1",
+                 id="split-count"),
+    pytest.param(dataio.load_splits, "XMREID-SPLIT 1 1\n{}\tid1\ttrain\n", b"", "0",
+                 id="split-index"),
 ]
 BAD_SPELLINGS = {
     "plus": lambda g: "+" + g,
@@ -254,54 +296,165 @@ BAD_SPELLINGS = {
 
 
 class TestHeaderIntegers:
-    @pytest.mark.parametrize("load, template, good", HEADER_INTEGERS)
-    def test_plain_digits_load(self, tmp_path, load, template, good):
-        load(write(tmp_path / "f", template.format(good)))
+    @pytest.mark.parametrize("load, template, body, good", HEADER_INTEGERS)
+    def test_plain_digits_load(self, tmp_path, load, template, body, good):
+        load(write(tmp_path / "f", template.format(good).encode("utf-8") + body))
 
     @pytest.mark.parametrize("spelling", sorted(BAD_SPELLINGS))
-    @pytest.mark.parametrize("load, template, good", HEADER_INTEGERS)
-    def test_other_spellings_are_malformed(self, tmp_path, load, template, good, spelling):
+    @pytest.mark.parametrize("load, template, body, good", HEADER_INTEGERS)
+    def test_other_spellings_are_malformed(self, tmp_path, load, template, body, good, spelling):
         bad = BAD_SPELLINGS[spelling](good)
         assert int(bad) == int(good)
         with pytest.raises(MalformedHeader):
-            load(write(tmp_path / "f", template.format(bad)))
+            load(write(tmp_path / "f", template.format(bad).encode("utf-8") + body))
 
     def test_separated_count_is_not_ten_records(self, tmp_path):
-        rows = "".join(f"id{i}\t1\t1 2\n" for i in range(10))
+        rows = "".join(f"id{i}\t1\n" for i in range(10)).encode("utf-8")
         with pytest.raises(MalformedHeader):
-            dataio.load_features(write(tmp_path / "a.feat", f"XMREID-FEAT 1\n1_0 2\r\n{rows}"))
+            dataio.load_features(write(tmp_path / "a.feat",
+                                       b"XMREID-FEAT 2\n1_0 2\r\n" + rows + reals(*range(20))))
 
     def test_negative_split_index(self, tmp_path):
         with pytest.raises(MalformedHeader):
             dataio.load_splits(write(tmp_path / "s", "XMREID-SPLIT 1 1\n-1\tid1\ttrain\n"))
 
 
-class TestFormatRow:
-    EDGES = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, 1e308, -1e308,
-             1.7976931348623157e308, 1.0, -3.0, 2.0**53, 1e16, 0.1]
+class TestOversizedHeaders:
+    """A header that declares more values than the file holds is malformed
+    before anything of that size is allocated, however large it is."""
 
+    BIG = pytest.mark.parametrize("count", [10**30, 10**18, 10**15, 10**9, 10**6, "9" * 5000],
+                                  ids=["1e30", "1e18", "1e15", "1e9", "1e6", "5000-digits"])
+
+    @BIG
+    @pytest.mark.parametrize("magic, label, load", [
+        ("XMREID-FEAT 2", "id1\t1", dataio.load_features),
+        ("XMREID-EMB 1", "red", dataio.load_embeddings),
+    ], ids=["feat", "emb"])
+    def test_matrix_files(self, tmp_path, magic, label, load, count):
+        for head in (f"{count} 2", f"1 {count}", f"{count} {count}"):
+            path = write(tmp_path / "f", f"{magic}\n{head}\n{label}\n".encode("utf-8") + reals(1, 2))
+            with pytest.raises(MalformedHeader):
+                load(path)
+
+    @BIG
+    def test_blocks(self, tmp_path, count):
+        for dims in (f"{count} {count}", f"1 {count}", f"0 {count} {count}"):
+            path = write(tmp_path / "f", f"{MAGIC}\nm {dims}\n".encode("utf-8") + reals(1, 2))
+            with pytest.raises(MalformedHeader):
+                dataio.load_blocks(path, MAGIC, {"m": ("r", "n", "w")[:len(dims.split())]})
+
+
+MATRIX_FILES = {
+    "feat": (lambda rows, path: dataio.save_features(
+        [(f"id{i}", 1 + i % 2, row) for i, row in enumerate(rows)], path),
+        lambda path: np.array([vector for _, _, vector in dataio.load_features(path)])),
+    "emb": (lambda rows, path: dataio.save_embeddings(
+        dataio.EmbeddingTable(dimension=rows.shape[1],
+                              vectors={f"t{i}": row for i, row in enumerate(rows)}), path),
+        lambda path: np.array(list(dataio.load_embeddings(path).vectors.values()))),
+}
+FUZZ = settings(derandomize=True, deadline=None, max_examples=100)
+
+
+def non_finite_bits():
+    """Any NaN or infinity as its 8 little-endian bytes: all-ones exponent,
+    any sign and mantissa."""
+    return st.tuples(st.integers(0, 1), st.integers(0, 2**52 - 1)).map(
+        lambda sm: struct.pack("<Q", sm[0] << 63 | 0x7FF << 52 | sm[1]))
+
+
+@pytest.fixture(scope="module")
+def saved_matrices(tmp_path_factory):
+    """kind -> (path to write mutated copies to, bytes of a saved 4 x 3 file)."""
+    root = tmp_path_factory.mktemp("matrices")
+    out = {}
+    for kind, (save, _) in MATRIX_FILES.items():
+        save(np.arange(1.0, 13.0).reshape(4, 3) / 7, root / f"saved.{kind}")
+        out[kind] = (root / f"mutated.{kind}", (root / f"saved.{kind}").read_bytes())
+    return out
+
+
+@pytest.mark.parametrize("kind", MATRIX_FILES)
+class TestMatrixBodies:
+    """FEAT and EMB files under truncation, byte flips and non-finite bits."""
+
+    def load(self, kind, path, data):
+        path.write_bytes(data)
+        return MATRIX_FILES[kind][1](path)
+
+    @FUZZ
+    @given(data=st.data())
+    def test_any_truncation_is_malformed(self, kind, saved_matrices, data):
+        path, raw = saved_matrices[kind]
+        cut = data.draw(st.integers(0, len(raw) - 1))
+        with pytest.raises(MalformedHeader):
+            self.load(kind, path, raw[:cut])
+
+    def test_trailing_data_is_malformed(self, kind, saved_matrices):
+        path, raw = saved_matrices[kind]
+        with pytest.raises(MalformedHeader):
+            self.load(kind, path, raw + reals(1.0))
+
+    @FUZZ
+    @given(data=st.data())
+    def test_any_byte_flip_loads_or_raises_package_error(self, kind, saved_matrices, data):
+        path, raw = saved_matrices[kind]
+        flipped = bytearray(raw)
+        where = data.draw(st.integers(0, len(raw) - 1))
+        flipped[where] = data.draw(st.integers(0, 255).filter(lambda b: b != raw[where]))
+        try:
+            self.load(kind, path, bytes(flipped))
+        except XmreidError:
+            pass
+
+    @FUZZ
+    @given(data=st.data())
+    def test_any_non_finite_value_is_rejected(self, kind, saved_matrices, data):
+        path, raw = saved_matrices[kind]
+        at = len(raw) - 8 * data.draw(st.integers(1, 12))
+        with pytest.raises(NonFiniteValue):
+            self.load(kind, path, raw[:at] + data.draw(non_finite_bits()) + raw[at + 8:])
+
+    def test_writer_refuses_non_finite(self, kind, tmp_path):
+        path = tmp_path / "out"
+        with pytest.raises(NonFiniteValue):
+            MATRIX_FILES[kind][0](np.array([[1.0, np.inf]]), path)
+        assert not path.exists()
+
+    def test_edges_round_trip_bit_exact(self, kind, tmp_path):
+        rows = np.array(EDGES).reshape(-1, 1)
+        MATRIX_FILES[kind][0](rows, tmp_path / "f")
+        back = MATRIX_FILES[kind][1](tmp_path / "f")
+        assert back.tobytes() == rows.tobytes()
+        assert np.signbit(back[0, 0]) and back[2, 0] == 5e-324
+
+
+class TestRealsRoundTrip:
     @settings(derandomize=True, deadline=None, max_examples=200)
     @given(st.lists(st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(EDGES),
-                    max_size=24))
-    def test_equals_format_real_join(self, row):
-        want = " ".join(map(dataio.format_real, row))
-        assert dataio.format_row(row) == want
-        assert dataio.format_row(np.array(row, dtype=np.float64)) == want
+                    min_size=1, max_size=24))
+    def test_any_reals_bit_exact(self, tmp_path_factory, row):
+        path = tmp_path_factory.mktemp("reals") / "a.feat"
+        dataio.save_features([("id", 1, row)], path)
+        [(_, _, back)] = dataio.load_features(path)
+        assert back.tobytes() == np.array(row, dtype=np.float64).tobytes()
 
-    def test_edges(self):
-        want = " ".join(map(dataio.format_real, self.EDGES))
-        assert dataio.format_row(self.EDGES) == want
-        assert want.startswith("-0 0 4.9406564584124654e-324")
+    def test_edges_bit_exact(self, tmp_path):
+        dataio.save_blocks(tmp_path / "a", MAGIC, {"e": np.array(EDGES)})
+        blocks, _ = dataio.load_blocks(tmp_path / "a", MAGIC, {"e": ("n",)})
+        assert blocks["e"].tobytes() == np.array(EDGES).tobytes()
+        assert (tmp_path / "a").read_bytes().endswith(reals(*EDGES))
 
 
 MAGIC = "XMREID-TEST 1"
 SHAPES = {"k": (), "v": ("n",), "m": ("r", "n"), "t": ("r", "n", "w")}
 LAYOUT = (
-    "XMREID-TEST 1\n"
-    "k\n70\n"
-    "v 2\n0.5 -0\n"
-    "m 2 2\n1 2\n3 4\n"
-    "t 2 2 1\n1 2\n3 4\n"
+    b"XMREID-TEST 1\n"
+    b"k\n" + reals(70)
+    + b"v 2\n" + reals(0.5, -0.0)
+    + b"m 2 2\n" + reals(1, 2, 3, 4)
+    + b"t 2 2 1\n" + reals(1, 2, 3, 4)
 )
 
 
@@ -313,12 +466,13 @@ class TestBlocks:
     def test_layout(self, tmp_path):
         path = tmp_path / "a.model"
         dataio.save_blocks(path, MAGIC, self.blocks())
-        assert path.read_text(encoding="utf-8") == LAYOUT
+        assert path.read_bytes() == LAYOUT
         blocks, sizes = dataio.load_blocks(path, MAGIC, SHAPES)
         assert sizes == {"n": 2, "r": 2, "w": 1}
         for name, value in self.blocks().items():
             assert blocks[name].shape == np.shape(value)
             assert np.array_equal(blocks[name], value)
+            assert_native_writable(blocks[name])
         assert np.signbit(blocks["v"][1])
 
     @settings(derandomize=True, deadline=None, max_examples=60)
@@ -339,36 +493,39 @@ class TestBlocks:
         dataio.save_blocks(second, MAGIC, loaded)
         assert first.read_bytes() == second.read_bytes()
 
-    @pytest.mark.parametrize("text", [
-        pytest.param(LAYOUT.replace("XMREID-TEST 1", "XMREID-TEST 2"), id="wrong-magic"),
-        pytest.param(LAYOUT.replace("v 2\n0.5 -0\n", ""), id="missing-block"),
-        pytest.param(LAYOUT.replace("m 2 2", "M 2 2"), id="renamed-block"),
-        pytest.param(LAYOUT.replace("k\n70\nv 2\n0.5 -0\n", "v 2\n0.5 -0\nk\n70\n"), id="out-of-order"),
-        pytest.param(LAYOUT + "x\n1\n", id="extra-block"),
-        pytest.param(LAYOUT + "\n", id="trailing-empty-line"),
+    @pytest.mark.parametrize("data", [
+        pytest.param(LAYOUT.replace(b"XMREID-TEST 1", b"XMREID-TEST 2"), id="wrong-magic"),
+        pytest.param(LAYOUT.replace(b"v 2\n" + reals(0.5, -0.0), b""), id="missing-block"),
+        pytest.param(LAYOUT.replace(b"m 2 2", b"M 2 2"), id="renamed-block"),
+        pytest.param(LAYOUT.replace(b"k\n" + reals(70) + b"v 2\n" + reals(0.5, -0.0),
+                                    b"v 2\n" + reals(0.5, -0.0) + b"k\n" + reals(70)),
+                     id="out-of-order"),
+        pytest.param(LAYOUT + b"x\n" + reals(1), id="extra-block"),
+        pytest.param(LAYOUT + b"\n", id="trailing-empty-line"),
         pytest.param(LAYOUT[:-1], id="no-final-newline"),
-        pytest.param(LAYOUT[:LAYOUT.index("3 4")], id="ends-inside-a-block"),
-        pytest.param(LAYOUT[:LAYOUT.index("t 2")], id="ends-before-a-block"),
-        pytest.param(LAYOUT.replace("v 2", "v -2"), id="negative-dimension"),
-        pytest.param(LAYOUT.replace("v 2", "v 2.0"), id="non-integer-dimension"),
-        pytest.param(LAYOUT.replace("v 2", "v  2"), id="empty-dimension"),
-        pytest.param(LAYOUT.replace("0.5 -0", "0.5 -0x"), id="garbled-real"),
-        pytest.param(LAYOUT.replace("k\n70", "k\n7_0"), id="digit-separator"),
-        pytest.param(LAYOUT.replace("0.5 -0\n", "0.5 -0\r\n"), id="carriage-return"),
-        pytest.param(LAYOUT.replace("0.5 -0", "\t0.5 -0"), id="tab-before-real"),
+        pytest.param(LAYOUT[:LAYOUT.index(reals(3, 4))], id="ends-inside-a-block"),
+        pytest.param(LAYOUT[:LAYOUT.index(b"t 2")], id="ends-before-a-block"),
+        pytest.param(LAYOUT.replace(b"v 2", b"v -2"), id="negative-dimension"),
+        pytest.param(LAYOUT.replace(b"v 2", b"v 2.0"), id="non-integer-dimension"),
+        pytest.param(LAYOUT.replace(b"v 2", b"v  2"), id="empty-dimension"),
+        pytest.param(LAYOUT.replace(b"v 2\n", b"v 0_2\n"), id="digit-separator"),
+        pytest.param(LAYOUT.replace(b"v 2\n", b"v 2\r\n"), id="carriage-return"),
+        # text where a body belongs, as in the files before the raw bodies
+        pytest.param(LAYOUT.replace(reals(0.5, -0.0), b"0.5 -0x\n"), id="garbled-real"),
+        pytest.param(LAYOUT.replace(reals(0.5, -0.0), b"\t" + reals(0.5, -0.0)),
+                     id="tab-before-real"),
     ])
-    def test_malformed(self, tmp_path, text):
-        path = write(tmp_path / "a.model", text)
+    def test_malformed(self, tmp_path, data):
+        path = write(tmp_path / "a.model", data)
         with pytest.raises(MalformedHeader):
             dataio.load_blocks(path, MAGIC, SHAPES)
 
-    @pytest.mark.parametrize("text", [
-        pytest.param(LAYOUT.replace("m 2 2", "m 2 3"), id="n-bound-to-2-by-v"),
-        pytest.param(LAYOUT.replace("t 2 2 1", "t 2 2"), id="wrong-rank"),
-        pytest.param(LAYOUT.replace("0.5 -0", "0.5 -0 1"), id="row-longer-than-declared"),
+    @pytest.mark.parametrize("data", [
+        pytest.param(LAYOUT.replace(b"m 2 2", b"m 2 3"), id="n-bound-to-2-by-v"),
+        pytest.param(LAYOUT.replace(b"t 2 2 1", b"t 2 2"), id="wrong-rank"),
     ])
-    def test_inconsistent_shapes(self, tmp_path, text):
-        path = write(tmp_path / "a.model", text)
+    def test_inconsistent_shapes(self, tmp_path, data):
+        path = write(tmp_path / "a.model", data)
         with pytest.raises(DimensionMismatch):
             dataio.load_blocks(path, MAGIC, SHAPES)
 
@@ -379,9 +536,14 @@ class TestBlocks:
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite(self, tmp_path, value):
-        path = write(tmp_path / "a.model", LAYOUT.replace("k\n70", f"k\n{value}"))
+        path = write(tmp_path / "a.model", LAYOUT.replace(reals(70), reals(float(value))))
         with pytest.raises(NonFiniteValue):
             dataio.load_blocks(path, MAGIC, SHAPES)
+
+    def test_writer_refuses_non_finite(self, tmp_path):
+        with pytest.raises(NonFiniteValue):
+            dataio.save_blocks(tmp_path / "a.model", MAGIC, {"k": np.nan})
+        assert not (tmp_path / "a.model").exists()
 
 
 class TestAssembly:

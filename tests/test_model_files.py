@@ -1,9 +1,12 @@
 """Model files of all three kinds (CCA, XQDA, CNN) through the block codec.
 
 Every mutated file must either load or raise an XmreidError; the specific
-defects (truncation, garbled or non-finite reals, trailing data) must raise
-the specific errors, and every field must survive a round trip.
+defects (truncation, non-finite values, trailing data) must raise the
+specific errors, and every field must survive a round trip bit for bit.
 """
+
+import math
+import struct
 
 import numpy as np
 import pytest
@@ -45,43 +48,40 @@ KINDS = {
 
 @pytest.fixture(scope="module")
 def saved(tmp_path_factory):
-    """kind -> (path to write mutated copies to, text of the saved model)."""
+    """kind -> (path to write mutated copies to, bytes of the saved model)."""
     root = tmp_path_factory.mktemp("models")
     out = {}
     for kind, (save, _, make) in KINDS.items():
         path = root / f"model.{kind}"
         save(make(), path)
-        out[kind] = (root / f"mutated.{kind}", path.read_text(encoding="utf-8"))
+        out[kind] = (root / f"mutated.{kind}", path.read_bytes())
     return out
 
 
-def load_text(kind, saved, text):
+def load_bytes(kind, saved, data):
     path, _ = saved[kind]
-    path.write_text(text, encoding="utf-8", newline="\n")
+    path.write_bytes(data)
     return KINDS[kind][1](path)
 
 
-def _is_real(token):
-    try:
-        float(token)
-    except ValueError:
-        return False
-    return True
+def reals(*values):
+    return np.array(values, dtype="<f8").tobytes()
 
 
-def value_slots(text):
-    """(line, token) positions of every stored real; block headers start with a name."""
-    lines = text.split("\n")
-    return [(i, j) for i, line in enumerate(lines[1:-1], start=1) if _is_real(line.split(" ")[0])
-            for j in range(len(line.split(" ")))]
+def value_offsets(data):
+    """Byte offset of every stored real: each block header line is followed
+    by the product of its dimensions in 8-byte values."""
+    offsets, at = [], data.index(b"\n") + 1
+    while at < len(data):
+        end = data.index(b"\n", at)
+        count = math.prod(int(d) for d in data[at:end].split(b" ")[1:])
+        offsets += range(end + 1, end + 1 + 8 * count, 8)
+        at = end + 1 + 8 * count
+    return offsets
 
 
-def replace_value(text, slot, value):
-    lines = text.split("\n")
-    tokens = lines[slot[0]].split(" ")
-    tokens[slot[1]] = value
-    lines[slot[0]] = " ".join(tokens)
-    return "\n".join(lines)
+def replace_value(data, offset, raw):
+    return data[:offset] + raw + data[offset + 8:]
 
 
 def assert_same(a, b):
@@ -102,43 +102,50 @@ class TestModelDefects:
         assert (tmp_path / "a").read_bytes() == (tmp_path / "b").read_bytes()
 
     def test_truncated(self, kind, saved):
-        _, text = saved[kind]
+        _, data = saved[kind]
         with pytest.raises(MalformedHeader):
-            load_text(kind, saved, text[: len(text) // 2])
+            load_bytes(kind, saved, data[: len(data) // 2])
 
     def test_garbled_real(self, kind, saved):
-        _, text = saved[kind]
-        slot = value_slots(text)[-1]
+        _, data = saved[kind]  # text in place of the last raw value
         with pytest.raises(MalformedHeader):
-            load_text(kind, saved, replace_value(text, slot, "0.5e"))
+            load_bytes(kind, saved, replace_value(data, value_offsets(data)[-1], b"0.5e"))
 
     def test_trailing_data(self, kind, saved):
-        _, text = saved[kind]
+        _, data = saved[kind]
         with pytest.raises(MalformedHeader):
-            load_text(kind, saved, text + "1 2\n")
+            load_bytes(kind, saved, data + b"1 2\n")
 
     def test_nan(self, kind, saved):
-        _, text = saved[kind]
-        slot = value_slots(text)[-1]
+        _, data = saved[kind]
         with pytest.raises(NonFiniteValue):
-            load_text(kind, saved, replace_value(text, slot, "nan"))
+            load_bytes(kind, saved, replace_value(data, value_offsets(data)[-1], reals(np.nan)))
+
+    def test_value_offsets_cover_the_file(self, kind, saved):
+        # the fuzz cases below reach every stored value: w_x 4x2, w_y 3x2,
+        # correlations 2, means 4 and 3, ridge; w 4x2, m 2x2, fallback;
+        # max_len, dropout, conv_w 2x4x2, conv_b 2, fc1 3x2 + 3, fc2 3x3 + 3
+        _, data = saved[kind]
+        offsets = value_offsets(data)
+        assert len(offsets) == {"cca": 24, "xqda": 13, "cnn": 41}[kind]
+        assert offsets[-1] + 8 == len(data)
 
     @FUZZ
     @given(data=st.data())
     def test_any_truncation_is_malformed(self, kind, saved, data):
-        _, text = saved[kind]
-        cut = data.draw(st.integers(0, len(text) - 1))
+        _, raw = saved[kind]
+        cut = data.draw(st.integers(0, len(raw) - 1))
         with pytest.raises(MalformedHeader):
-            load_text(kind, saved, text[:cut])
+            load_bytes(kind, saved, raw[:cut])
 
     @FUZZ
     @given(data=st.data())
     def test_any_byte_flip_loads_or_raises_package_error(self, kind, saved, data):
-        path, text = saved[kind]
-        raw = bytearray(text.encode("utf-8"))
+        path, raw = saved[kind]
+        flipped = bytearray(raw)
         where = data.draw(st.integers(0, len(raw) - 1))
-        raw[where] = data.draw(st.integers(0, 255).filter(lambda b: b != raw[where]))
-        path.write_bytes(bytes(raw))
+        flipped[where] = data.draw(st.integers(0, 255).filter(lambda b: b != raw[where]))
+        path.write_bytes(bytes(flipped))
         try:
             KINDS[kind][1](path)
         except XmreidError:
@@ -147,35 +154,37 @@ class TestModelDefects:
     @FUZZ
     @given(data=st.data())
     def test_any_non_finite_value_is_rejected(self, kind, saved, data):
-        _, text = saved[kind]
-        slot = data.draw(st.sampled_from(value_slots(text)))
-        value = data.draw(st.sampled_from(["nan", "inf", "-inf", "NaN", "-Infinity", "1e999"]))
+        _, raw = saved[kind]
+        at = data.draw(st.sampled_from(value_offsets(raw)))
+        # any NaN or infinity: all-ones exponent, any sign and mantissa
+        sign, mantissa = data.draw(st.integers(0, 1)), data.draw(st.integers(0, 2**52 - 1))
+        bits = struct.pack("<Q", sign << 63 | 0x7FF << 52 | mantissa)
         with pytest.raises(NonFiniteValue):
-            load_text(kind, saved, replace_value(text, slot, value))
+            load_bytes(kind, saved, replace_value(raw, at, bits))
 
 
 class TestKindSpecific:
     def test_xqda_fallback_flag_must_be_boolean(self, saved):
-        _, text = saved["xqda"]
+        _, data = saved["xqda"]
         with pytest.raises(MalformedHeader):
-            load_text("xqda", saved, text.replace("fallback\n1\n", "fallback\n0.5\n"))
+            load_bytes("xqda", saved, data.replace(b"fallback\n" + reals(1), b"fallback\n" + reals(0.5)))
 
     def test_cnn_nan_dropout(self, saved):
-        _, text = saved["cnn"]
+        _, data = saved["cnn"]
         with pytest.raises(NonFiniteValue):
-            load_text("cnn", saved, text.replace("dropout\n0.25\n", "dropout\nnan\n"))
+            load_bytes("cnn", saved, data.replace(b"dropout\n" + reals(0.25), b"dropout\n" + reals(np.nan)))
 
     def test_cnn_non_numeric_header(self, saved):
-        _, text = saved["cnn"]
+        _, data = saved["cnn"]
         with pytest.raises(MalformedHeader):
-            load_text("cnn", saved, text.replace("conv_w 2 4 2", "conv_w 2 four 2"))
+            load_bytes("cnn", saved, data.replace(b"conv_w 2 4 2", b"conv_w 2 four 2"))
 
     def test_cnn_fractional_max_len(self, saved):
-        _, text = saved["cnn"]
+        _, data = saved["cnn"]
         with pytest.raises(MalformedHeader):
-            load_text("cnn", saved, text.replace("max_len\n6\n", "max_len\n6.5\n"))
+            load_bytes("cnn", saved, data.replace(b"max_len\n" + reals(6), b"max_len\n" + reals(6.5)))
 
     def test_cnn_config_is_validated(self, saved):
-        _, text = saved["cnn"]
+        _, data = saved["cnn"]
         with pytest.raises(XmreidError):
-            load_text("cnn", saved, text.replace("dropout\n0.25\n", "dropout\n1\n"))
+            load_bytes("cnn", saved, data.replace(b"dropout\n" + reals(0.25), b"dropout\n" + reals(1)))
