@@ -246,9 +246,11 @@ def cmd_train_textcnn(args):
     truth = np.array([labels[i] for i, _, _ in tokenized])
     accuracy = float(np.mean(textcnn.predict(model, clean) == truth))
 
+    used = [tensor.used for _, _, tensor in tensors]
     write_manifest(f"{args.out_dir}/manifest.json", args, [model_path, history_path], started,
                    extra={"classes": len(labels), "train_accuracy": accuracy,
-                          "final_loss": history[-1] if history else None})
+                          "final_loss": history[-1] if history else None,
+                          "description_columns": {"mean": float(np.mean(used)), "max": max(used)}})
     _say(args, f"final train accuracy {accuracy:.3f} over {len(labels)} classes")
     return 0
 

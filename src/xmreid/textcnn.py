@@ -7,11 +7,12 @@ gradients are derived and applied by explicit backpropagation; the SGD
 loop uses momentum, weight decay, and a step learning-rate schedule.
 
 Every entry point takes a batch. forward runs a B x E x T stack: the
-convolution is one im2col GEMM, (B*P) x (E*w) @ (E*w) x C (as in Caffe,
-Jia et al. 2014), and FC1/FC2 are B-row GEMMs. batch_loss_and_gradients
-scatters each channel's peak gradient into a dense B x P x C array at its
-argmax and multiplies that against the same im2col matrix, so no
-per-sample gradient is ever held. Inference (predict, extract_features,
+convolution is one im2col GEMM, L x (E*w) @ (E*w) x C (as in Caffe, Jia et
+al. 2014), over the L live windows only, as a window in the zero padding
+responds relu(conv_b). FC1/FC2 are B-row GEMMs. batch_loss_and_gradients
+scatters each channel's peak gradient into an L x C array at its argmax
+row and multiplies that against the same im2col rows, so no per-sample
+gradient is ever held. Inference (predict, extract_features,
 find_detector_channel) takes a sequence of same-shape tensors and stacks
 it in chunks. synth.oracle_cnn_loss_and_gradients keeps the per-sample
 derivation as the oracle.
@@ -32,7 +33,7 @@ from .errors import (EmptyCorpus, EmptySubset, InvalidConfig, MalformedHeader, N
                      ShapeMismatch)
 
 # Inference stacks at most this many tensors at once; at paper sizes
-# (E300, w5, T70) one chunk's im2col matrix takes 79 MB.
+# (E300, w5, T70) one chunk's im2col matrix takes 79 MB if all are full-length.
 INFER_CHUNK = 100
 
 
@@ -77,7 +78,8 @@ class TextCnnModel:
 class ForwardTrace:
     """The activations of a B x E x T stack that the backward pass reads."""
 
-    cols: np.ndarray          # (B*P) x (E*w) im2col matrix
+    cols: np.ndarray          # L x (E*w) im2col rows of the live windows
+    live: np.ndarray          # B x P, True where a window touches a nonzero column
     conv: np.ndarray          # B x C x P response after ReLU
     argmax: np.ndarray        # B x C peak position, 0-based
     pooled: np.ndarray        # B x C
@@ -137,6 +139,11 @@ def forward(model, values, masks=None) -> ForwardTrace:
 
     masks (B x H booleans, True = kept) switch on inverted dropout, which
     scales the kept FC1 units by 1/(1-rate); without masks nothing is dropped.
+
+    Only live windows are multiplied: those that start at or before the
+    sample's last nonzero column, read from the values, not from `used`.
+    That is exact for zero trailing columns and finite weights: a later
+    window's product is +-0, so it responds relu(conv_b) at its own position.
     """
     cfg = model.config
     count, embed, width = values.shape
@@ -145,16 +152,24 @@ def forward(model, values, masks=None) -> ForwardTrace:
     if width < cfg.kernel_width:
         raise ShapeMismatch(f"tensor has {width} columns, kernel needs {cfg.kernel_width}")
     positions = width - cfg.kernel_width + 1
+    used = (values.any(axis=1) * np.arange(1, width + 1)).max(axis=1)
+    live = np.arange(positions) < used[:, None]  # B x P
     windows = sliding_window_view(values, cfg.kernel_width, axis=2)  # B x E x P x w
-    cols = windows.transpose(0, 2, 1, 3).reshape(count * positions, -1)
-    pre = cols @ model.conv_w.reshape(cfg.kernel_count, -1).T + model.conv_b
-    conv = np.maximum(pre, 0.0, out=pre).reshape(count, positions, cfg.kernel_count)
+    cols = windows.transpose(0, 2, 1, 3)[live].reshape(-1, embed * cfg.kernel_width)
+    kernels = model.conv_w.reshape(cfg.kernel_count, -1).T
+    conv = np.zeros((count, positions, cfg.kernel_count))
+    if live.all():  # the GEMM writes every response in place
+        np.matmul(cols, kernels, out=conv.reshape(len(cols), -1))
+    else:
+        conv[live] = cols @ kernels
+    conv += model.conv_b
+    np.maximum(conv, 0.0, out=conv)
     argmax = conv.argmax(axis=1)  # B x C, lowest position on ties
     pooled = conv[np.arange(count)[:, None], argmax, np.arange(cfg.kernel_count)]
     fc1 = np.maximum(pooled @ model.fc1_w.T + model.fc1_b, 0.0)
     logits = _dropout(fc1, masks, cfg.dropout) @ model.fc2_w.T + model.fc2_b
-    return ForwardTrace(cols=cols, conv=conv.transpose(0, 2, 1), argmax=argmax, pooled=pooled,
-                        fc1=fc1, logits=logits)
+    return ForwardTrace(cols=cols, live=live, conv=conv.transpose(0, 2, 1), argmax=argmax,
+                        pooled=pooled, fc1=fc1, logits=logits)
 
 
 def softmax_cross_entropy(logits, labels):
@@ -193,11 +208,14 @@ def batch_loss_and_gradients(model, values, labels, dropout_masks=None):
     dfc1_w = dfc1_pre.T @ trace.pooled
 
     # Max-pool routes to the argmax position; a zero pooled value means the
-    # whole channel was clipped by the ReLU, so nothing flows back.
+    # whole channel was clipped by the ReLU, so nothing flows back. A peak in
+    # a dead window has no cols row and its all-zero input adds nothing.
     dpeak = (dfc1_pre @ model.fc1_w) * (trace.pooled > 0.0)
-    dconv = np.zeros((len(labels), trace.conv.shape[2], cfg.kernel_count))  # B x P x C
-    dconv[rows[:, None], trace.argmax, np.arange(cfg.kernel_count)] = dpeak
-    dconv_w = (dconv.reshape(len(trace.cols), -1).T @ trace.cols).reshape(model.conv_w.shape)
+    peak = trace.live[rows[:, None], trace.argmax]  # B x C
+    row = (np.cumsum(trace.live) - 1).reshape(trace.live.shape)[rows[:, None], trace.argmax]
+    dconv = np.zeros((len(trace.cols), cfg.kernel_count))  # L x C
+    dconv[row[peak], np.nonzero(peak)[1]] = dpeak[peak]
+    dconv_w = (dconv.T @ trace.cols).reshape(model.conv_w.shape)
 
     grads = (dconv_w, dpeak.sum(axis=0), dfc1_w, dfc1_pre.sum(axis=0), dfc2_w, dlogits.sum(axis=0))
     return losses, dict(zip(PARAM_NAMES, grads))

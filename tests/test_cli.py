@@ -437,6 +437,12 @@ class TestManifest:
         assert manifest["config"]["k"] is None
         assert manifest["k"] == cca.load_model(tmp_path / "run" / "m.cca").k == 6
 
+    def test_train_textcnn_records_description_columns(self, toy_data, tmp_path):
+        # every gen-synth description embeds to 8 known words
+        manifest = run_manifest(*OUTPUT_PLACES[3], toy_data, tmp_path / "run")
+        assert manifest["config"]["max_len"] == 10
+        assert manifest["description_columns"] == {"mean": 8.0, "max": 8}
+
     def test_inputs_are_the_given_files(self, toy_data, tmp_path):
         manifest = run_manifest(EVALUATE_VXV, "manifest_VxV.json", toy_data, tmp_path / "run")
         assert manifest["config"]["language"] is None

@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from xmreid import synth, textcnn
 from xmreid.errors import EmptyCorpus, EmptySubset, InvalidConfig, ShapeMismatch
@@ -127,10 +128,20 @@ class TestForward:
         # T=70, w=5: two positions lost at each border -> 66 columns
         cfg = toy_config(embed_dim=4, kernel_width=5, max_len=70)
         model = textcnn.init_model(cfg, stream(1, 1))
+        model.conv_b[...] = [0.5, 0.0, -0.5, 0.25, -0.25]
         tensor = random_tensor(stream(1, 2), cfg)
         trace = textcnn.forward(model, one(tensor))
         assert trace.conv.shape == (1, cfg.kernel_count, 66)
         assert trace.cols.shape == (66, cfg.embed_dim * cfg.kernel_width)
+        assert trace.live.all()
+
+        # 8 words: only the windows starting at columns 0..7 are multiplied
+        short = textcnn.forward(model, one(random_tensor(stream(1, 3), cfg, used=8)))
+        assert short.conv.shape == (1, cfg.kernel_count, 66)
+        assert short.cols.shape == (8, cfg.embed_dim * cfg.kernel_width)
+        assert list(np.flatnonzero(short.live[0])) == list(range(8))
+        padding = np.broadcast_to(np.maximum(model.conv_b, 0.0)[None, :, None], (1, 5, 58))
+        assert np.array_equal(short.conv[..., 8:], padding)
 
     def test_zero_model_uniform_softmax(self):
         cfg = toy_config(num_classes=8)
@@ -421,6 +432,51 @@ class TestBatchedOracle:
         labels = gen.integers(0, cfg.num_classes, size=8)
         masks = gen.random((8, cfg.hidden_dim)) >= cfg.dropout
         assert_batch_matches_oracle(model, tensors, labels, masks)
+
+    def test_live_windows_at_paper_sizes(self):
+        # Used widths at every edge of the live-window count, and biases of
+        # each sign, so padding windows win some pools and lose others.
+        cfg = paper_config()
+        model = textcnn.init_model(cfg, stream(38, 1))
+        model.conv_b[...] = np.resize([0.5, 0.0, -0.5], cfg.kernel_count)
+        gen = stream(38, 2)
+        width, positions = cfg.kernel_width, cfg.max_len - cfg.kernel_width + 1
+        edges = [0, 1, width - 1, width, 8, positions - 1, positions, cfg.max_len]
+        used = edges + [int(u) for u in gen.integers(0, cfg.max_len + 1, size=32 - len(edges))]
+        tensors = [random_tensor(gen, cfg, used=u) for u in used]
+        labels = gen.integers(0, cfg.num_classes, size=len(tensors))
+        masks = gen.random((len(tensors), cfg.hidden_dim)) >= cfg.dropout
+        assert_batch_matches_oracle(model, tensors, labels, masks)
+
+        values = np.stack([t.values for t in tensors])
+        trace = textcnn.forward(model, values)
+        assert len(trace.cols) == sum(min(u, positions) for u in used)
+        windows = sliding_window_view(values, cfg.kernel_width, axis=2)  # B x E x P x w
+        response = np.tensordot(windows, model.conv_w, axes=[(1, 3), (1, 2)]) + model.conv_b
+        assert np.array_equal(trace.argmax, np.maximum(response, 0.0).argmax(axis=1))
+        assert np.any(trace.argmax[1] >= 1)  # a padding window beats the one-word window
+
+    def test_noisy_padding_makes_every_window_live(self):
+        cfg = toy_config(max_len=12)
+        model = textcnn.init_model(cfg, stream(39, 1))
+        model.conv_b[...] = 0.8
+        gen = stream(39, 2)
+        tensors = [random_tensor(gen, cfg, used=4) for _ in range(8)]
+        for tensor in tensors:
+            tensor.values[:, 4:] = 1e-3 * gen.standard_normal((cfg.embed_dim, cfg.max_len - 4))
+        trace = textcnn.forward(model, np.stack([t.values for t in tensors]))
+        assert trace.live.all() and len(trace.cols) == 8 * (cfg.max_len - cfg.kernel_width + 1)
+        assert_batch_matches_oracle(model, tensors, gen.integers(0, cfg.num_classes, size=8))
+
+    def test_mixed_lengths_match_one_by_one(self):
+        cfg = paper_config()
+        model = textcnn.init_model(cfg, stream(40, 1))
+        model.conv_b[...] = np.resize([0.5, 0.0, -0.5], cfg.kernel_count)
+        gen = stream(40, 2)
+        tensors = [random_tensor(gen, cfg, used=u) for u in (0, 1, 4, 5, 8, 23, 65, 66, 70)]
+        feats = textcnn.extract_features(model, tensors)
+        for row, tensor in zip(feats, tensors):
+            assert relative_error(row, textcnn.extract_features(model, [tensor])[0]) <= 1e-13
 
 
 class TestFeatures:
