@@ -12,10 +12,11 @@ al. 2014), over the L live windows only, as a window in the zero padding
 responds relu(conv_b). FC1/FC2 are B-row GEMMs. batch_loss_and_gradients
 scatters each channel's peak gradient into an L x C array at its argmax
 row and multiplies that against the same im2col rows, so no per-sample
-gradient is ever held. Inference (predict, extract_features,
-find_detector_channel) takes a sequence of same-shape tensors and stacks
-it in chunks. synth.oracle_cnn_loss_and_gradients keeps the per-sample
-derivation as the oracle.
+gradient is ever held. train stacks each batch, and inference (predict,
+extract_features, find_detector_channel) each chunk of a sequence of
+same-shape tensors, only through the columns forward reads (_stacker).
+synth.oracle_cnn_loss_and_gradients keeps the per-sample derivation as
+the oracle.
 
 The max-pool routes its gradient to the argmax position with ties broken
 to the lowest index, and the inference path draws no randomness, so
@@ -33,7 +34,7 @@ from .errors import (EmptyCorpus, EmptySubset, InvalidConfig, MalformedHeader, N
                      ShapeMismatch)
 
 # Inference stacks at most this many tensors at once; at paper sizes
-# (E300, w5, T70) one chunk's im2col matrix takes 79 MB if all are full-length.
+# (E300, w5, T70) a chunk of full-length descriptions takes 79 MB of im2col rows.
 INFER_CHUNK = 100
 
 
@@ -226,10 +227,11 @@ def train(model, samples, solver: SolverConfig, rng):
 
     samples are (label, tensor) pairs with labels in 0..num_classes-1 and
     tensors of one shape. Each iteration draws batch_size sample indices
-    with replacement and then the batch's dropout masks, stacks just those
-    tensors, and applies the Caffe-style update v = mu*v - lr*(grad + wd*param);
-    param += v, with grad the batch-mean gradient. A non-finite batch loss
-    (divergence) raises NoConvergence.
+    with replacement and then the batch's dropout masks, stacks those tensors
+    only through the columns forward reads (_stacker), and applies the
+    Caffe-style update v = mu*v - lr*(grad + wd*param); param += v, with grad
+    the batch-mean gradient. A non-finite batch loss (divergence) raises
+    NoConvergence.
     """
     solver.validate()
     samples = list(samples)
@@ -238,7 +240,7 @@ def train(model, samples, solver: SolverConfig, rng):
     labels = np.array([label for label, _ in samples], dtype=np.int64)
     if np.any((labels < 0) | (labels >= model.config.num_classes)):
         raise ShapeMismatch("label outside the class range")
-    _check_one_shape([tensor for _, tensor in samples])
+    stack = _stacker([tensor for _, tensor in samples], model.config.kernel_width)
 
     velocity = {name: np.zeros_like(arr) for name, arr in model.params()}
     history = []
@@ -250,8 +252,7 @@ def train(model, samples, solver: SolverConfig, rng):
         masks = None
         if rate > 0.0:
             masks = rng.random((solver.batch_size, model.config.hidden_dim)) >= rate
-        values = np.stack([samples[idx][1].values for idx in batch])
-        losses, grads = batch_loss_and_gradients(model, values, labels[batch], masks)
+        losses, grads = batch_loss_and_gradients(model, stack(batch), labels[batch], masks)
         history.append(float(losses.sum()) / solver.batch_size)
         if not math.isfinite(history[-1]):
             raise NoConvergence(f"training diverged: batch loss {history[-1]} at iteration {step}")
@@ -265,24 +266,38 @@ def train(model, samples, solver: SolverConfig, rng):
     return history
 
 
-def _check_one_shape(tensors):
-    # The batched core stacks tensors, so a batch must share one shape.
+def _stacker(tensors, kernel_width):
+    """A function from indices into same-shape tensors to their stack, cut
+    after min(T, occupied + w) columns, occupied being 1 + the stack's last
+    nonzero column, read from the values as forward's `used` is. Dropped
+    windows see only zeros and would each respond relu(conv_b), like the
+    kept window at position occupied, which wins their ties: every argmax,
+    pooled value and gradient equals the full-width stack's.
+    """
     if len({tensor.values.shape for tensor in tensors}) > 1:
         raise ShapeMismatch("description tensors differ in shape")
+    width = tensors[0].values.shape[1]
+    occupied = np.array([(t.values.any(axis=0) * np.arange(1, width + 1)).max(initial=0)
+                         for t in tensors])
+
+    def stack(indices):
+        cut = min(width, int(occupied[indices].max()) + kernel_width)
+        return np.stack([tensors[i].values[:, :cut] for i in indices])
+    return stack
 
 
 def _infer(model, tensors, pick):
     """pick(trace) over a sequence of same-shape tensors, concatenated.
 
-    The sequence runs in chunks of at most INFER_CHUNK tensors, so memory
-    stays bounded on large corpora.
+    The sequence runs in chunks of at most INFER_CHUNK tensors, each stacked
+    without the padding forward never reads, so memory stays bounded.
     """
     tensors = list(tensors)
     if not tensors:
         raise EmptySubset("no description tensors to run")
-    _check_one_shape(tensors)
+    stack = _stacker(tensors, model.config.kernel_width)
     return np.concatenate([
-        pick(forward(model, np.stack([t.values for t in tensors[start:start + INFER_CHUNK]])))
+        pick(forward(model, stack(np.arange(start, min(start + INFER_CHUNK, len(tensors))))))
         for start in range(0, len(tensors), INFER_CHUNK)
     ])
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
-from xmreid import synth, textcnn
+from xmreid import synth, textcnn, textprep
 from xmreid.errors import EmptyCorpus, EmptySubset, InvalidConfig, ShapeMismatch
 from xmreid.rng import stream
 from xmreid.textprep import DescriptionTensor
@@ -477,6 +477,103 @@ class TestBatchedOracle:
         feats = textcnn.extract_features(model, tensors)
         for row, tensor in zip(feats, tensors):
             assert relative_error(row, textcnn.extract_features(model, [tensor])[0]) <= 1e-13
+
+
+class TestCutStacks:
+    """train and inference stack only the columns forward reads; every
+    output must stay byte-identical to full-width stacks."""
+
+    def corpus(self, cfg, gen):
+        empty = DescriptionTensor(values=np.zeros((cfg.embed_dim, cfg.max_len)), used=0)
+        stray = random_tensor(gen, cfg, used=2)
+        stray.values[:, 7] = gen.standard_normal(cfg.embed_dim)  # nonzero past `used`
+        noisy = [textprep.augment_gaussian(random_tensor(gen, cfg, used=u), 0.3, gen)
+                 for u in (3, 5)]
+        short = [random_tensor(gen, cfg, used=u) for u in (1, 2, 4, 6)]
+        return [empty, random_tensor(gen, cfg), stray, *noisy, *short]
+
+    def model(self, cfg, seed):
+        model = textcnn.init_model(cfg, stream(seed, 1))
+        model.conv_b[...] = np.resize([0.8, 0.0, -0.5], cfg.kernel_count)  # padding wins some pools
+        return model
+
+    def test_train_equals_full_width_loop(self, monkeypatch):
+        cfg = toy_config(max_len=12, dropout=0.5, hidden_dim=16)
+        tensors = self.corpus(cfg, stream(41, 2))
+        labels = np.arange(len(tensors)) % cfg.num_classes
+        solver = textcnn.SolverConfig(iterations=30, base_lr=0.05, batch_size=3)
+        widths = []
+        full_forward = textcnn.forward
+
+        def recording_forward(model, values, masks=None):
+            widths.append(values.shape[2])
+            return full_forward(model, values, masks)
+
+        monkeypatch.setattr(textcnn, "forward", recording_forward)
+        model = self.model(cfg, 41)
+        history = textcnn.train(model, list(zip(labels, tensors)), solver, stream(41, 3))
+        assert cfg.max_len in widths and min(widths) < cfg.max_len  # both paths ran
+
+        reference = self.model(cfg, 41)
+        rng = stream(41, 3)
+        velocity = {name: np.zeros_like(arr) for name, arr in reference.params()}
+        want = []
+        for step in range(solver.iterations):
+            batch = rng.integers(0, len(tensors), size=solver.batch_size)
+            masks = rng.random((solver.batch_size, cfg.hidden_dim)) >= cfg.dropout
+            values = np.stack([tensors[i].values for i in batch])
+            losses, grads = textcnn.batch_loss_and_gradients(reference, values, labels[batch], masks)
+            want.append(float(losses.sum()) / solver.batch_size)
+            for name, param in reference.params():
+                grad = grads[name] * (1.0 / solver.batch_size) + solver.weight_decay * param
+                vel = velocity[name]
+                vel *= solver.momentum
+                vel -= solver.base_lr * grad
+                param += vel
+        assert history == want
+        for (name, got), (_, expected) in zip(model.params(), reference.params()):
+            assert np.array_equal(got, expected), name
+
+    @pytest.mark.parametrize("chunk", [1, 3, textcnn.INFER_CHUNK])
+    def test_inference_equals_full_width_forward(self, monkeypatch, chunk):
+        monkeypatch.setattr(textcnn, "INFER_CHUNK", chunk)
+        cfg = toy_config(max_len=12, kernel_count=8)
+        model = self.model(cfg, 42)
+        tensors = self.corpus(cfg, stream(42, 2))
+        traces = [textcnn.forward(model, np.stack([t.values for t in tensors[start:start + chunk]]))
+                  for start in range(0, len(tensors), chunk)]
+        fc1 = np.concatenate([trace.fc1 for trace in traces])
+        argmax = np.concatenate([trace.argmax for trace in traces])
+        assert np.array_equal(textcnn.extract_features(model, tensors), fc1)
+        assert np.array_equal(textcnn.predict(model, tensors),
+                              np.concatenate([trace.logits.argmax(axis=1) for trace in traces]))
+        assert np.any(argmax >= np.array([t.used for t in tensors])[:, None])
+
+        truth = np.arange(len(tensors)) % cfg.max_len + 1
+        errors = np.abs(argmax + 1 + cfg.kernel_width // 2 - truth[:, None])
+        channel, got = textcnn.find_detector_channel(model, tensors, truth)
+        assert channel == int(np.argmin(errors.sum(axis=0)))
+        assert np.array_equal(got, errors[:, channel])
+
+    def traced_peak(self, max_len):
+        cfg = textcnn.TextCnnConfig(num_classes=10, max_len=max_len)
+        model = textcnn.init_model(cfg, stream(43, 1))
+        gen = stream(43, 2)
+        tensors = [random_tensor(gen, cfg, used=8) for _ in range(100)]
+        samples = [(label % cfg.num_classes, t) for label, t in enumerate(tensors)]
+        solver = textcnn.SolverConfig(iterations=1, batch_size=100)
+        tracemalloc.start()
+        try:
+            textcnn.train(model, samples, solver, stream(43, 3))
+            textcnn.predict(model, tensors)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_peak_memory_ignores_padding(self):
+        # 8-word descriptions: doubling max_len adds only zero columns, which
+        # no batch or inference chunk stacks.
+        assert abs(self.traced_peak(140) - self.traced_peak(70)) < 2 * 2**20
 
 
 class TestFeatures:
