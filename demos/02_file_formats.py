@@ -5,7 +5,8 @@ splits (SPLIT) are UTF-8 text with LF endings and tab-separated fields.
 Feature matrices (FEAT) and embedding tables (EMB) keep a text header, one
 label line per row, and then every value as a raw little-endian float64, so
 the bits round-trip exactly. Saving what was just loaded reproduces each
-file bit for bit.
+file bit for bit. A FEAT file loads as row-aligned columns (identities,
+views, matrix), and load_dataset joins FEAT and ATTR files into a Dataset.
 """
 
 import tempfile
@@ -20,15 +21,15 @@ workdir = Path(tempfile.mkdtemp(prefix="xmreid_formats_"))
 rng = np.random.default_rng(7)
 
 print("== FEAT ==")
-records = [("alice", 1, rng.standard_normal(4)),
-           ("alice", 2, rng.standard_normal(4)),
-           ("bob", 1, rng.standard_normal(4) * 1e-9),
-           ("bob", 2, rng.standard_normal(4) * 1e9)]
+# Three row-aligned columns: who, which camera view, and the N x D matrix.
+identities = ["alice", "alice", "bob", "bob"]
+views = [1, 2, 1, 2]
+matrix = rng.standard_normal((4, 4)) * np.array([[1.0], [1.0], [1e-9], [1e9]])
 feat = workdir / "demo.feat"
-dataio.save_features(records, feat)
+dataio.save_features(identities, views, matrix, feat)
 print(feat.read_bytes().split(b"\n", 6)[:6], "+ 4 x 4 x 8 bytes")
 again = workdir / "again.feat"
-dataio.save_features(dataio.load_features(feat), again)
+dataio.save_features(*dataio.load_features(feat), again)
 print("byte-identical after load->save:", feat.read_bytes() == again.read_bytes())
 
 print("\n== CORPUS ==")
@@ -62,6 +63,10 @@ splits = [dataio.SplitAssignment(index=1, roles={"alice": "train", "bob": "test"
 spath = workdir / "demo.split"
 dataio.save_splits(splits, spath)
 print(spath.read_text(), end="")
+
+print("\n== FEAT and ATTR files join into one Dataset ==")
+dataset = dataio.load_dataset(feat, attributes=apath)
+print(dataset.identities, dataset.views, dataset.vision.shape, dataset.attributes.shape)
 
 print("\n== malformed input is rejected, not guessed at ==")
 bad = workdir / "bad.feat"

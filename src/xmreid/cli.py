@@ -27,7 +27,7 @@ from . import cca as cca_mod
 from . import dataio, evaluation, synth, textcnn, textprep
 from . import rng as streams
 from . import xqda as xqda_mod
-from .errors import ConfigError, DataError, InvalidConfig, NumericalError
+from .errors import ConfigError, DataError, EmptyCorpus, InvalidConfig, NumericalError
 
 EXIT_CONFIG = 2
 EXIT_IO = 3
@@ -140,7 +140,7 @@ def cmd_gen_synth(args):
         "corpus": f"{out}/corpus.corpus",
     }
     for modality in ("vision", "language"):
-        dataio.save_features(zip(dataset.identities, dataset.views, getattr(dataset, modality)),
+        dataio.save_features(dataset.identities, dataset.views, getattr(dataset, modality),
                              paths[modality])
     dataio.save_attributes(attributes, paths["attributes"])
     dataio.save_splits(splits, paths["splits"])
@@ -160,8 +160,7 @@ def cmd_gen_synth(args):
 
 def cmd_fit_cca(args):
     started = time.perf_counter()
-    dataset = dataio.assemble_dataset(vision=dataio.load_features(args.x),
-                                      language=dataio.load_features(args.y))
+    dataset = dataio.load_dataset(args.x, language=args.y)
     model = cca_mod.fit_cca(dataset.vision, dataset.language, k=args.k, ridge=args.ridge)
     cca_mod.save_model(model, args.out)
     write_manifest(args.out + ".manifest.json", args, [args.out], started,
@@ -174,7 +173,7 @@ def cmd_fit_cca(args):
 
 def cmd_fit_xqda(args):
     started = time.perf_counter()
-    dataset = dataio.assemble_dataset(vision=dataio.load_features(args.features))
+    dataset = dataio.load_dataset(args.features)
     model = xqda_mod.fit_xqda(dataset.vision, dataset.identities, dataset.views,
                               ridge=args.ridge, max_rank=args.max_rank, zscore=args.zscore)
     xqda_mod.save_model(model, args.out)
@@ -206,6 +205,8 @@ def cmd_augment(args):
 def cmd_train_textcnn(args):
     started = time.perf_counter()
     corpus = dataio.load_corpus(args.corpus)
+    if not corpus:
+        raise EmptyCorpus(f"{args.corpus}: no descriptions to train on")
     table = dataio.load_embeddings(args.embeddings)
     synonyms = dataio.load_synonyms(args.synonyms) if args.synonyms else None
 
@@ -258,16 +259,9 @@ def cmd_train_textcnn(args):
 # -- evaluate / attr-sweep ---------------------------------------------------------
 
 def _load_dataset(args):
-    vision = dataio.load_features(args.vision)
-    language_path = getattr(args, "language", None)
-    language = dataio.load_features(language_path) if language_path else None
-    identities = {identity for identity, _, _ in vision}
-    attributes = None
-    if args.attributes:
-        attributes = dataio.load_attributes(args.attributes, known_identities=identities)
-    dataset = dataio.assemble_dataset(vision=vision, language=language,
-                                      attributes=attributes)
-    splits = dataio.load_splits(args.splits, known_identities=identities)
+    dataset = dataio.load_dataset(args.vision, language=getattr(args, "language", None),
+                                  attributes=args.attributes)
+    splits = dataio.load_splits(args.splits, known_identities=set(dataset.identities.tolist()))
     return dataset, splits
 
 

@@ -16,6 +16,8 @@ little-endian float64 body in C order:
 A body holds exactly the values its header declares, so truncation and
 trailing data are byte-count errors, and save -> load -> save is
 byte-identical. Every file is written by ``_save``.
+FEAT files hold row-aligned (identities, views, matrix) columns;
+load_dataset joins vision, language and ATTR files into one Dataset.
 """
 
 import math
@@ -161,14 +163,15 @@ def _load_matrix(path, magic, what):
     return labels, matrix
 
 
-def _save_matrix(path, magic, labels, vectors, dim):
-    """Write the magic, ``<N> <D>``, one line per label, then the vectors' body."""
-    vectors = [np.asarray(v, dtype=np.float64) for v in vectors]
-    for label, vector in zip(labels, vectors):
-        if vector.shape != (dim,):
-            raise DimensionMismatch(f"{label!r} has dimension {vector.shape}, expected ({dim},)")
-    body = np.array(vectors).reshape(len(vectors), dim)
-    _save(path, [f"{magic}\n{len(labels)} {dim}\n" + "".join(f"{lb}\n" for lb in labels), body])
+def _save_matrix(path, magic, labels, matrix):
+    """Write the magic, ``<N> <D>``, one line per label, then the N x D matrix's
+    body; a shape the loader would refuse is refused before the file is opened."""
+    matrix = np.asarray(matrix, dtype=np.float64)
+    if matrix.ndim != 2 or matrix.shape[0] != len(labels) or matrix.shape[1] < 1:
+        raise DimensionMismatch(f"{path}: {len(labels)} labels need a {len(labels)} x D matrix "
+                                f"with D >= 1, got shape {matrix.shape}")
+    head = f"{magic}\n{len(labels)} {matrix.shape[1]}\n" + "".join(f"{lb}\n" for lb in labels)
+    _save(path, [head, matrix])
 
 
 # -- FEAT ----------------------------------------------------------------------
@@ -182,20 +185,22 @@ def _feat_label(label, where):
 
 
 def load_features(path):
-    """Parse a FEAT file into a list of (identity, view, vector) records."""
+    """A FEAT file's columns: N identities (str), N views (int) and the N x D matrix."""
     labels, matrix = _load_matrix(path, FEAT_MAGIC, "record count/dimension")
-    return [(*_feat_label(label, path), vector) for label, vector in zip(labels, matrix)]
+    fields = [_feat_label(label, path) for label in labels]
+    return (np.array([identity for identity, _ in fields], dtype=str),
+            np.array([view for _, view in fields], dtype=np.int64), matrix)
 
 
-def save_features(records, path):
-    """Write (identity, view, vector) records in canonical FEAT form."""
-    records = list(records)
-    labels = [f"{identity}\t{view}" for identity, view, _ in records]
+def save_features(identities, views, matrix, path):
+    """Write row-aligned identity and view columns and their N x D matrix."""
+    if len(identities) != len(views):
+        raise DimensionMismatch(f"{path}: {len(identities)} identities but {len(views)} views")
+    labels = [f"{identity}\t{view}" for identity, view in zip(identities, views)]
     _check_labels(labels, "record", separators="\n")
     for label in labels:  # refuse what the loader would not read back
         _feat_label(label, "record")
-    dim = len(records[0][2]) if records else 0
-    _save_matrix(path, FEAT_MAGIC, labels, [vector for _, _, vector in records], dim)
+    _save_matrix(path, FEAT_MAGIC, labels, matrix)
 
 
 # -- CORPUS --------------------------------------------------------------------
@@ -247,7 +252,12 @@ def load_embeddings(path) -> EmbeddingTable:
 
 def save_embeddings(table: EmbeddingTable, path):
     _check_labels(table.vectors, "token", separators=" \n")
-    _save_matrix(path, EMB_MAGIC, list(table.vectors), table.vectors.values(), table.dimension)
+    dim = table.dimension
+    for token, vector in table.vectors.items():
+        if np.shape(vector) != (dim,):
+            raise DimensionMismatch(f"{token!r} has shape {np.shape(vector)}, not ({dim},)")
+    matrix = np.array(list(table.vectors.values()), dtype=np.float64)
+    _save_matrix(path, EMB_MAGIC, list(table.vectors), matrix.reshape(len(table), dim))
 
 
 # -- ATTR ----------------------------------------------------------------------
@@ -392,19 +402,19 @@ def load_synonyms(path):
     return synonyms
 
 
-# -- dataset assembly -------------------------------------------------------------
+# -- datasets -------------------------------------------------------------------
 
 @dataclass
 class Dataset:
     """Row-aligned columns: row i observes identities[i] in camera views[i].
 
     vision and language are N-row feature matrices (x and y), attributes the
-    N-row matrix of each row's identity bits; a modality not loaded is None.
+    N-row matrix of each row's identity bits; language and attributes may be None.
     """
 
     identities: np.ndarray
     views: np.ndarray
-    vision: np.ndarray | None = None
+    vision: np.ndarray
     language: np.ndarray | None = None
     attributes: np.ndarray | None = None
 
@@ -412,37 +422,33 @@ class Dataset:
         return len(self.identities)
 
 
-def assemble_dataset(vision=None, language=None, attributes=None) -> Dataset:
-    """Join per-modality files into one Dataset of row-aligned columns.
+def load_dataset(vision, language=None, attributes=None) -> Dataset:
+    """Load a vision FEAT file, and optionally a language FEAT file and an
+    ATTR file, into one Dataset, keeping the loaded matrices, not copies.
 
-    When both vision and language feature lists are given they must carry the
-    same (identity, view) sequence row by row; that row order is the pairing.
-    Each feature list becomes one matrix and attribute bits are looked up per
-    identity. Descriptions are not attached: the text CNN reads the corpus on
-    its own.
+    The vision file's identities and views are the dataset's; a language file
+    must carry the same ones row by row, since that row order is the pairing.
+    Attribute bits are looked up per identity. The text CNN reads the corpus
+    on its own.
     """
-    base = vision if vision is not None else language
-    if base is None:
-        raise MisalignedRecords("need at least one of vision or language features")
-    if vision is not None and language is not None:
-        if len(vision) != len(language):
-            raise MisalignedRecords(
-                f"vision has {len(vision)} records, language has {len(language)}"
-            )
-        for (vid, vview, _), (lid, lview, _) in zip(vision, language):
-            if vid != lid or vview != lview:
-                raise MisalignedRecords(
-                    f"row pairing broken at identity {vid!r}/{lid!r} view {vview}/{lview}"
-                )
-    identities = [identity for identity, _, _ in base]
-    if attributes is not None:
-        for identity in identities:
-            if identity not in attributes:
-                raise UnknownIdentity(f"identity {identity!r} has no attribute row")
-        attributes = np.array([attributes.get(identity) for identity in identities])
-
-    def stack(records):
-        return None if records is None else np.array([vector for _, _, vector in records])
-
-    return Dataset(identities=np.array(identities), views=np.array([view for _, view, _ in base]),
-                   vision=stack(vision), language=stack(language), attributes=attributes)
+    identities, views, x = load_features(vision)
+    y = bits = None
+    if language:
+        language_identities, language_views, y = load_features(language)
+        if len(language_identities) != len(identities):
+            raise MisalignedRecords(f"{vision} has {len(identities)} records, "
+                                    f"{language} has {len(language_identities)}")
+        broken = np.flatnonzero((language_identities != identities) | (language_views != views))
+        if broken.size:
+            row = broken[0]
+            raise MisalignedRecords(f"row pairing broken at row {row}: {vision} has "
+                                    f"{identities[row]} view {views[row]}, {language} has "
+                                    f"{language_identities[row]} view {language_views[row]}")
+    if attributes:
+        named = identities.tolist()
+        table = load_attributes(attributes, known_identities=set(named))
+        for identity in named:
+            if identity not in table:
+                raise UnknownIdentity(f"{attributes}: identity {identity!r} has no attribute row")
+        bits = np.array([table.get(identity) for identity in named], dtype=np.uint8)
+    return Dataset(identities=identities, views=views, vision=x, language=y, attributes=bits)

@@ -210,7 +210,7 @@ def evaluate_scenario(dataset, splits, scenario, config=None, master_seed=42) ->
         raise InvalidConfig("need at least one split")
     # Checked whether or not the scenario fits a CCA, like every other knob.
     dims = [m.shape[1] for m in (dataset.vision, dataset.language) if m is not None]
-    if config.cca_k is not None and dims and config.cca_k > min(dims):
+    if config.cca_k is not None and config.cca_k > min(dims):
         raise KOutOfRange(f"cca_k={config.cca_k} exceeds the feature dimension {min(dims)}")
     fields = {source: getattr(dataset, source) for source in cca_mod.scenario_sources(scenario)}
     if any(column is None for column in fields.values()):

@@ -49,7 +49,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import rng as streams
-from .dataio import AttributeTable, Dataset, SplitAssignment
+from .dataio import AttributeTable, Dataset, EmbeddingTable, SplitAssignment
 from .errors import (DimensionNotTwo, InvalidConfig, MissingView, NoConvergence,
                      NotPositiveDefinite, TooFewIdentities, TooLarge)
 
@@ -186,11 +186,10 @@ def gen_paired(config: SynthConfig) -> Dataset:
     if leak > 0.0:
         a_leak = mix.standard_normal((config.vision_dim, config.language_private_dim))
         yp_slice = np.arange(x_dims, total)
-    rows = []
+    xs, ys = [], []
     for idx in range(config.identity_count):
         gen = streams.stream(config.seed, streams.LATENT, idx)
         latent = gen.standard_normal(total)
-        label = identity_label(idx)
         for view in (1, 2):
             shifted = latent + shifts[view]
             for _ in range(config.samples_per_view):
@@ -202,9 +201,11 @@ def gen_paired(config: SynthConfig) -> Dataset:
                     u = config.nuisance_scale * gen.standard_normal(nuis)
                     x += c_x @ u
                     y += c_y @ u
-                rows.append((label, view, x, y))
-    ids, views, xs, ys = zip(*rows)
-    return Dataset(identities=np.array(ids), views=np.array(views),
+                xs.append(x)
+                ys.append(y)
+    count, per_view = config.identity_count, config.samples_per_view
+    return Dataset(identities=np.repeat([identity_label(i) for i in range(count)], 2 * per_view),
+                   views=np.tile(np.repeat([1, 2], per_view), count),
                    vision=np.array(xs), language=np.array(ys))
 
 
@@ -263,8 +264,6 @@ def gen_corpus(config: SynthConfig):
 
 def gen_vocabulary_embeddings(config: SynthConfig, dim=12):
     """Random embedding table covering the toy corpus vocabulary."""
-    from .dataio import EmbeddingTable
-
     gen = streams.stream(config.seed, streams.CORPUS, 1)
     table = EmbeddingTable(dimension=dim)
     for token in (*_FILLER, *_COLORS, *_GARMENTS):

@@ -77,7 +77,7 @@ class TextCnnModel:
 
 @dataclass
 class ForwardTrace:
-    """The activations of a B x E x T stack that the backward pass reads."""
+    """A B x E x T stack's activations; the backward pass reads all but conv."""
 
     cols: np.ndarray          # L x (E*w) im2col rows of the live windows
     live: np.ndarray          # B x P, True where a window touches a nonzero column
@@ -153,8 +153,7 @@ def forward(model, values, masks=None) -> ForwardTrace:
     if width < cfg.kernel_width:
         raise ShapeMismatch(f"tensor has {width} columns, kernel needs {cfg.kernel_width}")
     positions = width - cfg.kernel_width + 1
-    used = (values.any(axis=1) * np.arange(1, width + 1)).max(axis=1)
-    live = np.arange(positions) < used[:, None]  # B x P
+    live = np.arange(positions) < _occupied(values)[:, None]  # B x P
     windows = sliding_window_view(values, cfg.kernel_width, axis=2)  # B x E x P x w
     cols = windows.transpose(0, 2, 1, 3)[live].reshape(-1, embed * cfg.kernel_width)
     kernels = model.conv_w.reshape(cfg.kernel_count, -1).T
@@ -266,19 +265,23 @@ def train(model, samples, solver: SolverConfig, rng):
     return history
 
 
+def _occupied(values):
+    """1 + the index of the last nonzero column (last axis), 0 for none, per leading index."""
+    return (values.any(axis=-2) * np.arange(1, values.shape[-1] + 1)).max(axis=-1, initial=0)
+
+
 def _stacker(tensors, kernel_width):
     """A function from indices into same-shape tensors to their stack, cut
-    after min(T, occupied + w) columns, occupied being 1 + the stack's last
-    nonzero column, read from the values as forward's `used` is. Dropped
-    windows see only zeros and would each respond relu(conv_b), like the
-    kept window at position occupied, which wins their ties: every argmax,
-    pooled value and gradient equals the full-width stack's.
+    after min(T, occupied + w) columns, occupied being the largest _occupied
+    width in the stack, as forward reads it. Dropped windows see only zeros
+    and would each respond relu(conv_b), like the kept window at position
+    occupied, which wins their ties: every argmax, pooled value and gradient
+    equals the full-width stack's.
     """
     if len({tensor.values.shape for tensor in tensors}) > 1:
         raise ShapeMismatch("description tensors differ in shape")
     width = tensors[0].values.shape[1]
-    occupied = np.array([(t.values.any(axis=0) * np.arange(1, width + 1)).max(initial=0)
-                         for t in tensors])
+    occupied = np.array([_occupied(tensor.values) for tensor in tensors])
 
     def stack(indices):
         cut = min(width, int(occupied[indices].max()) + kernel_width)

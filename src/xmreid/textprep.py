@@ -166,14 +166,11 @@ def build_training_tensors(
     if factor < 1:
         raise InvalidConfig(f"factor must be >= 1, got {factor}")
     if method in TOKEN_METHODS and factor > 1:
-        expanded = augment_corpus(corpus, method, factor, rng, synonyms=synonyms)
-        return [(i, v, to_tensor(t, table, max_len)) for i, v, t in expanded]
-    if method == "gaussian" and factor > 1:
-        out = []
-        for identity, view, tokens in corpus:
-            clean = to_tensor(tokens, table, max_len)
-            out.append((identity, view, clean))
-            for _ in range(factor - 1):
-                out.append((identity, view, augment_gaussian(clean, sigma, rng)))
-        return out
-    return [(i, v, to_tensor(t, table, max_len)) for i, v, t in corpus]
+        corpus = augment_corpus(corpus, method, factor, rng, synonyms=synonyms)
+    noisy = factor - 1 if method == "gaussian" else 0
+    out = []
+    for identity, view, tokens in corpus:
+        clean = to_tensor(tokens, table, max_len)
+        out.append((identity, view, clean))
+        out.extend((identity, view, augment_gaussian(clean, sigma, rng)) for _ in range(noisy))
+    return out

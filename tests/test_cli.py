@@ -262,6 +262,19 @@ class TestTrainTextCnn:
         assert code == 2
         assert not (tmp_path / "model.cnn").exists()
 
+    def test_empty_corpus_is_data_error(self, tmp_path):
+        _, emb_path = toy_text_corpus(tmp_path, classes=3)
+        corpus_path = tmp_path / "empty.corpus"
+        corpus_path.write_text("XMREID-CORPUS 1\n", encoding="utf-8")
+        out_dir = tmp_path / "run"
+        out_dir.mkdir()
+        code = run(["train-textcnn", "--corpus", str(corpus_path),
+                    "--embeddings", str(emb_path), "--out-dir", str(out_dir),
+                    "--iters", "2", "--batch", "4", "--kernels", "4",
+                    "--kernel-width", "3", "--hidden", "8", "--max-len", "10", "--quiet"])
+        assert code == 4
+        assert list(out_dir.iterdir()) == []
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow on the way to NaN
     def test_divergence_is_numerical_failure(self, tmp_path):
         corpus_path, emb_path = toy_text_corpus(tmp_path, classes=3)
@@ -541,6 +554,27 @@ class TestExitCodePartition:
                     "--out-dir", str(tmp_path), "--quiet"])
         assert code == 4
 
+    def test_misaligned_language_is_4(self, tmp_path):
+        out = gen_dataset(tmp_path)
+        identities, views, matrix = dataio.load_features(out / "language.feat")
+        bad = tmp_path / "bad.feat"  # identities in reverse row order
+        dataio.save_features(identities[::-1], views, matrix, bad)
+        code = run(["fit-cca", "--x", str(out / "vision.feat"), "--y", str(bad),
+                    "--out", str(tmp_path / "m.cca"), "--quiet"])
+        assert code == 4
+        assert not (tmp_path / "m.cca").exists()
+
+    def test_missing_attr_row_is_4(self, tmp_path):
+        out = gen_dataset(tmp_path)
+        bad = tmp_path / "bad.attr"
+        bad.write_text("XMREID-ATTR 1 4\nid0000\t0101\n", encoding="utf-8")
+        code = run(["attr-sweep", "--n", "0",
+                    "--vision", str(out / "vision.feat"),
+                    "--attributes", str(bad),
+                    "--splits", str(out / "splits.split"),
+                    "--out-dir", str(tmp_path), "--quiet"])
+        assert code == 4
+
     def test_unknown_attr_identity_is_4(self, tmp_path):
         out = gen_dataset(tmp_path)
         bad = tmp_path / "bad.attr"
@@ -555,12 +589,9 @@ class TestExitCodePartition:
     def test_numerical_failure_is_5(self, tmp_path):
         # identical features for every record: both difference covariances
         # vanish and the metric is degenerate
-        rows = []
-        for i in range(4):
-            for view in (1, 2):
-                rows.append((f"id{i}", view, np.ones(3)))
+        identities = np.repeat([f"id{i}" for i in range(4)], 2)
         feat = tmp_path / "flat.feat"
-        dataio.save_features(rows, feat)
+        dataio.save_features(identities, np.tile([1, 2], 4), np.ones((8, 3)), feat)
         code = run(["fit-xqda", "--features", str(feat),
                     "--out", str(tmp_path / "m.xqda"), "--quiet"])
         assert code == 5

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from xmreid import dataio
+from xmreid import dataio, synth
 from xmreid.errors import (
     DimensionMismatch,
     DuplicateAssignment,
@@ -42,21 +42,34 @@ class TestFeat:
     def test_basic_parse(self, tmp_path):
         path = write(tmp_path / "a.feat",
                      b"XMREID-FEAT 2\n2 3\nid1\t1\nid2\t2\n" + reals(1, 2, 3, -1, 0.5, 2e-3))
-        records = dataio.load_features(path)
-        assert len(records) == 2
-        assert records[0][0] == "id1" and records[0][1] == 1
-        assert records[1][0] == "id2" and records[1][1] == 2
-        assert np.array_equal(records[0][2], [1.0, 2.0, 3.0])
-        assert records[1][2][2] == 2e-3
-        assert_native_writable(records[0][2])
+        identities, views, matrix = dataio.load_features(path)
+        assert identities.tolist() == ["id1", "id2"] and identities.dtype.kind == "U"
+        assert views.tolist() == [1, 2] and views.dtype == np.int64
+        assert np.array_equal(matrix, [[1.0, 2.0, 3.0], [-1.0, 0.5, 2e-3]])
+        assert_native_writable(matrix)
+
+    def test_no_records(self, tmp_path):
+        path = tmp_path / "a.feat"
+        dataio.save_features([], [], np.zeros((0, 3)), path)
+        identities, views, matrix = dataio.load_features(path)
+        assert identities.dtype.kind == "U" and views.dtype == np.int64
+        assert identities.shape == views.shape == (0,) and matrix.shape == (0, 3)
 
     def test_dimension_mismatch(self, tmp_path):
-        # a body carries no per-row dimension, so a ragged record is refused
-        # when it is written
+        # what the loader would refuse is refused before the file is opened:
+        # no columns, a row count that is not the label count, ragged columns
         path = tmp_path / "a.feat"
-        with pytest.raises(DimensionMismatch):
-            dataio.save_features([("id1", 1, np.zeros(3)), ("id2", 1, np.zeros(2))], path)
-        assert not path.exists()
+        for identities, views, matrix in [
+            ([], [], np.zeros((0, 0))),
+            (["id1"], [1], np.zeros((1, 0))),
+            (["id1", "id2"], [1, 1], np.zeros((1, 3))),
+            (["id1"], [1], np.zeros((2, 3))),
+            (["id1"], [1], np.zeros(3)),
+            (["id1", "id2"], [1], np.zeros((2, 3))),
+        ]:
+            with pytest.raises(DimensionMismatch):
+                dataio.save_features(identities, views, matrix, path)
+            assert not path.exists()
 
     def test_nan_rejected(self, tmp_path):
         path = write(tmp_path / "a.feat", b"XMREID-FEAT 2\n1 2\nid1\t1\n" + reals(1, np.nan))
@@ -82,19 +95,16 @@ class TestFeat:
 
     def test_roundtrip_bytes(self, tmp_path):
         rng = np.random.default_rng(0)
-        records = [
-            ("person a", 1, rng.standard_normal(4)),
-            ("person b", 2, rng.standard_normal(4) * 1e-7),
-            ("person b", 1, rng.standard_normal(4) * 1e9),
-        ]
+        matrix = rng.standard_normal((3, 4)) * np.array([[1.0], [1e-7], [1e9]])
         first = tmp_path / "one.feat"
         second = tmp_path / "two.feat"
-        dataio.save_features(records, first)
+        dataio.save_features(["person a", "person b", "person b"], [1, 2, 1], matrix, first)
         loaded = dataio.load_features(first)
-        dataio.save_features(loaded, second)
+        dataio.save_features(*loaded, second)
         assert first.read_bytes() == second.read_bytes()
-        for orig, back in zip(records, loaded):
-            assert np.array_equal(orig[2], back[2])
+        assert loaded[0].tolist() == ["person a", "person b", "person b"]
+        assert loaded[1].tolist() == [1, 2, 1]
+        assert loaded[2].tobytes() == matrix.tobytes()
 
 
 class TestCorpus:
@@ -144,6 +154,17 @@ class TestEmbeddings:
         again = tmp_path / "e2.emb"
         dataio.save_embeddings(dataio.load_embeddings(path), again)
         assert path.read_bytes() == again.read_bytes()
+
+    @pytest.mark.parametrize("table", [
+        dataio.EmbeddingTable(dimension=0),
+        dataio.EmbeddingTable(dimension=0, vectors={"a": np.zeros(0)}),
+        dataio.EmbeddingTable(dimension=2, vectors={"a": np.zeros(2), "b": np.zeros(3)}),
+    ], ids=["empty", "zero-width", "ragged"])
+    def test_dimension_mismatch(self, tmp_path, table):
+        path = tmp_path / "e.emb"
+        with pytest.raises(DimensionMismatch):
+            dataio.save_embeddings(table, path)
+        assert not path.exists()
 
 
 class TestAttributes:
@@ -220,7 +241,7 @@ class TestSynonyms:
 
 # Each writer, putting a label where its format splits fields or lines.
 LABEL_WRITERS = {
-    "feat": lambda label, path: dataio.save_features([(label, 1, np.zeros(2))], path),
+    "feat": lambda label, path: dataio.save_features([label], [1], np.zeros((1, 2)), path),
     "corpus-identity": lambda label, path: dataio.save_corpus([(label, 1, "a coat")], path),
     "corpus-text": lambda label, path: dataio.save_corpus([("id1", 1, label)], path),
     "emb": lambda label, path: dataio.save_embeddings(
@@ -347,8 +368,8 @@ class TestOversizedHeaders:
 
 MATRIX_FILES = {
     "feat": (lambda rows, path: dataio.save_features(
-        [(f"id{i}", 1 + i % 2, row) for i, row in enumerate(rows)], path),
-        lambda path: np.array([vector for _, _, vector in dataio.load_features(path)])),
+        [f"id{i}" for i in range(len(rows))], 1 + np.arange(len(rows)) % 2, rows, path),
+        lambda path: dataio.load_features(path)[2]),
     "emb": (lambda rows, path: dataio.save_embeddings(
         dataio.EmbeddingTable(dimension=rows.shape[1],
                               vectors={f"t{i}": row for i, row in enumerate(rows)}), path),
@@ -436,9 +457,9 @@ class TestRealsRoundTrip:
                     min_size=1, max_size=24))
     def test_any_reals_bit_exact(self, tmp_path_factory, row):
         path = tmp_path_factory.mktemp("reals") / "a.feat"
-        dataio.save_features([("id", 1, row)], path)
-        [(_, _, back)] = dataio.load_features(path)
-        assert back.tobytes() == np.array(row, dtype=np.float64).tobytes()
+        dataio.save_features(["id"], [1], [row], path)
+        _, _, back = dataio.load_features(path)
+        assert back.tobytes() == np.array([row], dtype=np.float64).tobytes()
 
     def test_edges_bit_exact(self, tmp_path):
         dataio.save_blocks(tmp_path / "a", MAGIC, {"e": np.array(EDGES)})
@@ -547,26 +568,62 @@ class TestBlocks:
 
 
 class TestAssembly:
-    def test_aligned_records(self):
-        vision = [("id1", 1, np.zeros(3)), ("id1", 2, np.ones(3))]
-        language = [("id1", 1, np.zeros(2)), ("id1", 2, np.ones(2))]
-        attrs = dataio.AttributeTable(width=2, bits={"id1": np.array([1, 0], dtype=np.uint8)})
-        ds = dataio.assemble_dataset(vision=vision, language=language, attributes=attrs)
+    """load_dataset joins FEAT and ATTR files into row-aligned columns."""
+
+    def files(self, tmp_path, bits=None):
+        vision, language, attrs = tmp_path / "v.feat", tmp_path / "l.feat", tmp_path / "a.attr"
+        dataio.save_features(["id1", "id1"], [1, 2], [[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]], vision)
+        dataio.save_features(["id1", "id1"], [1, 2], np.eye(2), language)
+        dataio.save_attributes(dataio.AttributeTable(width=2, bits=bits or {}), attrs)
+        return vision, language, attrs
+
+    def test_aligned_records(self, tmp_path):
+        vision, language, attrs = self.files(tmp_path, bits={"id1": np.array([1, 0])})
+        ds = dataio.load_dataset(vision, language=language, attributes=attrs)
         assert len(ds) == 2
         assert ds.identities.tolist() == ["id1", "id1"]
         assert ds.views.tolist() == [1, 2]
         assert np.array_equal(ds.vision, [[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
-        assert ds.language.shape == (2, 2)
+        assert np.array_equal(ds.language, np.eye(2))
         assert np.array_equal(ds.attributes, [[1, 0], [1, 0]])
+        assert ds.attributes.dtype == np.uint8
 
-    def test_misaligned_rejected(self):
-        vision = [("id1", 1, np.zeros(3))]
-        language = [("id2", 1, np.zeros(2))]
-        with pytest.raises(MisalignedRecords):
-            dataio.assemble_dataset(vision=vision, language=language)
+    def test_misaligned_rejected(self, tmp_path):
+        vision, language, _ = self.files(tmp_path)
+        for identities, views, match in [(["id1", "id2"], [1, 2], "at row 1:"),
+                                         (["id1", "id1"], [2, 1], "at row 0:"),
+                                         (["id1"], [1], "has 2 records"),
+                                         (["id1"] * 3, [1, 2, 1], "has 2 records")]:
+            dataio.save_features(identities, views, np.eye(len(identities)), language)
+            with pytest.raises(MisalignedRecords, match=match):
+                dataio.load_dataset(vision, language=language)
 
-    def test_missing_attribute_row(self):
-        vision = [("id1", 1, np.zeros(3))]
-        attrs = dataio.AttributeTable(width=2, bits={})
-        with pytest.raises(UnknownIdentity):
-            dataio.assemble_dataset(vision=vision, attributes=attrs)
+    def test_missing_attribute_row(self, tmp_path):
+        vision, _, attrs = self.files(tmp_path)
+        with pytest.raises(UnknownIdentity, match="no attribute row"):
+            dataio.load_dataset(vision, attributes=attrs)
+
+    def test_returns_the_loaded_arrays(self, tmp_path, monkeypatch):
+        vision, language, _ = self.files(tmp_path)
+        real, loaded = dataio.load_features, []
+
+        def load_features(path):
+            loaded.append(real(path))
+            return loaded[-1]
+
+        monkeypatch.setattr(dataio, "load_features", load_features)
+        ds = dataio.load_dataset(vision, language=language)
+        (identities, views, x), (_, _, y) = loaded
+        assert ds.identities is identities and ds.views is views
+        assert ds.vision is x and ds.language is y
+
+    def test_round_trip_from_gen_paired(self, tmp_path):
+        dataset = synth.gen_paired(synth.SynthConfig(identity_count=6, vision_dim=5,
+                                                     language_dim=4, latent_dim=2))
+        for modality in ("vision", "language"):
+            dataio.save_features(dataset.identities, dataset.views, getattr(dataset, modality),
+                                 tmp_path / modality)
+        back = dataio.load_dataset(tmp_path / "vision", language=tmp_path / "language")
+        for column in ("identities", "views", "vision", "language"):
+            assert getattr(back, column).dtype == getattr(dataset, column).dtype
+            assert getattr(back, column).tobytes() == getattr(dataset, column).tobytes()

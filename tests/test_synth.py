@@ -38,7 +38,7 @@ class TestGenPaired:
         for name in ("one.feat", "two.feat"):
             dataset = synth.gen_paired(config)
             path = tmp_path / name
-            dataio.save_features(zip(dataset.identities, dataset.views, dataset.vision), path)
+            dataio.save_features(dataset.identities, dataset.views, dataset.vision, path)
             paths.append(path)
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
