@@ -17,7 +17,8 @@ import numpy as np
 from xmreid import dataio
 from xmreid.errors import XmreidError
 
-workdir = Path(tempfile.mkdtemp(prefix="xmreid_formats_"))
+tmp = tempfile.TemporaryDirectory(prefix="xmreid_formats_")
+workdir = Path(tmp.name)
 rng = np.random.default_rng(7)
 
 print("== FEAT ==")
@@ -76,4 +77,4 @@ try:
 except XmreidError as exc:
     print(" ", type(exc).__name__, "-", exc)
 
-print("\nfiles written under", workdir)
+tmp.cleanup()

@@ -2,12 +2,12 @@
 
 Builds a paired dataset with a shared latent factor, fits CCA, checks the
 first canonical correlation against the brute-force direction-grid oracle,
-and shows how the fitted model feeds the scenario fusion rules.
+and lists the parts and widths of each evaluation scenario's fused features.
 """
 
 import numpy as np
 
-from xmreid import cca, synth
+from xmreid import cca, evaluation, synth
 
 rng = np.random.default_rng(5)
 
@@ -37,12 +37,10 @@ config = synth.SynthConfig(identity_count=20, samples_per_view=2, latent_dim=3,
                            vision_dim=12, language_dim=8, seed=3)
 dataset = synth.gen_paired(config)
 pair_model = cca.fit_cca(dataset.vision, dataset.language, k=3)
-for scenario, side in (("VxV", "gallery"), ("LxL", "query"), ("VxL", "gallery"),
-                       ("VxL", "query"), ("VxVL", "query"), ("VLxVL", "gallery")):
-    fused = cca.fuse(scenario, vision=dataset.vision[0], language=dataset.language[0],
-                     model=pair_model, side=side)
-    print(f"  {scenario:6s} {side:7s} -> {fused.shape[0]:3d}-dim feature")
-bits = np.array([1, 0, 1, 1, 0], dtype=np.uint8)
-fused = cca.fuse("VAxVA", vision=dataset.vision[0], attributes=bits)
-print(f"  VAxVA  gallery -> {fused.shape[0]:3d}-dim feature "
-      f"(bits mapped to +/-1: {fused[-5:]})")
+# One column per attribute bit (entering as -1/+1) and per canonical pair.
+widths = {"vision": dataset.vision.shape[1], "language": dataset.language.shape[1],
+          "attribute": config.attribute_bits, "cca_x": pair_model.k, "cca_y": pair_model.k}
+for scenario, sides in evaluation.SCENARIO_SPEC.items():
+    for side, parts in sides.items():
+        width = sum(widths[part] for part in parts)
+        print(f"  {scenario:6s} {side:7s} {' + '.join(parts):18s} -> {width:3d}-dim feature")

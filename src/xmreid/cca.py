@@ -1,4 +1,4 @@
-"""Regularized canonical correlation analysis and scenario feature fusion.
+"""Regularized canonical correlation analysis for the cross-modal embedding.
 
 CCA finds paired projections W_x, W_y maximizing tr(W_x^T S_xy W_y) under the
 unit-variance constraints W_x^T S_xx W_x = W_y^T S_yy W_y = I. We solve it by
@@ -7,11 +7,8 @@ thin SVD of the whitened cross-covariance S_xx^-1/2 S_xy S_yy^-1/2: its
 singular values are the canonical correlations and its singular vector pairs,
 mapped back through the whitening, are W_x and W_y. Covariances carry a
 relative ridge so 2048-dimensional features with few training samples stay
-invertible.
-
-SCENARIO_SPEC is the one table of the six evaluation scenarios: vision-only,
-language-only, cross-modal, query-enriched, full concatenation, and
-vision-plus-attributes. fuse() builds their gallery/query vectors from it.
+invertible. Which scenarios use the projections, and beside which other
+parts, is evaluation.SCENARIO_SPEC's to say.
 """
 
 from dataclasses import dataclass
@@ -19,40 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dataio, linalg
-from .errors import (
-    InvalidConfig,
-    KOutOfRange,
-    MissingModality,
-    MissingModel,
-    ShapeMismatch,
-    TooFewSamples,
-)
+from .errors import InvalidConfig, KOutOfRange, ShapeMismatch, TooFewSamples
 
 DEFAULT_RIDGE = 1e-4
 DEFAULT_RANK_BUDGET = 128
-
-GALLERY = "gallery"
-QUERY = "query"
-
-# Per side, the parts a scenario concatenates in order (cca_x/cca_y: the
-# canonical projections W_x^T x, W_y^T y). The order keys the rng streams.
-SCENARIO_SPEC = {
-    "VxV": {GALLERY: ("vision",), QUERY: ("vision",)},
-    "LxL": {GALLERY: ("language",), QUERY: ("language",)},
-    "VxL": {GALLERY: ("cca_x",), QUERY: ("cca_y",)},
-    "VxVL": {GALLERY: ("vision", "cca_x"), QUERY: ("vision", "cca_y")},
-    "VLxVL": {GALLERY: ("vision", "language"), QUERY: ("vision", "language")},
-    "VAxVA": {GALLERY: ("vision", "attribute"), QUERY: ("vision", "attribute")},
-}
-SCENARIOS = tuple(SCENARIO_SPEC)
-# The fuse() keyword, i.e. the dataset column, each part is built from.
-PART_SOURCES = {"vision": "vision", "language": "language", "attribute": "attributes",
-                "cca_x": "vision", "cca_y": "language"}
-
-
-def scenario_sources(scenario):
-    """The dataset columns a scenario reads on either side, sorted."""
-    return sorted({PART_SOURCES[p] for side in SCENARIO_SPEC[scenario].values() for p in side})
 
 
 @dataclass
@@ -135,34 +102,6 @@ def project(model: CcaModel, side, features):
     if features.shape[-1] != w.shape[0]:
         raise ShapeMismatch(f"feature dim {features.shape[-1]} != model dim {w.shape[0]}")
     return (features - mean) @ w
-
-
-def fuse(scenario, vision=None, language=None, model=None, side=GALLERY, attributes=None):
-    """Concatenate the parts SCENARIO_SPEC lists for one side of a scenario.
-
-    Each modality is a single vector or a rows-by-dim matrix; the result has
-    the same leading shape. cca_x/cca_y parts need a fitted CCA model.
-    """
-    if scenario not in SCENARIO_SPEC:
-        raise InvalidConfig(f"unknown scenario {scenario!r}; choose from {SCENARIOS}")
-    if side not in (GALLERY, QUERY):
-        raise InvalidConfig(f"side must be '{GALLERY}' or '{QUERY}', got {side!r}")
-    parts = SCENARIO_SPEC[scenario][side]
-    if model is None and any(part.startswith("cca_") for part in parts):
-        raise MissingModel(f"scenario {scenario} needs a fitted CCA model")
-    given = {"vision": vision, "language": language, "attributes": attributes}
-    pieces = []
-    for part in parts:
-        value = given[PART_SOURCES[part]]
-        if value is None:
-            raise MissingModality(f"scenario {scenario} ({side}) needs {PART_SOURCES[part]}")
-        value = np.asarray(value, dtype=np.float64)
-        if part == "attribute":
-            value = 2.0 * value - 1.0  # bits onto {-1, +1}
-        elif part.startswith("cca_"):
-            value = project(model, part[-1], value)
-        pieces.append(value)
-    return np.concatenate(pieces, axis=-1)
 
 
 # -- model file ------------------------------------------------------------------

@@ -425,7 +425,7 @@ def build_parser():
     _add_common(p, cmd_train_textcnn, ("corpus", "embeddings", "synonyms"))
 
     p = sub.add_parser("evaluate", help="run one gallery x query scenario over splits")
-    p.add_argument("--scenario", required=True, choices=cca_mod.SCENARIOS)
+    p.add_argument("--scenario", required=True, choices=evaluation.SCENARIOS)
     p.add_argument("--vision", required=True)
     p.add_argument("--language")
     p.add_argument("--attributes")
@@ -448,7 +448,7 @@ def build_parser():
 
 def _validate_scenario_args(parser, args):
     if args.command == "evaluate":
-        for source in cca_mod.scenario_sources(args.scenario):
+        for source in evaluation.scenario_sources(args.scenario):
             if not getattr(args, source):
                 parser.error(f"scenario {args.scenario} requires --{source}")
 

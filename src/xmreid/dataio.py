@@ -207,7 +207,10 @@ def save_features(identities, views, matrix, path):
 
 def load_corpus(path):
     """Parse a CORPUS file into (identity, view, raw text) records."""
-    lines = _read_lines(path)
+    return _parse_corpus(_read_lines(path), path)
+
+
+def _parse_corpus(lines, path):
     if lines[0] != CORPUS_MAGIC:
         raise MalformedHeader(f"{path}: expected '{CORPUS_MAGIC}' on line 1")
     return [(identity, _parse_view(view, where), text)
@@ -218,7 +221,9 @@ def save_corpus(records, path):
     records = list(records)
     _check_labels((identity for identity, _, _ in records), "identity")
     _check_labels((text for _, _, text in records), "description", separators="\n")
-    _save(path, [CORPUS_MAGIC + "\n" + "".join(f"{i}\t{v}\t{t}\n" for i, v, t in records)])
+    text = CORPUS_MAGIC + "\n" + "".join(f"{i}\t{v}\t{t}\n" for i, v, t in records)
+    _parse_corpus(text.split("\n"), path)  # refuse what the loader would not read back
+    _save(path, [text])
 
 
 # -- EMB -----------------------------------------------------------------------
@@ -277,7 +282,10 @@ class AttributeTable:
 
 
 def load_attributes(path, known_identities=None) -> AttributeTable:
-    lines = _read_lines(path)
+    return _parse_attributes(_read_lines(path), path, known_identities)
+
+
+def _parse_attributes(lines, path, known_identities=None):
     head = lines[0].split(" ")
     if len(head) != 3 or " ".join(head[:2]) != ATTR_MAGIC:
         raise MalformedHeader(f"{path}: expected '{ATTR_MAGIC} <B>' on line 1")
@@ -301,7 +309,9 @@ def load_attributes(path, known_identities=None) -> AttributeTable:
 def save_attributes(table: AttributeTable, path):
     _check_labels(table.bits, "identity")
     rows = "".join(f"{i}\t{''.join(str(int(b)) for b in bits)}\n" for i, bits in table.bits.items())
-    _save(path, [f"{ATTR_MAGIC} {table.width}\n{rows}"])
+    text = f"{ATTR_MAGIC} {table.width}\n{rows}"
+    _parse_attributes(text.split("\n"), path)  # refuse what the loader would not read back
+    _save(path, [text])
 
 
 # -- SPLIT ---------------------------------------------------------------------
@@ -321,7 +331,10 @@ class SplitAssignment:
 
 
 def load_splits(path, known_identities=None):
-    lines = _read_lines(path)
+    return _parse_splits(_read_lines(path), path, known_identities)
+
+
+def _parse_splits(lines, path, known_identities=None):
     head = lines[0].split(" ")
     if len(head) != 3 or " ".join(head[:2]) != SPLIT_MAGIC:
         raise MalformedHeader(f"{path}: expected '{SPLIT_MAGIC} <num_splits>' on line 1")
@@ -348,7 +361,9 @@ def save_splits(splits, path):
     _check_labels((identity for split in splits for identity in split.roles), "identity")
     rows = "".join(f"{split.index}\t{identity}\t{role}\n"
                    for split in splits for identity, role in split.roles.items())
-    _save(path, [f"{SPLIT_MAGIC} {len(splits)}\n{rows}"])
+    text = f"{SPLIT_MAGIC} {len(splits)}\n{rows}"
+    _parse_splits(text.split("\n"), path)  # refuse what the loader would not read back
+    _save(path, [text])
 
 
 # -- model blocks ----------------------------------------------------------------

@@ -109,10 +109,6 @@ class MissingModality(DataError):
     pass
 
 
-class MissingModel(ConfigError):
-    pass
-
-
 # -- XQDA ---------------------------------------------------------------------
 
 class TooFewIdentities(DataError):

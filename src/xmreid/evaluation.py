@@ -6,11 +6,12 @@ only, build the gallery from view-1 test samples (one per identity in
 single-shot mode, drawn by the split's seeded stream when an identity has
 several), take every view-2 test sample as a probe, and rank the gallery by
 ascending score. Splits are independent, each keyed by (master seed,
-scenario, flip count, split index). A split works on whole arrays: it takes
-the dataset columns the scenario reads and fuses them once per row set and
-side, as cca.SCENARIO_SPEC says. This module rescales no feature itself:
-when a scenario has attribute parts, fit_xqda(zscore=True) z-scores the
-fused training features and folds the scale into its subspace.
+scenario, flip count, split index).
+
+SCENARIO_SPEC, the one table of the six scenarios, decides the rest: its
+cca_x/cca_y parts fit a CCA per split, its attribute parts flip bits and
+make fit_xqda(zscore=True) z-score the fused training features. A split
+fuses the columns a scenario reads once per row set and side, as arrays.
 """
 
 import math
@@ -32,7 +33,29 @@ from .errors import (
     ShapeMismatch,
 )
 
-SCENARIO_IDS = {name: i for i, name in enumerate(cca_mod.SCENARIOS)}
+GALLERY = "gallery"
+QUERY = "query"
+
+# Per side, the parts a scenario concatenates in order (cca_x/cca_y: the
+# canonical projections W_x^T x, W_y^T y). The order keys the rng streams.
+SCENARIO_SPEC = {
+    "VxV": {GALLERY: ("vision",), QUERY: ("vision",)},
+    "LxL": {GALLERY: ("language",), QUERY: ("language",)},
+    "VxL": {GALLERY: ("cca_x",), QUERY: ("cca_y",)},
+    "VxVL": {GALLERY: ("vision", "cca_x"), QUERY: ("vision", "cca_y")},
+    "VLxVL": {GALLERY: ("vision", "language"), QUERY: ("vision", "language")},
+    "VAxVA": {GALLERY: ("vision", "attribute"), QUERY: ("vision", "attribute")},
+}
+SCENARIOS = tuple(SCENARIO_SPEC)
+SCENARIO_IDS = {name: i for i, name in enumerate(SCENARIOS)}
+# The dataset column each part is built from.
+PART_SOURCES = {"vision": "vision", "language": "language", "attribute": "attributes",
+                "cca_x": "vision", "cca_y": "language"}
+
+
+def scenario_sources(scenario):
+    """The dataset columns a scenario reads on either side, sorted."""
+    return sorted({PART_SOURCES[p] for side in SCENARIO_SPEC[scenario].values() for p in side})
 
 
 @dataclass
@@ -128,12 +151,26 @@ def flip_attributes(bits, n, rng):
     return out
 
 
+def _fuse(parts, fields, rows, model):
+    """The given rows of each part's column, attribute bits mapped onto
+    {-1, +1} and cca_x/cca_y projected through model, concatenated."""
+    pieces = []
+    for part in parts:
+        value = fields[PART_SOURCES[part]][rows]
+        if part == "attribute":
+            value = 2.0 * value - 1.0
+        elif part.startswith("cca_"):
+            value = cca_mod.project(model, part[-1], value)
+        pieces.append(value)
+    return np.concatenate(pieces, axis=-1)
+
+
 def _evaluate_one_split(ids, views, fields, split, scenario, config, master_seed):
     gen = streams.stream(
         master_seed, streams.EVAL, SCENARIO_IDS[scenario], config.flip_bits, split.index
     )
-    spec = cca_mod.SCENARIO_SPEC[scenario]
-    parts = set(spec[cca_mod.GALLERY] + spec[cca_mod.QUERY])
+    spec = SCENARIO_SPEC[scenario]
+    parts = set(spec[GALLERY] + spec[QUERY])
     # Set lookups: np.isin would import numpy.ma, 1.6 MB of peak RSS.
     train_ids, test_ids = set(split.train_identities()), set(split.test_identities())
     train = np.array([identity in train_ids for identity in ids.tolist()], dtype=bool)
@@ -151,14 +188,10 @@ def _evaluate_one_split(ids, views, fields, split, scenario, config, master_seed
         model = cca_mod.fit_cca(fields["vision"][train], fields["language"][train],
                                 k=config.cca_k, ridge=config.cca_ridge)
 
-    def fused(rows, side):
-        return cca_mod.fuse(scenario, model=model, side=side,
-                            **{name: matrix[rows] for name, matrix in fields.items()})
-
     train_view1 = np.flatnonzero(train & (views == 1))
     train_view2 = np.flatnonzero(train & (views == 2))
-    train_feats = np.vstack([fused(train_view1, cca_mod.GALLERY),
-                             fused(train_view2, cca_mod.QUERY)])
+    train_feats = np.vstack([_fuse(spec[GALLERY], fields, train_view1, model),
+                             _fuse(spec[QUERY], fields, train_view2, model)])
     train_rows = np.concatenate([train_view1, train_view2])
     # Z-scoring balances the scales of vision features and {-1,+1} attribute bits.
     metric = xqda_mod.fit_xqda(
@@ -189,8 +222,8 @@ def _evaluate_one_split(ids, views, fields, split, scenario, config, master_seed
         raise InvalidConfig(f"split {split.index} has no view-2 test samples")
 
     gallery_ids = ids[gallery_rows]
-    scores = xqda_mod.score_matrix(metric, fused(gallery_rows, cca_mod.GALLERY),
-                                   fused(probe_rows, cca_mod.QUERY))
+    scores = xqda_mod.score_matrix(metric, _fuse(spec[GALLERY], fields, gallery_rows, model),
+                                   _fuse(spec[QUERY], fields, probe_rows, model))
     if config.gallery_mode == "multi":
         # An identity's images sit next to each other: fold each run to its min.
         starts = np.flatnonzero(np.r_[True, gallery_ids[1:] != gallery_ids[:-1]])
@@ -203,8 +236,8 @@ def evaluate_scenario(dataset, splits, scenario, config=None, master_seed=42) ->
     """Run the full per-split protocol and aggregate the CMC curves."""
     config = config or PipelineConfig()
     config.validate()
-    if scenario not in cca_mod.SCENARIO_SPEC:
-        raise InvalidConfig(f"unknown scenario {scenario!r}; choose from {cca_mod.SCENARIOS}")
+    if scenario not in SCENARIO_SPEC:
+        raise InvalidConfig(f"unknown scenario {scenario!r}; choose from {SCENARIOS}")
     splits = list(splits)
     if not splits:
         raise InvalidConfig("need at least one split")
@@ -212,7 +245,7 @@ def evaluate_scenario(dataset, splits, scenario, config=None, master_seed=42) ->
     dims = [m.shape[1] for m in (dataset.vision, dataset.language) if m is not None]
     if config.cca_k is not None and config.cca_k > min(dims):
         raise KOutOfRange(f"cca_k={config.cca_k} exceeds the feature dimension {min(dims)}")
-    fields = {source: getattr(dataset, source) for source in cca_mod.scenario_sources(scenario)}
+    fields = {source: getattr(dataset, source) for source in scenario_sources(scenario)}
     if any(column is None for column in fields.values()):
         raise MissingModality(f"scenario {scenario} needs {' and '.join(fields)}")
     results = [_evaluate_one_split(dataset.identities, dataset.views, fields, split, scenario,
@@ -229,9 +262,9 @@ def evaluate_scenario(dataset, splits, scenario, config=None, master_seed=42) ->
 def attribute_degradation_sweep(dataset, splits, n_values, config=None, master_seed=42):
     """VAxVA evaluation per flip count; returns {n: SplitReport}."""
     config = config or PipelineConfig()
-    reports = {}
-    for n in n_values:
-        flipped = replace(config, flip_bits=int(n))
-        reports[int(n)] = evaluate_scenario(dataset, splits, "VAxVA", flipped,
-                                            master_seed=master_seed)
-    return reports
+    n_values = [int(n) for n in n_values]
+    if len(set(n_values)) != len(n_values):
+        raise InvalidConfig(f"flip counts must not repeat, got {n_values}")
+    return {n: evaluate_scenario(dataset, splits, "VAxVA", replace(config, flip_bits=n),
+                                 master_seed=master_seed)
+            for n in n_values}

@@ -9,7 +9,7 @@ feature spaces, with per-sample Gaussian noise at modality-specific scales:
 
 Language noise defaults to twice the vision noise so the language-only
 scenario lands below vision-only, mirroring the qualitative gap seen on real
-data. Two optional structure terms (both default to zero, reducing to the
+data. Three optional structure terms (all default to zero, reducing to the
 plain formula above) make multi-modal fusion genuinely informative:
 
   * private latent dims: identity traits only one modality observes; A sees
@@ -27,7 +27,7 @@ plain formula above) make multi-modal fusion genuinely informative:
     the gallery's vision features, which is what lets a language-enriched
     query beat the vision-only query at first order.
 
-With both terms on, the scenario ordering VxL < LxL < VxV < VxVL < VLxVL
+With all three on, the scenario ordering VxL < LxL < VxV < VxVL < VLxVL
 holds by construction instead of by luck. Every draw comes from a keyed
 Philox stream (see rng.py) so files are byte-reproducible and generation can
 be partitioned per identity.

@@ -2,14 +2,7 @@ import numpy as np
 import pytest
 
 from xmreid import cca, synth
-from xmreid.errors import (
-    InvalidConfig,
-    KOutOfRange,
-    MissingModality,
-    MissingModel,
-    ShapeMismatch,
-    TooFewSamples,
-)
+from xmreid.errors import InvalidConfig, KOutOfRange, ShapeMismatch, TooFewSamples
 from xmreid.rng import stream
 
 
@@ -177,76 +170,6 @@ class TestProject:
         model = self.make_identity_model()
         with pytest.raises(ShapeMismatch):
             cca.project(model, "x", np.zeros(4))
-
-
-class TestFuse:
-    vision = np.arange(4.0)
-    language = np.array([5.0, 6.0])
-    attributes = np.array([1, 0, 1], dtype=np.uint8)
-
-    def identity_model(self):
-        return cca.CcaModel(
-            w_x=np.eye(4), w_y=np.eye(2)[:, :2],
-            correlations=np.ones(2),
-            mean_x=np.zeros(4), mean_y=np.zeros(2), ridge=0.0,
-        )
-
-    def test_concat_dimensions(self):
-        rng = stream(33, 1)
-        x = rng.standard_normal(2048)
-        y = rng.standard_normal(1024)
-        fused = cca.fuse("VLxVL", vision=x, language=y)
-        assert fused.shape == (3072,)
-        assert np.array_equal(fused[:2048], x)
-
-    def test_vxl_identity_model(self):
-        model = self.identity_model()
-        gallery = cca.fuse("VxL", vision=self.vision, model=model, side="gallery")
-        query = cca.fuse("VxL", language=self.language, model=model, side="query")
-        assert np.array_equal(gallery, self.vision)
-        assert np.array_equal(query, self.language)
-
-    def test_vxvl_concatenates_projection(self):
-        model = self.identity_model()
-        query = cca.fuse(
-            "VxVL", vision=self.vision, language=self.language, model=model, side="query"
-        )
-        assert np.array_equal(query, np.concatenate([self.vision, self.language]))
-
-    def test_vaxva_bits(self):
-        fused = cca.fuse("VAxVA", vision=self.vision, attributes=self.attributes)
-        assert np.array_equal(fused[4:], [1.0, -1.0, 1.0])
-
-    @pytest.mark.parametrize("side", [cca.GALLERY, cca.QUERY])
-    @pytest.mark.parametrize("scenario", cca.SCENARIOS)
-    def test_matrix_equals_rows(self, scenario, side):
-        rng = stream(33, 2)
-        x, y = shared_latent_pair(rng, 40, d_x=6, d_y=4, latent_dim=2)
-        bits = rng.integers(0, 2, size=(40, 5)).astype(np.uint8)
-        model = cca.fit_cca(x, y, k=3)
-        matrix = cca.fuse(scenario, vision=x, language=y, model=model, side=side,
-                          attributes=bits)
-        rows = np.array([
-            cca.fuse(scenario, vision=a, language=b, model=model, side=side, attributes=c)
-            for a, b, c in zip(x, y, bits)
-        ])
-        assert matrix.shape == rows.shape
-        if any(part.startswith("cca_") for part in cca.SCENARIO_SPEC[scenario][side]):
-            assert np.max(np.abs(matrix - rows)) <= 1e-12 * np.max(np.abs(rows))
-        else:
-            assert np.array_equal(matrix, rows)
-
-    def test_missing_modality(self):
-        with pytest.raises(MissingModality):
-            cca.fuse("VxL", vision=None, model=self.identity_model(), side="query")
-
-    def test_missing_model(self):
-        with pytest.raises(MissingModel):
-            cca.fuse("VxL", vision=self.vision, side="gallery")
-
-    def test_unknown_scenario(self):
-        with pytest.raises(InvalidConfig):
-            cca.fuse("VxX", vision=self.vision)
 
 
 class TestModelFile:

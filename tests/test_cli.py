@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from xmreid import cca, cli, dataio, textcnn, textprep
+from xmreid import cca, cli, dataio, evaluation, textcnn, textprep
 
 TOY_SYNTH = {
     "identity_count": 12,
@@ -477,10 +477,10 @@ def toy_data(tmp_path_factory):
 
 
 class TestScenarioInputs:
-    @pytest.mark.parametrize("scenario", cca.SCENARIOS)
+    @pytest.mark.parametrize("scenario", evaluation.SCENARIOS)
     def test_usage_error_exactly_when_a_needed_file_is_missing(self, scenario, toy_data,
                                                                 tmp_path):
-        needed = {PART_FLAGS[part] for parts in cca.SCENARIO_SPEC[scenario].values()
+        needed = {PART_FLAGS[part] for parts in evaluation.SCENARIO_SPEC[scenario].values()
                   for part in parts}
         for given in ((), ("--language",), ("--attributes",), ("--language", "--attributes")):
             argv = ["evaluate", "--scenario", scenario,
@@ -521,6 +521,19 @@ class TestAttrSweepCli:
                     "--splits", str(out / "splits.split"),
                     "--out-dir", str(tmp_path), "--quiet"])
         assert code == 2
+
+    def test_repeated_n_is_usage_error(self, tmp_path, monkeypatch):
+        out = gen_dataset(tmp_path)
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        monkeypatch.setattr(evaluation, "evaluate_scenario", None)  # never reached
+        code = run(["attr-sweep", "--n", "1,1",
+                    "--vision", str(out / "vision.feat"),
+                    "--attributes", str(out / "attributes.attr"),
+                    "--splits", str(out / "splits.split"),
+                    "--out-dir", str(run_dir), "--quiet"])
+        assert code == 2
+        assert not any(run_dir.iterdir())
 
 
 class TestExitCodePartition:

@@ -267,6 +267,38 @@ class TestWritersRefuseBadLabels:
         assert path.exists()
 
 
+# Each text writer, given what its loader would reject, and the loader's error.
+SPLIT = dataio.SplitAssignment
+REJECTED_CONTENT = {
+    "corpus-view": (lambda path: dataio.save_corpus([("id1", 3, "a coat")], path),
+                    MalformedHeader),
+    "attr-bit": (lambda path: dataio.save_attributes(
+        dataio.AttributeTable(width=2, bits={"a": np.array([0, 2])}), path), MalformedHeader),
+    "attr-ragged": (lambda path: dataio.save_attributes(
+        dataio.AttributeTable(width=3, bits={"a": np.array([0, 1])}), path), RaggedAttributes),
+    "attr-width-0": (lambda path: dataio.save_attributes(dataio.AttributeTable(width=0), path),
+                     MalformedHeader),
+    "split-role": (lambda path: dataio.save_splits([SPLIT(0, {"a": "val"})], path),
+                   MalformedHeader),
+    "split-negative-index": (lambda path: dataio.save_splits([SPLIT(-1, {"a": "train"})], path),
+                             MalformedHeader),
+    "split-repeated-index": (lambda path: dataio.save_splits(
+        [SPLIT(0, {"a": "train"}), SPLIT(0, {"a": "test"})], path), DuplicateAssignment),
+    "split-empty": (lambda path: dataio.save_splits([SPLIT(0, {"a": "test"}), SPLIT(1)], path),
+                    MalformedHeader),
+}
+
+
+class TestWritersRefuseRejectedContent:
+    @pytest.mark.parametrize("case", REJECTED_CONTENT)
+    def test_loader_error_before_any_file_is_opened(self, tmp_path, case):
+        writer, error = REJECTED_CONTENT[case]
+        path = tmp_path / "out"
+        with pytest.raises(error):
+            writer(path)
+        assert not path.exists()
+
+
 class TestNonUtf8:
     @pytest.mark.parametrize("load", [
         dataio.load_features, dataio.load_corpus, dataio.load_embeddings,

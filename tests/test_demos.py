@@ -17,9 +17,12 @@ def test_demos_found():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[demo.stem for demo in DEMOS])
 def test_demo_runs(demo, tmp_path):
-    env = dict(os.environ)
+    temp = tmp_path / "tmp"  # the demo's temp directory, which it must leave empty
+    temp.mkdir()
+    env = dict(os.environ, TMPDIR=str(temp))
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     done = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr[-2000:]
+    assert not any(temp.iterdir())

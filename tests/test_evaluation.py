@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from xmreid import evaluation, synth, xqda
+from xmreid import cca, evaluation, synth, xqda
 from xmreid.errors import (
     EmptyGallery,
     InvalidConfig,
@@ -131,6 +131,50 @@ class TestFlipAttributes:
     def test_out_of_range(self):
         with pytest.raises(NOutOfRange):
             evaluation.flip_attributes(np.zeros(4, dtype=np.uint8), 5, stream(53, 4))
+
+
+class TestFuse:
+    fields = {"vision": np.arange(12.0).reshape(3, 4),
+              "language": np.array([[5.0, 6.0], [7.0, 8.0], [9.0, 1.0]]),
+              "attributes": np.array([[1, 0, 1], [0, 0, 1], [1, 1, 0]], dtype=np.uint8)}
+    rows = [2, 0]
+
+    def identity_model(self):
+        return cca.CcaModel(
+            w_x=np.eye(4), w_y=np.eye(2),
+            correlations=np.ones(2),
+            mean_x=np.zeros(4), mean_y=np.zeros(2), ridge=0.0,
+        )
+
+    def fuse(self, scenario, side, fields=None, model=None):
+        parts = evaluation.SCENARIO_SPEC[scenario][side]
+        return evaluation._fuse(parts, fields or self.fields, self.rows, model)
+
+    def test_concat_dimensions(self):
+        rng = stream(33, 1)
+        fields = {"vision": rng.standard_normal((3, 2048)),
+                  "language": rng.standard_normal((3, 1024))}
+        fused = self.fuse("VLxVL", evaluation.GALLERY, fields)
+        assert fused.shape == (2, 3072)
+        assert np.array_equal(fused[:, :2048], fields["vision"][self.rows])
+        assert np.array_equal(fused[:, 2048:], fields["language"][self.rows])
+
+    def test_vxl_identity_model(self):
+        model = self.identity_model()
+        gallery = self.fuse("VxL", evaluation.GALLERY, model=model)
+        query = self.fuse("VxL", evaluation.QUERY, model=model)
+        assert np.array_equal(gallery, self.fields["vision"][self.rows])
+        assert np.array_equal(query, self.fields["language"][self.rows])
+
+    def test_vxvl_concatenates_projection(self):
+        query = self.fuse("VxVL", evaluation.QUERY, model=self.identity_model())
+        assert np.array_equal(query, np.hstack([self.fields["vision"][self.rows],
+                                                self.fields["language"][self.rows]]))
+
+    def test_vaxva_bits(self):
+        fused = self.fuse("VAxVA", evaluation.GALLERY)
+        assert fused.dtype == np.float64
+        assert np.array_equal(fused[:, 4:], [[1.0, 1.0, -1.0], [1.0, -1.0, 1.0]])
 
 
 def small_config(**kw):
@@ -269,6 +313,13 @@ class TestAttributeSweep:
         )
         assert reports[0].mean_rank(1) == 1.0
         assert reports[3].mean_rank(1) < 0.7 * reports[0].mean_rank(1)
+
+    def test_repeated_flip_count(self, monkeypatch):
+        config = small_config()
+        dataset = self.make_attributed_dataset(config)
+        monkeypatch.setattr(evaluation, "evaluate_scenario", None)  # never reached
+        with pytest.raises(InvalidConfig, match="repeat"):
+            evaluation.attribute_degradation_sweep(dataset, synth.gen_splits(config), [0, 1, 1])
 
     def test_vision_scale_is_normalised_away(self, monkeypatch):
         # VAxVA features are z-scored on train statistics, so scaling the
