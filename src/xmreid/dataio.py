@@ -21,6 +21,7 @@ load_dataset joins vision, language and ATTR files into one Dataset.
 """
 
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,6 +45,8 @@ SPLIT_MAGIC = "XMREID-SPLIT 1"
 
 TRAIN = "train"
 TEST = "test"
+# Values per finiteness check of a loaded body: no body-sized mask is held.
+_FINITE_CHUNK = 2**17
 
 
 def format_real(x) -> str:
@@ -107,59 +110,65 @@ def _save(path, parts):
             handle.write(part)
 
 
-def _lines(data, start, count, path):
-    """count LF-terminated UTF-8 lines from data[start:], and the offset after them."""
-    end = start
+def _lines(handle, count, path):
+    """count LF-terminated UTF-8 lines read from handle, without their LFs."""
+    lines = []
     for _ in range(count):
-        end = data.find(b"\n", end) + 1
-        if end == 0:
+        line = handle.readline()
+        if not line.endswith(b"\n"):
             raise MalformedHeader(f"{path}: file ends inside a header")
+        lines.append(line)
     try:
-        return data[start:end].decode("utf-8").split("\n")[:-1], end
+        return b"".join(lines).decode("utf-8").split("\n")[:-1]
     except UnicodeDecodeError as exc:
         raise MalformedHeader(f"{path}: not valid UTF-8: {exc}") from exc
 
 
-def _read(path, magic):
-    """The file's bytes and the offset after its first line, which must be magic."""
-    with open(path, "rb") as handle:
-        data = handle.read()
-    (first,), offset = _lines(data, 0, 1, path)
+def _check_magic(handle, magic, path):
+    (first,) = _lines(handle, 1, path)
     if first != magic:
         raise MalformedHeader(f"{path}: expected '{magic}' on line 1")
-    return data, offset
 
 
-def _reals(data, start, shape, path):
-    """The shape's values stored raw at data[start:], checked to fit the file
-    before anything is allocated, as a writable native float64 array; and the
-    offset after them."""
+def _reals(handle, shape, path):
+    """The shape's values stored raw at the handle's position, checked to fit
+    the file before anything is allocated, as a writable native float64 array
+    read in place and checked for finiteness in chunks (no second copy)."""
     count = math.prod(shape)
-    if start + 8 * count > len(data):
+    if 8 * count > _left(handle):
         raise MalformedHeader(f"{path}: file ends inside a body of shape {shape}")
     try:
-        values = np.frombuffer(data, "<f8", count, start).reshape(shape)
+        values = np.empty(shape, "<f8")
     except ValueError as exc:  # an empty body declared with oversized dimensions
         raise MalformedHeader(f"{path}: bad shape {shape}: {exc}") from exc
-    if not np.isfinite(values).all():
-        raise NonFiniteValue(f"{path}: non-finite value in a body of shape {shape}")
-    return values.astype(np.float64), start + 8 * count
+    flat = values.reshape(-1)
+    if handle.readinto(flat.view(np.uint8)) != flat.nbytes:
+        raise MalformedHeader(f"{path}: file ends inside a body of shape {shape}")
+    for lo in range(0, count, _FINITE_CHUNK):
+        if not np.isfinite(flat[lo:lo + _FINITE_CHUNK]).all():
+            raise NonFiniteValue(f"{path}: non-finite value in a body of shape {shape}")
+    return values.astype(np.float64, copy=False)
+
+
+def _left(handle):
+    """Bytes of the file after the handle's position."""
+    return os.fstat(handle.fileno()).st_size - handle.tell()
 
 
 def _load_matrix(path, magic, what):
     """A FEAT or EMB file's N label lines and its N x D matrix."""
-    data, offset = _read(path, magic)
-    (head,), offset = _lines(data, offset, 1, path)
-    head = head.split(" ")
-    if len(head) != 2:
-        raise MalformedHeader(f"{path}: bad {what} line")
-    count, dim = (_parse_count(h, path, what) for h in head)
-    if dim < 1:
-        raise MalformedHeader(f"{path}: invalid counts {count} x {dim}")
-    labels, offset = _lines(data, offset, count, path)
-    matrix, offset = _reals(data, offset, (count, dim), path)
-    if offset != len(data):
-        raise MalformedHeader(f"{path}: {len(data) - offset} bytes after the body")
+    with open(path, "rb") as handle:
+        _check_magic(handle, magic, path)
+        head = _lines(handle, 1, path)[0].split(" ")
+        if len(head) != 2:
+            raise MalformedHeader(f"{path}: bad {what} line")
+        count, dim = (_parse_count(h, path, what) for h in head)
+        if dim < 1:
+            raise MalformedHeader(f"{path}: invalid counts {count} x {dim}")
+        labels = _lines(handle, count, path)
+        matrix = _reals(handle, (count, dim), path)
+        if _left(handle):
+            raise MalformedHeader(f"{path}: {_left(handle)} bytes after the body")
     return labels, matrix
 
 
@@ -385,20 +394,22 @@ def load_blocks(path, magic, shapes):
     {"w": ("d", "r"), "m": ("r", "r")}; a dimension name must have one size
     throughout the file.
     """
-    data, offset = _read(path, magic)
     blocks, sizes = {}, {}
-    for name, dims in shapes.items():
-        (head,), offset = _lines(data, offset, 1, path)
-        head = head.split(" ")
-        if head[0] != name:
-            raise MalformedHeader(f"{path}: expected block {name!r}, got {head[0]!r}")
-        shape = tuple(_parse_count(d, f"{path}: block {name!r}", "a dimension") for d in head[1:])
-        if len(shape) != len(dims) or any(sizes.setdefault(d, n) != n for d, n in zip(dims, shape)):
-            raise DimensionMismatch(f"{path}: block {name!r} has shape {shape}, "
-                                    f"expected {dims} with {sizes}")
-        blocks[name], offset = _reals(data, offset, shape, path)
-    if offset != len(data):
-        raise MalformedHeader(f"{path}: unexpected data after the last block")
+    with open(path, "rb") as handle:
+        _check_magic(handle, magic, path)
+        for name, dims in shapes.items():
+            head = _lines(handle, 1, path)[0].split(" ")
+            if head[0] != name:
+                raise MalformedHeader(f"{path}: expected block {name!r}, got {head[0]!r}")
+            shape = tuple(_parse_count(d, f"{path}: block {name!r}", "a dimension")
+                          for d in head[1:])
+            if len(shape) != len(dims) or any(sizes.setdefault(d, n) != n
+                                              for d, n in zip(dims, shape)):
+                raise DimensionMismatch(f"{path}: block {name!r} has shape {shape}, "
+                                        f"expected {dims} with {sizes}")
+            blocks[name] = _reals(handle, shape, path)
+        if _left(handle):
+            raise MalformedHeader(f"{path}: unexpected data after the last block")
     return blocks, sizes
 
 

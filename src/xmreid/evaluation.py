@@ -6,7 +6,8 @@ only, build the gallery from view-1 test samples (one per identity in
 single-shot mode, drawn by the split's seeded stream when an identity has
 several), take every view-2 test sample as a probe, and rank the gallery by
 ascending score. Splits are independent, each keyed by (master seed,
-scenario, flip count, split index).
+scenario, flip count, split index). Probes are scored, folded and ranked in
+blocks of rows, so at most one block of scores is held, never P x G of them.
 
 SCENARIO_SPEC, the one table of the six scenarios, decides the rest: its
 cca_x/cca_y parts fit a CCA per split, its attribute parts flip bits and
@@ -48,6 +49,7 @@ SCENARIO_SPEC = {
 }
 SCENARIOS = tuple(SCENARIO_SPEC)
 SCENARIO_IDS = {name: i for i, name in enumerate(SCENARIOS)}
+BLOCK_ENTRIES = 2**17  # scores per probe block (1 MB): max(1, this // gallery entries) rows
 # The dataset column each part is built from.
 PART_SOURCES = {"vision": "vision", "language": "language", "attribute": "attributes",
                 "cca_x": "vision", "cca_y": "language"}
@@ -102,15 +104,8 @@ class PipelineConfig:
             raise InvalidConfig(f"gallery_mode must be single or multi, got {self.gallery_mode!r}")
 
 
-def cmc(scores, gallery_ids, probe_ids) -> CmcResult:
-    """CMC curve from a probes-by-gallery score matrix (lower = better).
-
-    Per probe the gallery is sorted ascending with ties broken by gallery
-    index; the probe's rank is the position of its best-ranked correct
-    identity. That entry is the first-index minimum over the correct columns,
-    and its rank is counted, not sorted: 1 + #(lower scores) + #(equal
-    scores at a lower gallery index).
-    """
+def _ranks(scores, gallery_ids, probe_ids):
+    """cmc's checks and per-probe ranks for a score matrix or a block of its rows."""
     scores = np.asarray(scores, dtype=np.float64)
     gallery_ids = np.asarray(gallery_ids)
     probe_ids = np.asarray(probe_ids)
@@ -123,7 +118,6 @@ def cmc(scores, gallery_ids, probe_ids) -> CmcResult:
         raise EmptyGallery("gallery must contain at least one sample")
     if np.isnan(scores).any():
         raise NonFiniteValue("score matrix has a NaN entry")
-    gallery_size = len(gallery_ids)
     correct = probe_ids[:, None] == gallery_ids[None, :]
     absent = ~correct.any(axis=1)
     if absent.any():
@@ -131,12 +125,26 @@ def cmc(scores, gallery_ids, probe_ids) -> CmcResult:
             f"probe identity {probe_ids[absent.argmax()]!r} not in the gallery")
     best = np.where(correct, scores, np.inf).min(axis=1, keepdims=True)
     first = np.argmax(correct & (scores == best), axis=1)
-    before = np.arange(gallery_size) < first[:, None]
-    ranks = 1 + np.sum((scores < best) | ((scores == best) & before), axis=1)
+    before = np.arange(len(gallery_ids)) < first[:, None]
+    return 1 + np.sum((scores < best) | ((scores == best) & before), axis=1)
+
+
+def _curve(ranks, gallery_size) -> CmcResult:
     counts = np.bincount(ranks, minlength=gallery_size + 1)[1:]
-    accuracies = np.cumsum(counts) / len(probe_ids)
-    return CmcResult(accuracies=accuracies, probe_count=len(probe_ids),
+    return CmcResult(accuracies=np.cumsum(counts) / len(ranks), probe_count=len(ranks),
                      gallery_size=gallery_size)
+
+
+def cmc(scores, gallery_ids, probe_ids) -> CmcResult:
+    """CMC curve from a probes-by-gallery score matrix (lower = better).
+
+    Per probe the gallery is sorted ascending with ties broken by gallery
+    index; the probe's rank is the position of its best-ranked correct
+    identity. That entry is the first-index minimum over the correct columns,
+    and its rank is counted, not sorted: 1 + #(lower scores) + #(equal
+    scores at a lower gallery index).
+    """
+    return _curve(_ranks(scores, gallery_ids, probe_ids), len(gallery_ids))
 
 
 def flip_attributes(bits, n, rng):
@@ -221,15 +229,20 @@ def _evaluate_one_split(ids, views, fields, split, scenario, config, master_seed
     if not probe_rows.size:
         raise InvalidConfig(f"split {split.index} has no view-2 test samples")
 
-    gallery_ids = ids[gallery_rows]
-    scores = xqda_mod.score_matrix(metric, _fuse(spec[GALLERY], fields, gallery_rows, model),
-                                   _fuse(spec[QUERY], fields, probe_rows, model))
-    if config.gallery_mode == "multi":
-        # An identity's images sit next to each other: fold each run to its min.
-        starts = np.flatnonzero(np.r_[True, gallery_ids[1:] != gallery_ids[:-1]])
-        scores = np.minimum.reduceat(scores, starts, axis=1)
-        gallery_ids = gallery_ids[starts]
-    return cmc(scores, gallery_ids, ids[probe_rows])
+    gallery = _fuse(spec[GALLERY], fields, gallery_rows, model)
+    probes = _fuse(spec[QUERY], fields, probe_rows, model)
+    gallery_ids, probe_ids = ids[gallery_rows], ids[probe_rows]
+    # An identity's images sit next to each other: multi-shot folds each run to its min.
+    starts = np.flatnonzero(np.r_[True, gallery_ids[1:] != gallery_ids[:-1]])
+    ranked_ids = gallery_ids[starts] if config.gallery_mode == "multi" else gallery_ids
+    step = max(1, BLOCK_ENTRIES // len(gallery_rows))
+    ranks = []
+    for lo in range(0, len(probe_rows), step):
+        scores = xqda_mod.score_matrix(metric, gallery, probes[lo:lo + step])
+        if config.gallery_mode == "multi":
+            scores = np.minimum.reduceat(scores, starts, axis=1)
+        ranks.append(_ranks(scores, ranked_ids, probe_ids[lo:lo + step]))
+    return _curve(np.concatenate(ranks), len(ranked_ids))
 
 
 def evaluate_scenario(dataset, splits, scenario, config=None, master_seed=42) -> SplitReport:

@@ -92,7 +92,11 @@ def build_difference_covariances(features, identities, views):
     (g - q)(g - q)^T needs no pair loop. Extra-personal pairs are all pairs
     minus the same-identity ones.
     """
-    features, codes, views, n1, n2 = _check_inputs(features, identities, views)
+    return _difference_covariances(*_check_inputs(features, identities, views))
+
+
+def _difference_covariances(features, codes, views, n1, n2):
+    """build_difference_covariances on _check_inputs' output."""
     dim = features.shape[1]
     v1 = features[views == 1]
     v2 = features[views == 2]
@@ -148,7 +152,7 @@ def fit_xqda(features, identities, views, ridge=DEFAULT_RIDGE,
         raise InvalidConfig(f"ridge must be finite and >= 0, got {ridge}")
     if max_rank < 1:
         raise InvalidConfig(f"max_rank must be >= 1, got {max_rank}")
-    features = _check_inputs(features, identities, views)[0]
+    features, codes, views, n1, n2 = _check_inputs(features, identities, views)
 
     scale = None
     work = features
@@ -157,7 +161,7 @@ def fit_xqda(features, identities, views, ridge=DEFAULT_RIDGE,
         scale[scale < 1e-12] = 1.0  # near-constant columns stay unscaled
         work = (features - features.mean(axis=0)) / scale
 
-    intra, extra = build_difference_covariances(work, identities, views)
+    intra, extra = _difference_covariances(work, codes, views, n1, n2)
     if np.trace(intra) + np.trace(extra) <= 0.0:
         raise DegenerateMetric("both difference covariances vanish")
 
@@ -225,6 +229,8 @@ def score_matrix(model: XqdaModel, gallery, probes) -> np.ndarray:
     block += np.einsum("ur,ur->u", zg @ model.m, zg)[None, :]
     _, same_p, same_g = np.intersect1d(pcodes, gcodes, assume_unique=True, return_indices=True)
     block[same_p, same_g] = 0.0
+    if np.array_equal(pinv, np.arange(len(pinv))) and np.array_equal(ginv, np.arange(len(ginv))):
+        return block  # distinct rows in order: the expansion would be a copy
     return block[np.ix_(pinv, ginv)]
 
 

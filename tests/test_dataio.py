@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -481,6 +482,37 @@ class TestMatrixBodies:
         back = MATRIX_FILES[kind][1](tmp_path / "f")
         assert back.tobytes() == rows.tobytes()
         assert np.signbit(back[0, 0]) and back[2, 0] == 5e-324
+
+
+class TestBodyReads:
+    """Bodies are read in place and checked for finiteness in chunks."""
+
+    def test_peak_memory_is_the_matrix(self, tmp_path):
+        # 5000 x 1000 values, 40 MB; the file's bytes, a converted copy and a
+        # full-size finiteness mask at once came to about 2.1 times that.
+        matrix = np.arange(5000 * 1000, dtype=np.float64).reshape(5000, 1000)
+        dataio.save_features([f"id{i}" for i in range(5000)], np.ones(5000, int), matrix,
+                             tmp_path / "big.feat")
+        del matrix
+        tracemalloc.start()
+        try:
+            loaded = dataio.load_features(tmp_path / "big.feat")[2]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert loaded[4999, 999] == 5000 * 1000 - 1
+        assert peak < 1.1 * loaded.nbytes
+
+    @pytest.mark.parametrize("at", [0, dataio._FINITE_CHUNK - 1, dataio._FINITE_CHUNK,
+                                    2 * dataio._FINITE_CHUNK + 2])
+    def test_non_finite_value_in_any_chunk(self, tmp_path, at):
+        values = np.ones(2 * dataio._FINITE_CHUNK + 3)
+        values[at] = np.nan
+        path = tmp_path / "m.feat"
+        dataio.save_features(["a"], [1], np.ones((1, values.size)), path)
+        raw = path.read_bytes()
+        with pytest.raises(NonFiniteValue):
+            dataio.load_features(write(path, raw[:len(raw) - 8 * values.size] + values.tobytes()))
 
 
 class TestRealsRoundTrip:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -284,6 +286,72 @@ class TestScoreTies:
         monkeypatch.setattr(xqda, "score_matrix", pairwise)
         slow = evaluation.evaluate_scenario(dataset, splits, "VxV", cfg, master_seed=3)
         assert np.array_equal(fast.per_split[0].accuracies, slow.per_split[0].accuracies)
+
+
+class TestProbeBlocks:
+    @staticmethod
+    def tied_dataset():
+        # One image copied into every view-1 row of the first two test
+        # identities (equal gallery columns, in single and multi mode alike)
+        # and into probes 6, 7 and the last, so that exact 0.0 scores and the
+        # first-index tie-break fall on both sides of a block boundary.
+        config = small_config(identity_count=60, samples_per_view=3, vision_dim=39,
+                              language_dim=14)
+        dataset = synth.gen_paired(config)
+        splits = synth.gen_splits(config)[:1]
+        ids, views = dataset.identities, dataset.views
+        test = np.isin(ids, splits[0].test_identities())
+        order = list(dict.fromkeys(ids[test].tolist()))
+        image = np.flatnonzero((ids == order[0]) & (views == 1))[0]
+        probes = np.flatnonzero(test & (views == 2))
+        copies = np.flatnonzero(np.isin(ids, order[:2]) & (views == 1))
+        dataset.vision[np.r_[copies, probes[[6, 7, -1]]]] = dataset.vision[image]
+        return dataset, splits, len(probes), int(np.sum(test & (views == 1)))
+
+    @pytest.mark.parametrize("mode", ["single", "multi"])
+    @pytest.mark.parametrize("rows", [1, 7])
+    def test_blocks_rank_as_the_full_matrix(self, monkeypatch, mode, rows):
+        dataset, splits, probe_count, images = self.tied_dataset()
+        entries = images if mode == "multi" else images // 3
+        cfg = evaluation.PipelineConfig(gallery_mode=mode)
+        # One block of every probe: cmc over score_matrix's full P x G matrix.
+        monkeypatch.setattr(evaluation, "BLOCK_ENTRIES", 2**62)
+        full = evaluation.evaluate_scenario(dataset, splits, "VxV", cfg, master_seed=3)
+
+        blocks = []
+        score_matrix = xqda.score_matrix
+
+        def recording(model, gallery, probes):
+            scores = score_matrix(model, gallery, probes)
+            blocks.append((len(probes), int(np.sum(scores == 0.0))))
+            return scores
+
+        # Blocks of `rows` probes; BLOCK_ENTRIES need not be a multiple of the gallery.
+        monkeypatch.setattr(evaluation, "BLOCK_ENTRIES", (rows + 1) * entries - 1)
+        monkeypatch.setattr(xqda, "score_matrix", recording)
+        blocked = evaluation.evaluate_scenario(dataset, splits, "VxV", cfg, master_seed=3)
+        full_blocks, rest = divmod(probe_count, rows)
+        assert rest or rows == 1  # 7 does not divide P: the last block is short
+        assert [n for n, _ in blocks] == [rows] * full_blocks + [rest] * (rest > 0)
+        # probes 6 and 7 each tie at 0.0 with at least the two copied identities
+        assert sum(zeros for _, zeros in blocks[6 // rows:8 // rows + 1]) >= 4
+        assert np.array_equal(blocked.per_split[0].accuracies, full.per_split[0].accuracies)
+
+
+    def test_peak_memory_is_a_block_not_the_score_matrix(self):
+        # P = G = 2000 multi-shot entries: one P x G float64 matrix is 32 MB,
+        # and ranking the whole matrix at once peaked at 63 MB.
+        config = small_config(identity_count=2000, num_splits=1)
+        dataset = synth.gen_paired(config)
+        cfg = evaluation.PipelineConfig(gallery_mode="multi")
+        tracemalloc.start()
+        try:
+            report = evaluation.evaluate_scenario(dataset, synth.gen_splits(config), "VxV", cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (report.per_split[0].probe_count, report.per_split[0].gallery_size) == (2000, 1000)
+        assert peak < 16 * 2**20
 
 
 class TestAttributeSweep:

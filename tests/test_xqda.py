@@ -114,6 +114,17 @@ class TestFit:
         assert model.rank >= 1
         assert not model.fallback
 
+    @pytest.mark.parametrize("zscore", [False, True])
+    def test_one_input_pass_per_fit(self, monkeypatch, zscore):
+        # fit_xqda validates and codes the identities once, then hands the
+        # codes on instead of calling the public covariance builder.
+        feats, ids, views = random_reid_data(stream(42, 3))
+        calls = []
+        check = xqda._check_inputs
+        monkeypatch.setattr(xqda, "_check_inputs", lambda *a: calls.append(1) or check(*a))
+        xqda.fit_xqda(feats, ids, views, zscore=zscore)
+        assert len(calls) == 1
+
     def test_pure_noise_falls_back(self):
         # identical statistics in both classes: all eigenvalues ~1
         rng = stream(42, 2)
