@@ -261,7 +261,8 @@ def cmd_train_textcnn(args):
 def _load_dataset(args):
     dataset = dataio.load_dataset(args.vision, language=getattr(args, "language", None),
                                   attributes=args.attributes)
-    splits = dataio.load_splits(args.splits, known_identities=set(dataset.identities.tolist()))
+    names = dataset.identities[dataio.first_appearance_codes(dataset.identities)[0]]
+    splits = dataio.load_splits(args.splits, known_identities=set(names.tolist()))
     return dataset, splits
 
 

@@ -332,12 +332,6 @@ class SplitAssignment:
     index: int
     roles: dict = field(default_factory=dict)
 
-    def train_identities(self):
-        return [i for i, role in self.roles.items() if role == TRAIN]
-
-    def test_identities(self):
-        return [i for i, role in self.roles.items() if role == TEST]
-
 
 def load_splits(path, known_identities=None):
     return _parse_splits(_read_lines(path), path, known_identities)
@@ -430,6 +424,14 @@ def load_synonyms(path):
 
 # -- datasets -------------------------------------------------------------------
 
+def first_appearance_codes(values):
+    """(first, codes) for a 1-D array: values[first] are its distinct values in
+    order of first appearance, and values[i] is the codes[i]-th of them."""
+    _, index, inverse = np.unique(values, return_index=True, return_inverse=True)
+    order = np.argsort(index)
+    return index[order], np.argsort(order)[inverse]
+
+
 @dataclass
 class Dataset:
     """Row-aligned columns: row i observes identities[i] in camera views[i].
@@ -454,8 +456,8 @@ def load_dataset(vision, language=None, attributes=None) -> Dataset:
 
     The vision file's identities and views are the dataset's; a language file
     must carry the same ones row by row, since that row order is the pairing.
-    Attribute bits are looked up per identity. The text CNN reads the corpus
-    on its own.
+    Attribute bits are looked up once per identity and spread to its rows.
+    The text CNN reads the corpus on its own.
     """
     identities, views, x = load_features(vision)
     y = bits = None
@@ -471,10 +473,11 @@ def load_dataset(vision, language=None, attributes=None) -> Dataset:
                                     f"{identities[row]} view {views[row]}, {language} has "
                                     f"{language_identities[row]} view {language_views[row]}")
     if attributes:
-        named = identities.tolist()
-        table = load_attributes(attributes, known_identities=set(named))
-        for identity in named:
+        first, codes = first_appearance_codes(identities)
+        names = identities[first].tolist()
+        table = load_attributes(attributes, known_identities=set(names))
+        for identity in names:
             if identity not in table:
                 raise UnknownIdentity(f"{attributes}: identity {identity!r} has no attribute row")
-        bits = np.array([table.get(identity) for identity in named], dtype=np.uint8)
+        bits = np.array([table.get(identity) for identity in names], dtype=np.uint8)[codes]
     return Dataset(identities=identities, views=views, vision=x, language=y, attributes=bits)

@@ -6,8 +6,11 @@ only, build the gallery from view-1 test samples (one per identity in
 single-shot mode, drawn by the split's seeded stream when an identity has
 several), take every view-2 test sample as a probe, and rank the gallery by
 ascending score. Splits are independent, each keyed by (master seed,
-scenario, flip count, split index). Probes are scored, folded and ranked in
-blocks of rows, so at most one block of scores is held, never P x G of them.
+scenario, flip count, split index). Identities are coded once per
+evaluation by dataio.first_appearance_codes, the coder xqda uses for its
+labels and rows; a split's masks, gallery grouping and ranks work on the
+codes. Probes are scored, folded and ranked in blocks of rows, so at most
+one block of scores is held, never P x G of them.
 
 SCENARIO_SPEC, the one table of the six scenarios, decides the rest: its
 cca_x/cca_y parts fit a CCA per split, its attribute parts flip bits and
@@ -21,6 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import cca as cca_mod
+from . import dataio
 from . import rng as streams
 from . import xqda as xqda_mod
 from .errors import (
@@ -104,8 +108,8 @@ class PipelineConfig:
             raise InvalidConfig(f"gallery_mode must be single or multi, got {self.gallery_mode!r}")
 
 
-def _ranks(scores, gallery_ids, probe_ids):
-    """cmc's checks and per-probe ranks for a score matrix or a block of its rows."""
+def _ranks(scores, gallery_ids, probe_ids, names=None):
+    """cmc's checks and per-probe ranks for a block of scores; ids code into names if given."""
     scores = np.asarray(scores, dtype=np.float64)
     gallery_ids = np.asarray(gallery_ids)
     probe_ids = np.asarray(probe_ids)
@@ -119,10 +123,10 @@ def _ranks(scores, gallery_ids, probe_ids):
     if np.isnan(scores).any():
         raise NonFiniteValue("score matrix has a NaN entry")
     correct = probe_ids[:, None] == gallery_ids[None, :]
-    absent = ~correct.any(axis=1)
-    if absent.any():
-        raise ProbeIdentityAbsent(
-            f"probe identity {probe_ids[absent.argmax()]!r} not in the gallery")
+    absent = probe_ids[~correct.any(axis=1)]
+    if absent.size:
+        label = (absent if names is None else names[absent]).tolist()[0]
+        raise ProbeIdentityAbsent(f"probe identity {label!r} not in the gallery")
     best = np.where(correct, scores, np.inf).min(axis=1, keepdims=True)
     first = np.argmax(correct & (scores == best), axis=1)
     before = np.arange(len(gallery_ids)) < first[:, None]
@@ -173,17 +177,18 @@ def _fuse(parts, fields, rows, model):
     return np.concatenate(pieces, axis=-1)
 
 
-def _evaluate_one_split(ids, views, fields, split, scenario, config, master_seed):
+def _evaluate_one_split(codes, names, views, fields, split, scenario, config, master_seed):
     gen = streams.stream(
         master_seed, streams.EVAL, SCENARIO_IDS[scenario], config.flip_bits, split.index
     )
     spec = SCENARIO_SPEC[scenario]
     parts = set(spec[GALLERY] + spec[QUERY])
-    # Set lookups: np.isin would import numpy.ma, 1.6 MB of peak RSS.
-    train_ids, test_ids = set(split.train_identities()), set(split.test_identities())
-    train = np.array([identity in train_ids for identity in ids.tolist()], dtype=bool)
-    test = np.array([identity in test_ids for identity in ids.tolist()], dtype=bool)
-    if not train.any() or not test_ids:
+    # Each identity's role by code; the split's labels coded past len(names) have no rows.
+    _, labels = dataio.first_appearance_codes(np.array(names.tolist() + list(split.roles)))
+    role = np.full(len(labels), "", dtype=object)
+    role[labels[len(names):]] = list(split.roles.values())
+    train, test = (role == dataio.TRAIN)[codes], (role == dataio.TEST)[codes]
+    if not train.any() or dataio.TEST not in split.roles.values():
         raise InvalidConfig(f"split {split.index} needs both train and test identities")
 
     if "attribute" in parts:
@@ -203,45 +208,35 @@ def _evaluate_one_split(ids, views, fields, split, scenario, config, master_seed
     train_rows = np.concatenate([train_view1, train_view2])
     # Z-scoring balances the scales of vision features and {-1,+1} attribute bits.
     metric = xqda_mod.fit_xqda(
-        train_feats, ids[train_rows], views[train_rows],
+        train_feats, names[codes[train_rows]], views[train_rows],
         ridge=config.xqda_ridge, max_rank=config.xqda_max_rank,
         zscore="attribute" in parts,
     )
 
-    # Gallery: view-1 test samples, one per identity unless multi-shot.
-    by_identity = {}
-    for i in np.flatnonzero(test & (views == 1)):
-        by_identity.setdefault(ids[i], []).append(i)
-    gallery_rows = []
-    for identity in dict.fromkeys(ids.tolist()):
-        if identity not in by_identity:
-            continue
-        candidates = by_identity.pop(identity)
-        if config.gallery_mode == "multi":
-            gallery_rows.extend(candidates)
-        elif len(candidates) == 1:
-            gallery_rows.append(candidates[0])
-        else:
-            gallery_rows.append(candidates[int(gen.integers(len(candidates)))])
-    probe_rows = np.flatnonzero(test & (views == 2))
-    if not gallery_rows:
+    # Gallery: view-1 test samples, grouped by identity in order of first
+    # appearance; single-shot draws one per identity that has several.
+    gallery_rows = np.flatnonzero(test & (views == 1))
+    if not gallery_rows.size:
         raise EmptyGallery(f"split {split.index} has no view-1 test samples")
+    gallery_rows = gallery_rows[np.argsort(codes[gallery_rows], kind="stable")]
+    starts = np.flatnonzero(np.r_[True, np.diff(codes[gallery_rows]) != 0])
+    ranked_ids = codes[gallery_rows[starts]]
+    if config.gallery_mode == "single":
+        counts = np.diff(np.r_[starts, len(gallery_rows)])
+        gallery_rows = gallery_rows[starts + [gen.integers(n) if n > 1 else 0 for n in counts]]
+    probe_rows = np.flatnonzero(test & (views == 2))
     if not probe_rows.size:
         raise InvalidConfig(f"split {split.index} has no view-2 test samples")
 
     gallery = _fuse(spec[GALLERY], fields, gallery_rows, model)
     probes = _fuse(spec[QUERY], fields, probe_rows, model)
-    gallery_ids, probe_ids = ids[gallery_rows], ids[probe_rows]
-    # An identity's images sit next to each other: multi-shot folds each run to its min.
-    starts = np.flatnonzero(np.r_[True, gallery_ids[1:] != gallery_ids[:-1]])
-    ranked_ids = gallery_ids[starts] if config.gallery_mode == "multi" else gallery_ids
     step = max(1, BLOCK_ENTRIES // len(gallery_rows))
     ranks = []
     for lo in range(0, len(probe_rows), step):
         scores = xqda_mod.score_matrix(metric, gallery, probes[lo:lo + step])
         if config.gallery_mode == "multi":
-            scores = np.minimum.reduceat(scores, starts, axis=1)
-        ranks.append(_ranks(scores, ranked_ids, probe_ids[lo:lo + step]))
+            scores = np.minimum.reduceat(scores, starts, axis=1)  # each identity's min
+        ranks.append(_ranks(scores, ranked_ids, codes[probe_rows[lo:lo + step]], names))
     return _curve(np.concatenate(ranks), len(ranked_ids))
 
 
@@ -261,7 +256,9 @@ def evaluate_scenario(dataset, splits, scenario, config=None, master_seed=42) ->
     fields = {source: getattr(dataset, source) for source in scenario_sources(scenario)}
     if any(column is None for column in fields.values()):
         raise MissingModality(f"scenario {scenario} needs {' and '.join(fields)}")
-    results = [_evaluate_one_split(dataset.identities, dataset.views, fields, split, scenario,
+    first, codes = dataio.first_appearance_codes(dataset.identities)
+    names = dataset.identities[first]
+    results = [_evaluate_one_split(codes, names, dataset.views, fields, split, scenario,
                                    config, master_seed)
                for split in splits]
 

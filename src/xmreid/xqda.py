@@ -62,25 +62,20 @@ class XqdaModel:
 
 
 def _check_inputs(features, identities, views):
-    """Row-aligned features, identity codes and views, plus per-code view counts.
-
-    Identities are coded 0, 1, ... in order of first appearance.
-    """
+    """Row-aligned features, identity codes by first appearance and views, plus view counts."""
     features = np.asarray(features, dtype=np.float64)
     identities = np.asarray(identities)
     views = np.asarray(views)
     if features.ndim != 2 or len(identities) != features.shape[0] or len(views) != features.shape[0]:
         raise ShapeMismatch("features, identities, and views must be row-aligned")
-    lookup = {}
-    codes = np.array([lookup.setdefault(identity, len(lookup)) for identity in identities.tolist()],
-                     dtype=np.intp)
-    if len(lookup) < 2:
+    first, codes = dataio.first_appearance_codes(identities)
+    if len(first) < 2:
         raise TooFewIdentities("need at least two identities for extra-personal pairs")
-    n1 = np.bincount(codes[views == 1], minlength=len(lookup)).astype(np.float64)
-    n2 = np.bincount(codes[views == 2], minlength=len(lookup)).astype(np.float64)
-    lacking = np.flatnonzero((n1 == 0) | (n2 == 0))
-    if lacking.size:
-        raise MissingView(f"identity {list(lookup)[lacking[0]]!r} lacks a sample in one view")
+    n1 = np.bincount(codes[views == 1], minlength=len(first)).astype(np.float64)
+    n2 = np.bincount(codes[views == 2], minlength=len(first)).astype(np.float64)
+    lacking = identities[first[(n1 == 0) | (n2 == 0)]].tolist()
+    if lacking:
+        raise MissingView(f"identity {lacking[0]!r} lacks a sample in one view")
     return features, codes, views, n1, n2
 
 
@@ -214,9 +209,8 @@ def score_matrix(model: XqdaModel, gallery, probes) -> np.ndarray:
     # One code per distinct row, numbered by first appearance; + 0.0 turns
     # -0.0 into 0.0 so that equal rows have equal bytes.
     rows = np.vstack([gallery, probes]) + 0.0
-    codes = {}
-    code = np.array([codes.setdefault(row.tobytes(), len(codes)) for row in rows], dtype=np.intp)
-    z = rows[np.unique(code, return_index=True)[1]] @ model.w
+    first, code = dataio.first_appearance_codes(rows.view(f"V{8 * rows.shape[1]}").ravel())
+    z = rows[first] @ model.w
     if len(z):
         z -= z.mean(axis=0)  # the score depends on g - q only; centring limits cancellation
     gcodes, ginv = np.unique(code[:len(gallery)], return_inverse=True)

@@ -202,9 +202,9 @@ class TestSplits:
         path = write(tmp_path / "s.split", body)
         splits = dataio.load_splits(path)
         assert len(splits) == 1
-        assert len(splits[0].train_identities()) == 316
-        assert len(splits[0].test_identities()) == 316
-        assert set(splits[0].train_identities()).isdisjoint(splits[0].test_identities())
+        roles = list(splits[0].roles.values())
+        assert roles.count("train") == 316 and roles.count("test") == 316
+        assert len(splits[0].roles) == 632
 
     def test_duplicate_assignment(self, tmp_path):
         path = write(tmp_path / "s.split", "XMREID-SPLIT 1 1\n1\tid1\ttrain\n1\tid1\ttest\n")
@@ -631,6 +631,24 @@ class TestBlocks:
         assert not (tmp_path / "a.model").exists()
 
 
+class TestFirstAppearanceCodes:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 5), max_size=30))
+    def test_matches_dict_numbering(self, values):
+        lookup = {}
+        expected = [lookup.setdefault(v, len(lookup)) for v in values]
+        first, codes = dataio.first_appearance_codes(np.array(values, dtype=np.int64))
+        assert codes.tolist() == expected
+        assert first.tolist() == [values.index(v) for v in lookup]
+
+    def test_labels_and_rows(self):
+        first, codes = dataio.first_appearance_codes(np.array(["b", "a", "b", "c", "a"]))
+        assert (first.tolist(), codes.tolist()) == ([0, 1, 3], [0, 1, 0, 2, 1])
+        rows = np.array([[1.0, -0.0], [0.5, 2.0], [1.0, 0.0], [0.5, -2.0]]) + 0.0
+        first, codes = dataio.first_appearance_codes(rows.view("V16").ravel())
+        assert (first.tolist(), codes.tolist()) == ([0, 1, 3], [0, 1, 0, 2])
+
+
 class TestAssembly:
     """load_dataset joins FEAT and ATTR files into row-aligned columns."""
 
@@ -665,6 +683,19 @@ class TestAssembly:
     def test_missing_attribute_row(self, tmp_path):
         vision, _, attrs = self.files(tmp_path)
         with pytest.raises(UnknownIdentity, match="no attribute row"):
+            dataio.load_dataset(vision, attributes=attrs)
+
+    def test_bits_spread_per_identity(self, tmp_path):
+        vision, attrs = tmp_path / "v.feat", tmp_path / "a.attr"
+        ids = ["b", "a", "c", "a", "b", "c"]
+        dataio.save_features(ids, [1, 1, 1, 2, 2, 2], np.eye(6), vision)
+        bits = {"a": np.array([1, 0]), "b": np.array([0, 1]), "c": np.array([1, 1])}
+        dataio.save_attributes(dataio.AttributeTable(width=2, bits=bits), attrs)
+        ds = dataio.load_dataset(vision, attributes=attrs)
+        assert ds.attributes.tolist() == [bits[i].tolist() for i in ids]
+        assert ds.attributes.dtype == np.uint8
+        dataio.save_attributes(dataio.AttributeTable(width=2, bits={"a": bits["a"]}), attrs)
+        with pytest.raises(UnknownIdentity, match="identity 'b' has no attribute row"):
             dataio.load_dataset(vision, attributes=attrs)
 
     def test_returns_the_loaded_arrays(self, tmp_path, monkeypatch):

@@ -3,17 +3,18 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from xmreid import cca, evaluation, synth, xqda
+from xmreid import cca, dataio, evaluation, synth, xqda
 from xmreid.errors import (
     EmptyGallery,
     InvalidConfig,
     MissingModality,
+    MissingView,
     NonFiniteValue,
     NOutOfRange,
     ProbeIdentityAbsent,
     ShapeMismatch,
 )
-from xmreid.rng import stream
+from xmreid.rng import EVAL, stream
 
 
 class TestCmc:
@@ -102,7 +103,7 @@ class TestCmc:
             evaluation.cmc(np.array([[np.nan, 0.0]]), np.array(["a", "b"]), np.array(["a"]))
 
     def test_probe_identity_absent(self):
-        with pytest.raises(ProbeIdentityAbsent):
+        with pytest.raises(ProbeIdentityAbsent, match="identity 'z' not"):
             evaluation.cmc(np.zeros((1, 2)), np.array(["a", "b"]), np.array(["z"]))
 
     def test_agrees_with_chance_oracle(self):
@@ -236,7 +237,7 @@ class TestEvaluateScenario:
         splits = synth.gen_splits(config)
         cfg = evaluation.PipelineConfig(gallery_mode="multi")
         report = evaluation.evaluate_scenario(dataset, splits, "VxV", cfg, master_seed=3)
-        assert report.per_split[0].gallery_size == len(splits[0].test_identities())
+        assert report.per_split[0].gallery_size == list(splits[0].roles.values()).count("test")
 
     def test_unknown_scenario(self):
         with pytest.raises(InvalidConfig):
@@ -270,7 +271,7 @@ class TestScoreTies:
         dataset = synth.gen_paired(config)
         splits = synth.gen_splits(config)[:1]
         ids, views = dataset.identities, dataset.views
-        test = set(splits[0].test_identities())
+        test = {i for i, role in splits[0].roles.items() if role == "test"}
         order = [i for i in dict.fromkeys(ids.tolist()) if i in test]
         for first, second in [*zip(order[::2], order[1::2]), (order[0], order[-1])]:
             image = np.flatnonzero((ids == first) & (views == 1))[0]
@@ -300,7 +301,7 @@ class TestProbeBlocks:
         dataset = synth.gen_paired(config)
         splits = synth.gen_splits(config)[:1]
         ids, views = dataset.identities, dataset.views
-        test = np.isin(ids, splits[0].test_identities())
+        test = np.isin(ids, [i for i, role in splits[0].roles.items() if role == "test"])
         order = list(dict.fromkeys(ids[test].tolist()))
         image = np.flatnonzero((ids == order[0]) & (views == 1))[0]
         probes = np.flatnonzero(test & (views == 2))
@@ -352,6 +353,106 @@ class TestProbeBlocks:
             tracemalloc.stop()
         assert (report.per_split[0].probe_count, report.per_split[0].gallery_size) == (2000, 1000)
         assert peak < 16 * 2**20
+
+
+class TestIdentityCoding:
+    """evaluate_scenario codes identities once; labels, order and draws are
+    what grouping by label in first-appearance order gave."""
+
+    @staticmethod
+    def interleaved(config):
+        # Identity i keeps 1 + i % 3 of its 3 view-1 images; the rows are then
+        # shuffled so that no identity's rows sit next to each other.
+        dataset = synth.gen_paired(config)
+        ids, views = dataset.identities, dataset.views
+        rank = np.array([int(i[2:]) for i in ids.tolist()])
+        within = np.zeros(len(ids), dtype=int)
+        for row in range(len(ids)):
+            within[row] = np.sum((ids[:row] == ids[row]) & (views[:row] == views[row]))
+        keep = np.flatnonzero((views == 2) | (within <= rank % 3))
+        rows = keep[np.random.default_rng(5).permutation(len(keep))]
+        return dataio.Dataset(identities=ids[rows], views=views[rows],
+                              vision=dataset.vision[rows], language=dataset.language[rows])
+
+    @staticmethod
+    def reference_gallery(dataset, split, mode, gen):
+        """Gallery rows grouped by label through a dict, as before coding."""
+        ids, views = dataset.identities, dataset.views
+        test = {i for i, role in split.roles.items() if role == "test"}
+        by_identity = {}
+        for row in np.flatnonzero(views == 1):
+            if ids[row] in test:
+                by_identity.setdefault(ids[row], []).append(row)
+        rows, starts = [], []
+        for identity in dict.fromkeys(ids.tolist()):
+            candidates = by_identity.get(identity, [])
+            if candidates:
+                starts.append(len(rows))
+                if mode == "multi":
+                    rows.extend(candidates)
+                elif len(candidates) == 1:
+                    rows.append(candidates[0])
+                else:
+                    rows.append(candidates[int(gen.integers(len(candidates)))])
+        return np.array(rows), np.array(starts)
+
+    @pytest.mark.parametrize("mode", ["single", "multi"])
+    def test_gallery_order_and_cmc_match_label_grouping(self, monkeypatch, mode):
+        config = small_config(identity_count=30, samples_per_view=3, num_splits=2)
+        dataset = self.interleaved(config)
+        splits = synth.gen_splits(config)
+        assert np.any(dataset.identities[1:] != dataset.identities[:-1])
+        seen = []
+        real = xqda.score_matrix
+
+        def recording(model, gallery, probes):
+            seen.append((model, gallery, probes))
+            return real(model, gallery, probes)
+
+        monkeypatch.setattr(xqda, "score_matrix", recording)
+        cfg = evaluation.PipelineConfig(gallery_mode=mode)
+        report = evaluation.evaluate_scenario(dataset, splits, "VxV", cfg, master_seed=3)
+        assert len(seen) == len(splits)  # one probe block per split
+        row_of = {row.tobytes(): i for i, row in enumerate(dataset.vision)}
+        counts = []
+        for split, (model, gallery, probes), result in zip(splits, seen, report.per_split):
+            gen = stream(3, EVAL, evaluation.SCENARIO_IDS["VxV"], 0, split.index)
+            rows, starts = self.reference_gallery(dataset, split, mode, gen)
+            assert [row_of[g.tobytes()] for g in gallery] == rows.tolist()
+            ids = dataset.identities
+            probe_ids = ids[[row_of[q.tobytes()] for q in probes]]
+            scores = real(model, gallery, probes)
+            if mode == "multi":
+                scores = np.minimum.reduceat(scores, starts, axis=1)
+            expected = evaluation.cmc(scores, ids[rows[starts]], probe_ids)
+            assert np.array_equal(result.accuracies, expected.accuracies)
+            counts.extend(np.diff(np.r_[starts, len(rows)]).tolist())
+        if mode == "multi":
+            assert set(counts) == {1, 2, 3}
+
+    def test_missing_view_names_the_label(self):
+        config = small_config()
+        dataset = synth.gen_paired(config)
+        splits = synth.gen_splits(config)[:1]
+        train = [i for i, role in splits[0].roles.items() if role == "train"]
+        keep = (dataset.identities != train[1]) | (dataset.views == 1)
+        dataset = dataio.Dataset(identities=dataset.identities[keep], views=dataset.views[keep],
+                                 vision=dataset.vision[keep])
+        with pytest.raises(MissingView, match=f"identity '{train[1]}' lacks"):
+            evaluation.evaluate_scenario(dataset, splits, "VxV")
+
+    def test_absent_probe_names_the_label(self):
+        config = small_config()
+        dataset = synth.gen_paired(config)
+        splits = synth.gen_splits(config)[:1]
+        test = [i for i, role in splits[0].roles.items() if role == "test"]
+        keep = (dataset.identities != test[1]) | (dataset.views == 2)
+        dataset = dataio.Dataset(identities=dataset.identities[keep], views=dataset.views[keep],
+                                 vision=dataset.vision[keep])
+        for mode in ("single", "multi"):
+            cfg = evaluation.PipelineConfig(gallery_mode=mode)
+            with pytest.raises(ProbeIdentityAbsent, match=f"identity '{test[1]}' not"):
+                evaluation.evaluate_scenario(dataset, splits, "VxV", cfg)
 
 
 class TestAttributeSweep:

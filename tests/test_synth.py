@@ -108,8 +108,8 @@ class TestGenSplits:
         splits = synth.gen_splits(config)
         assert len(splits) == 2
         for split in splits:
-            train = set(split.train_identities())
-            test = set(split.test_identities())
+            train = {i for i, role in split.roles.items() if role == "train"}
+            test = {i for i, role in split.roles.items() if role == "test"}
             assert train.isdisjoint(test)
             assert len(train) + len(test) == config.identity_count
 
