@@ -48,7 +48,10 @@ def regularized_cov(x, ridge) -> np.ndarray:
     centered = x - x.mean(axis=0)
     cov = centered.T @ centered / x.shape[0]
     dim = cov.shape[0]
-    return cov + ridge * (np.trace(cov) / dim) * np.eye(dim)
+    scale = float(ridge) * (float(np.trace(cov)) / dim)
+    if not np.isfinite(scale) and np.isfinite(np.trace(cov)):
+        raise InvalidConfig(f"CCA ridge {ridge} overflows when scaled by trace/d of the covariance")
+    return cov + scale * np.eye(dim)
 
 
 def fit_cca(x, y, k=None, ridge=DEFAULT_RIDGE) -> CcaModel:

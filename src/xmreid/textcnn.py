@@ -12,9 +12,10 @@ al. 2014), over the L live windows only, as a window in the zero padding
 responds relu(conv_b). FC1/FC2 are B-row GEMMs. batch_loss_and_gradients
 scatters each channel's peak gradient into an L x C array at its argmax
 row and multiplies that against the same im2col rows, so no per-sample
-gradient is ever held. train stacks each batch, and inference (predict,
-extract_features, find_detector_channel) each chunk of a sequence of
-same-shape tensors, only through the columns forward reads (_stacker).
+gradient is ever held. Descriptions are stored at their own width, up to
+max_len: train zero-pads each batch, and inference (predict,
+extract_features, find_detector_channel) each chunk, only through the
+columns forward reads (_stacker).
 synth.oracle_cnn_loss_and_gradients keeps the per-sample derivation as
 the oracle.
 
@@ -225,12 +226,12 @@ def train(model, samples, solver: SolverConfig, rng):
     """SGD with momentum / weight decay / step schedule; returns loss history.
 
     samples are (label, tensor) pairs with labels in 0..num_classes-1 and
-    tensors of one shape. Each iteration draws batch_size sample indices
-    with replacement and then the batch's dropout masks, stacks those tensors
-    only through the columns forward reads (_stacker), and applies the
-    Caffe-style update v = mu*v - lr*(grad + wd*param); param += v, with grad
-    the batch-mean gradient. A non-finite batch loss (divergence) raises
-    NoConvergence.
+    tensors at most max_len wide. Each iteration draws batch_size sample
+    indices with replacement and then the batch's dropout masks, stacks
+    those tensors only through the columns forward reads (_stacker), and
+    applies the Caffe-style update v = mu*v - lr*(grad + wd*param); param +=
+    v, with grad the batch-mean gradient, freed once applied. A non-finite
+    batch loss (divergence) raises NoConvergence.
     """
     solver.validate()
     samples = list(samples)
@@ -239,7 +240,7 @@ def train(model, samples, solver: SolverConfig, rng):
     labels = np.array([label for label, _ in samples], dtype=np.int64)
     if np.any((labels < 0) | (labels >= model.config.num_classes)):
         raise ShapeMismatch("label outside the class range")
-    stack = _stacker([tensor for _, tensor in samples], model.config.kernel_width)
+    stack = _stacker([tensor for _, tensor in samples], model.config)
 
     velocity = {name: np.zeros_like(arr) for name, arr in model.params()}
     history = []
@@ -257,7 +258,7 @@ def train(model, samples, solver: SolverConfig, rng):
             raise NoConvergence(f"training diverged: batch loss {history[-1]} at iteration {step}")
 
         for name, param in model.params():
-            grad = grads[name] * scale + solver.weight_decay * param
+            grad = grads.pop(name) * scale + solver.weight_decay * param
             vel = velocity[name]
             vel *= solver.momentum
             vel -= lr * grad
@@ -270,27 +271,31 @@ def _occupied(values):
     return (values.any(axis=-2) * np.arange(1, values.shape[-1] + 1)).max(axis=-1, initial=0)
 
 
-def _stacker(tensors, kernel_width):
-    """A function from indices into same-shape tensors to their stack, cut
-    after min(T, occupied + w) columns, occupied being the largest _occupied
-    width in the stack, as forward reads it. Dropped windows see only zeros
-    and would each respond relu(conv_b), like the kept window at position
-    occupied, which wins their ties: every argmax, pooled value and gradient
-    equals the full-width stack's.
+def _stacker(tensors, config):
+    """A function from indices into E x (at most max_len) tensors to their
+    stack, zero-padded to min(max_len, occupied + w) columns, occupied being
+    the largest _occupied width in the stack, as forward reads it. Dropped
+    windows see only zeros and would each respond relu(conv_b), like the
+    kept window at position occupied, which wins their ties: every argmax,
+    pooled value and gradient equals the max_len-wide stack's.
     """
-    if len({tensor.values.shape for tensor in tensors}) > 1:
-        raise ShapeMismatch("description tensors differ in shape")
-    width = tensors[0].values.shape[1]
+    if any(t.values.shape[0] != config.embed_dim or t.values.shape[1] > config.max_len
+           for t in tensors):
+        raise ShapeMismatch(f"description tensors must be {config.embed_dim} x at most "
+                            f"{config.max_len}, the model's input")
     occupied = np.array([_occupied(tensor.values) for tensor in tensors])
 
     def stack(indices):
-        cut = min(width, int(occupied[indices].max()) + kernel_width)
-        return np.stack([tensors[i].values[:, :cut] for i in indices])
+        cut = min(config.max_len, int(occupied[indices].max()) + config.kernel_width)
+        out = np.zeros((len(indices), config.embed_dim, cut))
+        for row, i in enumerate(indices):
+            out[row, :, :min(cut, tensors[i].values.shape[1])] = tensors[i].values[:, :cut]
+        return out
     return stack
 
 
 def _infer(model, tensors, pick):
-    """pick(trace) over a sequence of same-shape tensors, concatenated.
+    """pick(trace) over a sequence of tensors, concatenated.
 
     The sequence runs in chunks of at most INFER_CHUNK tensors, each stacked
     without the padding forward never reads, so memory stays bounded.
@@ -298,7 +303,7 @@ def _infer(model, tensors, pick):
     tensors = list(tensors)
     if not tensors:
         raise EmptySubset("no description tensors to run")
-    stack = _stacker(tensors, model.config.kernel_width)
+    stack = _stacker(tensors, model.config)
     return np.concatenate([
         pick(forward(model, stack(np.arange(start, min(start + INFER_CHUNK, len(tensors))))))
         for start in range(0, len(tensors), INFER_CHUNK)

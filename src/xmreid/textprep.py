@@ -1,10 +1,11 @@
 """Tokenization, embedding lookup, and description augmentation.
 
 A description becomes an E x T matrix whose columns are the word vectors of
-its first T in-vocabulary tokens; shorter descriptions are zero-padded on
-the right. Three augmentation schemes expand a training corpus: random word
-dropping and ranked synonym replacement act on token lists before embedding,
-additive Gaussian noise acts on the embedded matrix afterwards.
+its first T in-vocabulary tokens, T at most max_len. Only those columns are
+stored; the sentence CNN zero-pads when it stacks a batch. Three augmentation
+schemes expand a training corpus: random word dropping and ranked synonym
+replacement act on token lists before embedding, additive Gaussian noise acts
+on the embedded matrix afterwards.
 """
 
 import re
@@ -33,7 +34,8 @@ def tokenize(text):
 
 @dataclass
 class DescriptionTensor:
-    """E x T embedding matrix with `used` leading data columns; rest padding."""
+    """E x T embedding matrix whose `used` leading columns hold words; to_tensor
+    stores T = used columns, any later stored column counts as padding."""
 
     values: np.ndarray
     used: int
@@ -41,10 +43,6 @@ class DescriptionTensor:
     @property
     def embed_dim(self):
         return self.values.shape[0]
-
-    @property
-    def max_len(self):
-        return self.values.shape[1]
 
 
 def to_tensor(tokens, table, max_len=DEFAULT_MAX_LEN) -> DescriptionTensor:
@@ -57,7 +55,7 @@ def to_tensor(tokens, table, max_len=DEFAULT_MAX_LEN) -> DescriptionTensor:
         raise InvalidConfig(f"max_len must be >= 1, got {max_len}")
     kept = [t for t in tokens if t in table]
     used = min(len(kept), max_len)
-    values = np.zeros((table.dimension, max_len))
+    values = np.zeros((table.dimension, used))
     for col in range(used):
         values[:, col] = table.get(kept[col])
     return DescriptionTensor(values=values, used=used)
@@ -103,10 +101,10 @@ def _check_sigma(sigma):
 
 
 def augment_gaussian(tensor, sigma, rng) -> DescriptionTensor:
-    """Add zero-mean Gaussian noise to the data columns only.
+    """Add zero-mean Gaussian noise to the `used` data columns only.
 
-    Padding columns stay exactly zero so augmented and clean tensors have the
-    same footprint.
+    One E x used draw, so the stream advances by the words alone; stored
+    padding columns are copied unchanged.
     """
     _check_sigma(sigma)
     values = tensor.values.copy()

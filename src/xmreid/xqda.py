@@ -128,7 +128,10 @@ def _shared_ridge(first, second, ridge):
     # scale would vanish with the intra-covariance (identical views), leaving
     # the generalized eigenproblem ill-posed.
     dim = first.shape[0]
-    scale = ridge * (np.trace(first) + np.trace(second)) / (2.0 * dim)
+    trace = float(np.trace(first) + np.trace(second))
+    scale = float(ridge) * trace / (2.0 * dim)
+    if not np.isfinite(scale) and np.isfinite(trace):
+        raise InvalidConfig(f"XQDA ridge {ridge} overflows when scaled by the mean trace")
     eye = scale * np.eye(dim)
     return first + eye, second + eye
 

@@ -38,6 +38,12 @@ class TestRegularizedCov:
         with pytest.raises(InvalidConfig):
             cca.fit_cca(np.eye(3), np.eye(3), k=1, ridge=ridge)
 
+    def test_overflowing_ridge_rejected(self):
+        # finite, but ridge * trace/d is not: the ridge is at fault
+        x = 10.0 * stream(3, 1).standard_normal((6, 3))
+        with pytest.raises(InvalidConfig, match="ridge 1e\\+308 overflows"):
+            cca.regularized_cov(x, 1e308)
+
 
 class TestFitCca:
     def test_self_correlation(self):

@@ -275,6 +275,18 @@ class TestTrainTextCnn:
         assert code == 4
         assert list(out_dir.iterdir()) == []
 
+    def test_huge_max_len_stores_only_words(self, tmp_path):
+        # descriptions are stored at their own width and batches are padded
+        # only through the columns the network reads, so max_len costs nothing
+        out = gen_dataset(tmp_path)
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        assert run(["train-textcnn", "--corpus", str(out / "corpus.corpus"),
+                    "--embeddings", str(out / "embeddings.emb"), "--out-dir", str(run_dir),
+                    "--iters", "2", "--kernels", "8", "--hidden", "16",
+                    "--max-len", "1000000000", "--quiet"]) == 0
+        assert textcnn.load_model(run_dir / "model.cnn").config.max_len == 1_000_000_000
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow on the way to NaN
     def test_divergence_is_numerical_failure(self, tmp_path):
         corpus_path, emb_path = toy_text_corpus(tmp_path, classes=3)
@@ -598,6 +610,18 @@ class TestExitCodePartition:
                     "--splits", str(out / "splits.split"),
                     "--out-dir", str(tmp_path), "--quiet"])
         assert code == 4
+
+    @pytest.mark.parametrize("flag", ["--cca-ridge", "--xqda-ridge"])
+    def test_overflowing_ridge_is_2(self, tmp_path, capsys, flag):
+        # a finite ridge whose trace/d scaling overflows is the flag's fault,
+        # not the data's
+        out = gen_dataset(tmp_path)
+        code = run(["evaluate", "--scenario", "VxL", "--vision", str(out / "vision.feat"),
+                    "--language", str(out / "language.feat"),
+                    "--splits", str(out / "splits.split"),
+                    "--out-dir", str(tmp_path), "--quiet", flag, "1e308"])
+        assert code == 2
+        assert "ridge 1e+308 overflows" in capsys.readouterr().err
 
     def test_numerical_failure_is_5(self, tmp_path):
         # identical features for every record: both difference covariances

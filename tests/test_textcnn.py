@@ -67,7 +67,10 @@ def oracle_batch(model, tensors, labels, masks=None):
 
 
 def assert_batch_matches_oracle(model, tensors, labels, masks=None):
-    values = np.stack([t.values for t in tensors])
+    """The batch core on the max_len-wide stack against the oracle, which
+    pads each stored tensor itself."""
+    width = model.config.max_len
+    values = np.stack([np.pad(t.values, ((0, 0), (0, width - t.values.shape[1]))) for t in tensors])
     losses, grads = textcnn.batch_loss_and_gradients(model, values, labels, masks)
     want_losses, want = oracle_batch(model, tensors, labels, masks)
     assert relative_error(losses, want_losses) <= 1e-12
@@ -364,13 +367,42 @@ class TestTrain:
         assert np.isfinite(history[0])
         assert peak < 300 * 2**20
 
+    def test_applied_gradients_are_freed(self):
+        # Each gradient is dropped once applied, so no later step holds the
+        # previous step's gradients (5.4 MB here) beside its own; the slack
+        # covers the previous losses, batch indices and the loss history.
+        def traced_peak(iterations):
+            cfg = paper_config()
+            model = textcnn.init_model(cfg, stream(29, 1))
+            gen = stream(29, 2)
+            samples = [(label % cfg.num_classes, random_tensor(gen, cfg, used=8))
+                       for label in range(100)]
+            solver = textcnn.SolverConfig(iterations=iterations, batch_size=100)
+            tracemalloc.start()
+            try:
+                textcnn.train(model, samples, solver, stream(29, 3))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert traced_peak(3) <= traced_peak(1) + 64 * 2**10
+
     def test_mixed_shapes_rejected(self):
+        # Stored widths up to max_len mix freely, down to an empty tensor; a
+        # wider tensor or another embedding size does not fit the model.
         cfg = toy_config()
         model = textcnn.init_model(cfg, stream(28, 1))
-        short = DescriptionTensor(values=np.zeros((cfg.embed_dim, cfg.max_len - 1)), used=0)
-        samples = [(0, random_tensor(stream(28, 2), cfg)), (1, short)]
-        with pytest.raises(ShapeMismatch):
-            textcnn.train(model, samples, textcnn.SolverConfig(iterations=1), stream(28, 3))
+        gen = stream(28, 2)
+        samples = [(0, random_tensor(gen, cfg)),
+                   (1, DescriptionTensor(values=gen.standard_normal((cfg.embed_dim, 4)), used=4)),
+                   (2, DescriptionTensor(values=np.zeros((cfg.embed_dim, 0)), used=0))]
+        solver = textcnn.SolverConfig(iterations=3, batch_size=3)
+        assert len(textcnn.train(model, samples, solver, stream(28, 3))) == 3
+        wide = DescriptionTensor(values=np.ones((cfg.embed_dim, cfg.max_len + 1)), used=1)
+        thin = DescriptionTensor(values=np.ones((cfg.embed_dim - 1, 3)), used=3)
+        for bad in (wide, thin):
+            with pytest.raises(ShapeMismatch):
+                textcnn.train(model, samples + [(3, bad)], solver, stream(28, 3))
 
 
 class TestBatchedOracle:
@@ -422,7 +454,12 @@ class TestBatchedOracle:
         tensors = [random_tensor(gen, cfg, used=int(gen.integers(3, 7))) for _ in range(8)]
         peaks = [textcnn.forward(model, one(t)).argmax[0] for t in tensors]
         assert any(np.any(p >= t.used) for p, t in zip(peaks, tensors))
-        assert_batch_matches_oracle(model, tensors, gen.integers(0, cfg.num_classes, size=8))
+        labels = gen.integers(0, cfg.num_classes, size=8)
+        assert_batch_matches_oracle(model, tensors, labels)
+        # the same descriptions stored through their words only
+        ragged = [DescriptionTensor(values=t.values[:, :t.used].copy(), used=t.used)
+                  for t in tensors]
+        assert_batch_matches_oracle(model, ragged, labels)
 
     def test_paper_layer_sizes(self):
         cfg = paper_config()
@@ -555,6 +592,43 @@ class TestCutStacks:
         assert channel == int(np.argmin(errors.sum(axis=0)))
         assert np.array_equal(got, errors[:, channel])
 
+    def ragged(self, tensors):
+        """The same descriptions, each stored through its last nonzero
+        column, one or two columns past it, or at full width."""
+        out = []
+        for k, tensor in enumerate(tensors):
+            width = min(int(textcnn._occupied(tensor.values)) + k % 4, tensor.values.shape[1])
+            out.append(DescriptionTensor(values=tensor.values[:, :width].copy(), used=tensor.used))
+        return out
+
+    @pytest.mark.parametrize("chunk", [1, 3, textcnn.INFER_CHUNK])
+    def test_ragged_storage_equals_padded(self, monkeypatch, chunk):
+        monkeypatch.setattr(textcnn, "INFER_CHUNK", chunk)
+        cfg = toy_config(max_len=12, dropout=0.5, hidden_dim=16, kernel_count=8)
+        padded = self.corpus(cfg, stream(44, 2))
+        ragged = self.ragged(padded)
+        widths = [t.values.shape[1] for t in ragged]
+        assert min(widths) == 0 and cfg.max_len in widths and len(set(widths)) > 3
+        labels = np.arange(len(padded)) % cfg.num_classes
+        solver = textcnn.SolverConfig(iterations=30, base_lr=0.05, batch_size=3)
+        models, histories = [], []
+        for tensors in (padded, ragged):
+            models.append(self.model(cfg, 44))
+            histories.append(textcnn.train(models[-1], list(zip(labels, tensors)), solver,
+                                           stream(44, 3)))
+        assert histories[0] == histories[1]
+        for (name, got), (_, want) in zip(models[1].params(), models[0].params()):
+            assert np.array_equal(got, want), name
+
+        model = models[1]
+        assert np.array_equal(textcnn.extract_features(model, ragged),
+                              textcnn.extract_features(model, padded))
+        assert np.array_equal(textcnn.predict(model, ragged), textcnn.predict(model, padded))
+        truth = np.arange(len(padded)) % cfg.max_len + 1
+        channel, errors = textcnn.find_detector_channel(model, ragged, truth)
+        want_channel, want_errors = textcnn.find_detector_channel(model, padded, truth)
+        assert channel == want_channel and np.array_equal(errors, want_errors)
+
     def traced_peak(self, max_len):
         cfg = textcnn.TextCnnConfig(num_classes=10, max_len=max_len)
         model = textcnn.init_model(cfg, stream(43, 1))
@@ -627,10 +701,13 @@ class TestManyTensors:
         assert list(labels) == [textcnn.predict(model, [t])[0] for t in tensors]
 
     def test_mixed_widths_rejected(self):
-        # the batched core stacks its inputs, so one sequence has one shape
+        # one sequence may mix stored widths up to max_len (9), not beyond it
         cfg = toy_config()
         model = textcnn.init_model(cfg, stream(36, 1))
-        tensors = self.tensors(cfg, stream(36, 2), widths=(9, 9, 9, 7, 7, 9, 9, 9, 9, 7))
+        mixed = self.tensors(cfg, stream(36, 2), widths=(9, 9, 9, 7, 7, 9, 9, 9, 9, 5))
+        assert np.array_equal(textcnn.extract_features(model, mixed),
+                              textcnn.extract_features(model, self.tensors(cfg, stream(36, 2))))
+        tensors = self.tensors(cfg, stream(36, 2), widths=(9, 9, 9, 7, 7, 9, 9, 9, 9, 10))
         with pytest.raises(ShapeMismatch):
             textcnn.extract_features(model, tensors)
         with pytest.raises(ShapeMismatch):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -30,11 +32,11 @@ class TestTokenize:
 
 class TestToTensor:
     def test_padding(self):
+        # no padding is stored: the network pads a batch when it stacks it
         table = toy_table()
         tensor = textprep.to_tensor(["a", "short", "slim"], table, max_len=70)
         assert tensor.used == 3
-        assert tensor.values.shape == (4, 70)
-        assert np.all(tensor.values[:, 3:] == 0.0)
+        assert tensor.values.shape == (4, 3)
         assert np.array_equal(tensor.values[:, 1], table.get("short"))
 
     def test_truncation_after_oov_removal(self):
@@ -42,11 +44,12 @@ class TestToTensor:
         tokens = ["a", "short"] * 40  # 80 known tokens
         tensor = textprep.to_tensor(tokens, table, max_len=70)
         assert tensor.used == 70
+        assert tensor.values.shape == (4, 70)
 
     def test_all_oov(self):
         tensor = textprep.to_tensor(["xyzzy", "plugh"], toy_table(), max_len=8)
         assert tensor.used == 0
-        assert np.all(tensor.values == 0.0)
+        assert tensor.values.shape == (4, 0)
 
     def test_oov_skipped_not_zeroed(self):
         table = toy_table()
@@ -185,7 +188,22 @@ class TestBuildTrainingTensors:
         assert len(out) == 6
         clean, noisy = out[0][2], out[1][2]
         assert not np.array_equal(clean.values, noisy.values)
-        assert np.all(noisy.values[:, clean.used:] == 0.0)
+        assert noisy.values.shape == clean.values.shape == (4, 2)
+
+    def test_memory_holds_only_words(self):
+        # 200 eight-word descriptions at E 300: the words take 3.84 MB, and
+        # max_len 70 must not multiply that by 70 / 8
+        words = [f"w{i}" for i in range(8)]
+        table = toy_table(dim=300, tokens=words)
+        corpus = [(f"id{i}", 1, words) for i in range(200)]
+        tracemalloc.start()
+        try:
+            out = textprep.build_training_tensors(corpus, table, max_len=70)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(out) == 200
+        assert peak < 1.2 * 200 * 300 * 8 * 8
 
     def test_drop_expansion(self):
         out = textprep.build_training_tensors(

@@ -145,6 +145,11 @@ class TestFit:
         with pytest.raises(InvalidConfig):
             xqda.fit_xqda(feats, ids, views, ridge=ridge)
 
+    def test_overflowing_ridge_rejected(self):
+        feats, ids, views = random_reid_data(stream(42, 6))
+        with pytest.raises(InvalidConfig, match="ridge 1e\\+308 overflows"):
+            xqda.fit_xqda(10.0 * feats, ids, views, ridge=1e308)
+
     def test_beats_euclidean_on_anisotropic_noise(self):
         # identity signal in few dimensions, heavy shared noise elsewhere:
         # Euclidean ranks poorly, the learned metric recovers the signal
