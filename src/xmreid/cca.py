@@ -5,10 +5,10 @@ unit-variance constraints W_x^T S_xx W_x = W_y^T S_yy W_y = I. We solve it by
 whitening both covariances with pseudo-inverse square roots and taking one
 thin SVD of the whitened cross-covariance S_xx^-1/2 S_xy S_yy^-1/2: its
 singular values are the canonical correlations and its singular vector pairs,
-mapped back through the whitening, are W_x and W_y. Covariances carry a
-relative ridge so 2048-dimensional features with few training samples stay
-invertible. Which scenarios use the projections, and beside which other
-parts, is evaluation.SCENARIO_SPEC's to say.
+mapped back through the whitening, are W_x and W_y. Each side is centred
+once; linalg.ridged ridges S_xx and S_yy each on its own trace/d, so 2048-d
+features with few training samples stay invertible. Which scenarios use the
+projections, and beside which other parts, is evaluation.SCENARIO_SPEC's to say.
 """
 
 from dataclasses import dataclass
@@ -38,22 +38,6 @@ class CcaModel:
         return self.w_x.shape[1]
 
 
-def regularized_cov(x, ridge) -> np.ndarray:
-    """Population covariance (divisor n) plus ridge * (trace/d) * I."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] < 2:
-        raise TooFewSamples(f"need a samples-by-dim matrix with >= 2 rows, got {x.shape}")
-    if not (np.isfinite(ridge) and ridge >= 0):
-        raise InvalidConfig(f"ridge must be finite and >= 0, got {ridge}")
-    centered = x - x.mean(axis=0)
-    cov = centered.T @ centered / x.shape[0]
-    dim = cov.shape[0]
-    scale = float(ridge) * (float(np.trace(cov)) / dim)
-    if not np.isfinite(scale) and np.isfinite(np.trace(cov)):
-        raise InvalidConfig(f"CCA ridge {ridge} overflows when scaled by trace/d of the covariance")
-    return cov + scale * np.eye(dim)
-
-
 def fit_cca(x, y, k=None, ridge=DEFAULT_RIDGE) -> CcaModel:
     """Top-k canonical projection pairs of row-aligned sample matrices.
 
@@ -74,12 +58,11 @@ def fit_cca(x, y, k=None, ridge=DEFAULT_RIDGE) -> CcaModel:
     if not 1 <= k <= min(x.shape[1], y.shape[1]):
         raise KOutOfRange(f"k={k} outside 1..{min(x.shape[1], y.shape[1])}")
 
-    mean_x = x.mean(axis=0)
-    mean_y = y.mean(axis=0)
-    white_x = linalg.psd_power(regularized_cov(x, ridge), -0.5)
-    white_y = linalg.psd_power(regularized_cov(y, ridge), -0.5)
-    cov_xy = (x - mean_x).T @ (y - mean_y) / x.shape[0]
-    u, rho, vt = linalg.svd(white_x @ cov_xy @ white_y)
+    mean_x, mean_y = x.mean(axis=0), y.mean(axis=0)
+    xc, yc, n = x - mean_x, y - mean_y, x.shape[0]  # centred once for all three covariances
+    white_x = linalg.psd_power(linalg.ridged(ridge, xc.T @ xc / n)[0], -0.5)
+    white_y = linalg.psd_power(linalg.ridged(ridge, yc.T @ yc / n)[0], -0.5)
+    u, rho, vt = linalg.svd(white_x @ (xc.T @ yc / n) @ white_y)
     return CcaModel(
         w_x=white_x @ u[:, :k],
         w_y=white_y @ vt[:k].T,

@@ -210,19 +210,19 @@ def cmd_train_textcnn(args):
     table = dataio.load_embeddings(args.embeddings)
     synonyms = dataio.load_synonyms(args.synonyms) if args.synonyms else None
 
-    labels = {}
-    for identity, _, _ in corpus:
-        labels.setdefault(identity, len(labels))
+    first, codes = dataio.first_appearance_codes(np.array([i for i, _, _ in corpus]))
     tokenized = [(i, v, textprep.tokenize(text)) for i, v, text in corpus]
     tensors = textprep.build_training_tensors(
         tokenized, table, max_len=args.max_len, method=args.augment,
         factor=args.factor, rng=streams.stream(args.seed, streams.AUGMENT),
         synonyms=synonyms, sigma=args.sigma,
     )
-    samples = [(labels[identity], tensor) for identity, _, tensor in tensors]
+    # Each description's clean tensor leads the variants augmentation made of it.
+    step = args.factor if args.augment else 1
+    samples = list(zip(np.repeat(codes, step).tolist(), (tensor for _, _, tensor in tensors)))
 
     config_net = textcnn.TextCnnConfig(
-        num_classes=len(labels), embed_dim=table.dimension,
+        num_classes=len(first), embed_dim=table.dimension,
         kernel_count=args.kernels, kernel_width=args.kernel_width,
         hidden_dim=args.hidden, max_len=args.max_len, dropout=args.dropout,
     )
@@ -242,17 +242,15 @@ def cmd_train_textcnn(args):
         for it, loss in enumerate(history):
             handle.write(f"{it},{dataio.format_real(loss)}\n")
 
-    # Each description's clean tensor leads the variants augmentation made of it.
-    clean = [tensor for _, _, tensor in tensors[::args.factor if args.augment else 1]]
-    truth = np.array([labels[i] for i, _, _ in tokenized])
-    accuracy = float(np.mean(textcnn.predict(model, clean) == truth))
+    clean = [tensor for _, _, tensor in tensors[::step]]
+    accuracy = float(np.mean(textcnn.predict(model, clean) == codes))
 
     used = [tensor.used for _, _, tensor in tensors]
     write_manifest(f"{args.out_dir}/manifest.json", args, [model_path, history_path], started,
-                   extra={"classes": len(labels), "train_accuracy": accuracy,
+                   extra={"classes": len(first), "train_accuracy": accuracy,
                           "final_loss": history[-1] if history else None,
                           "description_columns": {"mean": float(np.mean(used)), "max": max(used)}})
-    _say(args, f"final train accuracy {accuracy:.3f} over {len(labels)} classes")
+    _say(args, f"final train accuracy {accuracy:.3f} over {len(first)} classes")
     return 0
 
 
@@ -261,8 +259,7 @@ def cmd_train_textcnn(args):
 def _load_dataset(args):
     dataset = dataio.load_dataset(args.vision, language=getattr(args, "language", None),
                                   attributes=args.attributes)
-    names = dataset.identities[dataio.first_appearance_codes(dataset.identities)[0]]
-    splits = dataio.load_splits(args.splits, known_identities=set(names.tolist()))
+    splits = dataio.load_splits(args.splits, known_identities=set(dataset.identities.tolist()))
     return dataset, splits
 
 

@@ -29,6 +29,7 @@ from . import rng as streams
 from . import xqda as xqda_mod
 from .errors import (
     EmptyGallery,
+    EmptySubset,
     InvalidConfig,
     KOutOfRange,
     MissingModality,
@@ -189,7 +190,7 @@ def _evaluate_one_split(codes, names, views, fields, split, scenario, config, ma
     role[labels[len(names):]] = list(split.roles.values())
     train, test = (role == dataio.TRAIN)[codes], (role == dataio.TEST)[codes]
     if not train.any() or dataio.TEST not in split.roles.values():
-        raise InvalidConfig(f"split {split.index} needs both train and test identities")
+        raise EmptySubset(f"split {split.index} needs both train and test identities")
 
     if "attribute" in parts:
         # Per-row attribute copies, independently flipped per view instance.
@@ -226,7 +227,7 @@ def _evaluate_one_split(codes, names, views, fields, split, scenario, config, ma
         gallery_rows = gallery_rows[starts + [gen.integers(n) if n > 1 else 0 for n in counts]]
     probe_rows = np.flatnonzero(test & (views == 2))
     if not probe_rows.size:
-        raise InvalidConfig(f"split {split.index} has no view-2 test samples")
+        raise EmptySubset(f"split {split.index} has no view-2 test samples")
 
     gallery = _fuse(spec[GALLERY], fields, gallery_rows, model)
     probes = _fuse(spec[QUERY], fields, probe_rows, model)

@@ -6,14 +6,16 @@ tolerance (it is then symmetrized as (A + A^T)/2); eigen- and singular values
 come back descending with each eigenvector (each left singular vector) having
 its first non-negligible component positive; and LAPACK failures surface as
 package errors. The from-scratch row-by-row Cholesky, triangular substitution
-and cyclic Jacobi these replaced are kept in `synth` as oracles.
+and cyclic Jacobi these replaced are kept in `synth` as oracles. ridged() is
+the one ridge rule of CCA and XQDA: ridge * (mean trace over d) * I, one per set.
 """
 
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NoConvergence, NonFiniteValue, NotPositiveDefinite, NotSquare, NotSymmetric
+from .errors import (InvalidConfig, NoConvergence, NonFiniteValue, NotPositiveDefinite, NotSquare,
+                     NotSymmetric)
 
 SYMMETRY_RTOL = 1e-9
 PIVOT_RTOL = 1e-12
@@ -40,6 +42,22 @@ def symmetrized(a) -> np.ndarray:
             f"asymmetry {skew:.3e} exceeds {SYMMETRY_RTOL:g} relative tolerance"
         )
     return (a + a.T) / 2.0
+
+
+def ridged(ridge, *matrices):
+    """Each of k d x d matrices plus e * I, e = ridge * (sum of traces) / (k * d).
+
+    A vanishing matrix (XQDA's S_I on identical views) still gets the shared e.
+    A NaN, infinite or negative ridge, or an e that overflows, is InvalidConfig.
+    """
+    if not (np.isfinite(ridge) and ridge >= 0):
+        raise InvalidConfig(f"ridge must be finite and >= 0, got {ridge}")
+    dim = matrices[0].shape[0]
+    trace = sum(float(np.trace(m)) for m in matrices)
+    scale = float(ridge) * trace / (len(matrices) * dim)
+    if not np.isfinite(scale) and np.isfinite(trace):
+        raise InvalidConfig(f"ridge {ridge} overflows when scaled by the mean trace over d")
+    return tuple(m + scale * np.eye(dim) for m in matrices)
 
 
 def cholesky(a) -> np.ndarray:

@@ -8,6 +8,7 @@ replacement act on token lists before embedding, additive Gaussian noise acts
 on the embedded matrix afterwards.
 """
 
+import functools
 import re
 from dataclasses import dataclass
 
@@ -76,6 +77,14 @@ def augment_drop(tokens, rng):
     return [t for i, t in enumerate(tokens) if i not in drop]
 
 
+@functools.lru_cache(maxsize=None)
+def _rank_cdf(count):
+    # Shared by every call, so only read: the cdf Generator.choice(count, p=1/r weights) searches.
+    weights = 1.0 / np.arange(1, count + 1)
+    cdf = (weights / weights.sum()).cumsum()
+    return cdf / cdf[-1]
+
+
 def augment_synonym(tokens, synonyms, rng, replace_prob=DEFAULT_REPLACE_PROB):
     """Independently replace eligible words by ranked synonyms.
 
@@ -87,9 +96,7 @@ def augment_synonym(tokens, synonyms, rng, replace_prob=DEFAULT_REPLACE_PROB):
     for token in tokens:
         ranked = synonyms.get(token)
         if ranked and rng.random() < replace_prob:
-            weights = 1.0 / np.arange(1, len(ranked) + 1)
-            weights /= weights.sum()
-            out.append(ranked[int(rng.choice(len(ranked), p=weights))])
+            out.append(ranked[int(_rank_cdf(len(ranked)).searchsorted(rng.random(), side="right"))])
         else:
             out.append(token)
     return out

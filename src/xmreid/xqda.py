@@ -12,7 +12,8 @@ pair by the quadratic form
 so lower scores mean more similar and M may be indefinite. Both covariances
 come from a closed-form expansion over per-identity sums rather than explicit
 pair enumeration; synth.oracle_pairwise_covariances re-derives them the slow
-way for cross-checking.
+way for cross-checking. linalg.ridged ridges S_E and S_I with one shared
+scale, their mean trace over d, and W^T S_I W, W^T S_E W with theirs over r.
 
 score_matrix scores every probe q against every gallery entry g without a
 pair loop or a difference tensor. With z = W^T x it expands
@@ -123,19 +124,6 @@ def _difference_covariances(features, codes, views, n1, n2):
     return (intra + intra.T) / 2.0, (extra + extra.T) / 2.0
 
 
-def _shared_ridge(first, second, ridge):
-    # One scale for both matrices: mean trace over dimension. A per-matrix
-    # scale would vanish with the intra-covariance (identical views), leaving
-    # the generalized eigenproblem ill-posed.
-    dim = first.shape[0]
-    trace = float(np.trace(first) + np.trace(second))
-    scale = float(ridge) * trace / (2.0 * dim)
-    if not np.isfinite(scale) and np.isfinite(trace):
-        raise InvalidConfig(f"XQDA ridge {ridge} overflows when scaled by the mean trace")
-    eye = scale * np.eye(dim)
-    return first + eye, second + eye
-
-
 def fit_xqda(features, identities, views, ridge=DEFAULT_RIDGE,
              max_rank=DEFAULT_MAX_RANK, zscore=False) -> XqdaModel:
     """Learn the XQDA subspace and kernel from labelled cross-view features.
@@ -146,8 +134,6 @@ def fit_xqda(features, identities, views, ridge=DEFAULT_RIDGE,
     the model is flagged as a fallback. Optional per-dimension z-scoring is
     folded into W so scoring still consumes raw features.
     """
-    if not (np.isfinite(ridge) and ridge >= 0):
-        raise InvalidConfig(f"ridge must be finite and >= 0, got {ridge}")
     if max_rank < 1:
         raise InvalidConfig(f"max_rank must be >= 1, got {max_rank}")
     features, codes, views, n1, n2 = _check_inputs(features, identities, views)
@@ -160,17 +146,17 @@ def fit_xqda(features, identities, views, ridge=DEFAULT_RIDGE,
         work = (features - features.mean(axis=0)) / scale
 
     intra, extra = _difference_covariances(work, codes, views, n1, n2)
+    extra_r, intra_r = linalg.ridged(ridge, extra, intra)  # a bad ridge before a degenerate metric
     if np.trace(intra) + np.trace(extra) <= 0.0:
         raise DegenerateMetric("both difference covariances vanish")
 
-    extra_r, intra_r = _shared_ridge(extra, intra, ridge)
     solution = linalg.gen_eigh(extra_r, intra_r)
     keep = int(np.sum(solution.values > 1.0 + UNIT_EIGENVALUE_TOL))
     fallback = keep == 0
     rank = max(min(keep, max_rank), 1)
     w = solution.vectors[:, :rank].copy()
 
-    proj_intra, proj_extra = _shared_ridge(w.T @ intra @ w, w.T @ extra @ w, ridge)
+    proj_intra, proj_extra = linalg.ridged(ridge, w.T @ intra @ w, w.T @ extra @ w)
     kernel = linalg.psd_power(proj_intra, -1) - linalg.psd_power(proj_extra, -1)
     kernel = (kernel + kernel.T) / 2.0
 

@@ -1,0 +1,116 @@
+"""Mutation gate: each listed mutant of src/ must make its named tests fail.
+
+    python tests/mutants.py            # every mutant
+    python tests/mutants.py NAME ...   # only these
+
+A mutant names a file under the repository root, an exact snippet that must
+occur there once, its replacement, and the test ids that must catch it. For
+each mutant the runner copies src/, tests/ and pyproject.toml into a fresh
+temporary directory (pyproject's `pythonpath` would otherwise import the
+unmutated src/), checks that the named tests pass on the copy, applies the
+mutant and runs the same tests with -x. The gate fails if a snippet no longer
+matches exactly once, if the tests fail before the mutation, or if they pass
+after it (the mutant survived). A refactor that rewrites a mutated line has
+to update its mutant here. pytest collects only test_*.py, so tier-1 does not
+run this file.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str
+    snippet: str
+    replacement: str
+    tests: tuple
+
+
+MUTANTS = [
+    Mutant("xqda-per-matrix-ridge", "src/xmreid/xqda.py",
+           "extra_r, intra_r = linalg.ridged(ridge, extra, intra)",
+           "(extra_r,), (intra_r,) = linalg.ridged(ridge, extra), linalg.ridged(ridge, intra)",
+           ("tests/test_xqda.py::TestFit::test_identical_views_fit_through_the_shared_ridge",)),
+    Mutant("ridge-overflow-unchecked", "src/xmreid/linalg.py",
+           "if not np.isfinite(scale) and np.isfinite(trace):",
+           "if False:",
+           ("tests/test_linalg.py::TestRidged::test_overflowing_scale_rejected",)),
+    Mutant("cca-uncentred-cross-covariance", "src/xmreid/cca.py",
+           "(xc.T @ yc / n)",
+           "(x.T @ y / n)",
+           ("tests/test_cca.py::TestFitCca::test_translation_invariance",)),
+    Mutant("score-matrix-no-exact-zero", "src/xmreid/xqda.py",
+           "block[same_p, same_g] = 0.0",
+           "pass",
+           ("tests/test_xqda.py::TestScoreMatrix::test_equal_rows_score_equal_and_zero",)),
+    Mutant("gallery-sort-unstable", "src/xmreid/evaluation.py",
+           'gallery_rows = gallery_rows[np.argsort(codes[gallery_rows], kind="stable")]',
+           "gallery_rows = gallery_rows[np.argsort(codes[gallery_rows])]",
+           ("tests/test_evaluation.py::TestIdentityCoding"
+            "::test_gallery_order_and_cmc_match_label_grouping[single]",)),
+]
+
+
+def _copy_tree(dest):
+    for name in ("src", "tests"):
+        shutil.copytree(ROOT / name, dest / name,
+                        ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
+    shutil.copy2(ROOT / "pyproject.toml", dest / "pyproject.toml")
+
+
+def _pytest(where, tests):
+    env = dict(os.environ, PYTHONPATH=str(where / "src"))
+    cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
+    return subprocess.run(cmd, cwd=where, env=env, capture_output=True, text=True)
+
+
+def check(mutant):
+    """None if the mutant is caught, else what went wrong."""
+    with tempfile.TemporaryDirectory(prefix="xmreid-mutant-") as tmp:
+        where = Path(tmp)
+        _copy_tree(where)
+        target = where / mutant.path
+        text = target.read_text(encoding="utf-8")
+        if text.count(mutant.snippet) != 1:
+            return f"snippet occurs {text.count(mutant.snippet)} times in {mutant.path}, not once"
+        clean = _pytest(where, mutant.tests)
+        if clean.returncode != 0:
+            return f"tests do not pass before the mutation:\n{clean.stdout[-2000:]}"
+        target.write_text(text.replace(mutant.snippet, mutant.replacement), encoding="utf-8")
+        mutated = _pytest(where, mutant.tests)
+        if mutated.returncode == 0:
+            return "survived: every named test passed"
+        if mutated.returncode != 1:  # 1 is failed tests; anything else broke the run
+            return f"pytest exited {mutated.returncode}:\n{mutated.stdout[-2000:]}"
+    return None
+
+
+def main(argv):
+    chosen = [m for m in MUTANTS if not argv or m.name in argv]
+    unknown = set(argv) - {m.name for m in MUTANTS}
+    if unknown:
+        print(f"unknown mutants: {sorted(unknown)}", file=sys.stderr)
+        return 2
+    started = time.perf_counter()
+    failures = 0
+    for mutant in chosen:
+        problem = check(mutant)
+        failures += problem is not None
+        print(f"{'caught' if problem is None else 'FAILED'} {mutant.name}"
+              + ("" if problem is None else f": {problem}"), flush=True)
+    print(f"{len(chosen) - failures} of {len(chosen)} mutants caught "
+          f"in {time.perf_counter() - started:.1f} s")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from xmreid import cca, synth
+from xmreid import cca, linalg, synth
 from xmreid.errors import InvalidConfig, KOutOfRange, ShapeMismatch, TooFewSamples
 from xmreid.rng import stream
 
@@ -15,26 +15,39 @@ def shared_latent_pair(rng, n, d_x=2, d_y=2, noise_x=0.3, noise_y=0.3, latent_di
     return x, y
 
 
+def population_cov(x):
+    centered = x - x.mean(axis=0)
+    return centered.T @ centered / x.shape[0]
+
+
+def ridged_cov(x, ridge):
+    """The covariance fit_cca whitens: divisor n, then linalg.ridged's ridge."""
+    (cov,) = linalg.ridged(ridge, population_cov(x))
+    return cov
+
+
 class TestRegularizedCov:
     def test_population_divisor(self):
         x = np.array([[1.0, 0.0], [-1.0, 0.0]])
-        cov = cca.regularized_cov(x, 0.0)
-        assert np.array_equal(cov, [[1.0, 0.0], [0.0, 0.0]])
+        assert np.array_equal(ridged_cov(x, 0.0), [[1.0, 0.0], [0.0, 0.0]])
+        # population variance 1 (sample variance 4/3): the whitened W is +-1
+        x = np.array([[1.0], [-1.0], [1.0], [-1.0]])
+        model = cca.fit_cca(x, np.array([[1.0], [-1.0], [-1.0], [1.0]]), k=1, ridge=0.0)
+        assert np.allclose(np.abs(model.w_x), 1.0, atol=1e-12)
 
     def test_ridge_scaling(self):
         # covariance is exactly the identity -> trace/d = 1 -> S + ridge*I
         x = np.array([[1.0, 1.0], [-1.0, -1.0], [1.0, -1.0], [-1.0, 1.0]])
-        cov = cca.regularized_cov(x, 0.1)
-        assert np.allclose(cov, 1.1 * np.eye(2), atol=1e-15)
+        assert np.allclose(ridged_cov(x, 0.1), 1.1 * np.eye(2), atol=1e-15)
 
     def test_single_sample(self):
         with pytest.raises(TooFewSamples):
-            cca.regularized_cov(np.ones((1, 3)), 0.0)
+            cca.fit_cca(np.ones((1, 3)), np.ones((1, 3)), k=1)
 
     @pytest.mark.parametrize("ridge", [-1e-3, np.nan, np.inf])
     def test_bad_ridge_rejected(self, ridge):
         with pytest.raises(InvalidConfig):
-            cca.regularized_cov(np.eye(3), ridge)
+            ridged_cov(np.eye(3), ridge)
         with pytest.raises(InvalidConfig):
             cca.fit_cca(np.eye(3), np.eye(3), k=1, ridge=ridge)
 
@@ -42,7 +55,9 @@ class TestRegularizedCov:
         # finite, but ridge * trace/d is not: the ridge is at fault
         x = 10.0 * stream(3, 1).standard_normal((6, 3))
         with pytest.raises(InvalidConfig, match="ridge 1e\\+308 overflows"):
-            cca.regularized_cov(x, 1e308)
+            ridged_cov(x, 1e308)
+        with pytest.raises(InvalidConfig, match="ridge 1e\\+308 overflows"):
+            cca.fit_cca(x, x, k=1, ridge=1e308)
 
 
 class TestFitCca:
@@ -75,8 +90,8 @@ class TestFitCca:
             y = rng.standard_normal((n, d))
             ridge = 1e-4
             model = cca.fit_cca(x, y, k=min(d, 4), ridge=ridge)
-            sxx = cca.regularized_cov(x, ridge)
-            syy = cca.regularized_cov(y, ridge)
+            sxx = ridged_cov(x, ridge)
+            syy = ridged_cov(y, ridge)
             k = model.k
             assert np.linalg.norm(model.w_x.T @ sxx @ model.w_x - np.eye(k)) < 1e-8
             assert np.linalg.norm(model.w_y.T @ syy @ model.w_y - np.eye(k)) < 1e-8
@@ -122,8 +137,18 @@ class TestFitCca:
         assert model.correlations[-1] <= 1e-12
         assert model.correlations[0] > 0.5
         for w, data in ((model.w_x, x), (model.w_y, y)):
-            gram = w.T @ cca.regularized_cov(data, model.ridge) @ w
+            gram = w.T @ ridged_cov(data, model.ridge) @ w
             assert np.max(np.abs(gram - np.eye(3))) <= 1e-12
+
+    def test_translation_invariance(self):
+        # every covariance is taken about the means, so shifted inputs fit alike
+        rng = stream(31, 12)
+        x, y = shared_latent_pair(rng, 120, d_x=5, d_y=4, latent_dim=2)
+        base = cca.fit_cca(x, y, k=3)
+        moved = cca.fit_cca(x + 1e3, y - 50.0, k=3)
+        assert np.max(np.abs(moved.correlations - base.correlations)) <= 1e-9
+        assert np.max(np.abs(moved.w_x - base.w_x)) <= 1e-9
+        assert np.max(np.abs(moved.w_y - base.w_y)) <= 1e-9
 
     def test_k_out_of_range(self):
         rng = stream(31, 9)

@@ -623,6 +623,35 @@ class TestExitCodePartition:
         assert code == 2
         assert "ridge 1e+308 overflows" in capsys.readouterr().err
 
+    def split_content_case(self, tmp_path, capsys, test_views, roles):
+        # five train identities with both views, and identity "q" in test_views
+        identities = [f"p{i}" for i in range(5) for _ in (1, 2)] + ["q"] * len(test_views)
+        views = [1, 2] * 5 + list(test_views)
+        feat = tmp_path / "v.feat"
+        dataio.save_features(np.array(identities), np.array(views),
+                             np.random.default_rng(5).standard_normal((len(views), 3)), feat)
+        split = tmp_path / "s.split"
+        roles = dict({f"p{i}": dataio.TRAIN for i in range(5)}, q=roles)
+        dataio.save_splits([dataio.SplitAssignment(index=0, roles=roles)], split)
+        code = run(["evaluate", "--scenario", "VxV", "--vision", str(feat), "--splits", str(split),
+                    "--out-dir", str(tmp_path), "--quiet"])
+        return code, capsys.readouterr().err
+
+    def test_split_without_test_identity_is_4(self, tmp_path, capsys):
+        code, err = self.split_content_case(tmp_path, capsys, (1, 2), dataio.TRAIN)
+        assert code == 4
+        assert "split 0 needs both train and test identities" in err
+
+    def test_split_without_view1_test_sample_is_4(self, tmp_path, capsys):
+        code, err = self.split_content_case(tmp_path, capsys, (2,), dataio.TEST)
+        assert code == 4
+        assert "split 0 has no view-1 test samples" in err
+
+    def test_split_without_view2_test_sample_is_4(self, tmp_path, capsys):
+        code, err = self.split_content_case(tmp_path, capsys, (1,), dataio.TEST)
+        assert code == 4
+        assert "split 0 has no view-2 test samples" in err
+
     def test_numerical_failure_is_5(self, tmp_path):
         # identical features for every record: both difference covariances
         # vanish and the metric is degenerate

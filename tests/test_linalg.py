@@ -5,6 +5,7 @@ import pytest
 
 from xmreid import linalg, synth
 from xmreid.errors import (
+    InvalidConfig,
     NoConvergence,
     NonFiniteValue,
     NotPositiveDefinite,
@@ -187,6 +188,41 @@ class TestHelpers:
         a = np.diag([2.0, 1.0, 0.0])
         inv = linalg.psd_power(a, -1)
         assert np.allclose(inv, np.diag([0.5, 1.0, 0.0]), atol=1e-12)
+
+
+class TestRidged:
+    def test_one_matrix(self):
+        # trace 6 over d = 2, times ridge 0.5: e = 1.5
+        a = np.array([[2.0, 1.0], [1.0, 4.0]])
+        (out,) = linalg.ridged(0.5, a)
+        assert np.array_equal(out, [[3.5, 1.0], [1.0, 5.5]])
+        assert np.array_equal(a, [[2.0, 1.0], [1.0, 4.0]])  # input untouched
+
+    def test_two_matrices_share_one_scale(self):
+        # traces 6 + 4 over k * d = 4, times ridge 0.25: e = 0.625 on both
+        a = np.diag([2.0, 4.0])
+        b = np.array([[1.0, 0.5], [0.5, 3.0]])
+        out_a, out_b = linalg.ridged(0.25, a, b)
+        assert np.array_equal(out_a, np.diag([2.625, 4.625]))
+        assert np.array_equal(out_b, [[1.625, 0.5], [0.5, 3.625]])
+
+    def test_zero_matrix_gets_the_shared_scale(self):
+        # traces 0 + 8 over 4, times 0.5: e = 1, so the zero matrix becomes I
+        zero, other = linalg.ridged(0.5, np.zeros((2, 2)), np.diag([2.0, 6.0]))
+        assert np.array_equal(zero, np.eye(2))
+        assert np.array_equal(other, np.diag([3.0, 7.0]))
+
+    @pytest.mark.parametrize("ridge", [np.nan, np.inf, -np.inf, -1e-3])
+    def test_bad_ridge_rejected(self, ridge):
+        with pytest.raises(InvalidConfig, match="finite and >= 0"):
+            linalg.ridged(ridge, np.eye(3))
+
+    def test_overflowing_scale_rejected(self):
+        # finite ridge, finite traces, but ridge * 30 / 3 overflows
+        with pytest.raises(InvalidConfig, match="ridge 1e\\+308 overflows"):
+            linalg.ridged(1e308, 10.0 * np.eye(3))
+        with pytest.raises(InvalidConfig, match="ridge 1e\\+308 overflows"):
+            linalg.ridged(1e308, np.zeros((3, 3)), 10.0 * np.eye(3))
 
 
 class TestFailures:

@@ -103,6 +103,22 @@ class TestAugmentSynonym:
             picks.append(out[0] == "cap")
         assert abs(np.mean(picks) - 2.0 / 3.0) < 0.01
 
+    @pytest.mark.parametrize("count", range(1, 7))
+    def test_picks_match_weighted_choice(self, count):
+        # the same picks as Generator.choice(count, p=1/r weights), drawn
+        # after the replace test's rng.random(), on a twin stream
+        ranked = tuple(f"s{r}" for r in range(count))
+        out = textprep.augment_synonym(["w"] * 2000, {"w": ranked}, stream(8, count),
+                                       replace_prob=1.0)
+        twin = stream(8, count)
+        weights = 1.0 / np.arange(1, count + 1)
+        weights /= weights.sum()
+        expected = []
+        for _ in range(2000):
+            twin.random()
+            expected.append(ranked[int(twin.choice(count, p=weights))])
+        assert out == expected
+
     def test_seed_determinism(self):
         synonyms = {"hat": ("cap", "beanie"), "red": ("crimson",)}
         tokens = ["red", "hat"] * 10

@@ -139,11 +139,27 @@ class TestFit:
         assert np.max(np.abs(scores)) < 1.0
         assert model.rank >= 1
 
+    def test_identical_views_fit_through_the_shared_ridge(self):
+        # S_I is exactly zero; only a ridge scaled by the mean trace of S_E and
+        # S_I keeps it positive definite (a per-matrix scale would be zero)
+        rng = stream(42, 7)
+        once = rng.standard_normal((6, 3))
+        feats = np.vstack([once, once])
+        ids = [f"p{i}" for i in range(6)] * 2
+        views = [1] * 6 + [2] * 6
+        intra, extra = xqda.build_difference_covariances(feats, ids, views)
+        assert not intra.any() and extra.any()
+        model = xqda.fit_xqda(feats, ids, views)
+        assert model.rank >= 1
+        assert np.isfinite(model.w).all() and np.isfinite(model.m).all()
+
     @pytest.mark.parametrize("ridge", [-1e-3, np.nan, np.inf])
     def test_bad_ridge_rejected(self, ridge):
         feats, ids, views = random_reid_data(stream(42, 6))
         with pytest.raises(InvalidConfig):
             xqda.fit_xqda(feats, ids, views, ridge=ridge)
+        with pytest.raises(InvalidConfig):  # the ridge is at fault before the metric degenerates
+            xqda.fit_xqda(np.ones_like(feats), ids, views, ridge=ridge)
 
     def test_overflowing_ridge_rejected(self):
         feats, ids, views = random_reid_data(stream(42, 6))
