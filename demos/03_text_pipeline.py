@@ -27,7 +27,7 @@ table = EmbeddingTable(dimension=8, vectors={t: rng.standard_normal(8) for t in 
 print("\n== embedding tensor (one column per known word, at most max_len) ==")
 tensor = textprep.to_tensor(tokens, table, max_len=12)
 print("stored columns:", tensor.values.shape[1], "used:", tensor.used, "max_len: 12")
-print("the network zero-pads a batch only when it stacks it")
+print("the network reads zeros past the stored columns; no batch is padded")
 
 print("\n== augmentation schemes ==")
 gen = stream(99, 1)

@@ -6,7 +6,7 @@ across reruns with the same inputs and --seed; manifests may differ only in
 the timestamp and duration fields. Exit codes partition the error classes:
 
     0 success
-    2 usage or configuration error
+    2 usage or configuration error, including a size too large to allocate
     3 I/O error
     4 data validation error
     5 numerical failure
@@ -457,7 +457,7 @@ def main(argv=None):
     _validate_scenario_args(parser, args)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, MemoryError) as exc:  # MemoryError: a size numpy cannot allocate
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

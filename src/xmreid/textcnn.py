@@ -6,16 +6,16 @@ ReLU, inverted dropout, FC2 to the class logits, softmax cross-entropy. All
 gradients are derived and applied by explicit backpropagation; the SGD
 loop uses momentum, weight decay, and a step learning-rate schedule.
 
-Every entry point takes a batch. forward runs a B x E x T stack: the
-convolution is one im2col GEMM, L x (E*w) @ (E*w) x C (as in Caffe, Jia et
-al. 2014), over the L live windows only, as a window in the zero padding
-responds relu(conv_b). FC1/FC2 are B-row GEMMs. batch_loss_and_gradients
-scatters each channel's peak gradient into an L x C array at its argmax
-row and multiplies that against the same im2col rows, so no per-sample
-gradient is ever held. Descriptions are stored at their own width, up to
-max_len: train zero-pads each batch, and inference (predict,
-extract_features, find_detector_channel) each chunk, only through the
-columns forward reads (_stacker).
+Every entry point takes a batch. The convolution is one im2col GEMM, L x
+(E*w) @ (E*w) x C (as in Caffe, Jia et al. 2014), over the L live windows
+only, as a window past a description's last nonzero column responds
+relu(conv_b). Descriptions are stored at their own width, up to max_len;
+_forward copies each live window's im2col row straight from those columns,
+zero past them, so no batch is zero-padded into a stack (forward passes
+its stack's rows). FC1/FC2 are B-row GEMMs. The backward scatters each
+channel's peak gradient into an L x C array at its argmax row and
+multiplies that against the same rows, the conv responses dropped, so no
+per-sample gradient is ever held.
 synth.oracle_cnn_loss_and_gradients keeps the per-sample derivation as
 the oracle.
 
@@ -28,13 +28,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import dataio
 from .errors import (EmptyCorpus, EmptySubset, InvalidConfig, MalformedHeader, NoConvergence,
                      ShapeMismatch)
 
-# Inference stacks at most this many tensors at once; at paper sizes
+# Inference runs at most this many tensors at once; at paper sizes
 # (E300, w5, T70) a chunk of full-length descriptions takes 79 MB of im2col rows.
 INFER_CHUNK = 100
 
@@ -78,7 +77,7 @@ class TextCnnModel:
 
 @dataclass
 class ForwardTrace:
-    """A B x E x T stack's activations; the backward pass reads all but conv."""
+    """A batch's activations; the backward reads all but conv, and only cols in its last GEMM."""
 
     cols: np.ndarray          # L x (E*w) im2col rows of the live windows
     live: np.ndarray          # B x P, True where a window touches a nonzero column
@@ -147,18 +146,39 @@ def forward(model, values, masks=None) -> ForwardTrace:
     That is exact for zero trailing columns and finite weights: a later
     window's product is +-0, so it responds relu(conv_b) at its own position.
     """
+    return _forward(model, values, *_stack_windows(model, values), masks)
+
+
+def _stack_windows(model, values):
+    """A B x E x T stack's _occupied widths and its T - w + 1 window positions."""
     cfg = model.config
-    count, embed, width = values.shape
+    _, embed, width = values.shape
     if embed != cfg.embed_dim:
         raise ShapeMismatch(f"tensor embeds {embed}-d, model expects {cfg.embed_dim}-d")
     if width < cfg.kernel_width:
         raise ShapeMismatch(f"tensor has {width} columns, kernel needs {cfg.kernel_width}")
-    positions = width - cfg.kernel_width + 1
-    live = np.arange(positions) < _occupied(values)[:, None]  # B x P
-    windows = sliding_window_view(values, cfg.kernel_width, axis=2)  # B x E x P x w
-    cols = windows.transpose(0, 2, 1, 3)[live].reshape(-1, embed * cfg.kernel_width)
+    return _occupied(values), width - cfg.kernel_width + 1
+
+
+def _forward(model, rows, occupied, positions=None, masks=None) -> ForwardTrace:
+    """forward over B descriptions, each E x (its own width) with its _occupied
+    width; window p reads columns p..p+w-1, zero past the stored ones.
+    positions=None stops one all-zero window past the longest description,
+    whose relu(conv_b) wins the ties of every later one."""
+    cfg = model.config
+    if positions is None:
+        positions = min(cfg.max_len - cfg.kernel_width + 1, int(occupied.max()) + 1)
+    counts = np.minimum(occupied, positions)  # live windows per description
+    live = np.arange(positions) < counts[:, None]  # B x P
+    cols = np.empty((int(counts.sum()), cfg.embed_dim * cfg.kernel_width))  # L x (E*w)
+    for values, count, end in zip(rows, counts, np.cumsum(counts)):
+        block = cols[end - count:end].reshape(count, cfg.embed_dim, cfg.kernel_width)
+        for k in range(cfg.kernel_width):  # window p reads column p + k at offset k
+            inside = min(count, max(0, values.shape[1] - k))
+            block[:inside, :, k] = values[:, k:k + inside].T
+            block[inside:, :, k] = 0.0
     kernels = model.conv_w.reshape(cfg.kernel_count, -1).T
-    conv = np.zeros((count, positions, cfg.kernel_count))
+    conv = np.zeros((len(live), positions, cfg.kernel_count))
     if live.all():  # the GEMM writes every response in place
         np.matmul(cols, kernels, out=conv.reshape(len(cols), -1))
     else:
@@ -166,7 +186,7 @@ def forward(model, values, masks=None) -> ForwardTrace:
     conv += model.conv_b
     np.maximum(conv, 0.0, out=conv)
     argmax = conv.argmax(axis=1)  # B x C, lowest position on ties
-    pooled = conv[np.arange(count)[:, None], argmax, np.arange(cfg.kernel_count)]
+    pooled = conv[np.arange(len(live))[:, None], argmax, np.arange(cfg.kernel_count)]
     fc1 = np.maximum(pooled @ model.fc1_w.T + model.fc1_b, 0.0)
     logits = _dropout(fc1, masks, cfg.dropout) @ model.fc2_w.T + model.fc2_b
     return ForwardTrace(cols=cols, live=live, conv=conv.transpose(0, 2, 1), argmax=argmax,
@@ -192,19 +212,24 @@ def batch_loss_and_gradients(model, values, labels, dropout_masks=None):
     come as a dict keyed by PARAM_NAMES and equal the sum of the B
     per-sample gradients.
     """
-    cfg = model.config
     labels = np.asarray(labels, dtype=np.int64)
     if labels.shape != (len(values),):
         raise ShapeMismatch(f"{len(values)} tensors need {len(values)} labels, got {labels.shape}")
-    if np.any((labels < 0) | (labels >= cfg.num_classes)):
-        raise ShapeMismatch(f"label outside 0..{cfg.num_classes - 1}")
-    trace = forward(model, values, dropout_masks)
+    if np.any((labels < 0) | (labels >= model.config.num_classes)):
+        raise ShapeMismatch(f"label outside 0..{model.config.num_classes - 1}")
+    return _loss_and_gradients(model, values, *_stack_windows(model, values), labels, dropout_masks)
+
+
+def _loss_and_gradients(model, values, occupied, positions, labels, masks):
+    """batch_loss_and_gradients over _forward's arguments; the caller checks labels."""
+    cfg = model.config
+    trace = _forward(model, values, occupied, positions, masks)
     rows = np.arange(len(labels))
     losses, dlogits = softmax_cross_entropy(trace.logits, labels)
     dlogits[rows, labels] -= 1.0
 
-    dfc2_w = dlogits.T @ _dropout(trace.fc1, dropout_masks, cfg.dropout)
-    dhidden = _dropout(dlogits @ model.fc2_w, dropout_masks, cfg.dropout)
+    dfc2_w = dlogits.T @ _dropout(trace.fc1, masks, cfg.dropout)
+    dhidden = _dropout(dlogits @ model.fc2_w, masks, cfg.dropout)
     dfc1_pre = dhidden * (trace.fc1 > 0.0)
     dfc1_w = dfc1_pre.T @ trace.pooled
 
@@ -214,11 +239,12 @@ def batch_loss_and_gradients(model, values, labels, dropout_masks=None):
     dpeak = (dfc1_pre @ model.fc1_w) * (trace.pooled > 0.0)
     peak = trace.live[rows[:, None], trace.argmax]  # B x C
     row = (np.cumsum(trace.live) - 1).reshape(trace.live.shape)[rows[:, None], trace.argmax]
-    dconv = np.zeros((len(trace.cols), cfg.kernel_count))  # L x C
+    grads = [None, dpeak.sum(axis=0), dfc1_w, dfc1_pre.sum(axis=0), dfc2_w, dlogits.sum(axis=0)]
+    cols = trace.cols
+    del trace, dlogits, dhidden, dfc1_pre  # the conv responses go before the L x C gradient
+    dconv = np.zeros((len(cols), cfg.kernel_count))  # L x C
     dconv[row[peak], np.nonzero(peak)[1]] = dpeak[peak]
-    dconv_w = (dconv.T @ trace.cols).reshape(model.conv_w.shape)
-
-    grads = (dconv_w, dpeak.sum(axis=0), dfc1_w, dfc1_pre.sum(axis=0), dfc2_w, dlogits.sum(axis=0))
+    grads[0] = (dconv.T @ cols).reshape(model.conv_w.shape)
     return losses, dict(zip(PARAM_NAMES, grads))
 
 
@@ -227,11 +253,11 @@ def train(model, samples, solver: SolverConfig, rng):
 
     samples are (label, tensor) pairs with labels in 0..num_classes-1 and
     tensors at most max_len wide. Each iteration draws batch_size sample
-    indices with replacement and then the batch's dropout masks, stacks
-    those tensors only through the columns forward reads (_stacker), and
-    applies the Caffe-style update v = mu*v - lr*(grad + wd*param); param +=
-    v, with grad the batch-mean gradient, freed once applied. A non-finite
-    batch loss (divergence) raises NoConvergence.
+    indices with replacement and then the batch's dropout masks, runs those
+    tensors' stored columns through _forward, and applies the Caffe-style
+    update v = mu*v - lr*(grad + wd*param); param += v, with grad the
+    batch-mean gradient, freed once applied. A non-finite batch loss
+    (divergence) raises NoConvergence.
     """
     solver.validate()
     samples = list(samples)
@@ -240,7 +266,7 @@ def train(model, samples, solver: SolverConfig, rng):
     labels = np.array([label for label, _ in samples], dtype=np.int64)
     if np.any((labels < 0) | (labels >= model.config.num_classes)):
         raise ShapeMismatch("label outside the class range")
-    stack = _stacker([tensor for _, tensor in samples], model.config)
+    rows, occupied = _stored([tensor for _, tensor in samples], model.config)
 
     velocity = {name: np.zeros_like(arr) for name, arr in model.params()}
     history = []
@@ -252,7 +278,8 @@ def train(model, samples, solver: SolverConfig, rng):
         masks = None
         if rate > 0.0:
             masks = rng.random((solver.batch_size, model.config.hidden_dim)) >= rate
-        losses, grads = batch_loss_and_gradients(model, stack(batch), labels[batch], masks)
+        losses, grads = _loss_and_gradients(model, [rows[i] for i in batch], occupied[batch],
+                                            None, labels[batch], masks)
         history.append(float(losses.sum()) / solver.batch_size)
         if not math.isfinite(history[-1]):
             raise NoConvergence(f"training diverged: batch loss {history[-1]} at iteration {step}")
@@ -271,42 +298,27 @@ def _occupied(values):
     return (values.any(axis=-2) * np.arange(1, values.shape[-1] + 1)).max(axis=-1, initial=0)
 
 
-def _stacker(tensors, config):
-    """A function from indices into E x (at most max_len) tensors to their
-    stack, zero-padded to min(max_len, occupied + w) columns, occupied being
-    the largest _occupied width in the stack, as forward reads it. Dropped
-    windows see only zeros and would each respond relu(conv_b), like the
-    kept window at position occupied, which wins their ties: every argmax,
-    pooled value and gradient equals the max_len-wide stack's.
-    """
-    if any(t.values.shape[0] != config.embed_dim or t.values.shape[1] > config.max_len
-           for t in tensors):
+def _stored(tensors, config):
+    """The tensors' stored E x (at most max_len) columns and their _occupied widths."""
+    rows = [tensor.values for tensor in tensors]
+    if any(v.shape[0] != config.embed_dim or v.shape[1] > config.max_len for v in rows):
         raise ShapeMismatch(f"description tensors must be {config.embed_dim} x at most "
                             f"{config.max_len}, the model's input")
-    occupied = np.array([_occupied(tensor.values) for tensor in tensors])
-
-    def stack(indices):
-        cut = min(config.max_len, int(occupied[indices].max()) + config.kernel_width)
-        out = np.zeros((len(indices), config.embed_dim, cut))
-        for row, i in enumerate(indices):
-            out[row, :, :min(cut, tensors[i].values.shape[1])] = tensors[i].values[:, :cut]
-        return out
-    return stack
+    return rows, np.array([_occupied(values) for values in rows], dtype=np.int64)
 
 
 def _infer(model, tensors, pick):
     """pick(trace) over a sequence of tensors, concatenated.
 
-    The sequence runs in chunks of at most INFER_CHUNK tensors, each stacked
-    without the padding forward never reads, so memory stays bounded.
+    The sequence runs in chunks of at most INFER_CHUNK tensors, each read
+    from its stored columns by _forward, so memory stays bounded.
     """
-    tensors = list(tensors)
-    if not tensors:
+    rows, occupied = _stored(tensors, model.config)
+    if not rows:
         raise EmptySubset("no description tensors to run")
-    stack = _stacker(tensors, model.config)
     return np.concatenate([
-        pick(forward(model, stack(np.arange(start, min(start + INFER_CHUNK, len(tensors))))))
-        for start in range(0, len(tensors), INFER_CHUNK)
+        pick(_forward(model, rows[start:start + INFER_CHUNK], occupied[start:start + INFER_CHUNK]))
+        for start in range(0, len(rows), INFER_CHUNK)
     ])
 
 

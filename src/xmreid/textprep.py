@@ -2,10 +2,10 @@
 
 A description becomes an E x T matrix whose columns are the word vectors of
 its first T in-vocabulary tokens, T at most max_len. Only those columns are
-stored; the sentence CNN zero-pads when it stacks a batch. Three augmentation
-schemes expand a training corpus: random word dropping and ranked synonym
-replacement act on token lists before embedding, additive Gaussian noise acts
-on the embedded matrix afterwards.
+stored; the sentence CNN reads zeros past them. Three augmentation schemes
+expand a training corpus: random word dropping and ranked synonym replacement
+act on token lists before embedding, additive Gaussian noise acts on the
+embedded matrix afterwards.
 """
 
 import functools

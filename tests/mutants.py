@@ -57,6 +57,20 @@ MUTANTS = [
            "gallery_rows = gallery_rows[np.argsort(codes[gallery_rows])]",
            ("tests/test_evaluation.py::TestIdentityCoding"
             "::test_gallery_order_and_cmc_match_label_grouping[single]",)),
+    Mutant("cnn-window-tail-not-zeroed", "src/xmreid/textcnn.py",
+           "block[inside:, :, k] = 0.0",
+           "pass",
+           ("tests/test_textcnn.py::TestCutStacks::test_ragged_storage_equals_padded[1]",
+            "tests/test_textcnn.py::TestCutStacks::test_ragged_storage_equals_padded[3]")),
+    Mutant("cnn-live-windows-uncapped", "src/xmreid/textcnn.py",
+           "counts = np.minimum(occupied, positions)",
+           "counts = occupied",
+           ("tests/test_textcnn.py::TestCutStacks::test_train_equals_full_width_loop",
+            "tests/test_textcnn.py::TestBatchedOracle::test_live_windows_at_paper_sizes")),
+    Mutant("cnn-trace-held-through-conv-gemm", "src/xmreid/textcnn.py",
+           "del trace, dlogits, dhidden, dfc1_pre",
+           "held = trace\n    del trace, dlogits, dhidden, dfc1_pre",
+           ("tests/test_textcnn.py::TestTrain::test_full_width_iteration_memory",)),
 ]
 
 

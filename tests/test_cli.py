@@ -652,6 +652,20 @@ class TestExitCodePartition:
         assert code == 4
         assert "split 0 has no view-2 test samples" in err
 
+    def test_unallocatable_layer_is_2(self, tmp_path, capsys):
+        # FC1 would take 10**14 x 8 float64s (6.4 PiB): more than any 64-bit
+        # process can map, so numpy refuses it before touching memory
+        corpus_path, emb_path = toy_text_corpus(tmp_path, classes=3)
+        out_dir = tmp_path / "run"
+        out_dir.mkdir()
+        code = run(["train-textcnn", "--corpus", str(corpus_path), "--embeddings", str(emb_path),
+                    "--out-dir", str(out_dir), "--iters", "1", "--kernels", "8",
+                    "--hidden", str(10**14), "--max-len", "10", "--quiet"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not any(out_dir.iterdir())
+
     def test_numerical_failure_is_5(self, tmp_path):
         # identical features for every record: both difference covariances
         # vanish and the metric is degenerate

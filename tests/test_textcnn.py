@@ -367,6 +367,25 @@ class TestTrain:
         assert np.isfinite(history[0])
         assert peak < 300 * 2**20
 
+    def test_full_width_iteration_memory(self):
+        # 70-column descriptions make all 100 x 66 windows live, so the im2col
+        # rows alone take 76 MiB; the peak is 106.6 MiB. A padded B x E x T
+        # stack beside them (16 MiB) peaked at 130.6 MiB, and conv responses
+        # held through the conv-weight GEMM (13 MiB) at 113.1 MiB.
+        cfg = paper_config()
+        model = textcnn.init_model(cfg, stream(45, 1))
+        gen = stream(45, 2)
+        samples = [(label, random_tensor(gen, cfg)) for label in range(cfg.num_classes)]
+        solver = textcnn.SolverConfig(iterations=1, batch_size=100)
+        tracemalloc.start()
+        try:
+            history = textcnn.train(model, samples, solver, stream(45, 3))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.isfinite(history[0])
+        assert peak < 110 * 2**20
+
     def test_applied_gradients_are_freed(self):
         # Each gradient is dropped once applied, so no later step holds the
         # previous step's gradients (5.4 MB here) beside its own; the slack
@@ -517,8 +536,9 @@ class TestBatchedOracle:
 
 
 class TestCutStacks:
-    """train and inference stack only the columns forward reads; every
-    output must stay byte-identical to full-width stacks."""
+    """train and inference run only the windows forward reads, from each
+    description's stored columns; every output must stay byte-identical to
+    full-width stacks."""
 
     def corpus(self, cfg, gen):
         empty = DescriptionTensor(values=np.zeros((cfg.embed_dim, cfg.max_len)), used=0)
@@ -539,17 +559,19 @@ class TestCutStacks:
         tensors = self.corpus(cfg, stream(41, 2))
         labels = np.arange(len(tensors)) % cfg.num_classes
         solver = textcnn.SolverConfig(iterations=30, base_lr=0.05, batch_size=3)
-        widths = []
-        full_forward = textcnn.forward
+        positions = []
+        row_forward = textcnn._forward
 
-        def recording_forward(model, values, masks=None):
-            widths.append(values.shape[2])
-            return full_forward(model, values, masks)
+        def recording_forward(*args, **kwargs):
+            trace = row_forward(*args, **kwargs)
+            positions.append(trace.live.shape[1])
+            return trace
 
-        monkeypatch.setattr(textcnn, "forward", recording_forward)
+        monkeypatch.setattr(textcnn, "_forward", recording_forward)
         model = self.model(cfg, 41)
         history = textcnn.train(model, list(zip(labels, tensors)), solver, stream(41, 3))
-        assert cfg.max_len in widths and min(widths) < cfg.max_len  # both paths ran
+        full = cfg.max_len - cfg.kernel_width + 1
+        assert full in positions and min(positions) < full  # both paths ran
 
         reference = self.model(cfg, 41)
         rng = stream(41, 3)
