@@ -6,16 +6,20 @@ ReLU, inverted dropout, FC2 to the class logits, softmax cross-entropy. All
 gradients are derived and applied by explicit backpropagation; the SGD
 loop uses momentum, weight decay, and a step learning-rate schedule.
 
-Every entry point takes a batch. The convolution is one im2col GEMM, L x
-(E*w) @ (E*w) x C (as in Caffe, Jia et al. 2014), over the L live windows
-only, as a window past a description's last nonzero column responds
-relu(conv_b). Descriptions are stored at their own width, up to max_len;
-_forward copies each live window's im2col row straight from those columns,
-zero past them, so no batch is zero-padded into a stack (forward passes
-its stack's rows). FC1/FC2 are B-row GEMMs. The backward scatters each
-channel's peak gradient into an L x C array at its argmax row and
-multiplies that against the same rows, the conv responses dropped, so no
-per-sample gradient is ever held.
+Every entry point takes a batch. The convolution is factored by distinct
+word columns: _forward pools the batch's occupied columns (through each
+description's last nonzero one) behind one zero column, codes them by first
+appearance, so that padding and any all-zero column are code 0, and projects
+the U distinct columns once per kernel offset, C x E @ E x U.
+Window p's response sums, for k = 0..w-1, offset k's projection of column
+p + k, so a batch that reuses a small vocabulary multiplies far fewer
+columns than it has windows. Descriptions are stored at their own width, up
+to max_len, and no batch is zero-padded into a stack (forward passes its
+stack's rows). The responses are laid out C x B x P, so the max-pool
+reduces the contiguous last axis. FC1/FC2 are B-row GEMMs. The backward
+sums each channel's peak gradient into a U x C array per offset, at the
+code that offset of its peak window reads, and multiplies that against the
+distinct columns, so no per-window or per-sample gradient is ever held.
 synth.oracle_cnn_loss_and_gradients keeps the per-sample derivation as
 the oracle.
 
@@ -33,8 +37,9 @@ from . import dataio
 from .errors import (EmptyCorpus, EmptySubset, InvalidConfig, MalformedHeader, NoConvergence,
                      ShapeMismatch)
 
-# Inference runs at most this many tensors at once; at paper sizes
-# (E300, w5, T70) a chunk of full-length descriptions takes 79 MB of im2col rows.
+# Inference runs at most this many tensors at once; at paper sizes (E300,
+# C256, w5, T70) a chunk of full-length descriptions whose 7,000 columns are
+# all distinct peaks at 67 MB traced.
 INFER_CHUNK = 100
 
 
@@ -77,11 +82,11 @@ class TextCnnModel:
 
 @dataclass
 class ForwardTrace:
-    """A batch's activations; the backward reads all but conv, and only cols in its last GEMM."""
+    """A batch's activations; the backward reads all but conv."""
 
-    cols: np.ndarray          # L x (E*w) im2col rows of the live windows
-    live: np.ndarray          # B x P, True where a window touches a nonzero column
-    conv: np.ndarray          # B x C x P response after ReLU
+    ids: np.ndarray           # B x (P+w-1) codes of the columns windows read, 0 for zero ones
+    distinct: np.ndarray      # U x E distinct columns by code, row 0 all zero
+    conv: np.ndarray          # B x C x P response after ReLU (a view of C x B x P)
     argmax: np.ndarray        # B x C peak position, 0-based
     pooled: np.ndarray        # B x C
     fc1: np.ndarray           # B x H, after ReLU, before dropout
@@ -141,10 +146,10 @@ def forward(model, values, masks=None) -> ForwardTrace:
     masks (B x H booleans, True = kept) switch on inverted dropout, which
     scales the kept FC1 units by 1/(1-rate); without masks nothing is dropped.
 
-    Only live windows are multiplied: those that start at or before the
-    sample's last nonzero column, read from the values, not from `used`.
-    That is exact for zero trailing columns and finite weights: a later
-    window's product is +-0, so it responds relu(conv_b) at its own position.
+    Columns past a sample's last nonzero one, read from the values, not
+    from `used`, are never projected: they read code 0, the zero column,
+    whose projection is +-0 for finite weights, so a window of them
+    responds relu(conv_b) at its own position.
     """
     return _forward(model, values, *_stack_windows(model, values), masks)
 
@@ -164,32 +169,35 @@ def _forward(model, rows, occupied, positions=None, masks=None) -> ForwardTrace:
     """forward over B descriptions, each E x (its own width) with its _occupied
     width; window p reads columns p..p+w-1, zero past the stored ones.
     positions=None stops one all-zero window past the longest description,
-    whose relu(conv_b) wins the ties of every later one."""
+    whose relu(conv_b) wins the ties of every later one. Either way the P
+    windows read P + w - 1 columns, which hold every occupied one."""
     cfg = model.config
     if positions is None:
         positions = min(cfg.max_len - cfg.kernel_width + 1, int(occupied.max()) + 1)
-    counts = np.minimum(occupied, positions)  # live windows per description
-    live = np.arange(positions) < counts[:, None]  # B x P
-    cols = np.empty((int(counts.sum()), cfg.embed_dim * cfg.kernel_width))  # L x (E*w)
-    for values, count, end in zip(rows, counts, np.cumsum(counts)):
-        block = cols[end - count:end].reshape(count, cfg.embed_dim, cfg.kernel_width)
-        for k in range(cfg.kernel_width):  # window p reads column p + k at offset k
-            inside = min(count, max(0, values.shape[1] - k))
-            block[:inside, :, k] = values[:, k:k + inside].T
-            block[inside:, :, k] = 0.0
-    kernels = model.conv_w.reshape(cfg.kernel_count, -1).T
-    conv = np.zeros((len(live), positions, cfg.kernel_count))
-    if live.all():  # the GEMM writes every response in place
-        np.matmul(cols, kernels, out=conv.reshape(len(cols), -1))
-    else:
-        conv[live] = cols @ kernels
-    conv += model.conv_b
+    # The occupied columns behind one zero column, coded by first appearance;
+    # + 0.0 turns -0.0 into 0.0, so every all-zero column, like padding, is code 0.
+    embed, width = cfg.embed_dim, cfg.kernel_width
+    pool = np.empty((1 + int(occupied.sum()), embed))
+    np.concatenate([np.zeros((1, embed))]
+                   + [values[:, :count].T for values, count in zip(rows, occupied)], out=pool)
+    pool += 0.0
+    first, codes = dataio.first_appearance_codes(pool.view(f"V{8 * embed}").ravel())
+    ids = np.zeros((len(occupied), positions + width - 1), dtype=np.int64)  # B x (P+w-1)
+    ids[np.arange(ids.shape[1]) < occupied[:, None]] = codes[1:]
+    distinct = pool[first]
+    del pool
+    # Offset k's C x U projection is gathered and dropped before the next one.
+    kernels = np.ascontiguousarray(model.conv_w.transpose(2, 0, 1))  # w x C x E
+    conv = np.take(kernels[0] @ distinct.T, ids[:, :positions], axis=1)  # C x B x P
+    for k in range(1, width):  # window p reads column p + k at offset k
+        conv += np.take(kernels[k] @ distinct.T, ids[:, k:k + positions], axis=1)
+    conv += model.conv_b[:, None, None]
     np.maximum(conv, 0.0, out=conv)
-    argmax = conv.argmax(axis=1)  # B x C, lowest position on ties
-    pooled = conv[np.arange(len(live))[:, None], argmax, np.arange(cfg.kernel_count)]
+    argmax = conv.argmax(axis=2).T  # B x C, lowest position on ties
+    pooled = conv.max(axis=2).T
     fc1 = np.maximum(pooled @ model.fc1_w.T + model.fc1_b, 0.0)
     logits = _dropout(fc1, masks, cfg.dropout) @ model.fc2_w.T + model.fc2_b
-    return ForwardTrace(cols=cols, live=live, conv=conv.transpose(0, 2, 1), argmax=argmax,
+    return ForwardTrace(ids=ids, distinct=distinct, conv=conv.transpose(1, 0, 2), argmax=argmax,
                         pooled=pooled, fc1=fc1, logits=logits)
 
 
@@ -234,17 +242,17 @@ def _loss_and_gradients(model, values, occupied, positions, labels, masks):
     dfc1_w = dfc1_pre.T @ trace.pooled
 
     # Max-pool routes to the argmax position; a zero pooled value means the
-    # whole channel was clipped by the ReLU, so nothing flows back. A peak in
-    # a dead window has no cols row and its all-zero input adds nothing.
+    # whole channel was clipped by the ReLU, so nothing flows back. Offset k of
+    # each channel's peak window sums into its column's row of dproj; an
+    # offset that reads padding reads code 0, the zero column, and adds nothing.
     dpeak = (dfc1_pre @ model.fc1_w) * (trace.pooled > 0.0)
-    peak = trace.live[rows[:, None], trace.argmax]  # B x C
-    row = (np.cumsum(trace.live) - 1).reshape(trace.live.shape)[rows[:, None], trace.argmax]
-    grads = [None, dpeak.sum(axis=0), dfc1_w, dfc1_pre.sum(axis=0), dfc2_w, dlogits.sum(axis=0)]
-    cols = trace.cols
-    del trace, dlogits, dhidden, dfc1_pre  # the conv responses go before the L x C gradient
-    dconv = np.zeros((len(cols), cfg.kernel_count))  # L x C
-    dconv[row[peak], np.nonzero(peak)[1]] = dpeak[peak]
-    grads[0] = (dconv.T @ cols).reshape(model.conv_w.shape)
+    grads = [np.empty(model.conv_w.shape), dpeak.sum(axis=0), dfc1_w, dfc1_pre.sum(axis=0), dfc2_w,
+             dlogits.sum(axis=0)]
+    channels, size = np.arange(cfg.kernel_count), trace.distinct.shape[0] * cfg.kernel_count
+    for k in range(cfg.kernel_width):
+        code = trace.ids[rows[:, None], trace.argmax + k]  # B x C
+        dproj = np.bincount((code * cfg.kernel_count + channels).ravel(), dpeak.ravel(), size)
+        np.matmul(dproj.reshape(-1, cfg.kernel_count).T, trace.distinct, out=grads[0][:, :, k])
     return losses, dict(zip(PARAM_NAMES, grads))
 
 

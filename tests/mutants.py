@@ -57,20 +57,25 @@ MUTANTS = [
            "gallery_rows = gallery_rows[np.argsort(codes[gallery_rows])]",
            ("tests/test_evaluation.py::TestIdentityCoding"
             "::test_gallery_order_and_cmc_match_label_grouping[single]",)),
-    Mutant("cnn-window-tail-not-zeroed", "src/xmreid/textcnn.py",
-           "block[inside:, :, k] = 0.0",
-           "pass",
-           ("tests/test_textcnn.py::TestCutStacks::test_ragged_storage_equals_padded[1]",
-            "tests/test_textcnn.py::TestCutStacks::test_ragged_storage_equals_padded[3]")),
-    Mutant("cnn-live-windows-uncapped", "src/xmreid/textcnn.py",
-           "counts = np.minimum(occupied, positions)",
-           "counts = occupied",
-           ("tests/test_textcnn.py::TestCutStacks::test_train_equals_full_width_loop",
-            "tests/test_textcnn.py::TestBatchedOracle::test_live_windows_at_paper_sizes")),
-    Mutant("cnn-trace-held-through-conv-gemm", "src/xmreid/textcnn.py",
-           "del trace, dlogits, dhidden, dfc1_pre",
-           "held = trace\n    del trace, dlogits, dhidden, dfc1_pre",
-           ("tests/test_textcnn.py::TestTrain::test_full_width_iteration_memory",)),
+    Mutant("cnn-padding-not-zero-code", "src/xmreid/textcnn.py",
+           "ids = np.zeros((len(occupied), positions + width - 1), dtype=np.int64)",
+           "ids = np.ones((len(occupied), positions + width - 1), dtype=np.int64)",
+           ("tests/test_textcnn.py::TestForward::test_valid_conv_positions",
+            "tests/test_textcnn.py::TestBatchedOracle::test_zero_padded_columns")),
+    Mutant("cnn-gather-offset-shifted", "src/xmreid/textcnn.py",
+           "ids[:, :positions], axis=1)",
+           "ids[:, 1:positions + 1], axis=1)",
+           ("tests/test_textcnn.py::TestBatchedOracle::test_dropout_masks",
+            "tests/test_textcnn.py::TestBatchedOracle::test_duplicate_heavy_batch_at_paper_sizes")),
+    Mutant("cnn-bincount-ignores-offset", "src/xmreid/textcnn.py",
+           "code = trace.ids[rows[:, None], trace.argmax + k]",
+           "code = trace.ids[rows[:, None], trace.argmax]",
+           ("tests/test_textcnn.py::TestBatchedOracle::test_dropout_masks",
+            "tests/test_textcnn.py::TestBatchedOracle::test_duplicate_heavy_batch_at_paper_sizes")),
+    Mutant("cnn-gradients-held-after-update", "src/xmreid/textcnn.py",
+           "grad = grads.pop(name) * scale",
+           "grad = grads[name] * scale",
+           ("tests/test_textcnn.py::TestTrain::test_applied_gradients_are_freed",)),
 ]
 
 

@@ -128,21 +128,23 @@ class TestInit:
 
 class TestForward:
     def test_valid_conv_positions(self):
-        # T=70, w=5: two positions lost at each border -> 66 columns
+        # T=70, w=5: two positions lost at each border -> 66 windows over 70
+        # columns, each coded once behind the zero column, code 0
         cfg = toy_config(embed_dim=4, kernel_width=5, max_len=70)
         model = textcnn.init_model(cfg, stream(1, 1))
         model.conv_b[...] = [0.5, 0.0, -0.5, 0.25, -0.25]
         tensor = random_tensor(stream(1, 2), cfg)
         trace = textcnn.forward(model, one(tensor))
         assert trace.conv.shape == (1, cfg.kernel_count, 66)
-        assert trace.cols.shape == (66, cfg.embed_dim * cfg.kernel_width)
-        assert trace.live.all()
+        assert list(trace.ids[0]) == list(range(1, 71))
+        assert np.array_equal(trace.distinct, np.hstack([np.zeros((4, 1)), tensor.values]).T)
 
-        # 8 words: only the windows starting at columns 0..7 are multiplied
-        short = textcnn.forward(model, one(random_tensor(stream(1, 3), cfg, used=8)))
+        # 8 words: the 62 padding columns read code 0, so only 9 columns are projected
+        short_tensor = random_tensor(stream(1, 3), cfg, used=8)
+        short = textcnn.forward(model, one(short_tensor))
         assert short.conv.shape == (1, cfg.kernel_count, 66)
-        assert short.cols.shape == (8, cfg.embed_dim * cfg.kernel_width)
-        assert list(np.flatnonzero(short.live[0])) == list(range(8))
+        assert list(short.ids[0]) == list(range(1, 9)) + [0] * 62
+        assert np.array_equal(short.distinct[short.ids[0]], short_tensor.values.T)
         padding = np.broadcast_to(np.maximum(model.conv_b, 0.0)[None, :, None], (1, 5, 58))
         assert np.array_equal(short.conv[..., 8:], padding)
 
@@ -368,10 +370,9 @@ class TestTrain:
         assert peak < 300 * 2**20
 
     def test_full_width_iteration_memory(self):
-        # 70-column descriptions make all 100 x 66 windows live, so the im2col
-        # rows alone take 76 MiB; the peak is 106.6 MiB. A padded B x E x T
-        # stack beside them (16 MiB) peaked at 130.6 MiB, and conv responses
-        # held through the conv-weight GEMM (13 MiB) at 113.1 MiB.
+        # 70-column descriptions fill all 100 x 66 windows, whose im2col rows
+        # would take 76 MiB alone. The peak, 55.0 MiB, is the column coder's
+        # two copies of the 16 MiB column pool beside it, and the SGD velocities.
         cfg = paper_config()
         model = textcnn.init_model(cfg, stream(45, 1))
         gen = stream(45, 2)
@@ -384,17 +385,43 @@ class TestTrain:
         finally:
             tracemalloc.stop()
         assert np.isfinite(history[0])
-        assert peak < 110 * 2**20
+        assert peak < 58 * 2**20
+
+    def test_shared_vocabulary_iteration_memory(self):
+        # 70-word descriptions over a 32-word table: the batch codes at most
+        # 33 distinct columns, so the peak, 53.4 MiB, is set by coding the
+        # column pool, far below the 76 MiB that im2col rows alone took.
+        cfg = paper_config()
+        model = textcnn.init_model(cfg, stream(46, 1))
+        gen = stream(46, 2)
+        table = gen.standard_normal((cfg.embed_dim, 32))
+        samples = [(label % cfg.num_classes,
+                    DescriptionTensor(values=table[:, gen.integers(0, 32, cfg.max_len)],
+                                      used=cfg.max_len))
+                   for label in range(100)]
+        solver = textcnn.SolverConfig(iterations=1, batch_size=100)
+        tracemalloc.start()
+        try:
+            history = textcnn.train(model, samples, solver, stream(46, 3))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.isfinite(history[0])
+        assert peak < 56 * 2**20
 
     def test_applied_gradients_are_freed(self):
         # Each gradient is dropped once applied, so no later step holds the
         # previous step's gradients (5.4 MB here) beside its own; the slack
         # covers the previous losses, batch indices and the loss history.
+        # Every description orders the same 8 words, so each batch codes the
+        # same 9 distinct columns and its activations take the same memory.
         def traced_peak(iterations):
             cfg = paper_config()
             model = textcnn.init_model(cfg, stream(29, 1))
             gen = stream(29, 2)
-            samples = [(label % cfg.num_classes, random_tensor(gen, cfg, used=8))
+            words = gen.standard_normal((cfg.embed_dim, 8))
+            samples = [(label % cfg.num_classes,
+                        DescriptionTensor(values=words[:, gen.permutation(8)], used=8))
                        for label in range(100)]
             solver = textcnn.SolverConfig(iterations=iterations, batch_size=100)
             tracemalloc.start()
@@ -506,11 +533,65 @@ class TestBatchedOracle:
 
         values = np.stack([t.values for t in tensors])
         trace = textcnn.forward(model, values)
-        assert len(trace.cols) == sum(min(u, positions) for u in used)
+        # every word column is distinct and padding alone reads code 0
+        assert len(trace.distinct) == 1 + sum(used) and trace.conv.shape[2] == positions
+        assert np.array_equal(trace.ids > 0, np.arange(cfg.max_len) < np.array(used)[:, None])
+        assert np.array_equal(trace.distinct[trace.ids].transpose(0, 2, 1), values)
         windows = sliding_window_view(values, cfg.kernel_width, axis=2)  # B x E x P x w
         response = np.tensordot(windows, model.conv_w, axes=[(1, 3), (1, 2)]) + model.conv_b
         assert np.array_equal(trace.argmax, np.maximum(response, 0.0).argmax(axis=1))
         assert np.any(trace.argmax[1] >= 1)  # a padding window beats the one-word window
+
+    def test_duplicate_heavy_batch_at_paper_sizes(self):
+        # Zipf text over a 2,000-word vocabulary, the batch drawn with
+        # replacement: far fewer distinct columns than occupied ones.
+        cfg = paper_config()
+        model = textcnn.init_model(cfg, stream(47, 1))
+        model.conv_b[...] = np.resize([0.5, 0.0, -0.5], cfg.kernel_count)
+        gen = stream(47, 2)
+        table = gen.standard_normal((cfg.embed_dim, 2000))
+        zipf = 1.0 / np.arange(1, 2001)
+        corpus = []
+        for used in gen.integers(5, cfg.max_len + 1, size=16):
+            values = np.zeros((cfg.embed_dim, cfg.max_len))
+            values[:, :used] = table[:, gen.choice(2000, size=used, p=zipf / zipf.sum())]
+            corpus.append(DescriptionTensor(values=values, used=int(used)))
+        tensors = [corpus[i] for i in gen.integers(0, len(corpus), size=40)]
+        labels = gen.integers(0, cfg.num_classes, size=len(tensors))
+        masks = gen.random((len(tensors), cfg.hidden_dim)) >= cfg.dropout
+        assert_batch_matches_oracle(model, tensors, labels, masks)
+
+        values = np.stack([t.values for t in tensors])
+        padded = textcnn.batch_loss_and_gradients(model, values, labels, masks)
+        rows = [t.values[:, :t.used] for t in tensors]
+        occupied = np.array([t.used for t in tensors])
+        trace = textcnn._forward(model, rows, occupied)
+        assert 2 * len(trace.distinct) < occupied.sum()
+        stored = textcnn._loss_and_gradients(model, rows, occupied, None, labels, masks)
+        assert np.array_equal(stored[0], padded[0])
+        for name in textcnn.PARAM_NAMES:
+            assert np.array_equal(stored[1][name], padded[1][name]), name
+
+    def test_zero_and_negative_zero_columns_read_as_padding(self):
+        # Columns 3..5 are 0.0, -0.0 and 0.0 inside the description: all code
+        # 0, so window 3, which reads only them, responds relu(conv_b) like a
+        # window past the last word, and the -0.0 changes no output bit.
+        cfg = toy_config(max_len=12, kernel_count=6)
+        model = textcnn.init_model(cfg, stream(48, 1))
+        model.conv_b[...] = np.resize([0.8, 0.0, -0.5], cfg.kernel_count)
+        values = stream(48, 2).standard_normal((cfg.embed_dim, 9))
+        values[:, 3:6] = 0.0
+        negative = values.copy()
+        negative[:, 4] = -0.0
+        assert np.signbit(negative[:, 4]).all()
+        plain, trace = (textcnn.forward(model, np.pad(v, ((0, 0), (0, 3)))[None])
+                        for v in (values, negative))
+        assert list(trace.ids[0]) == [1, 2, 3, 0, 0, 0, 4, 5, 6, 0, 0, 0]
+        padding = np.maximum(model.conv_b, 0.0)
+        assert np.array_equal(trace.conv[0, :, 3], padding)
+        assert np.array_equal(trace.conv[0, :, 9], padding)
+        for name in ("ids", "distinct", "conv", "argmax", "pooled", "fc1", "logits"):
+            assert getattr(trace, name).tobytes() == getattr(plain, name).tobytes(), name
 
     def test_noisy_padding_makes_every_window_live(self):
         cfg = toy_config(max_len=12)
@@ -521,7 +602,7 @@ class TestBatchedOracle:
         for tensor in tensors:
             tensor.values[:, 4:] = 1e-3 * gen.standard_normal((cfg.embed_dim, cfg.max_len - 4))
         trace = textcnn.forward(model, np.stack([t.values for t in tensors]))
-        assert trace.live.all() and len(trace.cols) == 8 * (cfg.max_len - cfg.kernel_width + 1)
+        assert np.all(trace.ids > 0) and len(trace.distinct) == 1 + 8 * cfg.max_len
         assert_batch_matches_oracle(model, tensors, gen.integers(0, cfg.num_classes, size=8))
 
     def test_mixed_lengths_match_one_by_one(self):
@@ -564,7 +645,7 @@ class TestCutStacks:
 
         def recording_forward(*args, **kwargs):
             trace = row_forward(*args, **kwargs)
-            positions.append(trace.live.shape[1])
+            positions.append(trace.conv.shape[2])
             return trace
 
         monkeypatch.setattr(textcnn, "_forward", recording_forward)
