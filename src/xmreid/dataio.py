@@ -45,7 +45,7 @@ SPLIT_MAGIC = "XMREID-SPLIT 1"
 
 TRAIN = "train"
 TEST = "test"
-# Values per finiteness check of a loaded body: no body-sized mask is held.
+# 1 MiB of float64 per finiteness check of a body, and of bytes per coding pass.
 _FINITE_CHUNK = 2**17
 
 
@@ -426,10 +426,20 @@ def load_synonyms(path):
 
 def first_appearance_codes(values):
     """(first, codes) for a 1-D array: values[first] are its distinct values in
-    order of first appearance, and values[i] is the codes[i]-th of them."""
-    _, index, inverse = np.unique(values, return_index=True, return_inverse=True)
-    order = np.argsort(index)
-    return index[order], np.argsort(order)[inverse]
+    order of first appearance, and values[i] is the codes[i]-th of them. A stable
+    argsort heads each run with its first appearance; runs end where sorted
+    neighbours differ, compared 1 MiB at a time, so values is never copied."""
+    order = np.argsort(values, kind="stable")
+    heads = np.ones(len(values), dtype=bool)
+    step = max(1, 8 * _FINITE_CHUNK // values.itemsize)
+    for lo in range(1, len(values), step):
+        rows = values[order[lo - 1:lo + step]]
+        heads[lo:lo + step] = rows[1:] != rows[:-1]
+    first = order[heads]
+    by_first = np.argsort(first)
+    codes = np.empty_like(order)
+    codes[order] = np.argsort(by_first)[np.cumsum(heads) - 1]
+    return first[by_first], codes
 
 
 @dataclass

@@ -4,7 +4,10 @@ Architecture (Kim 2014): valid 1-D convolution of C kernels (E x w) across
 the T columns, ReLU, per-channel temporal max-pool, FC1 (H units) with
 ReLU, inverted dropout, FC2 to the class logits, softmax cross-entropy. All
 gradients are derived and applied by explicit backpropagation; the SGD
-loop uses momentum, weight decay, and a step learning-rate schedule.
+loop uses momentum, weight decay, and a step learning-rate schedule. It checks
+a step's loss first, then updates each parameter in place once the backward
+has its gradient and no longer reads the parameter, conv_w one offset slice
+at a time, so no full set of gradients is ever held.
 
 Every entry point takes a batch. The convolution is factored by distinct
 word columns: _forward pools the batch's occupied columns (through each
@@ -39,7 +42,7 @@ from .errors import (EmptyCorpus, EmptySubset, InvalidConfig, MalformedHeader, N
 
 # Inference runs at most this many tensors at once; at paper sizes (E300,
 # C256, w5, T70) a chunk of full-length descriptions whose 7,000 columns are
-# all distinct peaks at 67 MB traced.
+# all distinct peaks at 59 MB traced.
 INFER_CHUNK = 100
 
 
@@ -86,7 +89,7 @@ class ForwardTrace:
 
     ids: np.ndarray           # B x (P+w-1) codes of the columns windows read, 0 for zero ones
     distinct: np.ndarray      # U x E distinct columns by code, row 0 all zero
-    conv: np.ndarray          # B x C x P response after ReLU (a view of C x B x P)
+    conv: np.ndarray | None   # B x C x P after ReLU (a view of C x B x P), None in a backward
     argmax: np.ndarray        # B x C peak position, 0-based
     pooled: np.ndarray        # B x C
     fc1: np.ndarray           # B x H, after ReLU, before dropout
@@ -186,11 +189,13 @@ def _forward(model, rows, occupied, positions=None, masks=None) -> ForwardTrace:
     ids[np.arange(ids.shape[1]) < occupied[:, None]] = codes[1:]
     distinct = pool[first]
     del pool
-    # Offset k's C x U projection is gathered and dropped before the next one.
-    kernels = np.ascontiguousarray(model.conv_w.transpose(2, 0, 1))  # w x C x E
-    conv = np.take(kernels[0] @ distinct.T, ids[:, :positions], axis=1)  # C x B x P
-    for k in range(1, width):  # window p reads column p + k at offset k
-        conv += np.take(kernels[k] @ distinct.T, ids[:, k:k + positions], axis=1)
+    # Each offset's C x U projection, from a C x E kernel copy, is gathered, then dropped.
+    def projected(k):  # C x B x P: window p reads column p + k at offset k
+        return np.take(np.ascontiguousarray(model.conv_w[:, :, k]) @ distinct.T,
+                       ids[:, k:k + positions], axis=1)
+    conv = projected(0)
+    for k in range(1, width):
+        conv += projected(k)
     conv += model.conv_b[:, None, None]
     np.maximum(conv, 0.0, out=conv)
     argmax = conv.argmax(axis=2).T  # B x C, lowest position on ties
@@ -225,35 +230,42 @@ def batch_loss_and_gradients(model, values, labels, dropout_masks=None):
         raise ShapeMismatch(f"{len(values)} tensors need {len(values)} labels, got {labels.shape}")
     if np.any((labels < 0) | (labels >= model.config.num_classes)):
         raise ShapeMismatch(f"label outside 0..{model.config.num_classes - 1}")
-    return _loss_and_gradients(model, values, *_stack_windows(model, values), labels, dropout_masks)
+    steps = _loss_and_gradients(model, values, *_stack_windows(model, values), labels,
+                                dropout_masks)
+    losses, grads = next(steps), {name: np.empty(param.shape) for name, param in model.params()}
+    for name, index, grad in steps:
+        grads[name][index] = grad
+    return losses, grads
 
 
 def _loss_and_gradients(model, values, occupied, positions, labels, masks):
-    """batch_loss_and_gradients over _forward's arguments; the caller checks labels."""
+    """Generate batch_loss_and_gradients' B losses, then (name, index, gradient)
+    for getattr(model, name)[index] once the backward reads it no more; callers check labels."""
     cfg = model.config
     trace = _forward(model, values, occupied, positions, masks)
+    trace.conv = None  # the backward reads the peaks through argmax and pooled
     rows = np.arange(len(labels))
     losses, dlogits = softmax_cross_entropy(trace.logits, labels)
     dlogits[rows, labels] -= 1.0
+    yield losses
 
-    dfc2_w = dlogits.T @ _dropout(trace.fc1, masks, cfg.dropout)
-    dhidden = _dropout(dlogits @ model.fc2_w, masks, cfg.dropout)
-    dfc1_pre = dhidden * (trace.fc1 > 0.0)
-    dfc1_w = dfc1_pre.T @ trace.pooled
+    dfc1_pre = _dropout(dlogits @ model.fc2_w, masks, cfg.dropout) * (trace.fc1 > 0.0)
+    yield "fc2_w", ..., dlogits.T @ _dropout(trace.fc1, masks, cfg.dropout)
+    yield "fc2_b", ..., dlogits.sum(axis=0)
 
     # Max-pool routes to the argmax position; a zero pooled value means the
     # whole channel was clipped by the ReLU, so nothing flows back. Offset k of
     # each channel's peak window sums into its column's row of dproj; an
     # offset that reads padding reads code 0, the zero column, and adds nothing.
     dpeak = (dfc1_pre @ model.fc1_w) * (trace.pooled > 0.0)
-    grads = [np.empty(model.conv_w.shape), dpeak.sum(axis=0), dfc1_w, dfc1_pre.sum(axis=0), dfc2_w,
-             dlogits.sum(axis=0)]
+    yield "fc1_w", ..., dfc1_pre.T @ trace.pooled
+    yield "fc1_b", ..., dfc1_pre.sum(axis=0)
+    yield "conv_b", ..., dpeak.sum(axis=0)
     channels, size = np.arange(cfg.kernel_count), trace.distinct.shape[0] * cfg.kernel_count
     for k in range(cfg.kernel_width):
         code = trace.ids[rows[:, None], trace.argmax + k]  # B x C
         dproj = np.bincount((code * cfg.kernel_count + channels).ravel(), dpeak.ravel(), size)
-        np.matmul(dproj.reshape(-1, cfg.kernel_count).T, trace.distinct, out=grads[0][:, :, k])
-    return losses, dict(zip(PARAM_NAMES, grads))
+        yield "conv_w", (..., k), dproj.reshape(-1, cfg.kernel_count).T @ trace.distinct
 
 
 def train(model, samples, solver: SolverConfig, rng):
@@ -264,8 +276,8 @@ def train(model, samples, solver: SolverConfig, rng):
     indices with replacement and then the batch's dropout masks, runs those
     tensors' stored columns through _forward, and applies the Caffe-style
     update v = mu*v - lr*(grad + wd*param); param += v, with grad the
-    batch-mean gradient, freed once applied. A non-finite batch loss
-    (divergence) raises NoConvergence.
+    batch-mean gradient, applied in place and freed as the backward yields it.
+    A non-finite batch loss (divergence) raises NoConvergence before any update.
     """
     solver.validate()
     samples = list(samples)
@@ -286,18 +298,21 @@ def train(model, samples, solver: SolverConfig, rng):
         masks = None
         if rate > 0.0:
             masks = rng.random((solver.batch_size, model.config.hidden_dim)) >= rate
-        losses, grads = _loss_and_gradients(model, [rows[i] for i in batch], occupied[batch],
-                                            None, labels[batch], masks)
-        history.append(float(losses.sum()) / solver.batch_size)
+        steps = _loss_and_gradients(model, [rows[i] for i in batch], occupied[batch], None,
+                                    labels[batch], masks)
+        history.append(float(next(steps).sum()) / solver.batch_size)
         if not math.isfinite(history[-1]):
             raise NoConvergence(f"training diverged: batch loss {history[-1]} at iteration {step}")
 
-        for name, param in model.params():
-            grad = grads.pop(name) * scale + solver.weight_decay * param
-            vel = velocity[name]
+        for name, index, grad in steps:
+            param, vel = getattr(model, name)[index], velocity[name][index]
+            grad *= scale
+            grad += solver.weight_decay * param
+            grad *= lr
             vel *= solver.momentum
-            vel -= lr * grad
+            vel -= grad
             param += vel
+        del grad  # the last slice would otherwise live through the next forward
     return history
 
 

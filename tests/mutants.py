@@ -63,8 +63,8 @@ MUTANTS = [
            ("tests/test_textcnn.py::TestForward::test_valid_conv_positions",
             "tests/test_textcnn.py::TestBatchedOracle::test_zero_padded_columns")),
     Mutant("cnn-gather-offset-shifted", "src/xmreid/textcnn.py",
-           "ids[:, :positions], axis=1)",
-           "ids[:, 1:positions + 1], axis=1)",
+           "ids[:, k:k + positions], axis=1)",
+           "ids[:, max(k - 1, 0):max(k - 1, 0) + positions], axis=1)",
            ("tests/test_textcnn.py::TestBatchedOracle::test_dropout_masks",
             "tests/test_textcnn.py::TestBatchedOracle::test_duplicate_heavy_batch_at_paper_sizes")),
     Mutant("cnn-bincount-ignores-offset", "src/xmreid/textcnn.py",
@@ -72,10 +72,24 @@ MUTANTS = [
            "code = trace.ids[rows[:, None], trace.argmax]",
            ("tests/test_textcnn.py::TestBatchedOracle::test_dropout_masks",
             "tests/test_textcnn.py::TestBatchedOracle::test_duplicate_heavy_batch_at_paper_sizes")),
-    Mutant("cnn-gradients-held-after-update", "src/xmreid/textcnn.py",
-           "grad = grads.pop(name) * scale",
-           "grad = grads[name] * scale",
+    Mutant("cnn-applied-gradients-kept", "src/xmreid/textcnn.py",
+           "for name, index, grad in steps:\n            param, vel",
+           "for name, index, grad in list(steps):\n            param, vel",
            ("tests/test_textcnn.py::TestTrain::test_applied_gradients_are_freed",)),
+    Mutant("cnn-fc2-updated-before-backward-reads-it", "src/xmreid/textcnn.py",
+           "    dfc1_pre = _dropout(dlogits @ model.fc2_w, masks, cfg.dropout) * (trace.fc1 > 0.0)\n"
+           "    yield \"fc2_w\", ..., dlogits.T @ _dropout(trace.fc1, masks, cfg.dropout)\n",
+           "    yield \"fc2_w\", ..., dlogits.T @ _dropout(trace.fc1, masks, cfg.dropout)\n"
+           "    dfc1_pre = _dropout(dlogits @ model.fc2_w, masks, cfg.dropout) * (trace.fc1 > 0.0)\n",
+           ("tests/test_textcnn.py::TestCutStacks::test_train_equals_full_width_loop",)),
+    Mutant("coder-sort-unstable", "src/xmreid/dataio.py",
+           'order = np.argsort(values, kind="stable")',
+           "order = np.argsort(values)",
+           ("tests/test_dataio.py::TestFirstAppearanceCodes::test_equal_values_straddle_chunks",)),
+    Mutant("coder-chunk-boundary-shifted", "src/xmreid/dataio.py",
+           "for lo in range(1, len(values), step):",
+           "for lo in range(1, len(values), step + 1):",
+           ("tests/test_dataio.py::TestFirstAppearanceCodes::test_equal_values_straddle_chunks",)),
 ]
 
 

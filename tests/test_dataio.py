@@ -648,6 +648,34 @@ class TestFirstAppearanceCodes:
         first, codes = dataio.first_appearance_codes(rows.view("V16").ravel())
         assert (first.tolist(), codes.tolist()) == ([0, 1, 3], [0, 1, 0, 2])
 
+    @pytest.mark.parametrize("chunk", [1, 2, 3])
+    def test_equal_values_straddle_chunks(self, monkeypatch, chunk):
+        # 2,000 values in 7 runs, compared 1-3 int64s or one 16-byte row at a
+        # time: equal sorted neighbours meet at chunk boundaries throughout,
+        # and each run must start at its first appearance.
+        monkeypatch.setattr(dataio, "_FINITE_CHUNK", chunk)
+        picks = np.random.default_rng(chunk).integers(0, 7, 2000)
+        lookup = {}
+        expected = [lookup.setdefault(v, len(lookup)) for v in picks.tolist()]
+        rows = np.random.default_rng(0).standard_normal((7, 2))[picks]
+        for values in (picks, rows.view("V16").ravel()):
+            first, codes = dataio.first_appearance_codes(values)
+            assert codes.tolist() == expected
+            assert first.tolist() == [picks.tolist().index(v) for v in lookup]
+
+    def test_paper_size_column_pool_is_not_copied(self):
+        # A 70-word batch's column pool at paper sizes: 7,001 distinct 300-d
+        # columns, 16 MiB, coded within a quarter of their size.
+        pool = np.random.default_rng(1).standard_normal((7001, 300))
+        tracemalloc.start()
+        try:
+            first, codes = dataio.first_appearance_codes(pool.view("V2400").ravel())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(first, np.arange(7001)) and np.array_equal(codes, first)
+        assert peak < 0.25 * pool.nbytes
+
 
 class TestAssembly:
     """load_dataset joins FEAT and ATTR files into row-aligned columns."""

@@ -6,7 +6,7 @@ import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
 from xmreid import synth, textcnn, textprep
-from xmreid.errors import EmptyCorpus, EmptySubset, InvalidConfig, ShapeMismatch
+from xmreid.errors import EmptyCorpus, EmptySubset, InvalidConfig, NoConvergence, ShapeMismatch
 from xmreid.rng import stream
 from xmreid.textprep import DescriptionTensor
 
@@ -371,8 +371,8 @@ class TestTrain:
 
     def test_full_width_iteration_memory(self):
         # 70-column descriptions fill all 100 x 66 windows, whose im2col rows
-        # would take 76 MiB alone. The peak, 55.0 MiB, is the column coder's
-        # two copies of the 16 MiB column pool beside it, and the SGD velocities.
+        # would take 76 MiB alone. The peak, 34.6 MiB, is the 12.9 MiB C x B x P
+        # responses and one offset's gathered part of them beside the SGD velocities.
         cfg = paper_config()
         model = textcnn.init_model(cfg, stream(45, 1))
         gen = stream(45, 2)
@@ -385,12 +385,12 @@ class TestTrain:
         finally:
             tracemalloc.stop()
         assert np.isfinite(history[0])
-        assert peak < 58 * 2**20
+        assert peak < 36 * 2**20
 
     def test_shared_vocabulary_iteration_memory(self):
         # 70-word descriptions over a 32-word table: the batch codes at most
-        # 33 distinct columns, so the peak, 53.4 MiB, is set by coding the
-        # column pool, far below the 76 MiB that im2col rows alone took.
+        # 33 distinct columns. The peak, 31.8 MiB, is the responses as above,
+        # far below the 76 MiB that im2col rows alone took.
         cfg = paper_config()
         model = textcnn.init_model(cfg, stream(46, 1))
         gen = stream(46, 2)
@@ -407,14 +407,16 @@ class TestTrain:
         finally:
             tracemalloc.stop()
         assert np.isfinite(history[0])
-        assert peak < 56 * 2**20
+        assert peak < 34 * 2**20
 
     def test_applied_gradients_are_freed(self):
-        # Each gradient is dropped once applied, so no later step holds the
-        # previous step's gradients (5.4 MB here) beside its own; the slack
+        # Each gradient is applied as the backward produces it and dropped, so
+        # a step never holds a full gradient set (5.4 MiB here), and no later
+        # step holds the previous step's gradients beside its own; the slack
         # covers the previous losses, batch indices and the loss history.
         # Every description orders the same 8 words, so each batch codes the
         # same 9 distinct columns and its activations take the same memory.
+        # One step peaks at 11.3 MiB, of which the velocities are 5.4 MiB.
         def traced_peak(iterations):
             cfg = paper_config()
             model = textcnn.init_model(cfg, stream(29, 1))
@@ -431,7 +433,23 @@ class TestTrain:
             finally:
                 tracemalloc.stop()
 
-        assert traced_peak(3) <= traced_peak(1) + 64 * 2**10
+        one_step = traced_peak(1)
+        assert one_step < 12 * 2**20
+        assert traced_peak(3) <= one_step + 64 * 2**10
+
+    def test_divergence_leaves_parameters_as_they_were(self):
+        # The batch loss is checked before any update is applied: a first step
+        # whose loss overflows raises NoConvergence with every parameter bit for
+        # bit as it was. fc2_b pushes class 1's logit 2e308 below class 0's.
+        cfg = toy_config(dropout=0.5, hidden_dim=16)
+        model = textcnn.init_model(cfg, stream(49, 1))
+        model.fc2_b[:2] = [1e308, -1e308]
+        before = [arr.tobytes() for _, arr in model.params()]
+        samples = [(1, random_tensor(stream(49, 2), cfg))]
+        solver = textcnn.SolverConfig(iterations=3, batch_size=2)
+        with np.errstate(over="ignore"), pytest.raises(NoConvergence, match="iteration 0"):
+            textcnn.train(model, samples, solver, stream(49, 3))
+        assert [arr.tobytes() for _, arr in model.params()] == before
 
     def test_mixed_shapes_rejected(self):
         # Stored widths up to max_len mix freely, down to an empty tensor; a
@@ -568,9 +586,9 @@ class TestBatchedOracle:
         trace = textcnn._forward(model, rows, occupied)
         assert 2 * len(trace.distinct) < occupied.sum()
         stored = textcnn._loss_and_gradients(model, rows, occupied, None, labels, masks)
-        assert np.array_equal(stored[0], padded[0])
-        for name in textcnn.PARAM_NAMES:
-            assert np.array_equal(stored[1][name], padded[1][name]), name
+        assert np.array_equal(next(stored), padded[0])
+        for name, index, grad in stored:
+            assert np.array_equal(grad, padded[1][name][index]), name
 
     def test_zero_and_negative_zero_columns_read_as_padding(self):
         # Columns 3..5 are 0.0, -0.0 and 0.0 inside the description: all code
