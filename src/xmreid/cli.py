@@ -355,7 +355,8 @@ def _add_common(parser, func, inputs, seed=42):
 
 def _add_pipeline_flags(parser):
     parser.add_argument("--cca-k", type=int, default=None,
-                        help="canonical pairs to keep (default: min(dims, 128))")
+                        help="canonical pairs to keep "
+                             f"(default: min(dims, {cca_mod.DEFAULT_RANK_BUDGET}))")
     parser.add_argument("--cca-ridge", type=float, default=cca_mod.DEFAULT_RIDGE)
     parser.add_argument("--xqda-ridge", type=float, default=xqda_mod.DEFAULT_RIDGE)
     parser.add_argument("--xqda-max-rank", type=int, default=xqda_mod.DEFAULT_MAX_RANK)
@@ -405,17 +406,17 @@ def build_parser():
     p.add_argument("--embeddings", required=True)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--iters", type=int, default=1000)
-    p.add_argument("--lr", type=float, default=0.01)
-    p.add_argument("--momentum", type=float, default=0.9)
-    p.add_argument("--weight-decay", type=float, default=0.0005)
-    p.add_argument("--batch", type=int, default=100)
-    p.add_argument("--lr-drop-factor", type=float, default=0.1)
-    p.add_argument("--lr-drop-every", type=int, default=50000)
-    p.add_argument("--kernels", type=int, default=256)
-    p.add_argument("--kernel-width", type=int, default=5)
-    p.add_argument("--hidden", type=int, default=1024)
-    p.add_argument("--max-len", type=int, default=70)
-    p.add_argument("--dropout", type=float, default=0.5)
+    p.add_argument("--lr", type=float, default=textcnn.SolverConfig.base_lr)
+    p.add_argument("--momentum", type=float, default=textcnn.SolverConfig.momentum)
+    p.add_argument("--weight-decay", type=float, default=textcnn.SolverConfig.weight_decay)
+    p.add_argument("--batch", type=int, default=textcnn.SolverConfig.batch_size)
+    p.add_argument("--lr-drop-factor", type=float, default=textcnn.SolverConfig.lr_drop_factor)
+    p.add_argument("--lr-drop-every", type=int, default=textcnn.SolverConfig.lr_drop_every)
+    p.add_argument("--kernels", type=int, default=textcnn.TextCnnConfig.kernel_count)
+    p.add_argument("--kernel-width", type=int, default=textcnn.TextCnnConfig.kernel_width)
+    p.add_argument("--hidden", type=int, default=textcnn.TextCnnConfig.hidden_dim)
+    p.add_argument("--max-len", type=int, default=textcnn.TextCnnConfig.max_len)
+    p.add_argument("--dropout", type=float, default=textcnn.TextCnnConfig.dropout)
     p.add_argument("--augment", choices=textprep.ALL_METHODS, default=None)
     p.add_argument("--factor", type=int, default=1)
     p.add_argument("--sigma", type=float, default=textprep.DEFAULT_NOISE_SIGMA)

@@ -8,9 +8,9 @@ several), take every view-2 test sample as a probe, and rank the gallery by
 ascending score. Splits are independent, each keyed by (master seed,
 scenario, flip count, split index). Identities are coded once per
 evaluation by dataio.first_appearance_codes, the coder xqda uses for its
-labels and rows; a split's masks, gallery grouping and ranks work on the
-codes. Probes are scored, folded and ranked in blocks of rows, so at most
-one block of scores is held, never P x G of them.
+labels and rows; a split looks up one role per code, and its masks, gallery
+grouping and ranks work on the codes. Probes are scored, folded and ranked in
+blocks of rows, so at most one block of scores is held, never P x G of them.
 
 SCENARIO_SPEC, the one table of the six scenarios, decides the rest: its
 cca_x/cca_y parts fit a CCA per split, its attribute parts flip bits and
@@ -184,10 +184,7 @@ def _evaluate_one_split(codes, names, views, fields, split, scenario, config, ma
     )
     spec = SCENARIO_SPEC[scenario]
     parts = set(spec[GALLERY] + spec[QUERY])
-    # Each identity's role by code; the split's labels coded past len(names) have no rows.
-    _, labels = dataio.first_appearance_codes(np.array(names.tolist() + list(split.roles)))
-    role = np.full(len(labels), "", dtype=object)
-    role[labels[len(names):]] = list(split.roles.values())
+    role = np.array([split.roles.get(name, "") for name in names.tolist()], dtype=object)
     train, test = (role == dataio.TRAIN)[codes], (role == dataio.TEST)[codes]
     if not train.any() or dataio.TEST not in split.roles.values():
         raise EmptySubset(f"split {split.index} needs both train and test identities")

@@ -115,18 +115,15 @@ def gen_eigh(a, b) -> EigenResult:
     """Solve A v = lambda B v for symmetric A and positive-definite B.
 
     Reduction: B = L L^T, then the standard problem on C = L^-1 A L^-T and
-    back-substitution V = L^-T V~. Columns of V are B-orthonormal
-    (V^T B V = I) and eigenvalues come back descending.
+    back-substitution V = L^-T V~ (eigh checks and symmetrizes C). Columns of
+    V are B-orthonormal (V^T B V = I) and eigenvalues come back descending.
     """
     a = symmetrized(a)
     lower = cholesky(b)
     if a.shape != lower.shape:
         raise NotSquare(f"A is {a.shape} but B is {lower.shape}")
     half = np.linalg.solve(lower, a)
-    reduced = np.linalg.solve(lower, half.T).T
-    # Symmetric in exact arithmetic; average away the solve round-off.
-    reduced = (reduced + reduced.T) / 2.0
-    inner = eigh(reduced)
+    inner = eigh(np.linalg.solve(lower, half.T).T)
     vecs = np.linalg.solve(lower.T, inner.vectors)
     _fix_signs(vecs)
     return EigenResult(values=inner.values, vectors=vecs)

@@ -49,7 +49,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import rng as streams
-from .dataio import AttributeTable, Dataset, EmbeddingTable, SplitAssignment
+from .dataio import TEST, TRAIN, AttributeTable, Dataset, EmbeddingTable, SplitAssignment
 from .errors import (DimensionNotTwo, InvalidConfig, MissingView, NoConvergence,
                      NotPositiveDefinite, TooFewIdentities, TooLarge)
 
@@ -238,7 +238,7 @@ def gen_splits(config: SynthConfig):
         order = gen.permutation(config.identity_count)
         roles = {}
         for rank, which in enumerate(order):
-            roles[labels[which]] = "train" if rank < n_train else "test"
+            roles[labels[which]] = TRAIN if rank < n_train else TEST
         splits.append(SplitAssignment(index=index, roles=dict(sorted(roles.items()))))
     return splits
 

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import dataio
+from . import dataio, textprep
 from .errors import (EmptyCorpus, EmptySubset, InvalidConfig, MalformedHeader, NoConvergence,
                      ShapeMismatch)
 
@@ -53,7 +53,7 @@ class TextCnnConfig:
     kernel_count: int = 256
     kernel_width: int = 5
     hidden_dim: int = 1024
-    max_len: int = 70
+    max_len: int = textprep.DEFAULT_MAX_LEN
     dropout: float = 0.5
 
     def validate(self):

@@ -63,7 +63,7 @@ class XqdaModel:
 
 
 def _check_inputs(features, identities, views):
-    """Row-aligned features, identity codes by first appearance and views, plus view counts."""
+    """Row-aligned features, identity codes by first appearance, view masks and view counts."""
     features = np.asarray(features, dtype=np.float64)
     identities = np.asarray(identities)
     views = np.asarray(views)
@@ -72,12 +72,13 @@ def _check_inputs(features, identities, views):
     first, codes = dataio.first_appearance_codes(identities)
     if len(first) < 2:
         raise TooFewIdentities("need at least two identities for extra-personal pairs")
-    n1 = np.bincount(codes[views == 1], minlength=len(first)).astype(np.float64)
-    n2 = np.bincount(codes[views == 2], minlength=len(first)).astype(np.float64)
+    in1, in2 = views == 1, views == 2
+    n1 = np.bincount(codes[in1], minlength=len(first)).astype(np.float64)
+    n2 = np.bincount(codes[in2], minlength=len(first)).astype(np.float64)
     lacking = identities[first[(n1 == 0) | (n2 == 0)]].tolist()
     if lacking:
         raise MissingView(f"identity {lacking[0]!r} lacks a sample in one view")
-    return features, codes, views, n1, n2
+    return features, codes, in1, in2, n1, n2
 
 
 def build_difference_covariances(features, identities, views):
@@ -91,13 +92,11 @@ def build_difference_covariances(features, identities, views):
     return _difference_covariances(*_check_inputs(features, identities, views))
 
 
-def _difference_covariances(features, codes, views, n1, n2):
+def _difference_covariances(features, codes, in1, in2, n1, n2):
     """build_difference_covariances on _check_inputs' output."""
     dim = features.shape[1]
-    v1 = features[views == 1]
-    v2 = features[views == 2]
-    id1 = codes[views == 1]
-    id2 = codes[views == 2]
+    v1, v2 = features[in1], features[in2]
+    id1, id2 = codes[in1], codes[in2]
 
     # np.add.at adds the rows in order, as a per-identity sum(axis=0) would.
     sums1 = np.zeros((len(n1), dim))
@@ -131,21 +130,21 @@ def fit_xqda(features, identities, views, ridge=DEFAULT_RIDGE,
     Directions with generalized eigenvalue above 1 + UNIT_EIGENVALUE_TOL separate
     extra-personal from intra-personal variation and are kept (up to
     max_rank); if none qualify the strongest direction is kept anyway and
-    the model is flagged as a fallback. Optional per-dimension z-scoring is
-    folded into W so scoring still consumes raw features.
+    the model is flagged as a fallback. One generalized eigensolve runs in
+    the (optionally z-scored) feature coordinates; dividing by one column
+    scale, all ones and so exact without zscore, lifts W to raw features.
     """
     if max_rank < 1:
         raise InvalidConfig(f"max_rank must be >= 1, got {max_rank}")
-    features, codes, views, n1, n2 = _check_inputs(features, identities, views)
+    features, codes, in1, in2, n1, n2 = _check_inputs(features, identities, views)
 
-    scale = None
-    work = features
+    scale = np.ones(features.shape[1])
     if zscore:
         scale = features.std(axis=0)
         scale[scale < 1e-12] = 1.0  # near-constant columns stay unscaled
-        work = (features - features.mean(axis=0)) / scale
+        features = (features - features.mean(axis=0)) / scale
 
-    intra, extra = _difference_covariances(work, codes, views, n1, n2)
+    intra, extra = _difference_covariances(features, codes, in1, in2, n1, n2)
     extra_r, intra_r = linalg.ridged(ridge, extra, intra)  # a bad ridge before a degenerate metric
     if np.trace(intra) + np.trace(extra) <= 0.0:
         raise DegenerateMetric("both difference covariances vanish")
@@ -154,15 +153,12 @@ def fit_xqda(features, identities, views, ridge=DEFAULT_RIDGE,
     keep = int(np.sum(solution.values > 1.0 + UNIT_EIGENVALUE_TOL))
     fallback = keep == 0
     rank = max(min(keep, max_rank), 1)
-    w = solution.vectors[:, :rank].copy()
+    w = solution.vectors[:, :rank]
 
     proj_intra, proj_extra = linalg.ridged(ridge, w.T @ intra @ w, w.T @ extra @ w)
     kernel = linalg.psd_power(proj_intra, -1) - linalg.psd_power(proj_extra, -1)
     kernel = (kernel + kernel.T) / 2.0
-
-    if scale is not None:
-        w = w / scale[:, None]
-    return XqdaModel(w=w, m=kernel, fallback=fallback)
+    return XqdaModel(w=w / scale[:, None], m=kernel, fallback=fallback)
 
 
 def score(model: XqdaModel, gallery, query) -> float:

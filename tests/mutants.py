@@ -76,12 +76,29 @@ MUTANTS = [
            "for name, index, grad in steps:\n            param, vel",
            "for name, index, grad in list(steps):\n            param, vel",
            ("tests/test_textcnn.py::TestTrain::test_applied_gradients_are_freed",)),
+    Mutant("cnn-last-slice-kept", "src/xmreid/textcnn.py",
+           "        del grad  # the last slice would otherwise live through the next forward\n",
+           "",
+           ("tests/test_textcnn.py::TestTrain::test_full_width_iteration_memory",)),
     Mutant("cnn-fc2-updated-before-backward-reads-it", "src/xmreid/textcnn.py",
            "    dfc1_pre = _dropout(dlogits @ model.fc2_w, masks, cfg.dropout) * (trace.fc1 > 0.0)\n"
            "    yield \"fc2_w\", ..., dlogits.T @ _dropout(trace.fc1, masks, cfg.dropout)\n",
            "    yield \"fc2_w\", ..., dlogits.T @ _dropout(trace.fc1, masks, cfg.dropout)\n"
            "    dfc1_pre = _dropout(dlogits @ model.fc2_w, masks, cfg.dropout) * (trace.fc1 > 0.0)\n",
            ("tests/test_textcnn.py::TestCutStacks::test_train_equals_full_width_loop",)),
+    Mutant("xqda-lift-multiplies", "src/xmreid/xqda.py",
+           "w=w / scale[:, None]",
+           "w=w * scale[:, None]",
+           ("tests/test_xqda.py::TestZscore::test_scaled_features_score_identically",)),
+    Mutant("xqda-one-view-mask", "src/xmreid/xqda.py",
+           "v1, v2 = features[in1], features[in2]",
+           "v1, v2 = features[in1], features[in1]",
+           ("tests/test_xqda.py::TestDifferenceCovariances::test_matches_enumeration_minimal",)),
+    Mutant("roles-by-sorted-label", "src/xmreid/evaluation.py",
+           'split.roles.get(name, "") for name in names.tolist()',
+           'split.roles.get(name, "") for name in sorted(names.tolist())',
+           ("tests/test_evaluation.py::TestIdentityCoding"
+            "::test_gallery_order_and_cmc_match_label_grouping[single]",)),
     Mutant("coder-sort-unstable", "src/xmreid/dataio.py",
            'order = np.argsort(values, kind="stable")',
            "order = np.argsort(values)",

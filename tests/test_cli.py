@@ -160,6 +160,38 @@ class TestAugmentCli:
             outs.append(out)
         assert outs[0].read_bytes() == outs[1].read_bytes()
 
+    def test_synonym_variants_on_the_synthetic_corpus(self, tmp_path):
+        # Each description is followed by its factor-1 variants, which change
+        # only mapped words, each to one of its ranked synonyms; reruns match.
+        data = gen_dataset(tmp_path)
+        synonyms = {"red": ("crimson", "scarlet"), "blue": ("azure", "cobalt", "navy"),
+                    "shirt": ("blouse",), "the": ("this", "that")}
+        syn_path = tmp_path / "syn.tsv"
+        syn_path.write_text("".join(f"{word}\t{','.join(ranked)}\n"
+                                    for word, ranked in synonyms.items()), encoding="utf-8")
+        outs = [tmp_path / "a.corpus", tmp_path / "b.corpus"]
+        for out in outs:
+            assert run(["augment", "--corpus", str(data / "corpus.corpus"), "--method", "synonym",
+                        "--factor", "3", "--synonyms", str(syn_path), "--out", str(out),
+                        "--seed", "5", "--quiet"]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
+        corpus = dataio.load_corpus(data / "corpus.corpus")
+        augmented = dataio.load_corpus(outs[0])
+        assert len(augmented) == 3 * len(corpus)
+        replaced = 0
+        for k, (identity, view, text) in enumerate(corpus):
+            original = textprep.tokenize(text)
+            assert augmented[3 * k] == (identity, view, " ".join(original))
+            for variant in augmented[3 * k + 1:3 * k + 3]:
+                assert variant[:2] == (identity, view)
+                words = variant[2].split(" ")
+                assert len(words) == len(original)
+                for before, after in zip(original, words):
+                    assert after == before or after in synonyms.get(before, ())
+                    replaced += after != before
+        assert replaced > 0
+
     def test_gaussian_is_rejected_at_usage_level(self, tmp_path):
         corpus_path, _ = toy_text_corpus(tmp_path, classes=2)
         with pytest.raises(SystemExit) as exc:

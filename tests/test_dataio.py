@@ -281,6 +281,8 @@ REJECTED_CONTENT = {
                      MalformedHeader),
     "split-role": (lambda path: dataio.save_splits([SPLIT(0, {"a": "val"})], path),
                    MalformedHeader),
+    "split-role-tab": (lambda path: dataio.save_splits([SPLIT(0, {"a": "train\ttest"})], path),
+                       MalformedHeader),
     "split-negative-index": (lambda path: dataio.save_splits([SPLIT(-1, {"a": "train"})], path),
                              MalformedHeader),
     "split-repeated-index": (lambda path: dataio.save_splits(
@@ -339,6 +341,13 @@ HEADER_INTEGERS = [
                  id="split-count"),
     pytest.param(dataio.load_splits, "XMREID-SPLIT 1 1\n{}\tid1\ttrain\n", b"", "0",
                  id="split-index"),
+    # the format versions in the magic lines of the text files
+    pytest.param(dataio.load_corpus, "XMREID-CORPUS {}\nid1\t1\tred coat\n", b"", "1",
+                 id="corpus-version"),
+    pytest.param(dataio.load_attributes, "XMREID-ATTR {} 2\nid1\t01\n", b"", "1",
+                 id="attr-version"),
+    pytest.param(dataio.load_splits, "XMREID-SPLIT {} 1\n0\tid1\ttrain\n", b"", "1",
+                 id="split-version"),
 ]
 BAD_SPELLINGS = {
     "plus": lambda g: "+" + g,

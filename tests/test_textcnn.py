@@ -371,21 +371,29 @@ class TestTrain:
 
     def test_full_width_iteration_memory(self):
         # 70-column descriptions fill all 100 x 66 windows, whose im2col rows
-        # would take 76 MiB alone. The peak, 34.6 MiB, is the 12.9 MiB C x B x P
+        # would take 76 MiB alone. The peak, 34.0 MiB, is the 12.9 MiB C x B x P
         # responses and one offset's gathered part of them beside the SGD velocities.
-        cfg = paper_config()
-        model = textcnn.init_model(cfg, stream(45, 1))
-        gen = stream(45, 2)
-        samples = [(label, random_tensor(gen, cfg)) for label in range(cfg.num_classes)]
-        solver = textcnn.SolverConfig(iterations=1, batch_size=100)
-        tracemalloc.start()
-        try:
-            history = textcnn.train(model, samples, solver, stream(45, 3))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        # A second step peaks no higher, because the last applied conv_w slice
+        # (0.6 MiB) is freed before the next forward.
+        def traced_run(iterations):
+            cfg = paper_config()
+            model = textcnn.init_model(cfg, stream(45, 1))
+            gen = stream(45, 2)
+            samples = [(label, random_tensor(gen, cfg)) for label in range(cfg.num_classes)]
+            solver = textcnn.SolverConfig(iterations=iterations, batch_size=100)
+            tracemalloc.start()
+            try:
+                history = textcnn.train(model, samples, solver, stream(45, 3))
+                return history, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        history, one_step = traced_run(1)
         assert np.isfinite(history[0])
-        assert peak < 36 * 2**20
+        assert one_step < 36 * 2**20
+        history, two_steps = traced_run(2)
+        assert np.isfinite(history).all()
+        assert two_steps < one_step + 256 * 2**10
 
     def test_shared_vocabulary_iteration_memory(self):
         # 70-word descriptions over a 32-word table: the batch codes at most
