@@ -1,6 +1,7 @@
 """Descriptions to tensors to a trained network, end to end.
 
-Covers tokenization, the embedding tensor that stores only its words, the
+Covers tokenization, the word table a run codes once and the descriptions
+stored as ids into it, the
 three augmentation schemes (word dropping, ranked synonym replacement,
 additive Gaussian noise), a small CNN trained to classify identities from
 descriptions, and the detector-channel analysis that locates the conv
@@ -23,11 +24,14 @@ vocab = ["a", "short", "slim", "woman", "wearing", "ice", "blue", "jeans",
          "coat", "hat", "boots", "scarf", "the"]
 rng = np.random.default_rng(1)
 table = EmbeddingTable(dimension=8, vectors={t: rng.standard_normal(8) for t in vocab})
+words = textprep.word_table(table)
+print("\n== word table (distinct vectors behind the all-zero padding row 0) ==")
+print("rows:", words.vectors.shape, "id of 'jeans':", words.ids["jeans"])
 
-print("\n== embedding tensor (one column per known word, at most max_len) ==")
-tensor = textprep.to_tensor(tokens, table, max_len=12)
-print("stored columns:", tensor.values.shape[1], "used:", tensor.used, "max_len: 12")
-print("the network reads zeros past the stored columns; no batch is padded")
+print("\n== description (one id per known word, at most max_len) ==")
+tensor = textprep.to_tensor(tokens, words, max_len=12)
+print("ids:", tensor.ids.tolist(), "used:", tensor.used, "max_len: 12")
+print("the network reads zeros past the stored ids; no batch is padded")
 
 print("\n== augmentation schemes ==")
 gen = stream(99, 1)
@@ -35,8 +39,8 @@ print("drop:    ", textprep.augment_drop(tokens, gen))
 synonyms = {"sunglasses": ("glasses", "spectacles"), "woman": ("lady",)}
 print("synonym: ", textprep.augment_synonym(tokens, synonyms, gen, replace_prob=0.9))
 noisy = textprep.augment_gaussian(tensor, sigma=0.05, rng=gen)
-print("gaussian: perturbed", tensor.used, "columns, shape kept:",
-      noisy.values.shape == tensor.values.shape)
+print("gaussian: perturbed", tensor.used, "columns, appended as ids", noisy.ids.tolist(),
+      "shape kept:", noisy.columns().shape == tensor.columns().shape)
 
 print("\n== train a toy identity classifier ==")
 classes = ["red coat", "blue jeans", "tall man", "slim woman", "a hat",
@@ -45,7 +49,7 @@ samples = []
 for label, phrase in enumerate(classes):
     for filler in ("a", "the"):
         toks = textprep.tokenize(f"{filler} person wearing {phrase}")
-        samples.append((label, textprep.to_tensor(toks, table, max_len=10)))
+        samples.append((label, textprep.to_tensor(toks, words, max_len=10)))
 config = textcnn.TextCnnConfig(num_classes=len(classes), embed_dim=8,
                                kernel_count=16, kernel_width=3, hidden_dim=32,
                                max_len=10, dropout=0.0)
@@ -67,11 +71,11 @@ detector_cfg = textcnn.TextCnnConfig(num_classes=2, embed_dim=8, kernel_count=12
 detector = textcnn.init_model(detector_cfg, stream(99, 4))
 for _, arr in detector.params():
     arr[...] = 0.0
-detector.conv_w[5, :, 2] = table.get("sunglasses")
+detector.conv_w[5, :, 2] = table.vectors["sunglasses"]
 probes, truth = [], []
 for position in (4, 7, 11):
     values = 0.01 * np.random.default_rng(position).standard_normal((8, 14))
-    values[:, position - 1] = table.get("sunglasses")
+    values[:, position - 1] = table.vectors["sunglasses"]
     probes.append(textprep.DescriptionTensor(values=values, used=14))
     truth.append(position)
 channel, errors = textcnn.find_detector_channel(detector, probes, truth)

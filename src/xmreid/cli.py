@@ -207,13 +207,13 @@ def cmd_train_textcnn(args):
     corpus = dataio.load_corpus(args.corpus)
     if not corpus:
         raise EmptyCorpus(f"{args.corpus}: no descriptions to train on")
-    table = dataio.load_embeddings(args.embeddings)
+    words = textprep.word_table(dataio.load_embeddings(args.embeddings))
     synonyms = dataio.load_synonyms(args.synonyms) if args.synonyms else None
 
     first, codes = dataio.first_appearance_codes(np.array([i for i, _, _ in corpus]))
     tokenized = [(i, v, textprep.tokenize(text)) for i, v, text in corpus]
     tensors = textprep.build_training_tensors(
-        tokenized, table, max_len=args.max_len, method=args.augment,
+        tokenized, words, max_len=args.max_len, method=args.augment,
         factor=args.factor, rng=streams.stream(args.seed, streams.AUGMENT),
         synonyms=synonyms, sigma=args.sigma,
     )
@@ -222,7 +222,7 @@ def cmd_train_textcnn(args):
     samples = list(zip(np.repeat(codes, step).tolist(), (tensor for _, _, tensor in tensors)))
 
     config_net = textcnn.TextCnnConfig(
-        num_classes=len(first), embed_dim=table.dimension,
+        num_classes=len(first), embed_dim=words.vectors.shape[1],
         kernel_count=args.kernels, kernel_width=args.kernel_width,
         hidden_dim=args.hidden, max_len=args.max_len, dropout=args.dropout,
     )

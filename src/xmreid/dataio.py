@@ -239,19 +239,11 @@ def save_corpus(records, path):
 
 @dataclass
 class EmbeddingTable:
-    """Token -> fixed-dimension vector lookup."""
+    """An EMB file: each token's fixed-dimension vector (textprep.word_table
+    makes a run's lookup table of it)."""
 
     dimension: int
     vectors: dict = field(default_factory=dict)
-
-    def __contains__(self, token):
-        return token in self.vectors
-
-    def __len__(self):
-        return len(self.vectors)
-
-    def get(self, token):
-        return self.vectors[token]
 
 
 def load_embeddings(path) -> EmbeddingTable:
@@ -271,7 +263,7 @@ def save_embeddings(table: EmbeddingTable, path):
         if np.shape(vector) != (dim,):
             raise DimensionMismatch(f"{token!r} has shape {np.shape(vector)}, not ({dim},)")
     matrix = np.array(list(table.vectors.values()), dtype=np.float64)
-    _save_matrix(path, EMB_MAGIC, list(table.vectors), matrix.reshape(len(table), dim))
+    _save_matrix(path, EMB_MAGIC, list(table.vectors), matrix.reshape(len(table.vectors), dim))
 
 
 # -- ATTR ----------------------------------------------------------------------

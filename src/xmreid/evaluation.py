@@ -267,6 +267,21 @@ def evaluate_scenario(dataset, splits, scenario, config=None, master_seed=42) ->
     return SplitReport(per_split=results, mean=curves.mean(axis=0), std=curves.std(axis=0))
 
 
+def claim_margins(reports, order):
+    """{(a, b): (mean, se)} for each adjacent pair of order, the mean over
+    splits of b's rank-1 minus a's and its standard error. reports maps each
+    name in order to a SplitReport over the same splits, which pair the
+    differences; order is the claimed ascending order of rank-1."""
+    r1 = [[r.rank(1) for r in reports[name].per_split] for name in order]
+    if len({len(rates) for rates in r1}) != 1:
+        raise ShapeMismatch("margins pair splits, so every report needs the same splits")
+    if len(order) < 2 or len(r1[0]) < 2:
+        raise InvalidConfig("margins need two names in order and two splits")
+    diffs = np.diff(np.array(r1), axis=0)
+    return {pair: (float(d.mean()), float(d.std(ddof=1) / math.sqrt(len(d))))
+            for pair, d in zip(zip(order, order[1:]), diffs)}
+
+
 def attribute_degradation_sweep(dataset, splits, n_values, config=None, master_seed=42):
     """VAxVA evaluation per flip count; returns {n: SplitReport}."""
     config = config or PipelineConfig()

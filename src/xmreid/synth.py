@@ -505,7 +505,8 @@ def oracle_cnn_loss_and_gradients(model, tensor, label, dropout_mask=None):
     a dict keyed by parameter name; a given dropout_mask (H booleans, True = kept) applies
     inverted dropout at the model's rate."""
     cfg = model.config
-    x = np.pad(tensor.values, ((0, 0), (0, cfg.max_len - tensor.values.shape[1])))
+    x = tensor.columns()
+    x = np.pad(x, ((0, 0), (0, cfg.max_len - x.shape[1])))
     windows = sliding_window_view(x, cfg.kernel_width, axis=1)  # E x P x w
     pre = np.tensordot(model.conv_w, windows, axes=[(1, 2), (0, 2)]) + model.conv_b[:, None]
     conv = np.maximum(pre, 0.0)

@@ -9,22 +9,21 @@ a step's loss first, then updates each parameter in place once the backward
 has its gradient and no longer reads the parameter, conv_w one offset slice
 at a time, so no full set of gradients is ever held.
 
-Every entry point takes a batch. The convolution is factored by distinct
-word columns: _forward pools the batch's occupied columns (through each
-description's last nonzero one) behind one zero column, codes them by first
-appearance, so that padding and any all-zero column are code 0, and projects
-the U distinct columns once per kernel offset, C x E @ E x U.
-Window p's response sums, for k = 0..w-1, offset k's projection of column
-p + k, so a batch that reuses a small vocabulary multiplies far fewer
-columns than it has windows. Descriptions are stored at their own width, up
-to max_len, and no batch is zero-padded into a stack (forward passes its
-stack's rows). The responses are laid out C x B x P, so the max-pool
-reduces the contiguous last axis. FC1/FC2 are B-row GEMMs. The backward
-sums each channel's peak gradient into a U x C array per offset, at the
-code that offset of its peak window reads, and multiplies that against the
-distinct columns, so no per-window or per-sample gradient is ever held.
-synth.oracle_cnn_loss_and_gradients keeps the per-sample derivation as
-the oracle.
+Every entry point takes a batch of descriptions given as int ids, rows of
+one table whose row 0 is all zero (textprep.WordTable); a dense B x E x T
+stack, or tensors of dense values, are coded by value into a table once per
+call. The convolution is factored by distinct ids: _forward codes a batch's
+ids, through each description's last nonzero one, behind id 0 by first
+appearance, so padding is code 0, and projects the U distinct rows once per
+kernel offset, C x E @ E x U. Window p's response sums, for k = 0..w-1,
+offset k's projection of column p + k, so a batch that reuses a small
+vocabulary multiplies far fewer columns than it has windows. The responses
+are laid out C x B x P, so the max-pool reduces the contiguous last axis.
+FC1/FC2 are B-row GEMMs. The backward sums each channel's peak gradient into
+a U x C array per offset, at the code that offset of its peak window reads,
+and multiplies that against the distinct rows, so no per-window or
+per-sample gradient is ever held. synth.oracle_cnn_loss_and_gradients keeps
+the per-sample derivation as the oracle.
 
 The max-pool routes its gradient to the argmax position with ties broken
 to the lowest index, and the inference path draws no randomness, so
@@ -41,8 +40,8 @@ from .errors import (EmptyCorpus, EmptySubset, InvalidConfig, MalformedHeader, N
                      ShapeMismatch)
 
 # Inference runs at most this many tensors at once; at paper sizes (E300,
-# C256, w5, T70) a chunk of full-length descriptions whose 7,000 columns are
-# all distinct peaks at 59 MB traced.
+# C256, w5, T70) a chunk of full-length descriptions whose 7,000 words are
+# all distinct peaks at 55.8 MiB traced.
 INFER_CHUNK = 100
 
 
@@ -149,46 +148,44 @@ def forward(model, values, masks=None) -> ForwardTrace:
     masks (B x H booleans, True = kept) switch on inverted dropout, which
     scales the kept FC1 units by 1/(1-rate); without masks nothing is dropped.
 
-    Columns past a sample's last nonzero one, read from the values, not
-    from `used`, are never projected: they read code 0, the zero column,
-    whose projection is +-0 for finite weights, so a window of them
-    responds relu(conv_b) at its own position.
+    The stack is coded by value for this call. Columns past a sample's last
+    nonzero one are never projected: they read code 0, the zero column, whose
+    projection is +-0 for finite weights, so a window of them responds
+    relu(conv_b) at its own position.
     """
-    return _forward(model, values, *_stack_windows(model, values), masks)
+    return _forward(model, *_stack(model, values), masks)
 
 
-def _stack_windows(model, values):
-    """A B x E x T stack's _occupied widths and its T - w + 1 window positions."""
+def _stack(model, values):
+    """A B x E x T stack's table and ids, each sample's through its last nonzero
+    column, coded by value, and its T - w + 1 window positions."""
     cfg = model.config
     _, embed, width = values.shape
     if embed != cfg.embed_dim:
         raise ShapeMismatch(f"tensor embeds {embed}-d, model expects {cfg.embed_dim}-d")
-    if width < cfg.kernel_width:
+    positions = width - cfg.kernel_width + 1
+    if positions < 1:
         raise ShapeMismatch(f"tensor has {width} columns, kernel needs {cfg.kernel_width}")
-    return _occupied(values), width - cfg.kernel_width + 1
+    return *textprep.code_rows([v[:, :_occupied(v)].T for v in values], embed), positions
 
 
-def _forward(model, rows, occupied, positions=None, masks=None) -> ForwardTrace:
-    """forward over B descriptions, each E x (its own width) with its _occupied
-    width; window p reads columns p..p+w-1, zero past the stored ones.
+def _forward(model, table, sentences, positions=None, masks=None) -> ForwardTrace:
+    """forward over B descriptions, each the ids of its rows of table through
+    its last nonzero one; window p reads columns p..p+w-1, zero past them.
     positions=None stops one all-zero window past the longest description,
     whose relu(conv_b) wins the ties of every later one. Either way the P
     windows read P + w - 1 columns, which hold every occupied one."""
     cfg = model.config
+    occupied = np.array([len(s) for s in sentences], dtype=np.int64)
     if positions is None:
         positions = min(cfg.max_len - cfg.kernel_width + 1, int(occupied.max()) + 1)
-    # The occupied columns behind one zero column, coded by first appearance;
-    # + 0.0 turns -0.0 into 0.0, so every all-zero column, like padding, is code 0.
-    embed, width = cfg.embed_dim, cfg.kernel_width
-    pool = np.empty((1 + int(occupied.sum()), embed))
-    np.concatenate([np.zeros((1, embed))]
-                   + [values[:, :count].T for values, count in zip(rows, occupied)], out=pool)
-    pool += 0.0
-    first, codes = dataio.first_appearance_codes(pool.view(f"V{8 * embed}").ravel())
+    # The batch's distinct ids behind id 0, the zero row, coded by first appearance.
+    width = cfg.kernel_width
+    flat = np.concatenate([np.zeros(1, dtype=np.int64), *sentences])
+    first, codes = dataio.first_appearance_codes(flat)
     ids = np.zeros((len(occupied), positions + width - 1), dtype=np.int64)  # B x (P+w-1)
     ids[np.arange(ids.shape[1]) < occupied[:, None]] = codes[1:]
-    distinct = pool[first]
-    del pool
+    distinct = table[flat[first]]
     # Each offset's C x U projection, from a C x E kernel copy, is gathered, then dropped.
     def projected(k):  # C x B x P: window p reads column p + k at offset k
         return np.take(np.ascontiguousarray(model.conv_w[:, :, k]) @ distinct.T,
@@ -230,19 +227,18 @@ def batch_loss_and_gradients(model, values, labels, dropout_masks=None):
         raise ShapeMismatch(f"{len(values)} tensors need {len(values)} labels, got {labels.shape}")
     if np.any((labels < 0) | (labels >= model.config.num_classes)):
         raise ShapeMismatch(f"label outside 0..{model.config.num_classes - 1}")
-    steps = _loss_and_gradients(model, values, *_stack_windows(model, values), labels,
-                                dropout_masks)
+    steps = _loss_and_gradients(model, *_stack(model, values), labels, dropout_masks)
     losses, grads = next(steps), {name: np.empty(param.shape) for name, param in model.params()}
     for name, index, grad in steps:
         grads[name][index] = grad
     return losses, grads
 
 
-def _loss_and_gradients(model, values, occupied, positions, labels, masks):
+def _loss_and_gradients(model, table, sentences, positions, labels, masks):
     """Generate batch_loss_and_gradients' B losses, then (name, index, gradient)
     for getattr(model, name)[index] once the backward reads it no more; callers check labels."""
     cfg = model.config
-    trace = _forward(model, values, occupied, positions, masks)
+    trace = _forward(model, table, sentences, positions, masks)
     trace.conv = None  # the backward reads the peaks through argmax and pooled
     rows = np.arange(len(labels))
     losses, dlogits = softmax_cross_entropy(trace.logits, labels)
@@ -286,7 +282,7 @@ def train(model, samples, solver: SolverConfig, rng):
     labels = np.array([label for label, _ in samples], dtype=np.int64)
     if np.any((labels < 0) | (labels >= model.config.num_classes)):
         raise ShapeMismatch("label outside the class range")
-    rows, occupied = _stored([tensor for _, tensor in samples], model.config)
+    table, sentences = _coded([tensor for _, tensor in samples], model.config)
 
     velocity = {name: np.zeros_like(arr) for name, arr in model.params()}
     history = []
@@ -298,7 +294,7 @@ def train(model, samples, solver: SolverConfig, rng):
         masks = None
         if rate > 0.0:
             masks = rng.random((solver.batch_size, model.config.hidden_dim)) >= rate
-        steps = _loss_and_gradients(model, [rows[i] for i in batch], occupied[batch], None,
+        steps = _loss_and_gradients(model, table, [sentences[i] for i in batch], None,
                                     labels[batch], masks)
         history.append(float(next(steps).sum()) / solver.batch_size)
         if not math.isfinite(history[-1]):
@@ -321,27 +317,35 @@ def _occupied(values):
     return (values.any(axis=-2) * np.arange(1, values.shape[-1] + 1)).max(axis=-1, initial=0)
 
 
-def _stored(tensors, config):
-    """The tensors' stored E x (at most max_len) columns and their _occupied widths."""
-    rows = [tensor.values for tensor in tensors]
-    if any(v.shape[0] != config.embed_dim or v.shape[1] > config.max_len for v in rows):
+def _coded(tensors, config):
+    """A table and each tensor's ids into it, cut after its last nonzero one.
+    Tensors on one WordTable keep its rows and ids; any other set, such as
+    tensors of dense values, is coded by value (textprep.code_rows) for this call."""
+    tensors = list(tensors)
+    words = tensors[0].words if tensors else None
+    shared = words is not None and all(t.words is words for t in tensors)
+    blocks = [t.ids if shared else t.columns() for t in tensors]
+    shapes = [(words.vectors.shape[1], len(b)) if shared else b.shape for b in blocks]
+    if any(embed != config.embed_dim or width > config.max_len for embed, width in shapes):
         raise ShapeMismatch(f"description tensors must be {config.embed_dim} x at most "
                             f"{config.max_len}, the model's input")
-    return rows, np.array([_occupied(values) for values in rows], dtype=np.int64)
+    if not shared:
+        return textprep.code_rows([c[:, :_occupied(c)].T for c in blocks], config.embed_dim)
+    return words.vectors, [ids[:_occupied(ids[None] != 0)] for ids in blocks]
 
 
 def _infer(model, tensors, pick):
     """pick(trace) over a sequence of tensors, concatenated.
 
-    The sequence runs in chunks of at most INFER_CHUNK tensors, each read
-    from its stored columns by _forward, so memory stays bounded.
+    The sequence is coded once (_coded) and runs in chunks of at most
+    INFER_CHUNK tensors, so memory stays bounded.
     """
-    rows, occupied = _stored(tensors, model.config)
-    if not rows:
+    table, sentences = _coded(tensors, model.config)
+    if not sentences:
         raise EmptySubset("no description tensors to run")
     return np.concatenate([
-        pick(_forward(model, rows[start:start + INFER_CHUNK], occupied[start:start + INFER_CHUNK]))
-        for start in range(0, len(rows), INFER_CHUNK)
+        pick(_forward(model, table, sentences[start:start + INFER_CHUNK]))
+        for start in range(0, len(sentences), INFER_CHUNK)
     ])
 
 

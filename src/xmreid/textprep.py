@@ -1,11 +1,13 @@
 """Tokenization, embedding lookup, and description augmentation.
 
-A description becomes an E x T matrix whose columns are the word vectors of
-its first T in-vocabulary tokens, T at most max_len. Only those columns are
-stored; the sentence CNN reads zeros past them. Three augmentation schemes
-expand a training corpus: random word dropping and ranked synonym replacement
-act on token lists before embedding, additive Gaussian noise acts on the
-embedded matrix afterwards.
+A run codes its embedding table by value once into a WordTable: the distinct
+word vectors in order of first appearance behind an all-zero row 0, so equal
+vectors share an id and an all-zero one reads as padding. A description is
+then the int ids of its first T in-vocabulary tokens, T at most max_len; the
+sentence CNN reads zeros past them. Three augmentation schemes expand a
+training corpus: random word dropping and ranked synonym replacement act on
+token lists before embedding, additive Gaussian noise appends the noisy word
+vectors of a description to the run's table as new ids.
 """
 
 import functools
@@ -14,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import dataio
 from .errors import InvalidConfig, UnknownMethod
 
 MAX_DROP = 10
@@ -34,32 +37,68 @@ def tokenize(text):
 
 
 @dataclass
+class WordTable:
+    """A run's word vectors, N x E with row 0 all zero and the rest distinct,
+    and each token's row in `ids`; once append has run, vectors is a prefix of storage."""
+
+    ids: dict
+    vectors: np.ndarray
+    storage: np.ndarray | None = None
+
+    def append(self, rows):
+        """The id of the first of rows, stored after the last; full storage doubles."""
+        start, stop = len(self.vectors), len(self.vectors) + len(rows)
+        if self.storage is None or stop > len(self.storage):
+            self.storage = np.concatenate([self.vectors, np.empty((stop, rows.shape[1]))])
+        self.storage[start:stop] = rows
+        self.vectors = self.storage[:stop]
+        return start
+
+
+def code_rows(blocks, dim):
+    """(table, ids): table holds the distinct rows of the dim-wide blocks by first
+    appearance behind an all-zero row 0, and row i of block b is table[ids[b][i]].
+    + 0.0 turns -0.0 into 0.0, so every all-zero row is id 0."""
+    blocks = [np.zeros((1, dim)), *blocks]
+    ends = np.cumsum([len(block) for block in blocks])
+    pool = np.concatenate(blocks, out=np.empty((ends[-1], dim)))
+    pool += 0.0
+    first, codes = dataio.first_appearance_codes(pool.view(f"V{8 * dim}").ravel())
+    return pool[first], np.split(codes, ends)[1:-1]
+
+
+def word_table(embeddings) -> WordTable:
+    """An EmbeddingTable's WordTable, its vectors coded by code_rows."""
+    dim = embeddings.dimension
+    table, (ids,) = code_rows([np.reshape(list(embeddings.vectors.values()), (-1, dim))], dim)
+    return WordTable(dict(zip(embeddings.vectors, ids.tolist())), table)
+
+
+@dataclass(slots=True)
 class DescriptionTensor:
-    """E x T embedding matrix whose `used` leading columns hold words; to_tensor
-    stores T = used columns, any later stored column counts as padding."""
+    """A description's first `used` words, as `ids` into the WordTable `words`
+    (to_tensor) or as E x T `values`, which the CNN codes by value when it
+    reads them. Any stored column past `used` counts as padding."""
 
-    values: np.ndarray
-    used: int
+    values: np.ndarray | None = None
+    used: int = 0
+    ids: np.ndarray | None = None
+    words: WordTable | None = None
 
-    @property
-    def embed_dim(self):
-        return self.values.shape[0]
+    def columns(self):  # E x T
+        return self.values if self.words is None else self.words.vectors[self.ids].T
 
 
-def to_tensor(tokens, table, max_len=DEFAULT_MAX_LEN) -> DescriptionTensor:
-    """Embed tokens column by column, skipping out-of-vocabulary words.
+def to_tensor(tokens, words, max_len=DEFAULT_MAX_LEN) -> DescriptionTensor:
+    """The ids of tokens in a WordTable, skipping out-of-vocabulary words.
 
     Truncation to max_len happens after OOV removal, so a long description
     keeps its first max_len known words.
     """
     if max_len < 1:
         raise InvalidConfig(f"max_len must be >= 1, got {max_len}")
-    kept = [t for t in tokens if t in table]
-    used = min(len(kept), max_len)
-    values = np.zeros((table.dimension, used))
-    for col in range(used):
-        values[:, col] = table.get(kept[col])
-    return DescriptionTensor(values=values, used=used)
+    ids = [words.ids[t] for t in tokens if t in words.ids][:max_len]
+    return DescriptionTensor(ids=np.array(ids, dtype=np.int32), words=words, used=len(ids))
 
 
 def augment_drop(tokens, rng):
@@ -108,16 +147,21 @@ def _check_sigma(sigma):
 
 
 def augment_gaussian(tensor, sigma, rng) -> DescriptionTensor:
-    """Add zero-mean Gaussian noise to the `used` data columns only.
+    """Add zero-mean Gaussian noise to the `used` word columns only.
 
     One E x used draw, so the stream advances by the words alone; stored
-    padding columns are copied unchanged.
+    padding columns are kept. A tensor on a WordTable gets its noisy columns
+    appended there as new ids; the shared rows stay as they were.
     """
     _check_sigma(sigma)
-    values = tensor.values.copy()
-    if tensor.used > 0:
-        values[:, : tensor.used] += rng.normal(0.0, sigma, size=(tensor.embed_dim, tensor.used))
-    return DescriptionTensor(values=values, used=tensor.used)
+    noisy, used = tensor.columns().copy(), tensor.used
+    noisy[:, :used] += rng.normal(0.0, sigma, size=(len(noisy), used))
+    if tensor.words is None:
+        return DescriptionTensor(values=noisy, used=used)
+    ids = tensor.ids.copy()
+    if sigma > 0.0:  # zero noise leaves every column, so every id, as it was
+        ids[:used] = tensor.words.append(noisy[:, :used].T) + np.arange(used)
+    return DescriptionTensor(ids=ids, words=tensor.words, used=used)
 
 
 def augment_corpus(corpus, method, factor, rng, synonyms=None):
@@ -150,7 +194,7 @@ def augment_corpus(corpus, method, factor, rng, synonyms=None):
 
 def build_training_tensors(
     corpus,
-    table,
+    words,
     max_len=DEFAULT_MAX_LEN,
     method=None,
     factor=1,
@@ -158,11 +202,12 @@ def build_training_tensors(
     synonyms=None,
     sigma=DEFAULT_NOISE_SIGMA,
 ):
-    """Embed a token corpus into (identity, view, tensor) training records.
+    """Embed a token corpus into (identity, view, tensor) training records
+    on the run's WordTable `words`.
 
     Augmentation runs in each method's natural domain: drop and synonym
-    rewrite the token list before embedding, gaussian perturbs the embedded
-    matrix. method=None embeds the corpus as-is. sigma is checked on every
+    rewrite the token list before embedding, gaussian appends noisy word
+    vectors to `words`. method=None embeds the corpus as-is. sigma is checked on every
     call, whether or not the gaussian method uses it.
     """
     _check_sigma(sigma)
@@ -175,7 +220,7 @@ def build_training_tensors(
     noisy = factor - 1 if method == "gaussian" else 0
     out = []
     for identity, view, tokens in corpus:
-        clean = to_tensor(tokens, table, max_len)
+        clean = to_tensor(tokens, words, max_len)
         out.append((identity, view, clean))
         out.extend((identity, view, augment_gaussian(clean, sigma, rng)) for _ in range(noisy))
     return out

@@ -238,10 +238,11 @@ def test_criterion_7_scenario_ordering():
     splits = synth.gen_splits(config)
     assert len(splits) == 20
     pipe = evaluation.PipelineConfig(cca_k=synth.reference_cca_rank(config))
-    r1 = {}
+    r1, reports = {}, {}
     for scenario in ("VxL", "LxL", "VxV", "VxVL", "VLxVL"):
         rep = evaluation.evaluate_scenario(dataset, splits, scenario, pipe, master_seed=42)
         r1[scenario] = rep.mean_rank(1) * 100.0
+        reports[scenario] = rep
     ordered = [r1[s] for s in ("VxL", "LxL", "VxV", "VxVL", "VLxVL")]
     assert all(a < b for a, b in zip(ordered, ordered[1:])), r1
     assert r1["VLxVL"] - r1["VxV"] >= 5.0, r1
@@ -249,7 +250,9 @@ def test_criterion_7_scenario_ordering():
     assert elapsed < 120.0
     report(7, "mean R1 " + " < ".join(f"{s}={r1[s]:.1f}" for s in
                                       ("VxL", "LxL", "VxV", "VxVL", "VLxVL"))
-              + f", margin {r1['VLxVL'] - r1['VxV']:.1f}pp in {elapsed:.0f}s")
+              + f", margin {r1['VLxVL'] - r1['VxV']:.1f}pp in {elapsed:.0f}s; paired margins "
+              + ", ".join(f"{a}->{b} {100 * mean:+.1f} pp ({mean / se:.1f} SE)" for (a, b), (mean, se)
+                          in evaluation.claim_margins(reports, list(r1)).items()))
 
 
 def test_criterion_8_attribute_flip_degradation():

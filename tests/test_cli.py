@@ -236,12 +236,12 @@ class TestTrainTextCnn:
 
         # the manifest's accuracy, recounted from the saved model
         model = textcnn.load_model(tmp_path / "run0" / "model.cnn")
-        table = dataio.load_embeddings(emb_path)
+        words = textprep.word_table(dataio.load_embeddings(emb_path))
         corpus = dataio.load_corpus(corpus_path)
         labels = {}
         for identity, _, _ in corpus:
             labels.setdefault(identity, len(labels))
-        tensors = [textprep.to_tensor(textprep.tokenize(text), table, 10) for _, _, text in corpus]
+        tensors = [textprep.to_tensor(textprep.tokenize(text), words, 10) for _, _, text in corpus]
         predicted = textcnn.predict(model, tensors)
         correct = int(np.sum(predicted == [labels[identity] for identity, _, _ in corpus]))
         manifest = json.loads((tmp_path / "run0" / "manifest.json").read_text())
@@ -270,9 +270,9 @@ class TestTrainTextCnn:
 
         # the accuracy pass still scores the clean descriptions
         model = textcnn.load_model(tmp_path / "model.cnn")
-        table = dataio.load_embeddings(emb_path)
+        words = textprep.word_table(dataio.load_embeddings(emb_path))
         corpus = dataio.load_corpus(corpus_path)
-        clean = [textprep.to_tensor(textprep.tokenize(text), table, 10) for _, _, text in corpus]
+        clean = [textprep.to_tensor(textprep.tokenize(text), words, 10) for _, _, text in corpus]
         truth = [int(identity[len("person"):]) for identity, _, _ in corpus]
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["train_accuracy"] == float(np.mean(textcnn.predict(model, clean) == truth))

@@ -126,9 +126,9 @@ class TestEmbeddings:
                      + reals(1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0))
         table = dataio.load_embeddings(path)
         assert table.dimension == 4
-        assert len(table) == 3
-        assert np.array_equal(table.get("blue"), [0, 1, 0, 0])
-        assert_native_writable(table.get("hat"))
+        assert len(table.vectors) == 3
+        assert np.array_equal(table.vectors["blue"], [0, 1, 0, 0])
+        assert_native_writable(table.vectors["hat"])
 
     def test_duplicate_token(self, tmp_path):
         path = write(tmp_path / "e.emb", b"XMREID-EMB 1\n2 2\nred\nred\n" + reals(1, 0, 0, 1))
@@ -141,8 +141,8 @@ class TestEmbeddings:
         path = write(tmp_path / "e.emb", b"XMREID-EMB 1\n2 300\nking\nqueen\n" + body)
         table = dataio.load_embeddings(path)
         assert table.dimension == 300
-        assert table.get("king").shape == (300,)
-        assert np.array_equal(table.get("queen"), np.linspace(-1, 1, 300))
+        assert table.vectors["king"].shape == (300,)
+        assert np.array_equal(table.vectors["queen"], np.linspace(-1, 1, 300))
 
     def test_headerless_word2vec_text_is_malformed(self, tmp_path):
         with pytest.raises(MalformedHeader):

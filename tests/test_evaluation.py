@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -453,6 +454,36 @@ class TestIdentityCoding:
             cfg = evaluation.PipelineConfig(gallery_mode=mode)
             with pytest.raises(ProbeIdentityAbsent, match=f"identity '{test[1]}' not"):
                 evaluation.evaluate_scenario(dataset, splits, "VxV", cfg)
+
+
+class TestClaimMargins:
+    @staticmethod
+    def reports(*r1s):
+        def split(r1):
+            return evaluation.CmcResult(accuracies=np.array([r1, 1.0]), probe_count=10,
+                                        gallery_size=2)
+        return [evaluation.SplitReport(per_split=[split(r) for r in r1], mean=None, std=None)
+                for r1 in r1s]
+
+    def test_hand_computed_pairs(self):
+        # differences B - A are 0.3, 0.1, 0.4: mean 0.8 / 3, sample variance
+        # 0.07 / 3, so the standard error is sqrt(0.07 / 9); C - B are all 0.1
+        a, b, c = self.reports([0.2, 0.4, 0.3], [0.5, 0.5, 0.7], [0.6, 0.6, 0.8])
+        margins = evaluation.claim_margins({"A": a, "B": b, "C": c}, ["A", "B", "C"])
+        assert list(margins) == [("A", "B"), ("B", "C")]
+        mean, se = margins[("A", "B")]
+        assert abs(mean - 0.8 / 3) < 1e-12 and abs(se - math.sqrt(0.07 / 9)) < 1e-12
+        mean, se = margins[("B", "C")]
+        assert abs(mean - 0.1) < 1e-12 and se < 1e-12
+
+    def test_unpaired_or_too_few(self):
+        a, b, short = self.reports([0.2, 0.4], [0.5, 0.5], [0.5])
+        with pytest.raises(ShapeMismatch):
+            evaluation.claim_margins({"A": a, "B": short}, ["A", "B"])
+        with pytest.raises(InvalidConfig):
+            evaluation.claim_margins({"A": a}, ["A"])
+        with pytest.raises(InvalidConfig):
+            evaluation.claim_margins({"A": short, "B": short}, ["A", "B"])
 
 
 class TestAttributeSweep:

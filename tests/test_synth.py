@@ -137,7 +137,7 @@ class TestGenCorpus:
         table = synth.gen_vocabulary_embeddings(config)
         for _, _, text in synth.gen_corpus(config):
             for token in text.split(" "):
-                assert token in table
+                assert token in table.vectors
 
 
 class TestCcaGridOracle:

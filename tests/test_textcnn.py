@@ -6,6 +6,7 @@ import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
 from xmreid import synth, textcnn, textprep
+from xmreid.dataio import EmbeddingTable
 from xmreid.errors import EmptyCorpus, EmptySubset, InvalidConfig, NoConvergence, ShapeMismatch
 from xmreid.rng import stream
 from xmreid.textprep import DescriptionTensor
@@ -70,7 +71,8 @@ def assert_batch_matches_oracle(model, tensors, labels, masks=None):
     """The batch core on the max_len-wide stack against the oracle, which
     pads each stored tensor itself."""
     width = model.config.max_len
-    values = np.stack([np.pad(t.values, ((0, 0), (0, width - t.values.shape[1]))) for t in tensors])
+    columns = [t.columns() for t in tensors]
+    values = np.stack([np.pad(c, ((0, 0), (0, width - c.shape[1]))) for c in columns])
     losses, grads = textcnn.batch_loss_and_gradients(model, values, labels, masks)
     want_losses, want = oracle_batch(model, tensors, labels, masks)
     assert relative_error(losses, want_losses) <= 1e-12
@@ -371,8 +373,9 @@ class TestTrain:
 
     def test_full_width_iteration_memory(self):
         # 70-column descriptions fill all 100 x 66 windows, whose im2col rows
-        # would take 76 MiB alone. The peak, 34.0 MiB, is the 12.9 MiB C x B x P
-        # responses and one offset's gathered part of them beside the SGD velocities.
+        # would take 76 MiB alone. The peak, 35.7 MiB, is the 12.9 MiB C x B x P
+        # responses and one offset's gathered part of them beside the SGD velocities
+        # and the 1.7 MiB table that train codes these dense tensors into.
         # A second step peaks no higher, because the last applied conv_w slice
         # (0.6 MiB) is freed before the next forward.
         def traced_run(iterations):
@@ -397,7 +400,7 @@ class TestTrain:
 
     def test_shared_vocabulary_iteration_memory(self):
         # 70-word descriptions over a 32-word table: the batch codes at most
-        # 33 distinct columns. The peak, 31.8 MiB, is the responses as above,
+        # 33 distinct columns. The peak, 31.4 MiB, is the responses as above,
         # far below the 76 MiB that im2col rows alone took.
         cfg = paper_config()
         model = textcnn.init_model(cfg, stream(46, 1))
@@ -417,6 +420,24 @@ class TestTrain:
         assert np.isfinite(history[0])
         assert peak < 34 * 2**20
 
+    def test_viper_size_corpus_ids_memory(self):
+        # 1,264 descriptions of 70 words over a 2,000-word, 300-d table: their
+        # records take about 0.67 MB as ids, where dense columns took 212 MB
+        vocabulary = [f"w{i}" for i in range(2000)]
+        gen = stream(50, 1)
+        words = textprep.word_table(EmbeddingTable(dimension=300, vectors={
+            token: gen.standard_normal(300) for token in vocabulary}))
+        corpus = [(f"id{k // 2}", 1 + k % 2, [vocabulary[i] for i in gen.integers(0, 2000, 70)])
+                  for k in range(1264)]
+        tracemalloc.start()
+        try:
+            records = textprep.build_training_tensors(corpus, words)
+            size = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert [tensor.used for _, _, tensor in records] == [70] * 1264
+        assert size < 10**6
+
     def test_applied_gradients_are_freed(self):
         # Each gradient is applied as the backward produces it and dropped, so
         # a step never holds a full gradient set (5.4 MiB here), and no later
@@ -424,7 +445,7 @@ class TestTrain:
         # covers the previous losses, batch indices and the loss history.
         # Every description orders the same 8 words, so each batch codes the
         # same 9 distinct columns and its activations take the same memory.
-        # One step peaks at 11.3 MiB, of which the velocities are 5.4 MiB.
+        # One step peaks at 11.4 MiB, of which the velocities are 5.4 MiB.
         def traced_peak(iterations):
             cfg = paper_config()
             model = textcnn.init_model(cfg, stream(29, 1))
@@ -589,11 +610,11 @@ class TestBatchedOracle:
 
         values = np.stack([t.values for t in tensors])
         padded = textcnn.batch_loss_and_gradients(model, values, labels, masks)
-        rows = [t.values[:, :t.used] for t in tensors]
-        occupied = np.array([t.used for t in tensors])
-        trace = textcnn._forward(model, rows, occupied)
-        assert 2 * len(trace.distinct) < occupied.sum()
-        stored = textcnn._loss_and_gradients(model, rows, occupied, None, labels, masks)
+        stored = [DescriptionTensor(values=t.values[:, :t.used], used=t.used) for t in tensors]
+        table, sentences = textcnn._coded(stored, cfg)
+        trace = textcnn._forward(model, table, sentences)
+        assert 2 * len(trace.distinct) < sum(t.used for t in tensors)
+        stored = textcnn._loss_and_gradients(model, table, sentences, None, labels, masks)
         assert np.array_equal(next(stored), padded[0])
         for name, index, grad in stored:
             assert np.array_equal(grad, padded[1][name][index]), name
@@ -640,6 +661,61 @@ class TestBatchedOracle:
         feats = textcnn.extract_features(model, tensors)
         for row, tensor in zip(feats, tensors):
             assert relative_error(row, textcnn.extract_features(model, [tensor])[0]) <= 1e-13
+
+
+class TestWordIds:
+    """Descriptions stored as ids into one run's table, at paper layer sizes,
+    against dense stacks of their columns and the per-sample oracle."""
+
+    def test_step_and_predict_match_dense_stacks_and_oracle(self):
+        # Zipf text over a 2,000-word vocabulary repeats words; each Gaussian
+        # variant's columns are new table rows that never repeat.
+        cfg = paper_config()
+        gen = stream(51, 1)
+        vocabulary = [f"w{i}" for i in range(2000)]
+        words = textprep.word_table(EmbeddingTable(dimension=cfg.embed_dim, vectors={
+            token: gen.standard_normal(cfg.embed_dim) for token in vocabulary}))
+        zipf = 1.0 / np.arange(1, 2001)
+        corpus = [(f"id{k}", 1, [vocabulary[i] for i in gen.choice(2000, 70, p=zipf / zipf.sum())])
+                  for k in range(6)]
+        records = textprep.build_training_tensors(corpus, words, method="gaussian", factor=2,
+                                                  rng=stream(51, 2), sigma=0.3)
+        tensors = [tensor for _, _, tensor in records]
+        clean = np.concatenate([t.ids for t in tensors[::2]])
+        noisy = np.concatenate([t.ids for t in tensors[1::2]])
+        assert len(np.unique(clean)) < len(clean) and clean.max() <= 2000
+        assert len(np.unique(noisy)) == len(noisy) == 6 * 70 and noisy.min() == 2001
+        labels = np.arange(len(tensors)) % cfg.num_classes
+
+        def fresh():
+            model = textcnn.init_model(cfg, stream(51, 3))
+            model.conv_b[...] = np.resize([0.5, 0.0, -0.5], cfg.kernel_count)
+            return model
+
+        model = fresh()
+        solver = textcnn.SolverConfig(iterations=1, batch_size=12)
+        history = textcnn.train(model, list(zip(labels, tensors)), solver, stream(51, 4))
+
+        reference, rng = fresh(), stream(51, 4)
+        batch = rng.integers(0, len(tensors), size=solver.batch_size)
+        masks = rng.random((solver.batch_size, cfg.hidden_dim)) >= cfg.dropout
+        assert set(batch % 2) == {0, 1}  # clean and noisy descriptions share the batch
+        chosen = [tensors[i] for i in batch]
+        assert_batch_matches_oracle(reference, chosen, labels[batch], masks)
+        values = np.stack([t.columns() for t in chosen])
+        losses, grads = textcnn.batch_loss_and_gradients(reference, values, labels[batch], masks)
+        assert history == [float(losses.sum()) / solver.batch_size]
+        for (name, got), (_, param) in zip(model.params(), reference.params()):
+            grad = grads[name] * (1.0 / solver.batch_size) + solver.weight_decay * param
+            vel = np.zeros_like(param)
+            vel *= solver.momentum
+            vel -= solver.base_lr * grad
+            param += vel
+            assert np.array_equal(got, param), name
+
+        trace = textcnn.forward(model, np.stack([t.columns() for t in tensors]))
+        assert np.array_equal(textcnn.extract_features(model, tensors), trace.fc1)
+        assert np.array_equal(textcnn.predict(model, tensors), trace.logits.argmax(axis=1))
 
 
 class TestCutStacks:

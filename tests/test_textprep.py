@@ -30,38 +30,63 @@ class TestTokenize:
         assert textprep.tokenize("t2_x") == ["t2", "x"]
 
 
+def toy_words(**kwargs):
+    return textprep.word_table(toy_table(**kwargs))
+
+
+class TestWordTable:
+    def test_rows_coded_by_value(self):
+        # equal vectors share an id, and an all-zero or -0.0 vector is id 0,
+        # the padding row; the others keep their order of first appearance
+        vectors = {"a": [1.0, 2.0], "zero": [0.0, 0.0], "b": [3.0, -1.0], "again": [1.0, 2.0],
+                   "negative": [-0.0, 0.0], "c": [0.5, 0.5]}
+        table = EmbeddingTable(dimension=2, vectors={t: np.array(v) for t, v in vectors.items()})
+        words = textprep.word_table(table)
+        assert words.ids == {"a": 1, "zero": 0, "b": 2, "again": 1, "negative": 0, "c": 3}
+        assert words.vectors.tobytes() == np.array(
+            [[0.0, 0.0], [1.0, 2.0], [3.0, -1.0], [0.5, 0.5]]).tobytes()
+
+    def test_append_grows_storage_geometrically(self):
+        words = toy_words()
+        starts = [words.append(np.full((3, 4), float(k))) for k in range(50)]
+        assert starts == list(range(7, 7 + 150, 3))
+        assert len(words.vectors) == 157 and len(words.storage) < 2 * 157 + 3
+        assert np.array_equal(words.vectors[7 + 3 * 49:], np.full((3, 4), 49.0))
+
+
 class TestToTensor:
     def test_padding(self):
         # no padding is stored: the network pads a batch when it stacks it
         table = toy_table()
-        tensor = textprep.to_tensor(["a", "short", "slim"], table, max_len=70)
+        words = textprep.word_table(table)
+        tensor = textprep.to_tensor(["a", "short", "slim"], words, max_len=70)
         assert tensor.used == 3
-        assert tensor.values.shape == (4, 3)
-        assert np.array_equal(tensor.values[:, 1], table.get("short"))
+        assert tensor.ids.shape == (3,) and tensor.words is words
+        assert tensor.columns().shape == (4, 3)
+        assert np.array_equal(tensor.columns()[:, 1], table.vectors["short"])
 
     def test_truncation_after_oov_removal(self):
-        table = toy_table()
         tokens = ["a", "short"] * 40  # 80 known tokens
-        tensor = textprep.to_tensor(tokens, table, max_len=70)
+        tensor = textprep.to_tensor(tokens, toy_words(), max_len=70)
         assert tensor.used == 70
-        assert tensor.values.shape == (4, 70)
+        assert tensor.columns().shape == (4, 70)
 
     def test_all_oov(self):
-        tensor = textprep.to_tensor(["xyzzy", "plugh"], toy_table(), max_len=8)
+        tensor = textprep.to_tensor(["xyzzy", "plugh"], toy_words(), max_len=8)
         assert tensor.used == 0
-        assert tensor.values.shape == (4, 0)
+        assert tensor.columns().shape == (4, 0)
 
     def test_oov_skipped_not_zeroed(self):
         table = toy_table()
-        tensor = textprep.to_tensor(["a", "xyzzy", "short"], table, max_len=5)
+        tensor = textprep.to_tensor(["a", "xyzzy", "short"], textprep.word_table(table), max_len=5)
         assert tensor.used == 2
-        assert np.array_equal(tensor.values[:, 1], table.get("short"))
+        assert np.array_equal(tensor.columns()[:, 1], table.vectors["short"])
 
     def test_deterministic(self):
-        table = toy_table()
-        one = textprep.to_tensor(["red", "hat"], table)
-        two = textprep.to_tensor(["red", "hat"], table)
-        assert np.array_equal(one.values, two.values)
+        words = toy_words()
+        one = textprep.to_tensor(["red", "hat"], words)
+        two = textprep.to_tensor(["red", "hat"], words)
+        assert np.array_equal(one.ids, two.ids)
 
 
 class TestAugmentDrop:
@@ -128,6 +153,19 @@ class TestAugmentSynonym:
 
 
 class TestAugmentGaussian:
+    def test_noisy_columns_are_new_rows(self):
+        words = toy_words()
+        tensor = textprep.to_tensor(["red", "hat", "red"], words)
+        clean = words.vectors.copy()
+        out = textprep.augment_gaussian(tensor, 0.5, stream(5, 3))
+        assert out.words is words and list(out.ids) == [7, 8, 9]
+        assert np.array_equal(words.vectors[:7], clean)
+        noise = stream(5, 3).normal(0.0, 0.5, size=(4, 3))
+        assert np.array_equal(out.columns(), tensor.columns() + noise)
+        assert textprep.augment_gaussian(tensor, 0.0, stream(5, 4)).ids.tobytes() == tensor.ids.tobytes()
+        assert len(words.vectors) == 10
+
+
     def make_tensor(self, used=3, dim=4, max_len=10):
         values = np.zeros((dim, max_len))
         values[:, :used] = 1.0
@@ -191,26 +229,36 @@ class TestBuildTrainingTensors:
     corpus = [("id1", 1, ["a", "short"]), ("id2", 1, ["red", "hat"])]
 
     def test_plain_embedding(self):
-        table = toy_table()
-        out = textprep.build_training_tensors(self.corpus, table, max_len=6)
+        out = textprep.build_training_tensors(self.corpus, toy_words(), max_len=6)
         assert len(out) == 2
         assert out[0][2].used == 2
 
     def test_gaussian_expansion(self):
-        table = toy_table()
         out = textprep.build_training_tensors(
-            self.corpus, table, max_len=6, method="gaussian", factor=3, rng=stream(9, 1)
+            self.corpus, toy_words(), max_len=6, method="gaussian", factor=3, rng=stream(9, 1)
         )
         assert len(out) == 6
         clean, noisy = out[0][2], out[1][2]
-        assert not np.array_equal(clean.values, noisy.values)
-        assert noisy.values.shape == clean.values.shape == (4, 2)
+        assert not np.array_equal(clean.columns(), noisy.columns())
+        assert noisy.columns().shape == clean.columns().shape == (4, 2)
+
+    def test_gaussian_leaves_clean_columns(self):
+        # each noisy column is a new row of the run's table; the rows that
+        # clean descriptions read are shared, so noise must not touch them
+        table = toy_table()
+        words = textprep.word_table(table)
+        out = textprep.build_training_tensors(
+            self.corpus, words, max_len=6, method="gaussian", factor=3, rng=stream(9, 1)
+        )
+        for (_, _, tokens), (_, _, clean) in zip(self.corpus, out[::3]):
+            assert np.array_equal(clean.columns(), np.stack([table.vectors[t] for t in tokens], 1))
+        assert len(words.vectors) == 1 + 6 + 2 * 2 * 2
 
     def test_memory_holds_only_words(self):
-        # 200 eight-word descriptions at E 300: the words take 3.84 MB, and
-        # max_len 70 must not multiply that by 70 / 8
+        # 200 eight-word descriptions at E 300: their word vectors would take
+        # 3.84 MB, their ids far less, and max_len 70 must not multiply either by 70 / 8
         words = [f"w{i}" for i in range(8)]
-        table = toy_table(dim=300, tokens=words)
+        table = textprep.word_table(toy_table(dim=300, tokens=words))
         corpus = [(f"id{i}", 1, words) for i in range(200)]
         tracemalloc.start()
         try:
@@ -223,10 +271,10 @@ class TestBuildTrainingTensors:
 
     def test_drop_expansion(self):
         out = textprep.build_training_tensors(
-            self.corpus, toy_table(), max_len=6, method="drop", factor=4, rng=stream(9, 2)
+            self.corpus, toy_words(), max_len=6, method="drop", factor=4, rng=stream(9, 2)
         )
         assert len(out) == 8
 
     def test_unknown_method(self):
         with pytest.raises(UnknownMethod):
-            textprep.build_training_tensors(self.corpus, toy_table(), method="bogus", factor=2)
+            textprep.build_training_tensors(self.corpus, toy_words(), method="bogus", factor=2)
