@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import dataio, linalg
+from . import linalg
 from .errors import InvalidConfig, KOutOfRange, ShapeMismatch, TooFewSamples
 
 DEFAULT_RIDGE = 1e-4
@@ -31,7 +31,6 @@ class CcaModel:
     correlations: np.ndarray  # k, descending, in [0, 1]
     mean_x: np.ndarray
     mean_y: np.ndarray
-    ridge: float
 
     @property
     def k(self):
@@ -69,7 +68,6 @@ def fit_cca(x, y, k=None, ridge=DEFAULT_RIDGE) -> CcaModel:
         correlations=np.clip(rho[:k], 0.0, 1.0),
         mean_x=mean_x,
         mean_y=mean_y,
-        ridge=ridge,
     )
 
 
@@ -88,20 +86,3 @@ def project(model: CcaModel, side, features):
     if features.shape[-1] != w.shape[0]:
         raise ShapeMismatch(f"feature dim {features.shape[-1]} != model dim {w.shape[0]}")
     return (features - mean) @ w
-
-
-# -- model file ------------------------------------------------------------------
-
-CCA_MAGIC = "XMREID-CCA 3"
-_SHAPES = {"w_x": ("d_x", "k"), "w_y": ("d_y", "k"), "correlations": ("k",),
-           "mean_x": ("d_x",), "mean_y": ("d_y",), "ridge": ()}
-
-
-def save_model(model: CcaModel, path):
-    dataio.save_blocks(path, CCA_MAGIC, {name: getattr(model, name) for name in _SHAPES})
-
-
-def load_model(path) -> CcaModel:
-    blocks, _ = dataio.load_blocks(path, CCA_MAGIC, _SHAPES)
-    blocks["ridge"] = float(blocks["ridge"])
-    return CcaModel(**blocks)

@@ -156,50 +156,6 @@ def cmd_gen_synth(args):
     return 0
 
 
-# -- fit-cca ----------------------------------------------------------------------
-
-def cmd_fit_cca(args):
-    started = time.perf_counter()
-    dataset = dataio.load_dataset(args.x, language=args.y)
-    model = cca_mod.fit_cca(dataset.vision, dataset.language, k=args.k, ridge=args.ridge)
-    cca_mod.save_model(model, args.out)
-    write_manifest(args.out + ".manifest.json", args, [args.out], started,
-                   extra={"k": model.k, "correlations": [float(c) for c in model.correlations]})
-    _say(args, "correlations: " + " ".join(f"{c:.4f}" for c in model.correlations))
-    return 0
-
-
-# -- fit-xqda ---------------------------------------------------------------------
-
-def cmd_fit_xqda(args):
-    started = time.perf_counter()
-    dataset = dataio.load_dataset(args.features)
-    model = xqda_mod.fit_xqda(dataset.vision, dataset.identities, dataset.views,
-                              ridge=args.ridge, max_rank=args.max_rank, zscore=args.zscore)
-    xqda_mod.save_model(model, args.out)
-    write_manifest(args.out + ".manifest.json", args, [args.out], started,
-                   extra={"rank": model.rank, "fallback": model.fallback})
-    _say(args, f"subspace rank {model.rank}" + (" (fallback)" if model.fallback else ""))
-    return 0
-
-
-# -- augment ----------------------------------------------------------------------
-
-def cmd_augment(args):
-    started = time.perf_counter()
-    corpus = dataio.load_corpus(args.corpus)
-    tokenized = [(i, v, textprep.tokenize(text)) for i, v, text in corpus]
-    synonyms = dataio.load_synonyms(args.synonyms) if args.synonyms else None
-    gen = streams.stream(args.seed, streams.AUGMENT)
-    augmented = textprep.augment_corpus(tokenized, args.method, args.factor, gen,
-                                        synonyms=synonyms)
-    dataio.save_corpus([(i, v, " ".join(t)) for i, v, t in augmented], args.out)
-    write_manifest(args.out + ".manifest.json", args, [args.out], started,
-                   extra={"records": len(augmented)})
-    _say(args, f"{len(corpus)} descriptions -> {len(augmented)} records")
-    return 0
-
-
 # -- train-textcnn ----------------------------------------------------------------
 
 def cmd_train_textcnn(args):
@@ -375,31 +331,6 @@ def build_parser():
     p.add_argument("--out", required=True, help="existing output directory")
     p.add_argument("--embeddings-out", help="also write a toy embedding table here")
     _add_common(p, cmd_gen_synth, ("config",), seed=None)
-
-    p = sub.add_parser("fit-cca", help="fit the cross-modal CCA embedding")
-    p.add_argument("--x", required=True, help="vision FEAT file")
-    p.add_argument("--y", required=True, help="language FEAT file (row-aligned with --x)")
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--ridge", type=float, default=cca_mod.DEFAULT_RIDGE)
-    p.add_argument("--out", required=True)
-    _add_common(p, cmd_fit_cca, ("x", "y"))
-
-    p = sub.add_parser("fit-xqda", help="fit the cross-view metric")
-    p.add_argument("--features", required=True, help="FEAT file with both views")
-    p.add_argument("--ridge", type=float, default=xqda_mod.DEFAULT_RIDGE)
-    p.add_argument("--max-rank", type=int, default=xqda_mod.DEFAULT_MAX_RANK)
-    p.add_argument("--zscore", action="store_true")
-    p.add_argument("--out", required=True)
-    _add_common(p, cmd_fit_xqda, ("features",))
-
-    p = sub.add_parser("augment", help="expand a description corpus")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--method", required=True, choices=textprep.TOKEN_METHODS,
-                   help="token-level methods; gaussian noise is applied at training time")
-    p.add_argument("--factor", type=int, required=True)
-    p.add_argument("--synonyms", help="token<TAB>syn1,syn2 ranked synonym file")
-    p.add_argument("--out", required=True)
-    _add_common(p, cmd_augment, ("corpus", "synonyms"))
 
     p = sub.add_parser("train-textcnn", help="train the description network")
     p.add_argument("--corpus", required=True)

@@ -11,7 +11,8 @@ little-endian float64 body in C order:
 
   FEAT    ``XMREID-FEAT 2`` / ``<N> <D>`` / N lines ``id<TAB>view`` / N*D values
   EMB     ``XMREID-EMB 1`` / ``<V> <E>`` / V lines ``token`` / V*E values
-  BLOCKS  ``<magic>`` / per block a line ``<name> <d0> <d1> ..`` and d0*d1*.. values
+  BLOCKS  ``<magic>`` / per block a line ``<name> <d0> <d1> ..`` and d0*d1*.. values;
+          the blocks are the CNN model's (textcnn.save_model)
 
 A body holds exactly the values its header declares, so truncation and
 trailing data are byte-count errors, and save -> load -> save is
@@ -377,8 +378,8 @@ def load_blocks(path, magic, shapes):
     """Read what save_blocks wrote; returns (name -> array, dimension sizes).
 
     shapes maps each block name, in file order, to its dimension names, e.g.
-    {"w": ("d", "r"), "m": ("r", "r")}; a dimension name must have one size
-    throughout the file.
+    {"fc1_w": ("hidden_dim", "kernel_count"), "fc1_b": ("hidden_dim",)}; a
+    dimension name must have one size throughout the file.
     """
     blocks, sizes = {}, {}
     with open(path, "rb") as handle:

@@ -35,7 +35,6 @@ from . import dataio, linalg
 from .errors import (
     DegenerateMetric,
     InvalidConfig,
-    MalformedHeader,
     MissingView,
     NonFiniteValue,
     ShapeMismatch,
@@ -211,21 +210,3 @@ def score_matrix(model: XqdaModel, gallery, probes) -> np.ndarray:
     if np.array_equal(pinv, np.arange(len(pinv))) and np.array_equal(ginv, np.arange(len(ginv))):
         return block  # distinct rows in order: the expansion would be a copy
     return block[np.ix_(pinv, ginv)]
-
-
-# -- model file ------------------------------------------------------------------
-
-XQDA_MAGIC = "XMREID-XQDA 4"
-_SHAPES = {"w": ("d", "r"), "m": ("r", "r"), "fallback": ()}
-
-
-def save_model(model: XqdaModel, path):
-    dataio.save_blocks(path, XQDA_MAGIC, {name: getattr(model, name) for name in _SHAPES})
-
-
-def load_model(path) -> XqdaModel:
-    blocks, _ = dataio.load_blocks(path, XQDA_MAGIC, _SHAPES)
-    if blocks["fallback"] not in (0.0, 1.0):
-        raise MalformedHeader(f"{path}: fallback must be 0 or 1")
-    blocks["fallback"] = bool(blocks["fallback"])
-    return XqdaModel(**blocks)

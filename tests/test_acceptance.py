@@ -21,6 +21,12 @@ def report(criterion, detail):
     print(f"\n[acceptance] criterion {criterion}: PASS - {detail}")
 
 
+def paired_margins(reports, order):
+    """evaluation.claim_margins over order, one 'a->b +x pp (y SE)' per pair."""
+    return ", ".join(f"{a}->{b} {100 * mean:+.1f} pp ({mean / se:.1f} SE)" for (a, b), (mean, se)
+                     in evaluation.claim_margins(reports, order).items())
+
+
 def test_criterion_1_eigensolver_suite():
     start = time.perf_counter()
     rng = np.random.default_rng(1001)
@@ -251,8 +257,7 @@ def test_criterion_7_scenario_ordering():
     report(7, "mean R1 " + " < ".join(f"{s}={r1[s]:.1f}" for s in
                                       ("VxL", "LxL", "VxV", "VxVL", "VLxVL"))
               + f", margin {r1['VLxVL'] - r1['VxV']:.1f}pp in {elapsed:.0f}s; paired margins "
-              + ", ".join(f"{a}->{b} {100 * mean:+.1f} pp ({mean / se:.1f} SE)" for (a, b), (mean, se)
-                          in evaluation.claim_margins(reports, list(r1)).items()))
+              + paired_margins(reports, list(r1)))
 
 
 def test_criterion_8_attribute_flip_degradation():
@@ -271,7 +276,8 @@ def test_criterion_8_attribute_flip_degradation():
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0
     report(8, "mean R1 by flips " + " > ".join(f"{v:.1f}" for v in r1)
-              + f" (N=0 exact) in {elapsed:.0f}s")
+              + f" (N=0 exact) in {elapsed:.0f}s; paired margins "
+              + paired_margins(reports, [3, 2, 1, 0]))
 
 
 class TestCriterion9Determinism:
@@ -292,26 +298,22 @@ class TestCriterion9Determinism:
 
     def _run_all(self, base, data):
         run_dir = base / "run"
-        run_dir.mkdir(parents=True)
+        (run_dir / "aug").mkdir(parents=True)
+        train = ["train-textcnn", "--corpus", str(data / "corpus.corpus"),
+                 "--embeddings", str(data / "embeddings.emb"), "--iters", "20", "--lr", "0.05",
+                 "--batch", "5", "--kernels", "6", "--kernel-width", "3", "--hidden", "8",
+                 "--max-len", "10", "--dropout", "0.5", "--seed", "5", "--quiet"]
+        evaluate = ["evaluate", "--vision", str(data / "vision.feat"),
+                    "--language", str(data / "language.feat"),
+                    "--splits", str(data / "splits.split"),
+                    "--out-dir", str(run_dir), "--seed", "5", "--quiet"]
         argvs = [
-            ["fit-cca", "--x", str(data / "vision.feat"),
-             "--y", str(data / "language.feat"), "--k", "2",
-             "--out", str(run_dir / "model.cca"), "--seed", "5", "--quiet"],
-            ["fit-xqda", "--features", str(data / "vision.feat"),
-             "--out", str(run_dir / "model.xqda"), "--seed", "5", "--quiet"],
-            ["augment", "--corpus", str(data / "corpus.corpus"), "--method", "drop",
-             "--factor", "3", "--out", str(run_dir / "aug.corpus"),
-             "--seed", "5", "--quiet"],
-            ["train-textcnn", "--corpus", str(data / "corpus.corpus"),
-             "--embeddings", str(data / "embeddings.emb"),
-             "--out-dir", str(run_dir), "--iters", "20", "--lr", "0.05",
-             "--batch", "5", "--kernels", "6", "--kernel-width", "3",
-             "--hidden", "8", "--max-len", "10", "--dropout", "0.5",
-             "--seed", "5", "--quiet"],
-            ["evaluate", "--scenario", "VLxVL", "--vision", str(data / "vision.feat"),
-             "--language", str(data / "language.feat"),
-             "--splits", str(data / "splits.split"),
-             "--out-dir", str(run_dir), "--seed", "5", "--quiet"],
+            train + ["--out-dir", str(run_dir)],
+            # augment_corpus's drop variants, drawn from the run's seed
+            train + ["--out-dir", str(run_dir / "aug"), "--augment", "drop", "--factor", "3"],
+            # VLxVL fits no CCA; VxVL fits one per split
+            evaluate + ["--scenario", "VLxVL"],
+            evaluate + ["--scenario", "VxVL"],
             ["attr-sweep", "--n", "0,1", "--vision", str(data / "vision.feat"),
              "--attributes", str(data / "attributes.attr"),
              "--splits", str(data / "splits.split"),
@@ -320,8 +322,8 @@ class TestCriterion9Determinism:
         for argv in argvs:
             assert cli.main(argv) == 0
         primary = [
-            "model.cca", "model.xqda", "aug.corpus", "model.cnn",
-            "loss_history.csv", "report_VLxVL.csv",
+            "model.cnn", "loss_history.csv", "aug/model.cnn", "aug/loss_history.csv",
+            "report_VLxVL.csv", "report_VxVL.csv",
             "report_VAxVA_n0.csv", "report_VAxVA_n1.csv",
         ]
         return {name: (run_dir / name).read_bytes() for name in primary}
@@ -350,5 +352,5 @@ class TestCriterion9Determinism:
                              "--seed", "5", "--quiet"]) == 0
             reports.append((run_dir / "report_VxV.csv").read_bytes())
         assert reports[0] == reports[1]
-        report(9, "all seven subcommands byte-identical across reruns; "
-                  "evaluate invariant to --threads")
+        report(9, "gen-synth, train-textcnn (plain and --augment drop), evaluate (VLxVL, VxVL) "
+                  "and attr-sweep byte-identical across reruns; evaluate invariant to --threads")

@@ -1,10 +1,15 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from xmreid import cca, cli, dataio, evaluation, textcnn, textprep
+from xmreid import cli, dataio, evaluation, textcnn, textprep
+from xmreid.rng import AUGMENT, stream
 
 TOY_SYNTH = {
     "identity_count": 12,
@@ -106,100 +111,6 @@ class TestGenSynth:
         assert (out_a / "vision.feat").read_bytes() != (out_b / "vision.feat").read_bytes()
 
 
-class TestFitModels:
-    def test_fit_cca_writes_model_and_manifest(self, tmp_path, capsys):
-        out = gen_dataset(tmp_path)
-        model_path = tmp_path / "model.cca"
-        code = run(["fit-cca", "--x", str(out / "vision.feat"),
-                    "--y", str(out / "language.feat"), "--k", "3",
-                    "--out", str(model_path)])
-        assert code == 0
-        printed = capsys.readouterr().out
-        assert "correlations:" in printed
-        manifest = json.loads((tmp_path / "model.cca.manifest.json").read_text())
-        assert len(manifest["correlations"]) == 3
-        loaded = __import__("xmreid.cca", fromlist=["load_model"]).load_model(model_path)
-        assert loaded.k == 3
-
-    def test_fit_xqda(self, tmp_path):
-        out = gen_dataset(tmp_path)
-        model_path = tmp_path / "model.xqda"
-        code = run(["fit-xqda", "--features", str(out / "vision.feat"),
-                    "--out", str(model_path), "--quiet"])
-        assert code == 0
-        assert model_path.exists()
-
-    def test_deterministic_model_bytes(self, tmp_path):
-        out = gen_dataset(tmp_path)
-        paths = []
-        for name in ("m1.cca", "m2.cca"):
-            path = tmp_path / name
-            run(["fit-cca", "--x", str(out / "vision.feat"),
-                 "--y", str(out / "language.feat"), "--k", "2",
-                 "--out", str(path), "--quiet"])
-            paths.append(path)
-        assert paths[0].read_bytes() == paths[1].read_bytes()
-
-
-class TestAugmentCli:
-    def test_factor_multiplies_records(self, tmp_path):
-        corpus_path, _ = toy_text_corpus(tmp_path, classes=4)
-        out = tmp_path / "aug.corpus"
-        code = run(["augment", "--corpus", str(corpus_path), "--method", "drop",
-                    "--factor", "3", "--out", str(out), "--quiet"])
-        assert code == 0
-        assert len(dataio.load_corpus(out)) == 8 * 3
-
-    def test_same_seed_same_bytes(self, tmp_path):
-        corpus_path, _ = toy_text_corpus(tmp_path, classes=4)
-        outs = []
-        for name in ("a.corpus", "b.corpus"):
-            out = tmp_path / name
-            run(["augment", "--corpus", str(corpus_path), "--method", "drop",
-                 "--factor", "5", "--out", str(out), "--seed", "7", "--quiet"])
-            outs.append(out)
-        assert outs[0].read_bytes() == outs[1].read_bytes()
-
-    def test_synonym_variants_on_the_synthetic_corpus(self, tmp_path):
-        # Each description is followed by its factor-1 variants, which change
-        # only mapped words, each to one of its ranked synonyms; reruns match.
-        data = gen_dataset(tmp_path)
-        synonyms = {"red": ("crimson", "scarlet"), "blue": ("azure", "cobalt", "navy"),
-                    "shirt": ("blouse",), "the": ("this", "that")}
-        syn_path = tmp_path / "syn.tsv"
-        syn_path.write_text("".join(f"{word}\t{','.join(ranked)}\n"
-                                    for word, ranked in synonyms.items()), encoding="utf-8")
-        outs = [tmp_path / "a.corpus", tmp_path / "b.corpus"]
-        for out in outs:
-            assert run(["augment", "--corpus", str(data / "corpus.corpus"), "--method", "synonym",
-                        "--factor", "3", "--synonyms", str(syn_path), "--out", str(out),
-                        "--seed", "5", "--quiet"]) == 0
-        assert outs[0].read_bytes() == outs[1].read_bytes()
-
-        corpus = dataio.load_corpus(data / "corpus.corpus")
-        augmented = dataio.load_corpus(outs[0])
-        assert len(augmented) == 3 * len(corpus)
-        replaced = 0
-        for k, (identity, view, text) in enumerate(corpus):
-            original = textprep.tokenize(text)
-            assert augmented[3 * k] == (identity, view, " ".join(original))
-            for variant in augmented[3 * k + 1:3 * k + 3]:
-                assert variant[:2] == (identity, view)
-                words = variant[2].split(" ")
-                assert len(words) == len(original)
-                for before, after in zip(original, words):
-                    assert after == before or after in synonyms.get(before, ())
-                    replaced += after != before
-        assert replaced > 0
-
-    def test_gaussian_is_rejected_at_usage_level(self, tmp_path):
-        corpus_path, _ = toy_text_corpus(tmp_path, classes=2)
-        with pytest.raises(SystemExit) as exc:
-            run(["augment", "--corpus", str(corpus_path), "--method", "gaussian",
-                 "--factor", "2", "--out", str(tmp_path / "x.corpus")])
-        assert exc.value.code == 2
-
-
 class TestTrainTextCnn:
     def test_toy_overfit_through_cli(self, tmp_path, capsys):
         corpus_path, emb_path = toy_text_corpus(tmp_path, classes=10)
@@ -276,6 +187,48 @@ class TestTrainTextCnn:
         truth = [int(identity[len("person"):]) for identity, _, _ in corpus]
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["train_accuracy"] == float(np.mean(textcnn.predict(model, clean) == truth))
+
+    def test_synonym_augment_reruns_bytewise(self, tmp_path):
+        # Each description is followed by its factor-1 variants, which change
+        # only mapped words, each to one of its ranked synonyms; reruns match.
+        data = gen_dataset(tmp_path)
+        synonyms = {"red": ("crimson", "scarlet"), "blue": ("azure", "cobalt", "navy"),
+                    "shirt": ("blouse",), "the": ("this", "that")}
+        syn_path = tmp_path / "syn.tsv"
+        syn_path.write_text("".join(f"{word}\t{','.join(ranked)}\n"
+                                    for word, ranked in synonyms.items()), encoding="utf-8")
+        outputs = []
+        for out_dir in (tmp_path / "a", tmp_path / "b"):
+            out_dir.mkdir()
+            assert run(["train-textcnn", "--corpus", str(data / "corpus.corpus"),
+                        "--embeddings", str(data / "embeddings.emb"), "--out-dir", str(out_dir),
+                        "--iters", "4", "--batch", "4", "--kernels", "4", "--kernel-width", "3",
+                        "--hidden", "8", "--max-len", "10", "--augment", "synonym",
+                        "--factor", "3", "--synonyms", str(syn_path),
+                        "--seed", "5", "--quiet"]) == 0
+            outputs.append([(out_dir / name).read_bytes()
+                            for name in ("model.cnn", "loss_history.csv")])
+        assert outputs[0] == outputs[1]
+        manifest = json.loads((tmp_path / "a" / "manifest.json").read_text())
+        assert manifest["inputs"]["synonyms"]["sha256"] == hashlib.sha256(
+            syn_path.read_bytes()).hexdigest()
+
+        # the variants train-textcnn draws from the same stream
+        corpus = dataio.load_corpus(data / "corpus.corpus")
+        tokenized = [(i, v, textprep.tokenize(text)) for i, v, text in corpus]
+        augmented = textprep.augment_corpus(tokenized, "synonym", 3, stream(5, AUGMENT),
+                                            synonyms=dataio.load_synonyms(syn_path))
+        assert len(augmented) == 3 * len(corpus)
+        replaced = 0
+        for k, (identity, view, original) in enumerate(tokenized):
+            assert augmented[3 * k] == (identity, view, original)
+            for variant in augmented[3 * k + 1:3 * k + 3]:
+                assert variant[:2] == (identity, view)
+                assert len(variant[2]) == len(original)
+                for before, after in zip(original, variant[2]):
+                    assert after == before or after in synonyms.get(before, ())
+                    replaced += after != before
+        assert replaced > 0
 
     @pytest.mark.parametrize("flags", [
         ("--batch", "0"), ("--lr-drop-every", "0"), ("--iters", "-1"),
@@ -402,7 +355,6 @@ class TestEvaluateCli:
         (EVALUATE_VXV, "--xqda-zscore"),
         (ATTR_SWEEP, "--cca-zscore"),
         (ATTR_SWEEP, "--xqda-zscore"),
-        ("fit-cca --x {d}/vision.feat --y {d}/language.feat --out {t}/m.cca", "--zscore"),
     ], ids=lambda text: text.split()[0])
     def test_removed_flags_are_unknown(self, toy_data, tmp_path, command, flag):
         argv = (command + " --quiet").format(d=toy_data, t=tmp_path).split()
@@ -449,17 +401,14 @@ class TestEvaluateCli:
         assert manifests[0] == manifests[1]
 
 
-# Each subcommand with its outputs under {t}, and the manifest it writes there.
-OUTPUT_PLACES = [
-    ("fit-cca --x {d}/vision.feat --y {d}/language.feat --out {t}/m.cca", "m.cca.manifest.json"),
-    ("fit-xqda --features {d}/vision.feat --out {t}/m.xqda", "m.xqda.manifest.json"),
-    ("augment --corpus {d}/corpus.corpus --method drop --factor 2 --out {t}/a.corpus",
-     "a.corpus.manifest.json"),
-    ("train-textcnn --corpus {d}/corpus.corpus --embeddings {d}/embeddings.emb --out-dir {t} "
-     "--iters 2 --batch 4 --kernels 4 --kernel-width 3 --hidden 8 --max-len 10", "manifest.json"),
-    (EVALUATE_VXV, "manifest_VxV.json"),
-    (ATTR_SWEEP, "manifest_attr_sweep.json"),
-]
+# Each subcommand: its command line with outputs under {t}, and the manifest it writes there.
+OUTPUT_PLACES = {
+    "train-textcnn": ("train-textcnn --corpus {d}/corpus.corpus --embeddings {d}/embeddings.emb "
+                      "--out-dir {t} --iters 2 --batch 4 --kernels 4 --kernel-width 3 --hidden 8 "
+                      "--max-len 10", "manifest.json"),
+    "evaluate": (EVALUATE_VXV, "manifest_VxV.json"),
+    "attr-sweep": (ATTR_SWEEP, "manifest_attr_sweep.json"),
+}
 
 
 def run_manifest(command, manifest, data, where):
@@ -469,16 +418,14 @@ def run_manifest(command, manifest, data, where):
 
 
 class TestManifest:
-    @pytest.mark.parametrize("command, manifest", OUTPUT_PLACES,
-                             ids=[command.split()[0] for command, _ in OUTPUT_PLACES])
+    @pytest.mark.parametrize("command, manifest", OUTPUT_PLACES.values(), ids=OUTPUT_PLACES)
     def test_config_hash_ignores_output_location(self, toy_data, tmp_path, command, manifest):
         one, two = (run_manifest(command, manifest, toy_data, tmp_path / name)
                     for name in ("r1", "r2"))
         assert one["config_hash"] == two["config_hash"]
         assert one["config"] == two["config"] and one["seed"] == two["seed"] == 42
 
-    @pytest.mark.parametrize("command, manifest", OUTPUT_PLACES,
-                             ids=[command.split()[0] for command, _ in OUTPUT_PLACES])
+    @pytest.mark.parametrize("command, manifest", OUTPUT_PLACES.values(), ids=OUTPUT_PLACES)
     def test_names_its_blas(self, toy_data, tmp_path, monkeypatch, command, manifest):
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
         monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
@@ -489,14 +436,9 @@ class TestManifest:
         assert blas["thread_env"]["OPENBLAS_NUM_THREADS"] == "1"
         assert blas["thread_env"]["OMP_NUM_THREADS"] is None
 
-    def test_fit_cca_records_resolved_k(self, toy_data, tmp_path):
-        manifest = run_manifest(*OUTPUT_PLACES[0], toy_data, tmp_path / "run")
-        assert manifest["config"]["k"] is None
-        assert manifest["k"] == cca.load_model(tmp_path / "run" / "m.cca").k == 6
-
     def test_train_textcnn_records_description_columns(self, toy_data, tmp_path):
         # every gen-synth description embeds to 8 known words
-        manifest = run_manifest(*OUTPUT_PLACES[3], toy_data, tmp_path / "run")
+        manifest = run_manifest(*OUTPUT_PLACES["train-textcnn"], toy_data, tmp_path / "run")
         assert manifest["config"]["max_len"] == 10
         assert manifest["description_columns"] == {"mean": 8.0, "max": 8}
 
@@ -616,10 +558,13 @@ class TestExitCodePartition:
         identities, views, matrix = dataio.load_features(out / "language.feat")
         bad = tmp_path / "bad.feat"  # identities in reverse row order
         dataio.save_features(identities[::-1], views, matrix, bad)
-        code = run(["fit-cca", "--x", str(out / "vision.feat"), "--y", str(bad),
-                    "--out", str(tmp_path / "m.cca"), "--quiet"])
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        code = run(["evaluate", "--scenario", "VxL", "--vision", str(out / "vision.feat"),
+                    "--language", str(bad), "--splits", str(out / "splits.split"),
+                    "--out-dir", str(run_dir), "--quiet"])
         assert code == 4
-        assert not (tmp_path / "m.cca").exists()
+        assert not any(run_dir.iterdir())
 
     def test_missing_attr_row_is_4(self, tmp_path):
         out = gen_dataset(tmp_path)
@@ -700,10 +645,29 @@ class TestExitCodePartition:
 
     def test_numerical_failure_is_5(self, tmp_path):
         # identical features for every record: both difference covariances
-        # vanish and the metric is degenerate
+        # of the training identities vanish and the metric is degenerate
         identities = np.repeat([f"id{i}" for i in range(4)], 2)
         feat = tmp_path / "flat.feat"
         dataio.save_features(identities, np.tile([1, 2], 4), np.ones((8, 3)), feat)
-        code = run(["fit-xqda", "--features", str(feat),
-                    "--out", str(tmp_path / "m.xqda"), "--quiet"])
+        split = tmp_path / "s.split"
+        roles = {"id0": dataio.TRAIN, "id1": dataio.TRAIN, "id2": dataio.TEST, "id3": dataio.TEST}
+        dataio.save_splits([dataio.SplitAssignment(index=0, roles=roles)], split)
+        code = run(["evaluate", "--scenario", "VxV", "--vision", str(feat), "--splits", str(split),
+                    "--out-dir", str(tmp_path), "--quiet"])
         assert code == 5
+
+    @pytest.mark.parametrize("argv", [
+        "fit-cca --x {d}/vision.feat --y {d}/language.feat --out {t}/m.cca",
+        "fit-xqda --features {d}/vision.feat --out {t}/m.xqda",
+        "augment --corpus {d}/corpus.corpus --method drop --factor 2 --out {t}/a.corpus",
+    ], ids=lambda text: text.split()[0])
+    def test_deleted_subcommand_is_2(self, toy_data, tmp_path, argv):
+        # these wrote model files and corpora that no command read back
+        src = Path(cli.__file__).resolve().parents[1]
+        done = subprocess.run([sys.executable, "-m", "xmreid.cli",
+                               *argv.format(d=toy_data, t=tmp_path).split()],
+                              env=dict(os.environ, PYTHONPATH=str(src)),
+                              capture_output=True, text=True, check=False)
+        assert done.returncode == 2
+        assert "invalid choice" in done.stderr and "Traceback" not in done.stderr
+        assert not any(tmp_path.iterdir())

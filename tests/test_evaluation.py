@@ -147,7 +147,7 @@ class TestFuse:
         return cca.CcaModel(
             w_x=np.eye(4), w_y=np.eye(2),
             correlations=np.ones(2),
-            mean_x=np.zeros(4), mean_y=np.zeros(2), ridge=0.0,
+            mean_x=np.zeros(4), mean_y=np.zeros(2),
         )
 
     def fuse(self, scenario, side, fields=None, model=None):

@@ -1,4 +1,4 @@
-"""Model files of all three kinds (CCA, XQDA, CNN) through the block codec.
+"""The CNN model file, the block codec's one kind of file.
 
 Every mutated file must either load or raise an XmreidError; the specific
 defects (truncation, non-finite values, trailing data) must raise the
@@ -13,24 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xmreid import cca, textcnn, xqda
+from xmreid import textcnn
 from xmreid.errors import MalformedHeader, NonFiniteValue, XmreidError
 from xmreid.rng import stream
 
 FUZZ = settings(derandomize=True, deadline=None, max_examples=100)
-
-
-def make_cca():
-    rng = stream(61, 1)
-    return cca.CcaModel(w_x=rng.standard_normal((4, 2)), w_y=rng.standard_normal((3, 2)),
-                        correlations=np.array([0.875, 0.25]), mean_x=rng.standard_normal(4),
-                        mean_y=rng.standard_normal(3), ridge=3e-4)
-
-
-def make_xqda():
-    rng = stream(62, 1)
-    m = rng.standard_normal((2, 2))
-    return xqda.XqdaModel(w=rng.standard_normal((4, 2)), m=m + m.T, fallback=True)
 
 
 def make_cnn():
@@ -39,11 +26,7 @@ def make_cnn():
     return textcnn.init_model(config, stream(63, 1))
 
 
-KINDS = {
-    "cca": (cca.save_model, cca.load_model, make_cca),
-    "xqda": (xqda.save_model, xqda.load_model, make_xqda),
-    "cnn": (textcnn.save_model, textcnn.load_model, make_cnn),
-}
+KINDS = {"cnn": (textcnn.save_model, textcnn.load_model, make_cnn)}
 
 
 @pytest.fixture(scope="module")
@@ -122,12 +105,11 @@ class TestModelDefects:
             load_bytes(kind, saved, replace_value(data, value_offsets(data)[-1], reals(np.nan)))
 
     def test_value_offsets_cover_the_file(self, kind, saved):
-        # the fuzz cases below reach every stored value: w_x 4x2, w_y 3x2,
-        # correlations 2, means 4 and 3, ridge; w 4x2, m 2x2, fallback;
-        # max_len, dropout, conv_w 2x4x2, conv_b 2, fc1 3x2 + 3, fc2 3x3 + 3
+        # the fuzz cases below reach every stored value: the scalar blocks
+        # max_len and dropout, conv_w 2x4x2, conv_b 2, fc1 3x2 + 3, fc2 3x3 + 3
         _, data = saved[kind]
         offsets = value_offsets(data)
-        assert len(offsets) == {"cca": 24, "xqda": 13, "cnn": 41}[kind]
+        assert len(offsets) == 41
         assert offsets[-1] + 8 == len(data)
 
     @FUZZ
@@ -164,11 +146,6 @@ class TestModelDefects:
 
 
 class TestKindSpecific:
-    def test_xqda_fallback_flag_must_be_boolean(self, saved):
-        _, data = saved["xqda"]
-        with pytest.raises(MalformedHeader):
-            load_bytes("xqda", saved, data.replace(b"fallback\n" + reals(1), b"fallback\n" + reals(0.5)))
-
     def test_cnn_nan_dropout(self, saved):
         _, data = saved["cnn"]
         with pytest.raises(NonFiniteValue):

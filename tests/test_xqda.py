@@ -385,18 +385,3 @@ class TestZscore:
         a = xqda.score(model_raw, g * scales, q * scales)
         b = xqda.score(model_unit, g, q)
         assert abs(a - b) < 1e-8 * max(abs(a), 1.0)
-
-
-class TestModelFile:
-    def test_roundtrip(self, tmp_path):
-        rng = stream(45, 1)
-        feats, ids, views = random_reid_data(rng)
-        model = xqda.fit_xqda(feats, ids, views)
-        path = tmp_path / "model.xqda"
-        xqda.save_model(model, path)
-        loaded = xqda.load_model(path)
-        assert np.array_equal(loaded.w, model.w)
-        assert np.array_equal(loaded.m, model.m)
-        again = tmp_path / "model2.xqda"
-        xqda.save_model(loaded, again)
-        assert path.read_bytes() == again.read_bytes()
