@@ -9,8 +9,9 @@ ascending score. Splits are independent, each keyed by (master seed,
 scenario, flip count, split index). Identities are coded once per
 evaluation by dataio.first_appearance_codes, the coder xqda uses for its
 labels and rows; a split looks up one role per code, and its masks, gallery
-grouping and ranks work on the codes. Probes are scored, folded and ranked in
-blocks of rows, so at most one block of scores is held, never P x G of them.
+grouping and ranks work on the codes. The gallery is prepared for scoring once;
+probes are scored, folded and ranked in blocks of rows, so at most one block
+of scores is held, never P x G of them.
 
 SCENARIO_SPEC, the one table of the six scenarios, decides the rest: its
 cca_x/cca_y parts fit a CCA per split, its attribute parts flip bits and
@@ -54,7 +55,7 @@ SCENARIO_SPEC = {
 }
 SCENARIOS = tuple(SCENARIO_SPEC)
 SCENARIO_IDS = {name: i for i, name in enumerate(SCENARIOS)}
-BLOCK_ENTRIES = 2**17  # scores per probe block (1 MB): max(1, this // gallery entries) rows
+BLOCK_ENTRIES = 2**15  # scores per probe block (256 KB): max(1, this // gallery entries) rows
 # The dataset column each part is built from.
 PART_SOURCES = {"vision": "vision", "language": "language", "attribute": "attributes",
                 "cca_x": "vision", "cca_y": "language"}
@@ -128,7 +129,7 @@ def _ranks(scores, gallery_ids, probe_ids, names=None):
     if absent.size:
         label = (absent if names is None else names[absent]).tolist()[0]
         raise ProbeIdentityAbsent(f"probe identity {label!r} not in the gallery")
-    best = np.where(correct, scores, np.inf).min(axis=1, keepdims=True)
+    best = np.min(scores, axis=1, where=correct, initial=np.inf, keepdims=True)
     first = np.argmax(correct & (scores == best), axis=1)
     before = np.arange(len(gallery_ids)) < first[:, None]
     return 1 + np.sum((scores < best) | ((scores == best) & before), axis=1)
@@ -201,12 +202,13 @@ def _evaluate_one_split(codes, names, views, fields, split, scenario, config, ma
 
     train_view1 = np.flatnonzero(train & (views == 1))
     train_view2 = np.flatnonzero(train & (views == 2))
-    train_feats = np.vstack([_fuse(spec[GALLERY], fields, train_view1, model),
-                             _fuse(spec[QUERY], fields, train_view2, model)])
     train_rows = np.concatenate([train_view1, train_view2])
+    # View-1 then view-2 rows, so fit_xqda slices the views; the matrix dies with the call.
     # Z-scoring balances the scales of vision features and {-1,+1} attribute bits.
     metric = xqda_mod.fit_xqda(
-        train_feats, names[codes[train_rows]], views[train_rows],
+        np.vstack([_fuse(spec[GALLERY], fields, train_view1, model),
+                   _fuse(spec[QUERY], fields, train_view2, model)]),
+        names[codes[train_rows]], views[train_rows],
         ridge=config.xqda_ridge, max_rank=config.xqda_max_rank,
         zscore="attribute" in parts,
     )
@@ -226,12 +228,12 @@ def _evaluate_one_split(codes, names, views, fields, split, scenario, config, ma
     if not probe_rows.size:
         raise EmptySubset(f"split {split.index} has no view-2 test samples")
 
-    gallery = _fuse(spec[GALLERY], fields, gallery_rows, model)
+    scorer = xqda_mod._gallery_scorer(metric, _fuse(spec[GALLERY], fields, gallery_rows, model))
     probes = _fuse(spec[QUERY], fields, probe_rows, model)
     step = max(1, BLOCK_ENTRIES // len(gallery_rows))
     ranks = []
     for lo in range(0, len(probe_rows), step):
-        scores = xqda_mod.score_matrix(metric, gallery, probes[lo:lo + step])
+        scores = scorer(probes[lo:lo + step])
         if config.gallery_mode == "multi":
             scores = np.minimum.reduceat(scores, starts, axis=1)  # each identity's min
         ranks.append(_ranks(scores, ranked_ids, codes[probe_rows[lo:lo + step]], names))
@@ -288,6 +290,10 @@ def attribute_degradation_sweep(dataset, splits, n_values, config=None, master_s
     n_values = [int(n) for n in n_values]
     if len(set(n_values)) != len(n_values):
         raise InvalidConfig(f"flip counts must not repeat, got {n_values}")
+    width = None if dataset.attributes is None else np.shape(dataset.attributes)[1]
+    outside = [n for n in n_values if width is not None and not 0 <= n <= width]
+    if outside:  # every n is checked before any split is fitted
+        raise NOutOfRange(f"n={outside[0]} outside 0..{width}")
     return {n: evaluate_scenario(dataset, splits, "VAxVA", replace(config, flip_bits=n),
                                  master_seed=master_seed)
             for n in n_values}

@@ -20,11 +20,13 @@ pair loop or a difference tensor. With z = W^T x it expands
 
     s(g, q) = z_q^T M z_q + z_g^T M z_g - 2 z_q^T M z_g,
 
-one GEMM for the cross term and a row-wise sum per self term, after
-subtracting the mean projected row (s depends on g - q only). Equal rows
-score alike: each distinct raw row (-0.0 counted as 0.0) is projected and
-scored once, and a probe equal to a gallery row scores exactly 0.0, as
-`score`, the pair oracle, does. cmc's first-index tie-break relies on both.
+one GEMM for the cross term and a row-wise sum per self term. The gallery is
+coded, projected and centred on its mean projected row (s depends on g - q
+only) once; each block of probes then codes and projects only its own rows.
+Equal rows score alike: each distinct raw row (-0.0 counted as 0.0) is
+projected and scored once, and a probe found among the gallery's sorted row
+keys scores exactly 0.0, as `score`, the pair oracle, does. cmc's
+first-index tie-break relies on both.
 """
 
 from dataclasses import dataclass
@@ -62,7 +64,8 @@ class XqdaModel:
 
 
 def _check_inputs(features, identities, views):
-    """Row-aligned features, identity codes by first appearance, view masks and view counts."""
+    """Row-aligned features, then per view its rows (slices if grouped view 1,
+    then view 2), their identity codes by first appearance and per-identity counts."""
     features = np.asarray(features, dtype=np.float64)
     identities = np.asarray(identities)
     views = np.asarray(views)
@@ -77,7 +80,12 @@ def _check_inputs(features, identities, views):
     lacking = identities[first[(n1 == 0) | (n2 == 0)]].tolist()
     if lacking:
         raise MissingView(f"identity {lacking[0]!r} lacks a sample in one view")
-    return features, codes, in1, in2, n1, n2
+    k = int(np.count_nonzero(in1))
+    if in1[:k].all() and in2[k:].all():
+        v1, v2 = features[:k], features[k:]
+    else:
+        v1, v2 = features[in1], features[in2]
+    return features, v1, v2, codes[in1], codes[in2], n1, n2
 
 
 def build_difference_covariances(features, identities, views):
@@ -88,14 +96,12 @@ def build_difference_covariances(features, identities, views):
     (g - q)(g - q)^T needs no pair loop. Extra-personal pairs are all pairs
     minus the same-identity ones.
     """
-    return _difference_covariances(*_check_inputs(features, identities, views))
+    return _difference_covariances(*_check_inputs(features, identities, views)[1:])
 
 
-def _difference_covariances(features, codes, in1, in2, n1, n2):
-    """build_difference_covariances on _check_inputs' output."""
-    dim = features.shape[1]
-    v1, v2 = features[in1], features[in2]
-    id1, id2 = codes[in1], codes[in2]
+def _difference_covariances(v1, v2, id1, id2, n1, n2):
+    """build_difference_covariances on _check_inputs' per-view output."""
+    dim = v1.shape[1]
 
     # np.add.at adds the rows in order, as a per-identity sum(axis=0) would.
     sums1 = np.zeros((len(n1), dim))
@@ -135,15 +141,16 @@ def fit_xqda(features, identities, views, ridge=DEFAULT_RIDGE,
     """
     if max_rank < 1:
         raise InvalidConfig(f"max_rank must be >= 1, got {max_rank}")
-    features, codes, in1, in2, n1, n2 = _check_inputs(features, identities, views)
+    features, v1, v2, *rest = _check_inputs(features, identities, views)
 
     scale = np.ones(features.shape[1])
     if zscore:
         scale = features.std(axis=0)
         scale[scale < 1e-12] = 1.0  # near-constant columns stay unscaled
-        features = (features - features.mean(axis=0)) / scale
+        mean = features.mean(axis=0)
+        v1, v2 = (v1 - mean) / scale, (v2 - mean) / scale
 
-    intra, extra = _difference_covariances(features, codes, in1, in2, n1, n2)
+    intra, extra = _difference_covariances(v1, v2, *rest)
     extra_r, intra_r = linalg.ridged(ridge, extra, intra)  # a bad ridge before a degenerate metric
     if np.trace(intra) + np.trace(extra) <= 0.0:
         raise DegenerateMetric("both difference covariances vanish")
@@ -172,13 +179,16 @@ def score(model: XqdaModel, gallery, query) -> float:
     return float(z @ model.m @ z)
 
 
-def _check_rows(model, rows, name):
+def _keyed_rows(model, rows, name):
+    """Checked rows and one void key per row; + 0.0 turns -0.0 into 0.0 so
+    that equal rows have equal bytes."""
     rows = np.asarray(rows, dtype=np.float64)
     if rows.ndim != 2 or rows.shape[1] != model.w.shape[0]:
         raise ShapeMismatch(f"{name} must be rows of {model.w.shape[0]} features, got {rows.shape}")
     if not np.isfinite(rows).all():
         raise NonFiniteValue(f"{name} has a NaN or infinite entry")
-    return rows
+    rows = rows + 0.0
+    return rows, rows.view(f"V{8 * rows.shape[1]}").ravel()
 
 
 def score_matrix(model: XqdaModel, gallery, probes) -> np.ndarray:
@@ -188,25 +198,39 @@ def score_matrix(model: XqdaModel, gallery, probes) -> np.ndarray:
     give equal columns, equal probes give equal rows, and a probe equal to
     a gallery row scores exactly 0.0, as `score` does.
     """
-    gallery = _check_rows(model, gallery, "gallery")
-    probes = _check_rows(model, probes, "probes")
-    # One code per distinct row, numbered by first appearance; + 0.0 turns
-    # -0.0 into 0.0 so that equal rows have equal bytes.
-    rows = np.vstack([gallery, probes]) + 0.0
-    first, code = dataio.first_appearance_codes(rows.view(f"V{8 * rows.shape[1]}").ravel())
-    z = rows[first] @ model.w
-    if len(z):
-        z -= z.mean(axis=0)  # the score depends on g - q only; centring limits cancellation
-    gcodes, ginv = np.unique(code[:len(gallery)], return_inverse=True)
-    pcodes, pinv = np.unique(code[len(gallery):], return_inverse=True)
-    zg, zq = z[gcodes], z[pcodes]
-    zqm = zq @ model.m
-    block = zqm @ zg.T
-    block *= -2.0
-    block += np.einsum("ur,ur->u", zqm, zq)[:, None]
-    block += np.einsum("ur,ur->u", zg @ model.m, zg)[None, :]
-    _, same_p, same_g = np.intersect1d(pcodes, gcodes, assume_unique=True, return_indices=True)
-    block[same_p, same_g] = 0.0
-    if np.array_equal(pinv, np.arange(len(pinv))) and np.array_equal(ginv, np.arange(len(ginv))):
-        return block  # distinct rows in order: the expansion would be a copy
-    return block[np.ix_(pinv, ginv)]
+    return _gallery_scorer(model, gallery)(probes)
+
+
+def _gallery_scorer(model, gallery):
+    """score_matrix's gallery work, done once: its distinct rows are coded,
+    projected, centred on their mean and given their self terms. Returns
+    probes -> scores, which codes and projects only the probes."""
+    gallery, keys = _keyed_rows(model, gallery, "gallery")
+    first, gcode = dataio.first_appearance_codes(keys)
+    order = np.argsort(keys[first])
+    sorted_keys = keys[first[order]]
+    zg = gallery[first] @ model.w
+    centre = zg.mean(axis=0) if len(zg) else 0.0  # the score depends on g - q only
+    zg -= centre
+    gself = np.einsum("ur,ur->u", zg @ model.m, zg)
+    gcode = None if np.array_equal(gcode, np.arange(len(gcode))) else gcode
+
+    def scores(probes):
+        probes, keys = _keyed_rows(model, probes, "probes")
+        pfirst, pcode = dataio.first_appearance_codes(keys)
+        keys = keys[pfirst]
+        zq = probes[pfirst] @ model.w - centre
+        zqm = zq @ model.m
+        block = zqm @ zg.T
+        block *= -2.0
+        block += np.einsum("ur,ur->u", zqm, zq)[:, None]
+        block += gself[None, :]
+        if len(order):  # probes equal to a gallery row, found among its sorted keys
+            at = np.minimum(np.searchsorted(sorted_keys, keys), len(order) - 1)
+            same = np.flatnonzero(sorted_keys[at] == keys)
+            block[same, order[at[same]]] = 0.0
+        if np.array_equal(pcode, np.arange(len(pcode))):
+            return block if gcode is None else block[:, gcode]
+        return block[pcode] if gcode is None else block[np.ix_(pcode, gcode)]
+
+    return scores

@@ -49,9 +49,14 @@ MUTANTS = [
            "(x.T @ y / n)",
            ("tests/test_cca.py::TestFitCca::test_translation_invariance",)),
     Mutant("score-matrix-no-exact-zero", "src/xmreid/xqda.py",
-           "block[same_p, same_g] = 0.0",
+           "block[same, order[at[same]]] = 0.0",
            "pass",
            ("tests/test_xqda.py::TestScoreMatrix::test_equal_rows_score_equal_and_zero",)),
+    Mutant("scorer-zero-wrong-column", "src/xmreid/xqda.py",
+           "block[same, order[at[same]]] = 0.0",
+           "block[same, at[same]] = 0.0",
+           ("tests/test_xqda.py::TestScoreMatrix"
+            "::test_gallery_scorer_matches_pair_oracle_in_blocks",)),
     Mutant("gallery-sort-unstable", "src/xmreid/evaluation.py",
            'gallery_rows = gallery_rows[np.argsort(codes[gallery_rows], kind="stable")]',
            "gallery_rows = gallery_rows[np.argsort(codes[gallery_rows])]",
@@ -103,6 +108,11 @@ MUTANTS = [
            "v1, v2 = features[in1], features[in2]",
            "v1, v2 = features[in1], features[in1]",
            ("tests/test_xqda.py::TestDifferenceCovariances::test_matches_enumeration_minimal",)),
+    Mutant("view-slice-boundary", "src/xmreid/xqda.py",
+           "v1, v2 = features[:k], features[k:]",
+           "v1, v2 = features[:k], features[k - 1:]",
+           ("tests/test_xqda.py::TestDifferenceCovariances"
+            "::test_view_slices_match_the_gather_path",)),
     Mutant("roles-by-sorted-label", "src/xmreid/evaluation.py",
            'split.roles.get(name, "") for name in names.tolist()',
            'split.roles.get(name, "") for name in sorted(names.tolist())',

@@ -282,10 +282,11 @@ class TestScoreTies:
         cfg = evaluation.PipelineConfig(gallery_mode="multi")
         fast = evaluation.evaluate_scenario(dataset, splits, "VxV", cfg, master_seed=3)
 
-        def pairwise(model, gallery, probes):
-            return np.array([[xqda.score(model, g, q) for g in gallery] for q in probes])
+        def pairwise(model, gallery):
+            return lambda probes: np.array([[xqda.score(model, g, q) for g in gallery]
+                                            for q in probes])
 
-        monkeypatch.setattr(xqda, "score_matrix", pairwise)
+        monkeypatch.setattr(xqda, "_gallery_scorer", pairwise)
         slow = evaluation.evaluate_scenario(dataset, splits, "VxV", cfg, master_seed=3)
         assert np.array_equal(fast.per_split[0].accuracies, slow.per_split[0].accuracies)
 
@@ -316,21 +317,25 @@ class TestProbeBlocks:
         dataset, splits, probe_count, images = self.tied_dataset()
         entries = images if mode == "multi" else images // 3
         cfg = evaluation.PipelineConfig(gallery_mode=mode)
-        # One block of every probe: cmc over score_matrix's full P x G matrix.
+        # One block of every probe: cmc over the full P x G matrix.
         monkeypatch.setattr(evaluation, "BLOCK_ENTRIES", 2**62)
         full = evaluation.evaluate_scenario(dataset, splits, "VxV", cfg, master_seed=3)
 
         blocks = []
-        score_matrix = xqda.score_matrix
+        prepare = xqda._gallery_scorer
 
-        def recording(model, gallery, probes):
-            scores = score_matrix(model, gallery, probes)
-            blocks.append((len(probes), int(np.sum(scores == 0.0))))
-            return scores
+        def recording(model, gallery):
+            scorer = prepare(model, gallery)
+
+            def block(probes):
+                scores = scorer(probes)
+                blocks.append((len(probes), int(np.sum(scores == 0.0))))
+                return scores
+            return block
 
         # Blocks of `rows` probes; BLOCK_ENTRIES need not be a multiple of the gallery.
         monkeypatch.setattr(evaluation, "BLOCK_ENTRIES", (rows + 1) * entries - 1)
-        monkeypatch.setattr(xqda, "score_matrix", recording)
+        monkeypatch.setattr(xqda, "_gallery_scorer", recording)
         blocked = evaluation.evaluate_scenario(dataset, splits, "VxV", cfg, master_seed=3)
         full_blocks, rest = divmod(probe_count, rows)
         assert rest or rows == 1  # 7 does not divide P: the last block is short
@@ -342,7 +347,9 @@ class TestProbeBlocks:
 
     def test_peak_memory_is_a_block_not_the_score_matrix(self):
         # P = G = 2000 multi-shot entries: one P x G float64 matrix is 32 MB,
-        # and ranking the whole matrix at once peaked at 63 MB.
+        # and ranking the whole matrix at once peaked at 63 MB. 1 MB blocks
+        # that each coded the whole gallery peaked at 3.0 MiB; 256 KB blocks
+        # against a gallery prepared once peak at 1.4 MiB.
         config = small_config(identity_count=2000, num_splits=1)
         dataset = synth.gen_paired(config)
         cfg = evaluation.PipelineConfig(gallery_mode="multi")
@@ -405,12 +412,17 @@ class TestIdentityCoding:
         assert np.any(dataset.identities[1:] != dataset.identities[:-1])
         seen = []
         real = xqda.score_matrix
+        prepare = xqda._gallery_scorer
 
-        def recording(model, gallery, probes):
-            seen.append((model, gallery, probes))
-            return real(model, gallery, probes)
+        def recording(model, gallery):
+            scorer = prepare(model, gallery)
 
-        monkeypatch.setattr(xqda, "score_matrix", recording)
+            def block(probes):
+                seen.append((model, gallery, probes))
+                return scorer(probes)
+            return block
+
+        monkeypatch.setattr(xqda, "_gallery_scorer", recording)
         cfg = evaluation.PipelineConfig(gallery_mode=mode)
         report = evaluation.evaluate_scenario(dataset, splits, "VxV", cfg, master_seed=3)
         assert len(seen) == len(splits)  # one probe block per split
@@ -520,6 +532,21 @@ class TestAttributeSweep:
         monkeypatch.setattr(evaluation, "evaluate_scenario", None)  # never reached
         with pytest.raises(InvalidConfig, match="repeat"):
             evaluation.attribute_degradation_sweep(dataset, synth.gen_splits(config), [0, 1, 1])
+
+    def test_out_of_range_flip_count_fails_before_any_fit(self, monkeypatch):
+        config = small_config()
+        dataset = self.make_attributed_dataset(config)
+        calls = []
+        fit = xqda.fit_xqda
+        monkeypatch.setattr(xqda, "fit_xqda", lambda *a, **kw: calls.append(1) or fit(*a, **kw))
+        width = dataset.attributes.shape[1]
+        # n = width + 1 comes last: the first three would each fit every split.
+        for n_values, bad in (([0, 1, 2, width + 1], width + 1), ([-1, 0], -1)):
+            with pytest.raises(NOutOfRange, match=f"n={bad} outside 0..{width}"):
+                evaluation.attribute_degradation_sweep(dataset, synth.gen_splits(config), n_values)
+        assert calls == []
+        evaluation.attribute_degradation_sweep(dataset, synth.gen_splits(config)[:1], [width])
+        assert len(calls) == 1
 
     def test_vision_scale_is_normalised_away(self, monkeypatch):
         # VAxVA features are z-scored on train statistics, so scaling the
