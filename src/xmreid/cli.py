@@ -26,7 +26,6 @@ import numpy as np
 from . import cca as cca_mod
 from . import dataio, evaluation, synth, textcnn, textprep
 from . import rng as streams
-from . import xqda as xqda_mod
 from .errors import ConfigError, DataError, EmptyCorpus, InvalidConfig, NumericalError
 
 EXIT_CONFIG = 2
@@ -171,7 +170,7 @@ def cmd_train_textcnn(args):
     tensors = textprep.build_training_tensors(
         tokenized, words, max_len=args.max_len, method=args.augment,
         factor=args.factor, rng=streams.stream(args.seed, streams.AUGMENT),
-        synonyms=synonyms, sigma=args.sigma,
+        synonyms=synonyms,
     )
     # Each description's clean tensor leads the variants augmentation made of it.
     step = args.factor if args.augment else 1
@@ -183,11 +182,7 @@ def cmd_train_textcnn(args):
         hidden_dim=args.hidden, max_len=args.max_len, dropout=args.dropout,
     )
     model = textcnn.init_model(config_net, streams.stream(args.seed, streams.TRAIN, 0))
-    solver = textcnn.SolverConfig(
-        iterations=args.iters, base_lr=args.lr, momentum=args.momentum,
-        weight_decay=args.weight_decay, batch_size=args.batch,
-        lr_drop_factor=args.lr_drop_factor, lr_drop_every=args.lr_drop_every,
-    )
+    solver = textcnn.SolverConfig(iterations=args.iters, base_lr=args.lr, batch_size=args.batch)
     history = textcnn.train(model, samples, solver, streams.stream(args.seed, streams.TRAIN, 1))
 
     model_path = f"{args.out_dir}/model.cnn"
@@ -220,11 +215,7 @@ def _load_dataset(args):
 
 
 def _pipeline_config(args):
-    return evaluation.PipelineConfig(
-        cca_k=args.cca_k, cca_ridge=args.cca_ridge,
-        xqda_ridge=args.xqda_ridge, xqda_max_rank=args.xqda_max_rank,
-        gallery_mode=args.gallery_mode,
-    )
+    return evaluation.PipelineConfig(cca_k=args.cca_k, gallery_mode=args.gallery_mode)
 
 
 def _write_report_csv(path, report):
@@ -313,9 +304,6 @@ def _add_pipeline_flags(parser):
     parser.add_argument("--cca-k", type=int, default=None,
                         help="canonical pairs to keep "
                              f"(default: min(dims, {cca_mod.DEFAULT_RANK_BUDGET}))")
-    parser.add_argument("--cca-ridge", type=float, default=cca_mod.DEFAULT_RIDGE)
-    parser.add_argument("--xqda-ridge", type=float, default=xqda_mod.DEFAULT_RIDGE)
-    parser.add_argument("--xqda-max-rank", type=int, default=xqda_mod.DEFAULT_MAX_RANK)
     parser.add_argument("--gallery-mode", choices=("single", "multi"), default="single")
 
 
@@ -338,11 +326,7 @@ def build_parser():
     p.add_argument("--out-dir", required=True)
     p.add_argument("--iters", type=int, default=1000)
     p.add_argument("--lr", type=float, default=textcnn.SolverConfig.base_lr)
-    p.add_argument("--momentum", type=float, default=textcnn.SolverConfig.momentum)
-    p.add_argument("--weight-decay", type=float, default=textcnn.SolverConfig.weight_decay)
     p.add_argument("--batch", type=int, default=textcnn.SolverConfig.batch_size)
-    p.add_argument("--lr-drop-factor", type=float, default=textcnn.SolverConfig.lr_drop_factor)
-    p.add_argument("--lr-drop-every", type=int, default=textcnn.SolverConfig.lr_drop_every)
     p.add_argument("--kernels", type=int, default=textcnn.TextCnnConfig.kernel_count)
     p.add_argument("--kernel-width", type=int, default=textcnn.TextCnnConfig.kernel_width)
     p.add_argument("--hidden", type=int, default=textcnn.TextCnnConfig.hidden_dim)
@@ -350,7 +334,6 @@ def build_parser():
     p.add_argument("--dropout", type=float, default=textcnn.TextCnnConfig.dropout)
     p.add_argument("--augment", choices=textprep.ALL_METHODS, default=None)
     p.add_argument("--factor", type=int, default=1)
-    p.add_argument("--sigma", type=float, default=textprep.DEFAULT_NOISE_SIGMA)
     p.add_argument("--synonyms")
     _add_common(p, cmd_train_textcnn, ("corpus", "embeddings", "synonyms"))
 

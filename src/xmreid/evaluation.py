@@ -90,22 +90,16 @@ class SplitReport:
 
 @dataclass
 class PipelineConfig:
-    """Knobs of the per-split fitting pipeline; defaults follow the ledger."""
+    """Knobs of the per-split fitting pipeline. Each split fits CCA and XQDA
+    with fit_cca's and fit_xqda's own ridge and rank defaults."""
 
     cca_k: int | None = None          # None -> min(d_x, d_y, rank budget 128)
-    cca_ridge: float = cca_mod.DEFAULT_RIDGE
-    xqda_ridge: float = xqda_mod.DEFAULT_RIDGE
-    xqda_max_rank: int = xqda_mod.DEFAULT_MAX_RANK
     flip_bits: int = 0
     gallery_mode: str = "single"      # or "multi": min score over an identity's images
 
     def validate(self):
-        if min(1 if self.cca_k is None else self.cca_k, self.xqda_max_rank) < 1:
-            raise InvalidConfig("cca_k (unless None) and xqda_max_rank must be >= 1")
-        for name in ("cca_ridge", "xqda_ridge"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0.0):
-                raise InvalidConfig(f"{name} must be finite and >= 0, got {value}")
+        if self.cca_k is not None and self.cca_k < 1:
+            raise InvalidConfig(f"cca_k must be None or >= 1, got {self.cca_k}")
         if self.gallery_mode not in ("single", "multi"):
             raise InvalidConfig(f"gallery_mode must be single or multi, got {self.gallery_mode!r}")
 
@@ -198,7 +192,7 @@ def _evaluate_one_split(codes, names, views, fields, split, scenario, config, ma
     model = None
     if parts & {"cca_x", "cca_y"}:
         model = cca_mod.fit_cca(fields["vision"][train], fields["language"][train],
-                                k=config.cca_k, ridge=config.cca_ridge)
+                                k=config.cca_k)
 
     train_view1 = np.flatnonzero(train & (views == 1))
     train_view2 = np.flatnonzero(train & (views == 2))
@@ -208,9 +202,7 @@ def _evaluate_one_split(codes, names, views, fields, split, scenario, config, ma
     metric = xqda_mod.fit_xqda(
         np.vstack([_fuse(spec[GALLERY], fields, train_view1, model),
                    _fuse(spec[QUERY], fields, train_view2, model)]),
-        names[codes[train_rows]], views[train_rows],
-        ridge=config.xqda_ridge, max_rank=config.xqda_max_rank,
-        zscore="attribute" in parts,
+        names[codes[train_rows]], views[train_rows], zscore="attribute" in parts,
     )
 
     # Gallery: view-1 test samples, grouped by identity in order of first

@@ -30,18 +30,23 @@ class EigenResult(NamedTuple):
 
 
 def symmetrized(a) -> np.ndarray:
-    """(A + A^T)/2 of a finite square matrix whose asymmetry is below tolerance."""
+    """(A + A^T)/2 of a finite square matrix whose asymmetry is below tolerance, or A
+    itself if A == A^T bit for bit; norms are taken on A * 2^-e, e max|A|'s exponent."""
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise NotSquare(f"expected a square matrix, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise NonFiniteValue("matrix has a NaN or infinite entry")
-    skew = np.linalg.norm(a - a.T)
-    if skew > SYMMETRY_RTOL * np.linalg.norm(a):
-        raise NotSymmetric(
-            f"asymmetry {skew:.3e} exceeds {SYMMETRY_RTOL:g} relative tolerance"
-        )
-    return (a + a.T) / 2.0
+    if not (a.view(np.int64) != a.view(np.int64).T).any():
+        return a
+    exponent = -np.frexp(max(a.max(), -a.min()))[1]
+    size = np.linalg.norm(np.ldexp(a, exponent))
+    with np.errstate(over="ignore"):  # an infinite difference is asymmetric anyway
+        out = a - a.T
+    skew = np.linalg.norm(np.ldexp(out, exponent, out=out))
+    if skew > SYMMETRY_RTOL * size:
+        raise NotSymmetric(f"relative asymmetry {skew / size:.3e} exceeds {SYMMETRY_RTOL:g}")
+    return np.divide(np.add(a, a.T, out=out), 2.0, out=out)
 
 
 def ridged(ridge, *matrices):

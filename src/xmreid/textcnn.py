@@ -4,7 +4,7 @@ Architecture (Kim 2014): valid 1-D convolution of C kernels (E x w) across
 the T columns, ReLU, per-channel temporal max-pool, FC1 (H units) with
 ReLU, inverted dropout, FC2 to the class logits, softmax cross-entropy. All
 gradients are derived and applied by explicit backpropagation; the SGD
-loop uses momentum, weight decay, and a step learning-rate schedule. It checks
+loop uses Caffe's fixed momentum, weight decay and step schedule. It checks
 a step's loss first, then updates each parameter in place once the backward
 has its gradient and no longer reads the parameter, conv_w one offset slice
 at a time, so no full set of gradients is ever held.
@@ -95,25 +95,28 @@ class ForwardTrace:
     logits: np.ndarray        # B x K
 
 
+# Caffe's SGD solver: the base rate drops by LR_DROP_FACTOR every LR_DROP_EVERY steps.
+MOMENTUM = 0.9
+WEIGHT_DECAY = 0.0005
+LR_DROP_FACTOR = 0.1
+LR_DROP_EVERY = 50000
+
+
 @dataclass
 class SolverConfig:
+    """Run length, base rate and batch; the other solver settings are constants."""
+
     iterations: int
     base_lr: float = 0.01
-    momentum: float = 0.9
-    weight_decay: float = 0.0005
     batch_size: int = 100
-    lr_drop_factor: float = 0.1
-    lr_drop_every: int = 50000
 
     def validate(self):
         if self.iterations < 0:
             raise InvalidConfig(f"iterations must be >= 0, got {self.iterations}")
-        if min(self.batch_size, self.lr_drop_every) < 1:
-            raise InvalidConfig("batch_size and lr_drop_every must be >= 1")
-        for name in ("base_lr", "momentum", "weight_decay", "lr_drop_factor"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0.0):
-                raise InvalidConfig(f"{name} must be finite and >= 0, got {value}")
+        if self.batch_size < 1:
+            raise InvalidConfig(f"batch_size must be >= 1, got {self.batch_size}")
+        if not (math.isfinite(self.base_lr) and self.base_lr >= 0.0):
+            raise InvalidConfig(f"base_lr must be finite and >= 0, got {self.base_lr}")
 
 
 def _glorot(rng, fan_in, fan_out, shape):
@@ -289,7 +292,7 @@ def train(model, samples, solver: SolverConfig, rng):
     rate = model.config.dropout
     scale = 1.0 / solver.batch_size
     for step in range(solver.iterations):
-        lr = solver.base_lr * solver.lr_drop_factor ** (step // solver.lr_drop_every)
+        lr = solver.base_lr * LR_DROP_FACTOR ** (step // LR_DROP_EVERY)
         batch = rng.integers(0, len(samples), size=solver.batch_size)
         masks = None
         if rate > 0.0:
@@ -303,9 +306,9 @@ def train(model, samples, solver: SolverConfig, rng):
         for name, index, grad in steps:
             param, vel = getattr(model, name)[index], velocity[name][index]
             grad *= scale
-            grad += solver.weight_decay * param
+            grad += WEIGHT_DECAY * param
             grad *= lr
-            vel *= solver.momentum
+            vel *= MOMENTUM
             vel -= grad
             param += vel
         del grad  # the last slice would otherwise live through the next forward

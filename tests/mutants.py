@@ -40,6 +40,14 @@ MUTANTS = [
            "extra_r, intra_r = linalg.ridged(ridge, extra, intra)",
            "(extra_r,), (intra_r,) = linalg.ridged(ridge, extra), linalg.ridged(ridge, intra)",
            ("tests/test_xqda.py::TestFit::test_identical_views_fit_through_the_shared_ridge",)),
+    Mutant("symmetry-norm-unscaled", "src/xmreid/linalg.py",
+           "exponent = -np.frexp(max(a.max(), -a.min()))[1]",
+           "exponent = 0",
+           ("tests/test_linalg.py::TestSymmetrized::test_scale_does_not_decide",)),
+    Mutant("symmetric-input-averaged", "src/xmreid/linalg.py",
+           "    if not (a.view(np.int64) != a.view(np.int64).T).any():\n        return a\n",
+           "",
+           ("tests/test_linalg.py::TestGenEigh::test_traced_peak_at_512",)),
     Mutant("ridge-overflow-unchecked", "src/xmreid/linalg.py",
            "if not np.isfinite(scale) and np.isfinite(trace):",
            "if False:",

@@ -27,6 +27,14 @@ def run(argv):
     return cli.main(argv)
 
 
+def exit_code(argv):
+    """run's exit code, also when argparse refuses the command line."""
+    try:
+        return run(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
 def gen_dataset(tmp_path, overrides=None):
     tmp_path.mkdir(parents=True, exist_ok=True)
     config = dict(TOY_SYNTH)
@@ -230,6 +238,8 @@ class TestTrainTextCnn:
                     replaced += after != before
         assert replaced > 0
 
+    # --lr-drop-every, --momentum, --weight-decay, --lr-drop-factor and
+    # --sigma are deleted, so their bad values are now usage errors
     @pytest.mark.parametrize("flags", [
         ("--batch", "0"), ("--lr-drop-every", "0"), ("--iters", "-1"),
         ("--lr", "nan"), ("--momentum", "nan"), ("--weight-decay", "nan"),
@@ -239,7 +249,7 @@ class TestTrainTextCnn:
     ], ids=" ".join)
     def test_bad_solver_flag_is_config_error(self, tmp_path, flags):
         corpus_path, emb_path = toy_text_corpus(tmp_path, classes=3)
-        code = run(["train-textcnn", "--corpus", str(corpus_path),
+        code = exit_code(["train-textcnn", "--corpus", str(corpus_path),
                     "--embeddings", str(emb_path), "--out-dir", str(tmp_path),
                     "--iters", "2", "--batch", "4", "--kernels", "4",
                     "--kernel-width", "3", "--hidden", "8", "--max-len", "10",
@@ -289,6 +299,9 @@ EVALUATE_VXV = ("evaluate --scenario VxV --vision {d}/vision.feat --splits {d}/s
                 "--out-dir {t}")
 ATTR_SWEEP = ("attr-sweep --n 0 --vision {d}/vision.feat --attributes {d}/attributes.attr "
               "--splits {d}/splits.split --out-dir {t}")
+TRAIN_TEXTCNN = ("train-textcnn --corpus {d}/corpus.corpus --embeddings {d}/embeddings.emb "
+                 "--out-dir {t} --iters 2 --batch 4 --kernels 4 --kernel-width 3 --hidden 8 "
+                 "--max-len 10")
 
 
 class TestEvaluateCli:
@@ -328,15 +341,17 @@ class TestEvaluateCli:
                      "--out-dir", str(tmp_path), "--threads", threads])
             assert exc.value.code == 2, threads
 
+    # the ridges are library defaults now, so a bad one is a usage error
     @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
     @pytest.mark.parametrize("flag", ["--cca-ridge", "--xqda-ridge"])
     def test_bad_ridge_is_config_error(self, toy_data, tmp_path, flag, value):
-        code = run(["evaluate", "--scenario", "VxL",
-                    "--vision", str(toy_data / "vision.feat"),
-                    "--language", str(toy_data / "language.feat"),
-                    "--splits", str(toy_data / "splits.split"),
-                    "--out-dir", str(tmp_path), "--quiet", flag, value])
+        code = exit_code(["evaluate", "--scenario", "VxL",
+                          "--vision", str(toy_data / "vision.feat"),
+                          "--language", str(toy_data / "language.feat"),
+                          "--splits", str(toy_data / "splits.split"),
+                          "--out-dir", str(tmp_path), "--quiet", flag, value])
         assert code == 2
+        assert not (tmp_path / "manifest_VxL.json").exists()
 
     @pytest.mark.parametrize("flags", [
         ("--cca-ridge", "nan"), ("--cca-k", "-5"), ("--cca-k", "0"), ("--xqda-max-rank", "0"),
@@ -344,24 +359,36 @@ class TestEvaluateCli:
     ], ids=" ".join)
     def test_bad_pipeline_flag_is_config_error(self, toy_data, tmp_path, flags):
         # VxV fits no CCA, yet its flags are checked too; --cca-k 7 exceeds
-        # the 6-d language features once they are loaded
+        # the 6-d language features once they are loaded; --cca-ridge and
+        # --xqda-max-rank are deleted, so theirs are usage errors
         argv = (EVALUATE_VXV + " --quiet " + " ".join(flags)).format(d=toy_data, t=tmp_path)
-        assert run(argv.split()) == 2
+        assert exit_code(argv.split()) == 2
         assert not (tmp_path / "manifest_VxV.json").exists()
 
+    # Each deleted knob with its last default as value: the library keeps
+    # the ridges, the rank cap and sigma as keyword defaults, the solver
+    # settings are textcnn constants.
     @pytest.mark.parametrize("command, flag", [
         (EVALUATE_VXV, "--flip-n 1"),
         (EVALUATE_VXV, "--cca-zscore"),
         (EVALUATE_VXV, "--xqda-zscore"),
         (ATTR_SWEEP, "--cca-zscore"),
         (ATTR_SWEEP, "--xqda-zscore"),
+        *((command, flag) for command in (EVALUATE_VXV, ATTR_SWEEP)
+          for flag in ("--cca-ridge 1e-4", "--xqda-ridge 1e-3", "--xqda-max-rank 64")),
+        *((TRAIN_TEXTCNN, flag) for flag in (
+            "--momentum 0.9", "--weight-decay 0.0005", "--lr-drop-factor 0.1",
+            "--lr-drop-every 50000", "--sigma 0.05")),
     ], ids=lambda text: text.split()[0])
-    def test_removed_flags_are_unknown(self, toy_data, tmp_path, command, flag):
+    def test_removed_flags_are_unknown(self, toy_data, tmp_path, capsys, command, flag):
         argv = (command + " --quiet").format(d=toy_data, t=tmp_path).split()
-        assert run(argv) == 0
         with pytest.raises(SystemExit) as exc:
             run(argv + flag.split())
         assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"unrecognized arguments: {flag}" in err and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+        assert run(argv) == 0
 
     def test_threads_invariant_report(self, tmp_path):
         out = gen_dataset(tmp_path)
@@ -403,9 +430,7 @@ class TestEvaluateCli:
 
 # Each subcommand: its command line with outputs under {t}, and the manifest it writes there.
 OUTPUT_PLACES = {
-    "train-textcnn": ("train-textcnn --corpus {d}/corpus.corpus --embeddings {d}/embeddings.emb "
-                      "--out-dir {t} --iters 2 --batch 4 --kernels 4 --kernel-width 3 --hidden 8 "
-                      "--max-len 10", "manifest.json"),
+    "train-textcnn": (TRAIN_TEXTCNN, "manifest.json"),
     "evaluate": (EVALUATE_VXV, "manifest_VxV.json"),
     "attr-sweep": (ATTR_SWEEP, "manifest_attr_sweep.json"),
 }
@@ -435,6 +460,19 @@ class TestManifest:
         assert set(blas["thread_env"]) == set(cli.THREAD_ENV)
         assert blas["thread_env"]["OPENBLAS_NUM_THREADS"] == "1"
         assert blas["thread_env"]["OMP_NUM_THREADS"] is None
+
+    @pytest.mark.parametrize("command, manifest", OUTPUT_PLACES.values(), ids=OUTPUT_PLACES)
+    def test_config_is_exactly_the_remaining_flags(self, toy_data, tmp_path, command, manifest):
+        remaining = {
+            "train-textcnn": {"corpus", "embeddings", "iters", "lr", "batch", "kernels",
+                              "kernel_width", "hidden", "max_len", "dropout", "augment",
+                              "factor", "synonyms"},
+            "evaluate": {"scenario", "vision", "language", "attributes", "splits", "cca_k",
+                         "gallery_mode"},
+            "attr-sweep": {"n", "vision", "attributes", "splits", "cca_k", "gallery_mode"},
+        }
+        body = run_manifest(command, manifest, toy_data, tmp_path / "run")
+        assert set(body["config"]) == remaining[body["subcommand"]]
 
     def test_train_textcnn_records_description_columns(self, toy_data, tmp_path):
         # every gen-synth description embeds to 8 known words
@@ -590,15 +628,17 @@ class TestExitCodePartition:
 
     @pytest.mark.parametrize("flag", ["--cca-ridge", "--xqda-ridge"])
     def test_overflowing_ridge_is_2(self, tmp_path, capsys, flag):
-        # a finite ridge whose trace/d scaling overflows is the flag's fault,
-        # not the data's
+        # a ridge whose trace/d scaling overflows can no longer be given;
+        # linalg.ridged still rejects one (TestRidged::test_overflowing_scale_rejected)
         out = gen_dataset(tmp_path)
-        code = run(["evaluate", "--scenario", "VxL", "--vision", str(out / "vision.feat"),
-                    "--language", str(out / "language.feat"),
-                    "--splits", str(out / "splits.split"),
-                    "--out-dir", str(tmp_path), "--quiet", flag, "1e308"])
+        code = exit_code(["evaluate", "--scenario", "VxL", "--vision", str(out / "vision.feat"),
+                          "--language", str(out / "language.feat"),
+                          "--splits", str(out / "splits.split"),
+                          "--out-dir", str(tmp_path), "--quiet", flag, "1e308"])
         assert code == 2
-        assert "ridge 1e+308 overflows" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"unrecognized arguments: {flag} 1e308" in err and "Traceback" not in err
+        assert not (tmp_path / "manifest_VxL.json").exists()
 
     def split_content_case(self, tmp_path, capsys, test_views, roles):
         # five train identities with both views, and identity "q" in test_views

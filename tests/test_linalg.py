@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -175,6 +176,50 @@ class TestGenEigh:
     def test_indefinite_b_rejected(self):
         with pytest.raises(NotPositiveDefinite):
             linalg.gen_eigh(np.eye(2), np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+    def test_traced_peak_at_512(self):
+        # L, the two solves, LAPACK's copy of the reduced matrix and the
+        # vectors take about 5.5 d x d arrays; a bit-for-bit symmetric A is
+        # used as it is, not averaged into a copy (6.5 before)
+        d = 512
+        rng = np.random.default_rng(19)
+        a = random_symmetric(rng, d)
+        b = random_spd(rng, d)
+        b = (b + b.T) / 2.0
+        tracemalloc.start()
+        try:
+            linalg.gen_eigh(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6.0 * 8 * d * d
+
+
+class TestSymmetrized:
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_scale_does_not_decide(self, scale):
+        # squares of 1e200 overflow and squares of 1e-200 vanish; an unscaled
+        # norm would pass any skew at either scale
+        rng = np.random.default_rng(31)
+        sym = random_symmetric(rng, 6)
+        skew = rng.standard_normal((6, 6))
+        skew -= skew.T
+        near = (sym + 1e-12 * skew) * scale
+        assert np.array_equal(linalg.symmetrized(near), (near + near.T) / 2.0)
+        with pytest.raises(NotSymmetric, match="relative asymmetry"):
+            linalg.symmetrized((sym + 1e-6 * skew) * scale)
+        exact = sym * scale
+        assert linalg.symmetrized(exact) is exact
+
+    def test_overflowing_difference_is_asymmetric(self):
+        # A - A^T overflows to inf here; that is asymmetry, not a warning
+        with pytest.raises(NotSymmetric, match="relative asymmetry inf"):
+            linalg.symmetrized(np.array([[0.0, 1.5e308], [-1.5e308, 0.0]]))
+
+    def test_opposite_zeros_are_averaged(self):
+        # -0.0 and 0.0 compare equal but differ in their bits
+        out = linalg.symmetrized(np.array([[1.0, -0.0], [0.0, 1.0]]))
+        assert not np.signbit(out).any()
 
 
 class TestHelpers:

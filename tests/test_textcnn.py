@@ -321,9 +321,10 @@ class TestTrain:
             textcnn.train(model, [], textcnn.SolverConfig(iterations=1), stream(15, 2))
 
     def test_lr_schedule_steps(self):
-        solver = textcnn.SolverConfig(iterations=1, base_lr=0.01, lr_drop_every=50000)
-        assert solver.base_lr * solver.lr_drop_factor ** (49999 // 50000) == 0.01
-        assert solver.base_lr * solver.lr_drop_factor ** (50000 // 50000) == 0.001
+        solver = textcnn.SolverConfig(iterations=1, base_lr=0.01)
+        assert textcnn.LR_DROP_EVERY == 50000
+        assert solver.base_lr * textcnn.LR_DROP_FACTOR ** (49999 // textcnn.LR_DROP_EVERY) == 0.01
+        assert solver.base_lr * textcnn.LR_DROP_FACTOR ** (50000 // textcnn.LR_DROP_EVERY) == 0.001
 
     def test_matches_oracle_sgd_loop(self):
         # The same rng draws (batch indices, then dropout masks) fed through
@@ -339,15 +340,15 @@ class TestTrain:
         velocity = {name: np.zeros_like(arr) for name, arr in oracle.params()}
         want_history = []
         for step in range(solver.iterations):
-            lr = solver.base_lr * solver.lr_drop_factor ** (step // solver.lr_drop_every)
+            lr = solver.base_lr * textcnn.LR_DROP_FACTOR ** (step // textcnn.LR_DROP_EVERY)
             batch = rng.integers(0, len(samples), size=solver.batch_size)
             masks = rng.random((solver.batch_size, cfg.hidden_dim)) >= cfg.dropout
             losses, total = oracle_batch(oracle, [samples[i][1] for i in batch],
                                          [samples[i][0] for i in batch], masks)
             want_history.append(sum(losses) / solver.batch_size)
             for name, param in oracle.params():
-                grad = total[name] / solver.batch_size + solver.weight_decay * param
-                velocity[name] = solver.momentum * velocity[name] - lr * grad
+                grad = total[name] / solver.batch_size + textcnn.WEIGHT_DECAY * param
+                velocity[name] = textcnn.MOMENTUM * velocity[name] - lr * grad
                 param += velocity[name]
 
         assert relative_error(history, np.array(want_history)) <= 1e-10
@@ -706,9 +707,9 @@ class TestWordIds:
         losses, grads = textcnn.batch_loss_and_gradients(reference, values, labels[batch], masks)
         assert history == [float(losses.sum()) / solver.batch_size]
         for (name, got), (_, param) in zip(model.params(), reference.params()):
-            grad = grads[name] * (1.0 / solver.batch_size) + solver.weight_decay * param
+            grad = grads[name] * (1.0 / solver.batch_size) + textcnn.WEIGHT_DECAY * param
             vel = np.zeros_like(param)
-            vel *= solver.momentum
+            vel *= textcnn.MOMENTUM
             vel -= solver.base_lr * grad
             param += vel
             assert np.array_equal(got, param), name
@@ -767,9 +768,9 @@ class TestCutStacks:
             losses, grads = textcnn.batch_loss_and_gradients(reference, values, labels[batch], masks)
             want.append(float(losses.sum()) / solver.batch_size)
             for name, param in reference.params():
-                grad = grads[name] * (1.0 / solver.batch_size) + solver.weight_decay * param
+                grad = grads[name] * (1.0 / solver.batch_size) + textcnn.WEIGHT_DECAY * param
                 vel = velocity[name]
-                vel *= solver.momentum
+                vel *= textcnn.MOMENTUM
                 vel -= solver.base_lr * grad
                 param += vel
         assert history == want

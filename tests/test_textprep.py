@@ -242,6 +242,13 @@ class TestBuildTrainingTensors:
         assert not np.array_equal(clean.columns(), noisy.columns())
         assert noisy.columns().shape == clean.columns().shape == (4, 2)
 
+    @pytest.mark.parametrize("method", [None, "gaussian"])
+    def test_bad_sigma_rejected_on_every_call(self, method):
+        for sigma in (-1.0, np.nan, np.inf):
+            with pytest.raises(InvalidConfig, match="sigma must be finite"):
+                textprep.build_training_tensors(self.corpus, toy_words(), max_len=6, method=method,
+                                                factor=2, rng=stream(9, 1), sigma=sigma)
+
     def test_gaussian_leaves_clean_columns(self):
         # each noisy column is a new row of the run's table; the rows that
         # clean descriptions read are shared, so noise must not touch them

@@ -212,6 +212,12 @@ class TestFit:
         with pytest.raises(InvalidConfig, match="ridge 1e\\+308 overflows"):
             xqda.fit_xqda(10.0 * feats, ids, views, ridge=1e308)
 
+    @pytest.mark.parametrize("max_rank", [0, -1])
+    def test_max_rank_below_one_rejected(self, max_rank):
+        feats, ids, views = random_reid_data(stream(42, 6))
+        with pytest.raises(InvalidConfig, match=f"max_rank must be >= 1, got {max_rank}"):
+            xqda.fit_xqda(feats, ids, views, max_rank=max_rank)
+
     def test_beats_euclidean_on_anisotropic_noise(self):
         # identity signal in few dimensions, heavy shared noise elsewhere:
         # Euclidean ranks poorly, the learned metric recovers the signal
