@@ -30,7 +30,7 @@ print("rows:", words.vectors.shape, "id of 'jeans':", words.ids["jeans"])
 
 print("\n== description (one id per known word, at most max_len) ==")
 tensor = textprep.to_tensor(tokens, words, max_len=12)
-print("ids:", tensor.ids.tolist(), "used:", tensor.used, "max_len: 12")
+print("ids:", tensor.ids.tolist(), "words:", len(tensor.ids), "max_len: 12")
 print("the network reads zeros past the stored ids; no batch is padded")
 
 print("\n== augmentation schemes ==")
@@ -39,7 +39,7 @@ print("drop:    ", textprep.augment_drop(tokens, gen))
 synonyms = {"sunglasses": ("glasses", "spectacles"), "woman": ("lady",)}
 print("synonym: ", textprep.augment_synonym(tokens, synonyms, gen, replace_prob=0.9))
 noisy = textprep.augment_gaussian(tensor, sigma=0.05, rng=gen)
-print("gaussian: perturbed", tensor.used, "columns, appended as ids", noisy.ids.tolist(),
+print("gaussian: perturbed", len(tensor.ids), "columns, appended as ids", noisy.ids.tolist(),
       "shape kept:", noisy.columns().shape == tensor.columns().shape)
 
 print("\n== train a toy identity classifier ==")
@@ -72,12 +72,17 @@ detector = textcnn.init_model(detector_cfg, stream(99, 4))
 for _, arr in detector.params():
     arr[...] = 0.0
 detector.conv_w[5, :, 2] = table.vectors["sunglasses"]
-probes, truth = [], []
+# each probe is 14 faint random words with the target at a known position,
+# all coded by value into one probe WordTable, the CNN's one input form
+columns, truth = [], []
 for position in (4, 7, 11):
     values = 0.01 * np.random.default_rng(position).standard_normal((8, 14))
     values[:, position - 1] = table.vectors["sunglasses"]
-    probes.append(textprep.DescriptionTensor(values=values, used=14))
+    columns.append(values.T)
     truth.append(position)
+probe_vectors, probe_ids = textprep.code_rows(columns, 8)
+probe_words = textprep.WordTable({}, probe_vectors)
+probes = [textprep.DescriptionTensor(ids.astype(np.int32), probe_words) for ids in probe_ids]
 channel, errors = textcnn.find_detector_channel(detector, probes, truth)
 print(f"planted channel 5, recovered channel {channel}, localization errors {errors}")
 print("(the reported position is the conv argmax plus the half-width offset, 2 for w=5)")

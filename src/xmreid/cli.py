@@ -196,7 +196,7 @@ def cmd_train_textcnn(args):
     clean = [tensor for _, _, tensor in tensors[::step]]
     accuracy = float(np.mean(textcnn.predict(model, clean) == codes))
 
-    used = [tensor.used for _, _, tensor in tensors]
+    used = [len(tensor.ids) for _, _, tensor in tensors]
     write_manifest(f"{args.out_dir}/manifest.json", args, [model_path, history_path], started,
                    extra={"classes": len(first), "train_accuracy": accuracy,
                           "final_loss": history[-1] if history else None,

@@ -9,10 +9,9 @@ a step's loss first, then updates each parameter in place once the backward
 has its gradient and no longer reads the parameter, conv_w one offset slice
 at a time, so no full set of gradients is ever held.
 
-Every entry point takes a batch of descriptions given as int ids, rows of
-one table whose row 0 is all zero (textprep.WordTable); a dense B x E x T
-stack, or tensors of dense values, are coded by value into a table once per
-call. The convolution is factored by distinct ids: _forward codes a batch's
+Every entry point takes descriptions as int ids into one textprep.WordTable,
+whose row 0 is all zero; tensors on different tables are refused. The
+convolution is factored by distinct ids: _forward codes a batch's
 ids, through each description's last nonzero one, behind id 0 by first
 appearance, so padding is code 0, and projects the U distinct rows once per
 kernel offset, C x E @ E x U. Window p's response sums, for k = 0..w-1,
@@ -145,43 +144,30 @@ def _dropout(units, masks, rate):
     return units if masks is None else units * masks / (1.0 - rate)
 
 
-def forward(model, values, masks=None) -> ForwardTrace:
-    """Run a B x E x T stack through the network.
+def forward(model, tensors, masks=None) -> ForwardTrace:
+    """Run B description tensors on one WordTable through the network at full
+    width, max_len - w + 1 window positions. masks (B x H booleans, True =
+    kept) switch on inverted dropout, which scales the kept FC1 units by
+    1/(1-rate); without masks nothing is dropped.
 
-    masks (B x H booleans, True = kept) switch on inverted dropout, which
-    scales the kept FC1 units by 1/(1-rate); without masks nothing is dropped.
-
-    The stack is coded by value for this call. Columns past a sample's last
-    nonzero one are never projected: they read code 0, the zero column, whose
-    projection is +-0 for finite weights, so a window of them responds
-    relu(conv_b) at its own position.
+    Columns past a tensor's last nonzero id are never projected: they read
+    code 0, the zero column, whose projection is +-0 for finite weights, so a
+    window of them responds relu(conv_b) at its own position.
     """
-    return _forward(model, *_stack(model, values), masks)
+    return _forward(model, *_coded(tensors, model.config), True, masks)
 
 
-def _stack(model, values):
-    """A B x E x T stack's table and ids, each sample's through its last nonzero
-    column, coded by value, and its T - w + 1 window positions."""
-    cfg = model.config
-    _, embed, width = values.shape
-    if embed != cfg.embed_dim:
-        raise ShapeMismatch(f"tensor embeds {embed}-d, model expects {cfg.embed_dim}-d")
-    positions = width - cfg.kernel_width + 1
-    if positions < 1:
-        raise ShapeMismatch(f"tensor has {width} columns, kernel needs {cfg.kernel_width}")
-    return *textprep.code_rows([v[:, :_occupied(v)].T for v in values], embed), positions
-
-
-def _forward(model, table, sentences, positions=None, masks=None) -> ForwardTrace:
+def _forward(model, table, sentences, full=False, masks=None) -> ForwardTrace:
     """forward over B descriptions, each the ids of its rows of table through
     its last nonzero one; window p reads columns p..p+w-1, zero past them.
-    positions=None stops one all-zero window past the longest description,
-    whose relu(conv_b) wins the ties of every later one. Either way the P
-    windows read P + w - 1 columns, which hold every occupied one."""
+    Unless full, the windows stop at one all-zero window past the longest
+    description, whose relu(conv_b) wins the ties of every later one. Either
+    way the P windows read P + w - 1 columns, which hold every occupied one."""
     cfg = model.config
     occupied = np.array([len(s) for s in sentences], dtype=np.int64)
-    if positions is None:
-        positions = min(cfg.max_len - cfg.kernel_width + 1, int(occupied.max()) + 1)
+    positions = cfg.max_len - cfg.kernel_width + 1
+    if not full:
+        positions = min(positions, int(occupied.max()) + 1)
     # The batch's distinct ids behind id 0, the zero row, coded by first appearance.
     width = cfg.kernel_width
     flat = np.concatenate([np.zeros(1, dtype=np.int64), *sentences])
@@ -217,31 +203,31 @@ def softmax_cross_entropy(logits, labels):
     return loss[..., 0], exp / total
 
 
-def batch_loss_and_gradients(model, values, labels, dropout_masks=None):
-    """Per-sample losses and the batch-summed parameter gradients.
-
-    values is a B x E x T stack, labels holds B class indices and
-    dropout_masks is None or B x H booleans (True = kept). The gradients
-    come as a dict keyed by PARAM_NAMES and equal the sum of the B
-    per-sample gradients.
+def batch_loss_and_gradients(model, tensors, labels, dropout_masks=None):
+    """Per-sample losses and the batch-summed parameter gradients, at full width
+    as forward runs: tensors are B description tensors on one WordTable, labels
+    holds B class indices and dropout_masks is None or B x H booleans (True =
+    kept). The gradients come as a dict keyed by PARAM_NAMES and equal the sum
+    of the B per-sample gradients.
     """
+    table, sentences = _coded(tensors, model.config)
     labels = np.asarray(labels, dtype=np.int64)
-    if labels.shape != (len(values),):
-        raise ShapeMismatch(f"{len(values)} tensors need {len(values)} labels, got {labels.shape}")
+    if labels.shape != (len(sentences),):
+        raise ShapeMismatch(f"{len(sentences)} tensors need as many labels, got {labels.shape}")
     if np.any((labels < 0) | (labels >= model.config.num_classes)):
         raise ShapeMismatch(f"label outside 0..{model.config.num_classes - 1}")
-    steps = _loss_and_gradients(model, *_stack(model, values), labels, dropout_masks)
+    steps = _loss_and_gradients(model, table, sentences, True, labels, dropout_masks)
     losses, grads = next(steps), {name: np.empty(param.shape) for name, param in model.params()}
     for name, index, grad in steps:
         grads[name][index] = grad
     return losses, grads
 
 
-def _loss_and_gradients(model, table, sentences, positions, labels, masks):
+def _loss_and_gradients(model, table, sentences, full, labels, masks):
     """Generate batch_loss_and_gradients' B losses, then (name, index, gradient)
     for getattr(model, name)[index] once the backward reads it no more; callers check labels."""
     cfg = model.config
-    trace = _forward(model, table, sentences, positions, masks)
+    trace = _forward(model, table, sentences, full, masks)
     trace.conv = None  # the backward reads the peaks through argmax and pooled
     rows = np.arange(len(labels))
     losses, dlogits = softmax_cross_entropy(trace.logits, labels)
@@ -297,7 +283,7 @@ def train(model, samples, solver: SolverConfig, rng):
         masks = None
         if rate > 0.0:
             masks = rng.random((solver.batch_size, model.config.hidden_dim)) >= rate
-        steps = _loss_and_gradients(model, table, [sentences[i] for i in batch], None,
+        steps = _loss_and_gradients(model, table, [sentences[i] for i in batch], False,
                                     labels[batch], masks)
         history.append(float(next(steps).sum()) / solver.batch_size)
         if not math.isfinite(history[-1]):
@@ -315,26 +301,18 @@ def train(model, samples, solver: SolverConfig, rng):
     return history
 
 
-def _occupied(values):
-    """1 + the index of the last nonzero column (last axis), 0 for none, per leading index."""
-    return (values.any(axis=-2) * np.arange(1, values.shape[-1] + 1)).max(axis=-1, initial=0)
-
-
 def _coded(tensors, config):
-    """A table and each tensor's ids into it, cut after its last nonzero one.
-    Tensors on one WordTable keep its rows and ids; any other set, such as
-    tensors of dense values, is coded by value (textprep.code_rows) for this call."""
+    """The rows of the one WordTable that tensors share, and each tensor's ids
+    cut after its last nonzero one."""
     tensors = list(tensors)
-    words = tensors[0].words if tensors else None
-    shared = words is not None and all(t.words is words for t in tensors)
-    blocks = [t.ids if shared else t.columns() for t in tensors]
-    shapes = [(words.vectors.shape[1], len(b)) if shared else b.shape for b in blocks]
-    if any(embed != config.embed_dim or width > config.max_len for embed, width in shapes):
-        raise ShapeMismatch(f"description tensors must be {config.embed_dim} x at most "
-                            f"{config.max_len}, the model's input")
-    if not shared:
-        return textprep.code_rows([c[:, :_occupied(c)].T for c in blocks], config.embed_dim)
-    return words.vectors, [ids[:_occupied(ids[None] != 0)] for ids in blocks]
+    if not tensors:
+        raise EmptySubset("no description tensors to run")
+    words = tensors[0].words
+    if (any(t.words is not words for t in tensors) or words.vectors.shape[1] != config.embed_dim
+            or max(len(t.ids) for t in tensors) > config.max_len):
+        raise ShapeMismatch(f"description tensors must be ids into one WordTable of "
+                            f"{config.embed_dim}-d rows, at most {config.max_len} each")
+    return words.vectors, [t.ids[:np.flatnonzero(t.ids).max(initial=-1) + 1] for t in tensors]
 
 
 def _infer(model, tensors, pick):
@@ -344,8 +322,6 @@ def _infer(model, tensors, pick):
     INFER_CHUNK tensors, so memory stays bounded.
     """
     table, sentences = _coded(tensors, model.config)
-    if not sentences:
-        raise EmptySubset("no description tensors to run")
     return np.concatenate([
         pick(_forward(model, table, sentences[start:start + INFER_CHUNK]))
         for start in range(0, len(sentences), INFER_CHUNK)

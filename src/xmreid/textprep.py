@@ -3,11 +3,12 @@
 A run codes its embedding table by value once into a WordTable: the distinct
 word vectors in order of first appearance behind an all-zero row 0, so equal
 vectors share an id and an all-zero one reads as padding. A description is
-then the int ids of its first T in-vocabulary tokens, T at most max_len; the
-sentence CNN reads zeros past them. Three augmentation schemes expand a
-training corpus: random word dropping and ranked synonym replacement act on
-token lists before embedding, additive Gaussian noise appends the noisy word
-vectors of a description to the run's table as new ids.
+then the int32 ids of its first T in-vocabulary tokens, T at most max_len:
+the sentence CNN's one input form, past which it reads zeros. Three
+augmentation schemes expand a training corpus: random word dropping and
+ranked synonym replacement act on token lists before embedding, additive
+Gaussian noise appends the noisy word vectors of a description to the run's
+table as new ids.
 """
 
 import functools
@@ -76,17 +77,14 @@ def word_table(embeddings) -> WordTable:
 
 @dataclass(slots=True)
 class DescriptionTensor:
-    """A description's first `used` words, as `ids` into the WordTable `words`
-    (to_tensor) or as E x T `values`, which the CNN codes by value when it
-    reads them. Any stored column past `used` counts as padding."""
+    """A description's words as int32 `ids` into the WordTable `words`; the CNN
+    reads zeros past them, and id 0 anywhere reads as padding."""
 
-    values: np.ndarray | None = None
-    used: int = 0
-    ids: np.ndarray | None = None
-    words: WordTable | None = None
+    ids: np.ndarray
+    words: WordTable
 
-    def columns(self):  # E x T
-        return self.values if self.words is None else self.words.vectors[self.ids].T
+    def columns(self):  # E x len(ids)
+        return self.words.vectors[self.ids].T
 
 
 def to_tensor(tokens, words, max_len=DEFAULT_MAX_LEN) -> DescriptionTensor:
@@ -98,7 +96,7 @@ def to_tensor(tokens, words, max_len=DEFAULT_MAX_LEN) -> DescriptionTensor:
     if max_len < 1:
         raise InvalidConfig(f"max_len must be >= 1, got {max_len}")
     ids = [words.ids[t] for t in tokens if t in words.ids][:max_len]
-    return DescriptionTensor(ids=np.array(ids, dtype=np.int32), words=words, used=len(ids))
+    return DescriptionTensor(np.array(ids, dtype=np.int32), words)
 
 
 def augment_drop(tokens, rng):
@@ -147,21 +145,16 @@ def _check_sigma(sigma):
 
 
 def augment_gaussian(tensor, sigma, rng) -> DescriptionTensor:
-    """Add zero-mean Gaussian noise to the `used` word columns only.
-
-    One E x used draw, so the stream advances by the words alone; stored
-    padding columns are kept. A tensor on a WordTable gets its noisy columns
-    appended there as new ids; the shared rows stay as they were.
-    """
+    """Add zero-mean Gaussian noise to each word column: one E x len(ids) draw,
+    so the stream advances by the words alone. The noisy columns are appended
+    to the tensor's WordTable as new int32 ids; the shared rows stay as they were."""
     _check_sigma(sigma)
-    noisy, used = tensor.columns().copy(), tensor.used
-    noisy[:, :used] += rng.normal(0.0, sigma, size=(len(noisy), used))
-    if tensor.words is None:
-        return DescriptionTensor(values=noisy, used=used)
+    noisy = tensor.columns()  # a fresh E x len(ids) array
+    noisy += rng.normal(0.0, sigma, size=noisy.shape)
     ids = tensor.ids.copy()
     if sigma > 0.0:  # zero noise leaves every column, so every id, as it was
-        ids[:used] = tensor.words.append(noisy[:, :used].T) + np.arange(used)
-    return DescriptionTensor(ids=ids, words=tensor.words, used=used)
+        ids[:] = tensor.words.append(noisy.T) + np.arange(len(ids))
+    return DescriptionTensor(ids, tensor.words)
 
 
 def augment_corpus(corpus, method, factor, rng, synonyms=None):

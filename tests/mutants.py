@@ -99,14 +99,18 @@ MUTANTS = [
            "    yield \"fc2_w\", ..., dlogits.T @ _dropout(trace.fc1, masks, cfg.dropout)\n"
            "    dfc1_pre = _dropout(dlogits @ model.fc2_w, masks, cfg.dropout) * (trace.fc1 > 0.0)\n",
            ("tests/test_textcnn.py::TestCutStacks::test_train_equals_full_width_loop",)),
+    Mutant("cnn-tables-mixed", "src/xmreid/textcnn.py",
+           "any(t.words is not words for t in tensors) or ",
+           "",
+           ("tests/test_textcnn.py::TestTrain::test_tensors_on_two_tables_rejected",)),
     Mutant("emb-zero-row-own-id", "src/xmreid/textprep.py",
            "    pool += 0.0\n",
            "",
            ("tests/test_textcnn.py::TestBatchedOracle"
             "::test_zero_and_negative_zero_columns_read_as_padding",)),
     Mutant("gaussian-noise-in-place", "src/xmreid/textprep.py",
-           "ids[:used] = tensor.words.append(noisy[:, :used].T) + np.arange(used)",
-           "tensor.words.vectors[ids[:used]] = noisy[:, :used].T",
+           "ids[:] = tensor.words.append(noisy.T) + np.arange(len(ids))",
+           "tensor.words.vectors[ids] = noisy.T",
            ("tests/test_textprep.py::TestBuildTrainingTensors::test_gaussian_leaves_clean_columns",)),
     Mutant("xqda-lift-multiplies", "src/xmreid/xqda.py",
            "w=w / scale[:, None]",

@@ -12,9 +12,16 @@ import time
 import numpy as np
 import pytest
 
-from xmreid import cca, cli, evaluation, linalg, synth, textcnn, xqda
+from xmreid import cca, cli, evaluation, linalg, synth, textcnn, textprep, xqda
 from xmreid.rng import stream
-from xmreid.textprep import DescriptionTensor
+
+
+def on_one_table(blocks):
+    """A description tensor per E x T column block, all ids into one WordTable
+    coded by textprep.code_rows; a zero column is id 0, read as padding."""
+    vectors, ids = textprep.code_rows([block.T for block in blocks], len(blocks[0]))
+    words = textprep.WordTable({}, vectors)
+    return [textprep.DescriptionTensor(i.astype(np.int32), words) for i in ids]
 
 
 def report(criterion, detail):
@@ -141,7 +148,8 @@ def test_criterion_4_textcnn_gradients_and_overfit():
         values = np.zeros((cfg.embed_dim, cfg.max_len))
         values[:, :used] = gen.standard_normal((cfg.embed_dim, used))
         label = int(gen.integers(0, cfg.num_classes))
-        _, grads = textcnn.batch_loss_and_gradients(model, values[None], [label])
+        batch = on_one_table([values])
+        _, grads = textcnn.batch_loss_and_gradients(model, batch, [label])
         step = 1e-5
         for name, param in model.params():
             flat = param.reshape(-1)
@@ -149,9 +157,9 @@ def test_criterion_4_textcnn_gradients_and_overfit():
             for i in range(flat.size):
                 keep = flat[i]
                 flat[i] = keep + step
-                up, _ = textcnn.batch_loss_and_gradients(model, values[None], [label])
+                up, _ = textcnn.batch_loss_and_gradients(model, batch, [label])
                 flat[i] = keep - step
-                down, _ = textcnn.batch_loss_and_gradients(model, values[None], [label])
+                down, _ = textcnn.batch_loss_and_gradients(model, batch, [label])
                 flat[i] = keep
                 numeric[i] = (up[0] - down[0]) / (2.0 * step)
             analytic = grads[name].reshape(-1)
@@ -165,18 +173,19 @@ def test_criterion_4_textcnn_gradients_and_overfit():
     for _, arr in zero_model.params():
         arr[...] = 0.0
     values = stream(2003, 1).standard_normal((1, 5, 8))
-    loss, _ = textcnn.batch_loss_and_gradients(zero_model, values, [3])
+    loss, _ = textcnn.batch_loss_and_gradients(zero_model, on_one_table(list(values)), [3])
     assert abs(loss[0] - math.log(11)) <= 1e-12
 
     toy_cfg = textcnn.TextCnnConfig(num_classes=10, embed_dim=8, kernel_count=12,
                                     kernel_width=3, hidden_dim=24, max_len=10, dropout=0.0)
     toy_model = textcnn.init_model(toy_cfg, stream(2004, 0))
     gen = stream(2004, 1)
-    samples = []
+    blocks = []
     for label in range(10):
         values = np.zeros((8, 10))
         values[:, :10] = gen.standard_normal((8, 10))
-        samples.append((label, DescriptionTensor(values=values, used=10)))
+        blocks.append(values)
+    samples = list(enumerate(on_one_table(blocks)))
     solver = textcnn.SolverConfig(iterations=500, base_lr=0.05, batch_size=10)
     textcnn.train(toy_model, samples, solver, stream(2004, 2))
     predicted = textcnn.predict(toy_model, [t for _, t in samples])
@@ -201,13 +210,13 @@ def test_criterion_5_detector_analysis():
     planted = 9
     model.conv_w[planted, :, cfg.kernel_width // 2] = target
 
-    tensors, truth = [], []
+    blocks, truth = [], []
     for pos in (4, 8, 13, 17):  # 1-based word positions
         values = 0.01 * rng.standard_normal((6, 20))
         values[:, pos - 1] = target
-        tensors.append(DescriptionTensor(values=values, used=20))
+        blocks.append(values)
         truth.append(pos)
-    channel, errors = textcnn.find_detector_channel(model, tensors, truth)
+    channel, errors = textcnn.find_detector_channel(model, on_one_table(blocks), truth)
     assert channel == planted
     assert errors.sum() == 0
     report(5, f"planted channel {planted} recovered with zero error; offset = 2 for w=5")

@@ -238,6 +238,26 @@ class TestTrainTextCnn:
                     replaced += after != before
         assert replaced > 0
 
+    def test_gaussian_augment_reruns_bytewise(self, tmp_path):
+        # Each description is followed by its factor-1 noisy variants, whose
+        # columns the run appends to its word table as new ids; reruns match,
+        # and the variants change what is trained.
+        data = gen_dataset(tmp_path)
+        outputs = []
+        for where, flags in (("a", ("--augment", "gaussian", "--factor", "3")),
+                             ("b", ("--augment", "gaussian", "--factor", "3")), ("plain", ())):
+            out_dir = tmp_path / where
+            out_dir.mkdir()
+            assert run(["train-textcnn", "--corpus", str(data / "corpus.corpus"),
+                        "--embeddings", str(data / "embeddings.emb"), "--out-dir", str(out_dir),
+                        "--iters", "4", "--batch", "4", "--kernels", "4", "--kernel-width", "3",
+                        "--hidden", "8", "--max-len", "10", *flags, "--seed", "5",
+                        "--quiet"]) == 0
+            outputs.append([(out_dir / name).read_bytes()
+                            for name in ("model.cnn", "loss_history.csv")])
+        assert outputs[0] == outputs[1]
+        assert outputs[0][1] != outputs[2][1]
+
     # --lr-drop-every, --momentum, --weight-decay, --lr-drop-factor and
     # --sigma are deleted, so their bad values are now usage errors
     @pytest.mark.parametrize("flags", [

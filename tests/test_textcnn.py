@@ -25,11 +25,22 @@ def toy_config(num_classes=4, embed_dim=6, kernel_count=5, kernel_width=3,
     )
 
 
-def random_tensor(rng, config, used=None):
+def random_values(rng, config, used=None):
+    """E x max_len columns, random through `used` and zero past it."""
     used = config.max_len if used is None else used
     values = np.zeros((config.embed_dim, config.max_len))
     values[:, :used] = rng.standard_normal((config.embed_dim, used))
-    return DescriptionTensor(values=values, used=used)
+    return values
+
+
+def on_one_table(blocks):
+    """A DescriptionTensor per E x T column block, all ids into one WordTable
+    coded by textprep.code_rows: a zero column is id 0, so trailing zero ids
+    stand in for stored padding."""
+    blocks = list(blocks)
+    vectors, ids = textprep.code_rows([block.T for block in blocks], len(blocks[0]))
+    words = textprep.WordTable({}, vectors)
+    return [DescriptionTensor(i.astype(np.int32), words) for i in ids]
 
 
 def paper_config(num_classes=10):
@@ -44,14 +55,9 @@ def relative_error(got, want):
     return diff / scale if scale > 0.0 else diff
 
 
-def one(tensor):
-    """A 1 x E x T batch holding one tensor."""
-    return tensor.values[None]
-
-
 def sample_loss_and_gradients(model, tensor, label):
     """Loss and gradients of one tensor, run as a batch of one."""
-    losses, grads = textcnn.batch_loss_and_gradients(model, one(tensor), [label])
+    losses, grads = textcnn.batch_loss_and_gradients(model, [tensor], [label])
     return float(losses[0]), grads
 
 
@@ -68,12 +74,9 @@ def oracle_batch(model, tensors, labels, masks=None):
 
 
 def assert_batch_matches_oracle(model, tensors, labels, masks=None):
-    """The batch core on the max_len-wide stack against the oracle, which
-    pads each stored tensor itself."""
-    width = model.config.max_len
-    columns = [t.columns() for t in tensors]
-    values = np.stack([np.pad(c, ((0, 0), (0, width - c.shape[1]))) for c in columns])
-    losses, grads = textcnn.batch_loss_and_gradients(model, values, labels, masks)
+    """The batch core at full width against the oracle, which pads each
+    stored tensor itself."""
+    losses, grads = textcnn.batch_loss_and_gradients(model, tensors, labels, masks)
     want_losses, want = oracle_batch(model, tensors, labels, masks)
     assert relative_error(losses, want_losses) <= 1e-12
     assert abs(losses.sum() - want_losses.sum()) <= 1e-12 * abs(want_losses.sum())
@@ -135,18 +138,18 @@ class TestForward:
         cfg = toy_config(embed_dim=4, kernel_width=5, max_len=70)
         model = textcnn.init_model(cfg, stream(1, 1))
         model.conv_b[...] = [0.5, 0.0, -0.5, 0.25, -0.25]
-        tensor = random_tensor(stream(1, 2), cfg)
-        trace = textcnn.forward(model, one(tensor))
+        tensor = on_one_table([random_values(stream(1, 2), cfg)])
+        trace = textcnn.forward(model, tensor)
         assert trace.conv.shape == (1, cfg.kernel_count, 66)
         assert list(trace.ids[0]) == list(range(1, 71))
-        assert np.array_equal(trace.distinct, np.hstack([np.zeros((4, 1)), tensor.values]).T)
+        assert np.array_equal(trace.distinct, np.hstack([np.zeros((4, 1)), tensor[0].columns()]).T)
 
         # 8 words: the 62 padding columns read code 0, so only 9 columns are projected
-        short_tensor = random_tensor(stream(1, 3), cfg, used=8)
-        short = textcnn.forward(model, one(short_tensor))
+        short_tensor = on_one_table([random_values(stream(1, 3), cfg, used=8)])
+        short = textcnn.forward(model, short_tensor)
         assert short.conv.shape == (1, cfg.kernel_count, 66)
         assert list(short.ids[0]) == list(range(1, 9)) + [0] * 62
-        assert np.array_equal(short.distinct[short.ids[0]], short_tensor.values.T)
+        assert np.array_equal(short.distinct[short.ids[0]], short_tensor[0].columns().T)
         padding = np.broadcast_to(np.maximum(model.conv_b, 0.0)[None, :, None], (1, 5, 58))
         assert np.array_equal(short.conv[..., 8:], padding)
 
@@ -155,8 +158,8 @@ class TestForward:
         model = textcnn.init_model(cfg, stream(2, 1))
         for _, arr in model.params():
             arr[...] = 0.0
-        tensor = random_tensor(stream(2, 2), cfg)
-        logits = textcnn.forward(model, one(tensor)).logits
+        tensor = on_one_table([random_values(stream(2, 2), cfg)])
+        logits = textcnn.forward(model, tensor).logits
         assert np.array_equal(logits, np.zeros((1, 8)))
         loss, probs = textcnn.softmax_cross_entropy(logits, [3])
         assert abs(loss[0] - math.log(8)) < 1e-12
@@ -165,26 +168,26 @@ class TestForward:
     def test_inference_deterministic(self):
         cfg = toy_config(dropout=0.5)
         model = textcnn.init_model(cfg, stream(4, 1))
-        tensor = random_tensor(stream(4, 2), cfg)
-        first = textcnn.forward(model, one(tensor)).logits
-        second = textcnn.forward(model, one(tensor)).logits
+        tensor = on_one_table([random_values(stream(4, 2), cfg)])
+        first = textcnn.forward(model, tensor).logits
+        second = textcnn.forward(model, tensor).logits
         assert np.array_equal(first, second)
 
     def test_train_dropout_changes_logits(self):
         cfg = toy_config(dropout=0.5, hidden_dim=64)
         model = textcnn.init_model(cfg, stream(5, 1))
-        tensor = random_tensor(stream(5, 2), cfg)
+        tensor = on_one_table([random_values(stream(5, 2), cfg)])
         masks = stream(5, 3).random((1, cfg.hidden_dim)) >= cfg.dropout
-        plain = textcnn.forward(model, one(tensor))
-        dropped = textcnn.forward(model, one(tensor), masks)
+        plain = textcnn.forward(model, tensor)
+        dropped = textcnn.forward(model, tensor, masks)
         assert np.array_equal(plain.fc1, dropped.fc1)  # dropout acts after FC1
         assert not np.array_equal(plain.logits, dropped.logits)
 
     def test_pooled_is_rowwise_max(self):
         cfg = toy_config()
         model = textcnn.init_model(cfg, stream(6, 1))
-        tensor = random_tensor(stream(6, 2), cfg)
-        trace = textcnn.forward(model, one(tensor))
+        tensor = on_one_table([random_values(stream(6, 2), cfg)])
+        trace = textcnn.forward(model, tensor)
         assert np.array_equal(trace.pooled, trace.conv.max(axis=2))
 
     def test_width_one_pooling_is_permutation_invariant(self):
@@ -193,33 +196,30 @@ class TestForward:
         cfg = toy_config(kernel_width=1, max_len=8)
         model = textcnn.init_model(cfg, stream(26, 1))
         gen = stream(26, 2)
-        tensor = random_tensor(gen, cfg, used=8)
-        permuted = DescriptionTensor(
-            values=tensor.values[:, gen.permutation(8)], used=8
-        )
-        trace_a = textcnn.forward(model, one(tensor))
-        trace_b = textcnn.forward(model, one(permuted))
+        values = random_values(gen, cfg, used=8)
+        tensor, permuted = on_one_table([values, values[:, gen.permutation(8)]])
+        trace_a = textcnn.forward(model, [tensor])
+        trace_b = textcnn.forward(model, [permuted])
         assert np.allclose(trace_a.pooled, trace_b.pooled)
 
     def test_padding_never_changes_pooling(self):
-        # once the tail already holds a full window of zeros, appending more
-        # zero columns cannot disturb the pooled vector
+        # a description stored through its words and the same one stored with
+        # trailing zero ids, padding, pool alike
         cfg = toy_config(max_len=6, kernel_width=3)
         model = textcnn.init_model(cfg, stream(7, 1))
-        short = random_tensor(stream(7, 2), cfg, used=3)
-        padded = DescriptionTensor(
-            values=np.hstack([short.values, np.zeros((cfg.embed_dim, 4))]), used=3
-        )
-        trace_a = textcnn.forward(model, one(short))
-        trace_b = textcnn.forward(model, one(padded))
+        values = random_values(stream(7, 2), cfg, used=3)
+        short, padded = on_one_table([values[:, :3], values])
+        assert len(short.ids) == 3 and list(padded.ids[3:]) == [0, 0, 0]
+        trace_a = textcnn.forward(model, [short])
+        trace_b = textcnn.forward(model, [padded])
         assert np.allclose(trace_a.pooled, trace_b.pooled)
 
     def test_embed_dim_mismatch(self):
         cfg = toy_config()
         model = textcnn.init_model(cfg, stream(8, 1))
-        bad = DescriptionTensor(values=np.zeros((cfg.embed_dim + 1, cfg.max_len)), used=1)
+        bad = on_one_table([np.zeros((cfg.embed_dim + 1, cfg.max_len))])
         with pytest.raises(ShapeMismatch):
-            textcnn.forward(model, one(bad))
+            textcnn.forward(model, bad)
 
 
 class TestGradients:
@@ -233,7 +233,8 @@ class TestGradients:
             gen = stream(101, trial)
             model.conv_b[...] = 0.1 * gen.standard_normal(cfg.kernel_count)
             model.fc1_b[...] = 0.1 * gen.standard_normal(cfg.hidden_dim)
-            tensor = random_tensor(gen, cfg, used=int(gen.integers(3, cfg.max_len + 1)))
+            used = int(gen.integers(3, cfg.max_len + 1))
+            tensor, = on_one_table([random_values(gen, cfg, used=used)])
             label = int(gen.integers(0, cfg.num_classes))
             worst = max(worst, finite_difference_check(model, tensor, label))
         assert worst < 1e-4
@@ -244,7 +245,7 @@ class TestGradients:
         model = textcnn.init_model(cfg, stream(9, 1))
         for _, arr in model.params():
             arr[...] = 0.0
-        tensor = random_tensor(stream(9, 2), cfg)
+        tensor, = on_one_table([random_values(stream(9, 2), cfg)])
         _, grads = sample_loss_and_gradients(model, tensor, 2)
         expected = np.full(5, 1.0 / 5.0)
         expected[2] -= 1.0
@@ -253,10 +254,10 @@ class TestGradients:
     def test_gradient_mean_linearity(self):
         cfg = toy_config()
         model = textcnn.init_model(cfg, stream(10, 1))
-        tensor = random_tensor(stream(10, 2), cfg)
+        tensor, = on_one_table([random_values(stream(10, 2), cfg)])
         # a batch holding the same sample twice sums two equal gradients
         _, single = sample_loss_and_gradients(model, tensor, 1)
-        _, double = textcnn.batch_loss_and_gradients(model, np.stack([tensor.values] * 2), [1, 1])
+        _, double = textcnn.batch_loss_and_gradients(model, [tensor] * 2, [1, 1])
         for name in textcnn.PARAM_NAMES:
             assert np.allclose(single[name], double[name] / 2.0, atol=1e-14), name
 
@@ -264,19 +265,16 @@ class TestGradients:
         cfg = toy_config(num_classes=3)
         model = textcnn.init_model(cfg, stream(11, 1))
         with pytest.raises(ShapeMismatch):
-            sample_loss_and_gradients(model, random_tensor(stream(11, 2), cfg), 3)
-        values = np.stack([random_tensor(stream(11, 3), cfg).values] * 2)
+            sample_loss_and_gradients(model, *on_one_table([random_values(stream(11, 2), cfg)]), 3)
+        tensors = on_one_table([random_values(stream(11, 3), cfg)]) * 2
         with pytest.raises(ShapeMismatch):
-            textcnn.batch_loss_and_gradients(model, values, [0])
+            textcnn.batch_loss_and_gradients(model, tensors, [0])
 
 
 class TestTrain:
     def make_corpus(self, cfg, rng, per_class=1):
-        samples = []
-        for label in range(cfg.num_classes):
-            for _ in range(per_class):
-                samples.append((label, random_tensor(rng, cfg)))
-        return samples
+        labels = np.repeat(np.arange(cfg.num_classes), per_class).tolist()
+        return list(zip(labels, on_one_table(random_values(rng, cfg) for _ in labels)))
 
     def test_overfits_ten_classes(self):
         cfg = toy_config(num_classes=10, embed_dim=8, kernel_count=12,
@@ -356,12 +354,13 @@ class TestTrain:
             assert relative_error(got, want) <= 1e-10, name
 
     def test_paper_size_iteration_memory(self):
-        # The batch is stacked once and gradients are summed by GEMMs; holding
+        # The batch runs at once and gradients are summed by GEMMs; holding
         # 100 per-sample gradients would alone take about 500 MB here.
         cfg = paper_config()
         model = textcnn.init_model(cfg, stream(27, 1))
         gen = stream(27, 2)
-        samples = [(label, random_tensor(gen, cfg, used=40)) for label in range(cfg.num_classes)]
+        samples = list(enumerate(on_one_table(random_values(gen, cfg, used=40)
+                                              for _ in range(cfg.num_classes))))
         solver = textcnn.SolverConfig(iterations=1, batch_size=100)
         tracemalloc.start()
         try:
@@ -374,16 +373,18 @@ class TestTrain:
 
     def test_full_width_iteration_memory(self):
         # 70-column descriptions fill all 100 x 66 windows, whose im2col rows
-        # would take 76 MiB alone. The peak, 35.7 MiB, is the 12.9 MiB C x B x P
-        # responses and one offset's gathered part of them beside the SGD velocities
-        # and the 1.7 MiB table that train codes these dense tensors into.
+        # would take 76 MiB alone. The peak, 34.1 MiB, is the 12.9 MiB C x B x P
+        # responses and one offset's gathered part of them beside the 5.0 MiB SGD
+        # velocities, the batch's 1.6 MiB distinct columns and their C x U
+        # projection; the ids' table is built before tracing starts.
         # A second step peaks no higher, because the last applied conv_w slice
         # (0.6 MiB) is freed before the next forward.
         def traced_run(iterations):
             cfg = paper_config()
             model = textcnn.init_model(cfg, stream(45, 1))
             gen = stream(45, 2)
-            samples = [(label, random_tensor(gen, cfg)) for label in range(cfg.num_classes)]
+            samples = list(enumerate(on_one_table(random_values(gen, cfg)
+                                                  for _ in range(cfg.num_classes))))
             solver = textcnn.SolverConfig(iterations=iterations, batch_size=100)
             tracemalloc.start()
             try:
@@ -394,23 +395,21 @@ class TestTrain:
 
         history, one_step = traced_run(1)
         assert np.isfinite(history[0])
-        assert one_step < 36 * 2**20
+        assert one_step < 35 * 2**20
         history, two_steps = traced_run(2)
         assert np.isfinite(history).all()
         assert two_steps < one_step + 256 * 2**10
 
     def test_shared_vocabulary_iteration_memory(self):
         # 70-word descriptions over a 32-word table: the batch codes at most
-        # 33 distinct columns. The peak, 31.4 MiB, is the responses as above,
+        # 33 distinct columns. The peak, 31.3 MiB, is the responses as above,
         # far below the 76 MiB that im2col rows alone took.
         cfg = paper_config()
         model = textcnn.init_model(cfg, stream(46, 1))
         gen = stream(46, 2)
         table = gen.standard_normal((cfg.embed_dim, 32))
-        samples = [(label % cfg.num_classes,
-                    DescriptionTensor(values=table[:, gen.integers(0, 32, cfg.max_len)],
-                                      used=cfg.max_len))
-                   for label in range(100)]
+        tensors = on_one_table(table[:, gen.integers(0, 32, cfg.max_len)] for _ in range(100))
+        samples = [(label % cfg.num_classes, t) for label, t in enumerate(tensors)]
         solver = textcnn.SolverConfig(iterations=1, batch_size=100)
         tracemalloc.start()
         try:
@@ -436,7 +435,7 @@ class TestTrain:
             size = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        assert [tensor.used for _, _, tensor in records] == [70] * 1264
+        assert [len(tensor.ids) for _, _, tensor in records] == [70] * 1264
         assert size < 10**6
 
     def test_applied_gradients_are_freed(self):
@@ -446,15 +445,14 @@ class TestTrain:
         # covers the previous losses, batch indices and the loss history.
         # Every description orders the same 8 words, so each batch codes the
         # same 9 distinct columns and its activations take the same memory.
-        # One step peaks at 11.4 MiB, of which the velocities are 5.4 MiB.
+        # One step peaks at 11.3 MiB, of which the velocities are 5.4 MiB.
         def traced_peak(iterations):
             cfg = paper_config()
             model = textcnn.init_model(cfg, stream(29, 1))
             gen = stream(29, 2)
             words = gen.standard_normal((cfg.embed_dim, 8))
-            samples = [(label % cfg.num_classes,
-                        DescriptionTensor(values=words[:, gen.permutation(8)], used=8))
-                       for label in range(100)]
+            tensors = on_one_table(words[:, gen.permutation(8)] for _ in range(100))
+            samples = [(label % cfg.num_classes, t) for label, t in enumerate(tensors)]
             solver = textcnn.SolverConfig(iterations=iterations, batch_size=100)
             tracemalloc.start()
             try:
@@ -475,7 +473,7 @@ class TestTrain:
         model = textcnn.init_model(cfg, stream(49, 1))
         model.fc2_b[:2] = [1e308, -1e308]
         before = [arr.tobytes() for _, arr in model.params()]
-        samples = [(1, random_tensor(stream(49, 2), cfg))]
+        samples = [(1, *on_one_table([random_values(stream(49, 2), cfg)]))]
         solver = textcnn.SolverConfig(iterations=3, batch_size=2)
         with np.errstate(over="ignore"), pytest.raises(NoConvergence, match="iteration 0"):
             textcnn.train(model, samples, solver, stream(49, 3))
@@ -483,20 +481,40 @@ class TestTrain:
 
     def test_mixed_shapes_rejected(self):
         # Stored widths up to max_len mix freely, down to an empty tensor; a
-        # wider tensor or another embedding size does not fit the model.
+        # wider tensor on the same table or a table of another embedding size
+        # does not fit the model.
         cfg = toy_config()
         model = textcnn.init_model(cfg, stream(28, 1))
         gen = stream(28, 2)
-        samples = [(0, random_tensor(gen, cfg)),
-                   (1, DescriptionTensor(values=gen.standard_normal((cfg.embed_dim, 4)), used=4)),
-                   (2, DescriptionTensor(values=np.zeros((cfg.embed_dim, 0)), used=0))]
+        blocks = [random_values(gen, cfg), gen.standard_normal((cfg.embed_dim, 4)),
+                  np.zeros((cfg.embed_dim, 0)), np.ones((cfg.embed_dim, cfg.max_len + 1))]
+        *tensors, wide = on_one_table(blocks)
+        samples = list(enumerate(tensors))
         solver = textcnn.SolverConfig(iterations=3, batch_size=3)
         assert len(textcnn.train(model, samples, solver, stream(28, 3))) == 3
-        wide = DescriptionTensor(values=np.ones((cfg.embed_dim, cfg.max_len + 1)), used=1)
-        thin = DescriptionTensor(values=np.ones((cfg.embed_dim - 1, 3)), used=3)
-        for bad in (wide, thin):
+        thin = on_one_table([np.ones((cfg.embed_dim - 1, 3))])
+        for bad in (samples + [(3, wide)], [(3, *thin)]):
             with pytest.raises(ShapeMismatch):
-                textcnn.train(model, samples + [(3, bad)], solver, stream(28, 3))
+                textcnn.train(model, bad, solver, stream(28, 3))
+
+    def test_tensors_on_two_tables_rejected(self):
+        # Ids mean rows of their own WordTable: tensors from two tables, even of
+        # equal shapes, are refused rather than read against one of them.
+        cfg = toy_config()
+        model = textcnn.init_model(cfg, stream(52, 1))
+        gen = stream(52, 2)
+        first = on_one_table([random_values(gen, cfg) for _ in range(2)])
+        second = on_one_table([random_values(gen, cfg) for _ in range(2)])
+        mixed = [first[0], second[1]]
+        solver = textcnn.SolverConfig(iterations=1, batch_size=2)
+        with pytest.raises(ShapeMismatch):
+            textcnn.train(model, list(enumerate(mixed)), solver, stream(52, 3))
+        with pytest.raises(ShapeMismatch):
+            textcnn.predict(model, mixed)
+        with pytest.raises(ShapeMismatch):
+            textcnn.forward(model, mixed)
+        for tensors in (first, second):
+            assert textcnn.forward(model, tensors).logits.shape == (2, cfg.num_classes)
 
 
 class TestBatchedOracle:
@@ -506,7 +524,7 @@ class TestBatchedOracle:
         cfg = toy_config(dropout=0.5, hidden_dim=16)
         model = textcnn.init_model(cfg, stream(30, 1))
         gen = stream(30, 2)
-        tensors = [random_tensor(gen, cfg) for _ in range(8)]
+        tensors = on_one_table(random_values(gen, cfg) for _ in range(8))
         labels = gen.integers(0, cfg.num_classes, size=8)
         masks = gen.random((8, cfg.hidden_dim)) >= cfg.dropout
         assert_batch_matches_oracle(model, tensors, labels, masks)
@@ -516,8 +534,8 @@ class TestBatchedOracle:
         model = textcnn.init_model(cfg, stream(31, 1))
         model.conv_b[::2] = -100.0  # every window of these channels is clipped
         gen = stream(31, 2)
-        tensors = [random_tensor(gen, cfg) for _ in range(8)]
-        pooled = textcnn.forward(model, one(tensors[0])).pooled[0]
+        tensors = on_one_table(random_values(gen, cfg) for _ in range(8))
+        pooled = textcnn.forward(model, tensors[:1]).pooled[0]
         assert np.all(pooled[::2] == 0.0) and np.all(pooled[1::2] > 0.0)
         assert_batch_matches_oracle(model, tensors, gen.integers(0, cfg.num_classes, size=8))
 
@@ -529,12 +547,9 @@ class TestBatchedOracle:
         gen = stream(32, 2)
         model.conv_w[...] = gen.integers(-2, 3, size=model.conv_w.shape) / 2.0
         model.conv_b[...] = 0.5
-        tensors = []
-        for _ in range(8):
-            column = gen.integers(-3, 4, size=(cfg.embed_dim, 1)).astype(float)
-            tensors.append(DescriptionTensor(values=np.repeat(column, cfg.max_len, axis=1),
-                                             used=cfg.max_len))
-        trace = textcnn.forward(model, one(tensors[0]))
+        columns = [gen.integers(-3, 4, size=(cfg.embed_dim, 1)).astype(float) for _ in range(8)]
+        tensors = on_one_table(np.repeat(column, cfg.max_len, axis=1) for column in columns)
+        trace = textcnn.forward(model, tensors[:1])
         assert np.all(trace.argmax == 0) and np.any(trace.pooled > 0.0)
         assert np.all(trace.conv == trace.conv[:, :, :1])
         assert_batch_matches_oracle(model, tensors, gen.integers(0, cfg.num_classes, size=8))
@@ -545,21 +560,23 @@ class TestBatchedOracle:
         model = textcnn.init_model(cfg, stream(33, 1))
         model.conv_b[...] = 0.8
         gen = stream(33, 2)
-        tensors = [random_tensor(gen, cfg, used=int(gen.integers(3, 7))) for _ in range(8)]
-        peaks = [textcnn.forward(model, one(t)).argmax[0] for t in tensors]
-        assert any(np.any(p >= t.used) for p, t in zip(peaks, tensors))
+        tensors = on_one_table(random_values(gen, cfg, used=int(gen.integers(3, 7)))
+                               for _ in range(8))
+        used = [int(np.count_nonzero(t.ids)) for t in tensors]
+        peaks = [textcnn.forward(model, [t]).argmax[0] for t in tensors]
+        assert any(np.any(p >= u) for p, u in zip(peaks, used))
         labels = gen.integers(0, cfg.num_classes, size=8)
         assert_batch_matches_oracle(model, tensors, labels)
         # the same descriptions stored through their words only
-        ragged = [DescriptionTensor(values=t.values[:, :t.used].copy(), used=t.used)
-                  for t in tensors]
+        ragged = [DescriptionTensor(t.ids[:u], t.words) for t, u in zip(tensors, used)]
         assert_batch_matches_oracle(model, ragged, labels)
 
     def test_paper_layer_sizes(self):
         cfg = paper_config()
         model = textcnn.init_model(cfg, stream(34, 1))
         gen = stream(34, 2)
-        tensors = [random_tensor(gen, cfg, used=int(gen.integers(5, 71))) for _ in range(8)]
+        tensors = on_one_table(random_values(gen, cfg, used=int(gen.integers(5, 71)))
+                               for _ in range(8))
         labels = gen.integers(0, cfg.num_classes, size=8)
         masks = gen.random((8, cfg.hidden_dim)) >= cfg.dropout
         assert_batch_matches_oracle(model, tensors, labels, masks)
@@ -574,13 +591,13 @@ class TestBatchedOracle:
         width, positions = cfg.kernel_width, cfg.max_len - cfg.kernel_width + 1
         edges = [0, 1, width - 1, width, 8, positions - 1, positions, cfg.max_len]
         used = edges + [int(u) for u in gen.integers(0, cfg.max_len + 1, size=32 - len(edges))]
-        tensors = [random_tensor(gen, cfg, used=u) for u in used]
+        tensors = on_one_table(random_values(gen, cfg, used=u) for u in used)
         labels = gen.integers(0, cfg.num_classes, size=len(tensors))
         masks = gen.random((len(tensors), cfg.hidden_dim)) >= cfg.dropout
         assert_batch_matches_oracle(model, tensors, labels, masks)
 
-        values = np.stack([t.values for t in tensors])
-        trace = textcnn.forward(model, values)
+        values = np.stack([t.columns() for t in tensors])
+        trace = textcnn.forward(model, tensors)
         # every word column is distinct and padding alone reads code 0
         assert len(trace.distinct) == 1 + sum(used) and trace.conv.shape[2] == positions
         assert np.array_equal(trace.ids > 0, np.arange(cfg.max_len) < np.array(used)[:, None])
@@ -599,25 +616,25 @@ class TestBatchedOracle:
         gen = stream(47, 2)
         table = gen.standard_normal((cfg.embed_dim, 2000))
         zipf = 1.0 / np.arange(1, 2001)
-        corpus = []
+        blocks = []
         for used in gen.integers(5, cfg.max_len + 1, size=16):
             values = np.zeros((cfg.embed_dim, cfg.max_len))
             values[:, :used] = table[:, gen.choice(2000, size=used, p=zipf / zipf.sum())]
-            corpus.append(DescriptionTensor(values=values, used=int(used)))
+            blocks.append(values)
+        corpus = on_one_table(blocks)
         tensors = [corpus[i] for i in gen.integers(0, len(corpus), size=40)]
         labels = gen.integers(0, cfg.num_classes, size=len(tensors))
         masks = gen.random((len(tensors), cfg.hidden_dim)) >= cfg.dropout
         assert_batch_matches_oracle(model, tensors, labels, masks)
 
-        values = np.stack([t.values for t in tensors])
-        padded = textcnn.batch_loss_and_gradients(model, values, labels, masks)
-        stored = [DescriptionTensor(values=t.values[:, :t.used], used=t.used) for t in tensors]
-        table, sentences = textcnn._coded(stored, cfg)
+        # the cut windows that train runs against full width
+        padded = textcnn.batch_loss_and_gradients(model, tensors, labels, masks)
+        table, sentences = textcnn._coded(tensors, cfg)
         trace = textcnn._forward(model, table, sentences)
-        assert 2 * len(trace.distinct) < sum(t.used for t in tensors)
-        stored = textcnn._loss_and_gradients(model, table, sentences, None, labels, masks)
-        assert np.array_equal(next(stored), padded[0])
-        for name, index, grad in stored:
+        assert 2 * len(trace.distinct) < sum(len(s) for s in sentences)
+        cut = textcnn._loss_and_gradients(model, table, sentences, False, labels, masks)
+        assert np.array_equal(next(cut), padded[0])
+        for name, index, grad in cut:
             assert np.array_equal(grad, padded[1][name][index]), name
 
     def test_zero_and_negative_zero_columns_read_as_padding(self):
@@ -632,8 +649,7 @@ class TestBatchedOracle:
         negative = values.copy()
         negative[:, 4] = -0.0
         assert np.signbit(negative[:, 4]).all()
-        plain, trace = (textcnn.forward(model, np.pad(v, ((0, 0), (0, 3)))[None])
-                        for v in (values, negative))
+        plain, trace = (textcnn.forward(model, on_one_table([v])) for v in (values, negative))
         assert list(trace.ids[0]) == [1, 2, 3, 0, 0, 0, 4, 5, 6, 0, 0, 0]
         padding = np.maximum(model.conv_b, 0.0)
         assert np.array_equal(trace.conv[0, :, 3], padding)
@@ -646,10 +662,11 @@ class TestBatchedOracle:
         model = textcnn.init_model(cfg, stream(39, 1))
         model.conv_b[...] = 0.8
         gen = stream(39, 2)
-        tensors = [random_tensor(gen, cfg, used=4) for _ in range(8)]
-        for tensor in tensors:
-            tensor.values[:, 4:] = 1e-3 * gen.standard_normal((cfg.embed_dim, cfg.max_len - 4))
-        trace = textcnn.forward(model, np.stack([t.values for t in tensors]))
+        blocks = [random_values(gen, cfg, used=4) for _ in range(8)]
+        for values in blocks:
+            values[:, 4:] = 1e-3 * gen.standard_normal((cfg.embed_dim, cfg.max_len - 4))
+        tensors = on_one_table(blocks)
+        trace = textcnn.forward(model, tensors)
         assert np.all(trace.ids > 0) and len(trace.distinct) == 1 + 8 * cfg.max_len
         assert_batch_matches_oracle(model, tensors, gen.integers(0, cfg.num_classes, size=8))
 
@@ -658,7 +675,8 @@ class TestBatchedOracle:
         model = textcnn.init_model(cfg, stream(40, 1))
         model.conv_b[...] = np.resize([0.5, 0.0, -0.5], cfg.kernel_count)
         gen = stream(40, 2)
-        tensors = [random_tensor(gen, cfg, used=u) for u in (0, 1, 4, 5, 8, 23, 65, 66, 70)]
+        tensors = on_one_table(random_values(gen, cfg, used=u)
+                               for u in (0, 1, 4, 5, 8, 23, 65, 66, 70))
         feats = textcnn.extract_features(model, tensors)
         for row, tensor in zip(feats, tensors):
             assert relative_error(row, textcnn.extract_features(model, [tensor])[0]) <= 1e-13
@@ -666,9 +684,9 @@ class TestBatchedOracle:
 
 class TestWordIds:
     """Descriptions stored as ids into one run's table, at paper layer sizes,
-    against dense stacks of their columns and the per-sample oracle."""
+    against the full-width batch core and the per-sample oracle."""
 
-    def test_step_and_predict_match_dense_stacks_and_oracle(self):
+    def test_step_and_predict_match_full_width_and_oracle(self):
         # Zipf text over a 2,000-word vocabulary repeats words; each Gaussian
         # variant's columns are new table rows that never repeat.
         cfg = paper_config()
@@ -703,8 +721,7 @@ class TestWordIds:
         assert set(batch % 2) == {0, 1}  # clean and noisy descriptions share the batch
         chosen = [tensors[i] for i in batch]
         assert_batch_matches_oracle(reference, chosen, labels[batch], masks)
-        values = np.stack([t.columns() for t in chosen])
-        losses, grads = textcnn.batch_loss_and_gradients(reference, values, labels[batch], masks)
+        losses, grads = textcnn.batch_loss_and_gradients(reference, chosen, labels[batch], masks)
         assert history == [float(losses.sum()) / solver.batch_size]
         for (name, got), (_, param) in zip(model.params(), reference.params()):
             grad = grads[name] * (1.0 / solver.batch_size) + textcnn.WEIGHT_DECAY * param
@@ -714,24 +731,31 @@ class TestWordIds:
             param += vel
             assert np.array_equal(got, param), name
 
-        trace = textcnn.forward(model, np.stack([t.columns() for t in tensors]))
+        trace = textcnn.forward(model, tensors)
         assert np.array_equal(textcnn.extract_features(model, tensors), trace.fc1)
         assert np.array_equal(textcnn.predict(model, tensors), trace.logits.argmax(axis=1))
 
 
 class TestCutStacks:
     """train and inference run only the windows forward reads, from each
-    description's stored columns; every output must stay byte-identical to
-    full-width stacks."""
+    description's stored ids; every output must stay byte-identical to the
+    full-width forward and batch_loss_and_gradients."""
 
     def corpus(self, cfg, gen):
-        empty = DescriptionTensor(values=np.zeros((cfg.embed_dim, cfg.max_len)), used=0)
-        stray = random_tensor(gen, cfg, used=2)
-        stray.values[:, 7] = gen.standard_normal(cfg.embed_dim)  # nonzero past `used`
-        noisy = [textprep.augment_gaussian(random_tensor(gen, cfg, used=u), 0.3, gen)
-                 for u in (3, 5)]
-        short = [random_tensor(gen, cfg, used=u) for u in (1, 2, 4, 6)]
-        return [empty, random_tensor(gen, cfg), stray, *noisy, *short]
+        """Descriptions on one table: empty, full, with zero ids inside, two
+        Gaussian variants stored through their words, and four short ones."""
+        holed = random_values(gen, cfg, used=2)
+        holed[:, 7] = gen.standard_normal(cfg.embed_dim)  # ids 0 at 2..6, then a word
+        clean = [random_values(gen, cfg, used=u)[:, :u] for u in (3, 5)]
+        short = [random_values(gen, cfg, used=u) for u in (1, 2, 4, 6)]
+        full = random_values(gen, cfg)
+        empty = np.zeros((cfg.embed_dim, cfg.max_len))
+        tensors = on_one_table([empty, full, holed, *clean, *short])
+        noisy = [textprep.augment_gaussian(tensor, 0.3, gen) for tensor in tensors[3:5]]
+        return [*tensors[:3], *noisy, *tensors[5:]]
+
+    def occupied(self, tensors):
+        return np.array([np.flatnonzero(t.ids).max(initial=-1) + 1 for t in tensors])
 
     def model(self, cfg, seed):
         model = textcnn.init_model(cfg, stream(seed, 1))
@@ -764,8 +788,8 @@ class TestCutStacks:
         for step in range(solver.iterations):
             batch = rng.integers(0, len(tensors), size=solver.batch_size)
             masks = rng.random((solver.batch_size, cfg.hidden_dim)) >= cfg.dropout
-            values = np.stack([tensors[i].values for i in batch])
-            losses, grads = textcnn.batch_loss_and_gradients(reference, values, labels[batch], masks)
+            losses, grads = textcnn.batch_loss_and_gradients(
+                reference, [tensors[i] for i in batch], labels[batch], masks)
             want.append(float(losses.sum()) / solver.batch_size)
             for name, param in reference.params():
                 grad = grads[name] * (1.0 / solver.batch_size) + textcnn.WEIGHT_DECAY * param
@@ -783,14 +807,14 @@ class TestCutStacks:
         cfg = toy_config(max_len=12, kernel_count=8)
         model = self.model(cfg, 42)
         tensors = self.corpus(cfg, stream(42, 2))
-        traces = [textcnn.forward(model, np.stack([t.values for t in tensors[start:start + chunk]]))
+        traces = [textcnn.forward(model, tensors[start:start + chunk])
                   for start in range(0, len(tensors), chunk)]
         fc1 = np.concatenate([trace.fc1 for trace in traces])
         argmax = np.concatenate([trace.argmax for trace in traces])
         assert np.array_equal(textcnn.extract_features(model, tensors), fc1)
         assert np.array_equal(textcnn.predict(model, tensors),
                               np.concatenate([trace.logits.argmax(axis=1) for trace in traces]))
-        assert np.any(argmax >= np.array([t.used for t in tensors])[:, None])
+        assert np.any(argmax >= self.occupied(tensors)[:, None])
 
         truth = np.arange(len(tensors)) % cfg.max_len + 1
         errors = np.abs(argmax + 1 + cfg.kernel_width // 2 - truth[:, None])
@@ -799,13 +823,11 @@ class TestCutStacks:
         assert np.array_equal(got, errors[:, channel])
 
     def ragged(self, tensors):
-        """The same descriptions, each stored through its last nonzero
-        column, one or two columns past it, or at full width."""
-        out = []
-        for k, tensor in enumerate(tensors):
-            width = min(int(textcnn._occupied(tensor.values)) + k % 4, tensor.values.shape[1])
-            out.append(DescriptionTensor(values=tensor.values[:, :width].copy(), used=tensor.used))
-        return out
+        """The same descriptions, each stored through its last nonzero id,
+        one to three zero ids past it, or at its stored width."""
+        widths = np.minimum(self.occupied(tensors) + np.arange(len(tensors)) % 4,
+                            [len(t.ids) for t in tensors])
+        return [DescriptionTensor(t.ids[:width], t.words) for t, width in zip(tensors, widths)]
 
     @pytest.mark.parametrize("chunk", [1, 3, textcnn.INFER_CHUNK])
     def test_ragged_storage_equals_padded(self, monkeypatch, chunk):
@@ -813,7 +835,7 @@ class TestCutStacks:
         cfg = toy_config(max_len=12, dropout=0.5, hidden_dim=16, kernel_count=8)
         padded = self.corpus(cfg, stream(44, 2))
         ragged = self.ragged(padded)
-        widths = [t.values.shape[1] for t in ragged]
+        widths = [len(t.ids) for t in ragged]
         assert min(widths) == 0 and cfg.max_len in widths and len(set(widths)) > 3
         labels = np.arange(len(padded)) % cfg.num_classes
         solver = textcnn.SolverConfig(iterations=30, base_lr=0.05, batch_size=3)
@@ -839,7 +861,7 @@ class TestCutStacks:
         cfg = textcnn.TextCnnConfig(num_classes=10, max_len=max_len)
         model = textcnn.init_model(cfg, stream(43, 1))
         gen = stream(43, 2)
-        tensors = [random_tensor(gen, cfg, used=8) for _ in range(100)]
+        tensors = on_one_table(random_values(gen, cfg, used=8) for _ in range(100))
         samples = [(label % cfg.num_classes, t) for label, t in enumerate(tensors)]
         solver = textcnn.SolverConfig(iterations=1, batch_size=100)
         tracemalloc.start()
@@ -851,8 +873,8 @@ class TestCutStacks:
             tracemalloc.stop()
 
     def test_peak_memory_ignores_padding(self):
-        # 8-word descriptions: doubling max_len adds only zero columns, which
-        # no batch or inference chunk stacks.
+        # 8-word descriptions: doubling max_len adds only trailing zero ids,
+        # which no batch or inference chunk reads.
         assert abs(self.traced_peak(140) - self.traced_peak(70)) < 2 * 2**20
 
 
@@ -861,8 +883,7 @@ class TestFeatures:
         cfg = textcnn.TextCnnConfig(num_classes=4, embed_dim=20, kernel_count=8,
                                     kernel_width=3, max_len=12)
         model = textcnn.init_model(cfg, stream(16, 1))
-        tensor = DescriptionTensor(values=np.zeros((20, 12)), used=0)
-        feats = textcnn.extract_features(model, [tensor])
+        feats = textcnn.extract_features(model, on_one_table([np.zeros((20, 12))]))
         assert feats.shape == (1, 1024)
 
     def test_zero_tensor_zero_bias_gives_zero_feature(self):
@@ -870,27 +891,27 @@ class TestFeatures:
         model = textcnn.init_model(cfg, stream(17, 1))
         model.conv_b[...] = 0.0
         model.fc1_b[...] = 0.0
-        tensor = DescriptionTensor(values=np.zeros((cfg.embed_dim, cfg.max_len)), used=0)
-        feats = textcnn.extract_features(model, [tensor])
+        tensor = on_one_table([np.zeros((cfg.embed_dim, cfg.max_len))])
+        feats = textcnn.extract_features(model, tensor)
         assert np.array_equal(feats, np.zeros((1, cfg.hidden_dim)))
 
     def test_repeatable(self):
         cfg = toy_config(dropout=0.5)
         model = textcnn.init_model(cfg, stream(18, 1))
-        tensor = random_tensor(stream(18, 2), cfg)
+        tensor = on_one_table([random_values(stream(18, 2), cfg)])
         assert np.array_equal(
-            textcnn.extract_features(model, [tensor]), textcnn.extract_features(model, [tensor])
+            textcnn.extract_features(model, tensor), textcnn.extract_features(model, tensor)
         )
 
 
 class TestManyTensors:
     def tensors(self, cfg, gen, widths=(9,) * 10):
-        out = []
+        blocks = []
         for width in widths:
             values = np.zeros((cfg.embed_dim, width))
             values[:, :5] = gen.standard_normal((cfg.embed_dim, 5))
-            out.append(DescriptionTensor(values=values, used=5))
-        return out
+            blocks.append(values)
+        return on_one_table(blocks)
 
     @pytest.mark.parametrize("chunk", [1, 3, textcnn.INFER_CHUNK])
     def test_sequence_equals_one_by_one(self, monkeypatch, chunk):
@@ -901,7 +922,7 @@ class TestManyTensors:
         feats = textcnn.extract_features(model, tensors)
         assert feats.shape == (len(tensors), cfg.hidden_dim)
         for row, tensor in zip(feats, tensors):
-            assert np.allclose(row, textcnn.forward(model, one(tensor)).fc1[0],
+            assert np.allclose(row, textcnn.forward(model, [tensor]).fc1[0],
                                rtol=1e-13, atol=1e-15)
         labels = textcnn.predict(model, tensors)
         assert list(labels) == [textcnn.predict(model, [t])[0] for t in tensors]
@@ -942,13 +963,13 @@ class TestDetector:
         rng = stream(20, 1)
         target = rng.standard_normal(5)
         model = self.planted_model(cfg, target, channel=7)
-        tensors, truth = [], []
+        blocks, truth = [], []
         for pos in (4, 7, 11):  # 1-based positions, legal for w=5
             values = rng.standard_normal((5, 16)) * 0.01
             values[:, pos - 1] = target
-            tensors.append(DescriptionTensor(values=values, used=16))
+            blocks.append(values)
             truth.append(pos)
-        channel, errors = textcnn.find_detector_channel(model, tensors, truth)
+        channel, errors = textcnn.find_detector_channel(model, on_one_table(blocks), truth)
         assert channel == 7
         assert errors.sum() == 0
 
@@ -958,10 +979,10 @@ class TestDetector:
         model = self.planted_model(cfg, np.array([1.0, 1.0]), channel=0)
         values = np.zeros((2, 10))
         values[:, 4] = 1.0  # peak response at conv position 3 (1-based)
-        tensor = DescriptionTensor(values=values, used=10)
-        trace = textcnn.forward(model, one(tensor))
+        tensor = on_one_table([values])
+        trace = textcnn.forward(model, tensor)
         assert trace.argmax[0, 0] + 1 == 3
-        channel, errors = textcnn.find_detector_channel(model, [tensor], [5])
+        channel, errors = textcnn.find_detector_channel(model, tensor, [5])
         assert errors[0] == 0
 
     def test_tie_goes_to_lowest_channel(self):
@@ -969,8 +990,7 @@ class TestDetector:
         model = textcnn.init_model(cfg, stream(21, 1))
         for _, arr in model.params():
             arr[...] = 0.0  # all channels behave identically
-        tensor = DescriptionTensor(values=np.zeros((3, 8)), used=8)
-        channel, _ = textcnn.find_detector_channel(model, [tensor], [3])
+        channel, _ = textcnn.find_detector_channel(model, on_one_table([np.zeros((3, 8))]), [3])
         assert channel == 0
 
     def test_empty_subset(self):

@@ -60,26 +60,26 @@ class TestToTensor:
         table = toy_table()
         words = textprep.word_table(table)
         tensor = textprep.to_tensor(["a", "short", "slim"], words, max_len=70)
-        assert tensor.used == 3
-        assert tensor.ids.shape == (3,) and tensor.words is words
+        assert tensor.ids.shape == (3,) and tensor.ids.dtype == np.int32
+        assert tensor.words is words
         assert tensor.columns().shape == (4, 3)
         assert np.array_equal(tensor.columns()[:, 1], table.vectors["short"])
 
     def test_truncation_after_oov_removal(self):
         tokens = ["a", "short"] * 40  # 80 known tokens
         tensor = textprep.to_tensor(tokens, toy_words(), max_len=70)
-        assert tensor.used == 70
+        assert len(tensor.ids) == 70
         assert tensor.columns().shape == (4, 70)
 
     def test_all_oov(self):
         tensor = textprep.to_tensor(["xyzzy", "plugh"], toy_words(), max_len=8)
-        assert tensor.used == 0
+        assert len(tensor.ids) == 0
         assert tensor.columns().shape == (4, 0)
 
     def test_oov_skipped_not_zeroed(self):
         table = toy_table()
         tensor = textprep.to_tensor(["a", "xyzzy", "short"], textprep.word_table(table), max_len=5)
-        assert tensor.used == 2
+        assert len(tensor.ids) == 2
         assert np.array_equal(tensor.columns()[:, 1], table.vectors["short"])
 
     def test_deterministic(self):
@@ -158,38 +158,31 @@ class TestAugmentGaussian:
         tensor = textprep.to_tensor(["red", "hat", "red"], words)
         clean = words.vectors.copy()
         out = textprep.augment_gaussian(tensor, 0.5, stream(5, 3))
-        assert out.words is words and list(out.ids) == [7, 8, 9]
+        assert out.words is words and list(out.ids) == [7, 8, 9] and out.ids.dtype == np.int32
         assert np.array_equal(words.vectors[:7], clean)
         noise = stream(5, 3).normal(0.0, 0.5, size=(4, 3))
         assert np.array_equal(out.columns(), tensor.columns() + noise)
         assert textprep.augment_gaussian(tensor, 0.0, stream(5, 4)).ids.tobytes() == tensor.ids.tobytes()
         assert len(words.vectors) == 10
 
-
-    def make_tensor(self, used=3, dim=4, max_len=10):
-        values = np.zeros((dim, max_len))
-        values[:, :used] = 1.0
-        return textprep.DescriptionTensor(values=values, used=used)
+    def make_tensor(self, used=3, dim=4, value=1.0):
+        """used columns all equal to value, as ids into a WordTable coded by textprep.code_rows."""
+        vectors, (ids,) = textprep.code_rows([np.full((used, dim), value)], dim)
+        return textprep.DescriptionTensor(ids.astype(np.int32), textprep.WordTable({}, vectors))
 
     def test_sigma_zero_identical(self):
         tensor = self.make_tensor()
         out = textprep.augment_gaussian(tensor, 0.0, stream(5, 1))
-        assert np.array_equal(out.values, tensor.values)
-
-    def test_padding_untouched(self):
-        tensor = self.make_tensor(used=3, max_len=10)
-        out = textprep.augment_gaussian(tensor, 0.5, stream(5, 2))
-        assert np.all(out.values[:, 3:] == 0.0)
-        assert not np.array_equal(out.values[:, :3], tensor.values[:, :3])
+        assert np.array_equal(out.columns(), tensor.columns())
 
     def test_sample_std(self):
         dim, used = 100, 100
-        tensor = textprep.DescriptionTensor(values=np.zeros((dim, used)), used=used)
+        tensor = self.make_tensor(used=used, dim=dim, value=0.0)
         rng = stream(6, 3)
         deltas = []
         for _ in range(100):
             out = textprep.augment_gaussian(tensor, 0.05, rng)
-            deltas.append(out.values[:, :used])
+            deltas.append(out.columns())
         sample = np.concatenate([d.ravel() for d in deltas])
         assert sample.size == 1_000_000
         assert abs(sample.std() - 0.05) < 0.001
@@ -231,7 +224,7 @@ class TestBuildTrainingTensors:
     def test_plain_embedding(self):
         out = textprep.build_training_tensors(self.corpus, toy_words(), max_len=6)
         assert len(out) == 2
-        assert out[0][2].used == 2
+        assert len(out[0][2].ids) == 2
 
     def test_gaussian_expansion(self):
         out = textprep.build_training_tensors(
