@@ -10,6 +10,8 @@ the timestamp and duration fields. Exit codes partition the error classes:
     3 I/O error
     4 data validation error
     5 numerical failure
+
+A run imports only its subcommand's modules: its flags and handler import them.
 """
 
 import argparse
@@ -23,8 +25,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from . import cca as cca_mod
-from . import dataio, evaluation, synth, textcnn, textprep
+from . import dataio
 from . import rng as streams
 from .errors import ConfigError, DataError, EmptyCorpus, InvalidConfig, NumericalError
 
@@ -102,6 +103,7 @@ def _say(args, message):
 # -- gen-synth --------------------------------------------------------------------
 
 def cmd_gen_synth(args):
+    from . import synth
     started = time.perf_counter()
     overrides = {}
     if args.config:
@@ -158,6 +160,7 @@ def cmd_gen_synth(args):
 # -- train-textcnn ----------------------------------------------------------------
 
 def cmd_train_textcnn(args):
+    from . import textcnn, textprep
     started = time.perf_counter()
     corpus = dataio.load_corpus(args.corpus)
     if not corpus:
@@ -207,15 +210,14 @@ def cmd_train_textcnn(args):
 
 # -- evaluate / attr-sweep ---------------------------------------------------------
 
-def _load_dataset(args):
+def _load_inputs(args):
+    """The dataset, its splits and the pipeline config that the flags name."""
+    from . import evaluation
     dataset = dataio.load_dataset(args.vision, language=getattr(args, "language", None),
                                   attributes=args.attributes)
     splits = dataio.load_splits(args.splits, known_identities=set(dataset.identities.tolist()))
-    return dataset, splits
-
-
-def _pipeline_config(args):
-    return evaluation.PipelineConfig(cca_k=args.cca_k, gallery_mode=args.gallery_mode)
+    return dataset, splits, evaluation.PipelineConfig(cca_k=args.cca_k,
+                                                      gallery_mode=args.gallery_mode)
 
 
 def _write_report_csv(path, report):
@@ -243,11 +245,11 @@ def _human_table(args, reports):
 
 
 def cmd_evaluate(args):
+    from . import evaluation
     started = time.perf_counter()
     scenario = args.scenario
-    dataset, splits = _load_dataset(args)
-    report = evaluation.evaluate_scenario(dataset, splits, scenario, _pipeline_config(args),
-                                          master_seed=args.seed)
+    dataset, splits, config = _load_inputs(args)
+    report = evaluation.evaluate_scenario(dataset, splits, scenario, config, master_seed=args.seed)
     csv_path = f"{args.out_dir}/report_{scenario}.csv"
     _write_report_csv(csv_path, report)
 
@@ -259,15 +261,11 @@ def cmd_evaluate(args):
 
 
 def cmd_attr_sweep(args):
+    from . import evaluation
     started = time.perf_counter()
-    dataset, splits = _load_dataset(args)
-    try:
-        args.n = [int(v) for v in args.n.split(",")]  # the manifest records the list
-    except ValueError as exc:
-        raise InvalidConfig(f"--n must be a comma-separated integer list: {exc}") from exc
-
-    reports = evaluation.attribute_degradation_sweep(
-        dataset, splits, args.n, _pipeline_config(args), master_seed=args.seed)
+    dataset, splits, config = _load_inputs(args)
+    reports = evaluation.attribute_degradation_sweep(dataset, splits, args.n, config,
+                                                     master_seed=args.seed)
     outputs = []
     for n, report in reports.items():
         outputs.append(f"{args.out_dir}/report_VAxVA_n{n}.csv")
@@ -288,6 +286,15 @@ def _positive_int(text):
     return int(text)
 
 
+def _flip_counts(text):
+    # each count as strict as a file header's: int() would also take ' 1', '+2' and '1_0'
+    try:
+        return [dataio._parse_count(n, "--n", "flip count") for n in text.split(",")]
+    except DataError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers >= 0, got {text!r}") from None
+
+
 def _add_common(parser, func, inputs, seed=42):
     """Add the flags every subcommand takes; record its handler and the flags
     that name its input files, which write_manifest digests when given."""
@@ -301,26 +308,22 @@ def _add_common(parser, func, inputs, seed=42):
 
 
 def _add_pipeline_flags(parser):
+    from . import cca
     parser.add_argument("--cca-k", type=int, default=None,
                         help="canonical pairs to keep "
-                             f"(default: min(dims, {cca_mod.DEFAULT_RANK_BUDGET}))")
+                             f"(default: min(dims, {cca.DEFAULT_RANK_BUDGET}))")
     parser.add_argument("--gallery-mode", choices=("single", "multi"), default="single")
 
 
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="xmreid",
-        description="Cross-modal person re-identification toolkit",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gen-synth", help="generate a synthetic paired-modality dataset")
+def _gen_synth_flags(p):
     p.add_argument("--config", help="JSON file of synth config overrides")
     p.add_argument("--out", required=True, help="existing output directory")
     p.add_argument("--embeddings-out", help="also write a toy embedding table here")
     _add_common(p, cmd_gen_synth, ("config",), seed=None)
 
-    p = sub.add_parser("train-textcnn", help="train the description network")
+
+def _train_textcnn_flags(p):
+    from . import textcnn, textprep
     p.add_argument("--corpus", required=True)
     p.add_argument("--embeddings", required=True)
     p.add_argument("--out-dir", required=True)
@@ -337,7 +340,9 @@ def build_parser():
     p.add_argument("--synonyms")
     _add_common(p, cmd_train_textcnn, ("corpus", "embeddings", "synonyms"))
 
-    p = sub.add_parser("evaluate", help="run one gallery x query scenario over splits")
+
+def _evaluate_flags(p):
+    from . import evaluation
     p.add_argument("--scenario", required=True, choices=evaluation.SCENARIOS)
     p.add_argument("--vision", required=True)
     p.add_argument("--language")
@@ -347,8 +352,10 @@ def build_parser():
     _add_pipeline_flags(p)
     _add_common(p, cmd_evaluate, ("vision", "language", "attributes", "splits"))
 
-    p = sub.add_parser("attr-sweep", help="VAxVA degradation over attribute flips")
-    p.add_argument("--n", required=True, help="comma-separated flip counts, e.g. 0,1,2,3")
+
+def _attr_sweep_flags(p):
+    p.add_argument("--n", required=True, type=_flip_counts,
+                   help="comma-separated flip counts, e.g. 0,1,2,3")
     p.add_argument("--vision", required=True)
     p.add_argument("--attributes", required=True)
     p.add_argument("--splits", required=True)
@@ -356,11 +363,38 @@ def build_parser():
     _add_pipeline_flags(p)
     _add_common(p, cmd_attr_sweep, ("vision", "attributes", "splits"))
 
+
+class _SubcommandParser(argparse.ArgumentParser):
+    """A subcommand's parser: it adds its flags, importing the modules their
+    defaults come from, when it first parses."""
+
+    add_flags = None
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self.add_flags:
+            self.add_flags(self)
+            self.add_flags = None
+        return super().parse_known_args(args, namespace)
+
+
+def build_parser():
+    parser = argparse.ArgumentParser(
+        prog="xmreid",
+        description="Cross-modal person re-identification toolkit",
+    )
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_SubcommandParser)
+    for name, text, add_flags in (
+            ("gen-synth", "generate a synthetic paired-modality dataset", _gen_synth_flags),
+            ("train-textcnn", "train the description network", _train_textcnn_flags),
+            ("evaluate", "run one gallery x query scenario over splits", _evaluate_flags),
+            ("attr-sweep", "VAxVA degradation over attribute flips", _attr_sweep_flags)):
+        sub.add_parser(name, help=text).add_flags = add_flags
     return parser
 
 
 def _validate_scenario_args(parser, args):
     if args.command == "evaluate":
+        from . import evaluation
         for source in evaluation.scenario_sources(args.scenario):
             if not getattr(args, source):
                 parser.error(f"scenario {args.scenario} requires --{source}")

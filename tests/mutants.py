@@ -138,6 +138,10 @@ MUTANTS = [
            "for lo in range(1, len(values), step):",
            "for lo in range(1, len(values), step + 1):",
            ("tests/test_dataio.py::TestFirstAppearanceCodes::test_equal_values_straddle_chunks",)),
+    Mutant("cli-eager-imports", "src/xmreid/cli.py",
+           "from . import dataio\n",
+           "from . import dataio, evaluation, synth, textcnn, textprep\n",
+           ("tests/test_cli.py::TestImportGraph::test_loads_only_its_modules[import]",)),
 ]
 
 

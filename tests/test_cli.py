@@ -494,6 +494,18 @@ class TestManifest:
         body = run_manifest(command, manifest, toy_data, tmp_path / "run")
         assert set(body["config"]) == remaining[body["subcommand"]]
 
+    def test_train_textcnn_size_defaults_are_the_library_defaults(self, toy_data, tmp_path):
+        # the flags take their defaults from textcnn's configs when train-textcnn parses
+        command = ("train-textcnn --corpus {d}/corpus.corpus --embeddings {d}/embeddings.emb "
+                   "--out-dir {t} --iters 0")
+        config = run_manifest(command, "manifest.json", toy_data, tmp_path / "run")["config"]
+        net, solver = textcnn.TextCnnConfig(num_classes=1), textcnn.SolverConfig(iterations=0)
+        assert ({name: config[name] for name in ("kernels", "kernel_width", "hidden", "max_len",
+                                                 "dropout", "lr", "batch")}
+                == {"kernels": net.kernel_count, "kernel_width": net.kernel_width,
+                    "hidden": net.hidden_dim, "max_len": net.max_len, "dropout": net.dropout,
+                    "lr": solver.base_lr, "batch": solver.batch_size})
+
     def test_train_textcnn_records_description_columns(self, toy_data, tmp_path):
         # every gen-synth description embeds to 8 known words
         manifest = run_manifest(*OUTPUT_PLACES["train-textcnn"], toy_data, tmp_path / "run")
@@ -541,6 +553,38 @@ class TestScenarioInputs:
             assert code == (2 if missing else 0), (given, code)
 
 
+# The xmreid modules each command line imports: the CLI's own, and its subcommand's.
+CLI_MODULES = {"cli", "dataio", "errors", "rng"}
+EVALUATION_MODULES = CLI_MODULES | {"evaluation", "cca", "xqda", "linalg"}
+IMPORTED = {
+    "import": ("", CLI_MODULES),
+    "gen-synth": ("gen-synth --config {d}/../synth.json --out {t}", CLI_MODULES | {"synth"}),
+    "train-textcnn": (TRAIN_TEXTCNN, CLI_MODULES | {"textcnn", "textprep"}),
+    "evaluate": (EVALUATE_VXV, EVALUATION_MODULES),
+    "attr-sweep": (ATTR_SWEEP, EVALUATION_MODULES),
+}
+LOADED = """
+import json, sys
+from xmreid import cli
+code = cli.main(sys.argv[1:]) if sys.argv[1:] else 0
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("xmreid."))]))
+"""
+
+
+class TestImportGraph:
+    @pytest.mark.parametrize("command, modules", IMPORTED.values(), ids=IMPORTED)
+    def test_loads_only_its_modules(self, toy_data, tmp_path, command, modules):
+        # a fresh interpreter, so that no other test's imports count
+        argv = (command + " --quiet").format(d=toy_data, t=tmp_path).split() if command else []
+        src = Path(cli.__file__).resolve().parents[1]
+        done = subprocess.run([sys.executable, "-c", LOADED, *argv],
+                              env=dict(os.environ, PYTHONPATH=str(src)),
+                              capture_output=True, text=True, check=True)
+        code, loaded = json.loads(done.stdout.splitlines()[-1])
+        assert code == 0
+        assert {name[len("xmreid."):] for name in loaded} == modules
+
+
 class TestAttrSweepCli:
     def test_sweep_outputs(self, tmp_path):
         out = gen_dataset(tmp_path)
@@ -553,18 +597,30 @@ class TestAttrSweepCli:
                     "--out-dir", str(run_dir), "--quiet"])
         assert code == 0
         manifest = json.loads((run_dir / "manifest_attr_sweep.json").read_text())
+        assert manifest["config"]["n"] == [0, 2]
         assert manifest["mean_R1"]["0"] == 1.0
         assert (run_dir / "report_VAxVA_n0.csv").exists()
         assert (run_dir / "report_VAxVA_n2.csv").exists()
 
     def test_bad_n_list(self, tmp_path):
         out = gen_dataset(tmp_path)
-        code = run(["attr-sweep", "--n", "0,x",
-                    "--vision", str(out / "vision.feat"),
-                    "--attributes", str(out / "attributes.attr"),
-                    "--splits", str(out / "splits.split"),
-                    "--out-dir", str(tmp_path), "--quiet"])
+        code = exit_code(["attr-sweep", "--n", "0,x",
+                          "--vision", str(out / "vision.feat"),
+                          "--attributes", str(out / "attributes.attr"),
+                          "--splits", str(out / "splits.split"),
+                          "--out-dir", str(tmp_path), "--quiet"])
         assert code == 2
+
+    # int() would take the padded, signed and underscored counts
+    @pytest.mark.parametrize("n", ["0,x", " 1,+2", "1_0", "1,,2", "", "-1", "\u0661"])
+    def test_bad_n_list_is_refused_before_any_input_is_read(self, tmp_path, capsys, n):
+        code = exit_code(["attr-sweep", "--n", n, "--vision", str(tmp_path / "missing.feat"),
+                          "--attributes", str(tmp_path / "missing.attr"),
+                          "--splits", str(tmp_path / "missing.split"),
+                          "--out-dir", str(tmp_path), "--quiet"])
+        assert code == 2
+        assert "argument --n: expected comma-separated integers >= 0" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_repeated_n_is_usage_error(self, tmp_path, monkeypatch):
         out = gen_dataset(tmp_path)
