@@ -169,15 +169,12 @@ def cmd_train_textcnn(args):
     synonyms = dataio.load_synonyms(args.synonyms) if args.synonyms else None
 
     first, codes = dataio.first_appearance_codes(np.array([i for i, _, _ in corpus]))
-    tokenized = [(i, v, textprep.tokenize(text)) for i, v, text in corpus]
-    tensors = textprep.build_training_tensors(
-        tokenized, words, max_len=args.max_len, method=args.augment,
-        factor=args.factor, rng=streams.stream(args.seed, streams.AUGMENT),
+    groups = textprep.build_training_tensors(
+        [textprep.tokenize(text) for _, _, text in corpus], words, max_len=args.max_len,
+        method=args.augment, factor=args.factor, rng=streams.stream(args.seed, streams.AUGMENT),
         synonyms=synonyms,
     )
-    # Each description's clean tensor leads the variants augmentation made of it.
-    step = args.factor if args.augment else 1
-    samples = list(zip(np.repeat(codes, step).tolist(), (tensor for _, _, tensor in tensors)))
+    samples = [(code, tensor) for code, group in zip(codes.tolist(), groups) for tensor in group]
 
     config_net = textcnn.TextCnnConfig(
         num_classes=len(first), embed_dim=words.vectors.shape[1],
@@ -196,10 +193,10 @@ def cmd_train_textcnn(args):
         for it, loss in enumerate(history):
             handle.write(f"{it},{dataio.format_real(loss)}\n")
 
-    clean = [tensor for _, _, tensor in tensors[::step]]
+    clean = [group[0] for group in groups]
     accuracy = float(np.mean(textcnn.predict(model, clean) == codes))
 
-    used = [len(tensor.ids) for _, _, tensor in tensors]
+    used = [len(tensor.ids) for _, tensor in samples]
     write_manifest(f"{args.out_dir}/manifest.json", args, [model_path, history_path], started,
                    extra={"classes": len(first), "train_accuracy": accuracy,
                           "final_loss": history[-1] if history else None,
@@ -280,17 +277,21 @@ def cmd_attr_sweep(args):
 
 # -- parser -----------------------------------------------------------------------
 
-def _positive_int(text):
-    if not (text.isdecimal() and int(text) >= 1):
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
-    return int(text)
+def _count(text, least=0):
+    # a file header's rule: int() would also take ' 1', '+2', '1_0' and non-ASCII digits
+    try:
+        count = dataio._parse_count(text, "", "")
+    except DataError:
+        count = -1
+    if count < least:
+        raise argparse.ArgumentTypeError(f"expected an integer >= {least}, got {text!r}")
+    return count
 
 
 def _flip_counts(text):
-    # each count as strict as a file header's: int() would also take ' 1', '+2' and '1_0'
     try:
-        return [dataio._parse_count(n, "--n", "flip count") for n in text.split(",")]
-    except DataError:
+        return [_count(n) for n in text.split(",")]
+    except argparse.ArgumentTypeError:
         raise argparse.ArgumentTypeError(
             f"expected comma-separated integers >= 0, got {text!r}") from None
 
@@ -299,9 +300,9 @@ def _add_common(parser, func, inputs, seed=42):
     """Add the flags every subcommand takes; record its handler and the flags
     that name its input files, which write_manifest digests when given."""
     parser.set_defaults(func=func, inputs=inputs)
-    parser.add_argument("--seed", type=int, default=seed,
+    parser.add_argument("--seed", type=_count, default=seed,
                         help="master seed (default 42; gen-synth defaults to the config's seed)")
-    parser.add_argument("--threads", type=_positive_int, default=1,
+    parser.add_argument("--threads", type=lambda text: _count(text, least=1), default=1,
                         help="accepted and checked (an integer >= 1) for compatibility; "
                              "it no longer changes anything")
     parser.add_argument("--quiet", action="store_true", help="suppress progress output")
@@ -309,7 +310,7 @@ def _add_common(parser, func, inputs, seed=42):
 
 def _add_pipeline_flags(parser):
     from . import cca
-    parser.add_argument("--cca-k", type=int, default=None,
+    parser.add_argument("--cca-k", type=_count, default=None,
                         help="canonical pairs to keep "
                              f"(default: min(dims, {cca.DEFAULT_RANK_BUDGET}))")
     parser.add_argument("--gallery-mode", choices=("single", "multi"), default="single")
@@ -327,16 +328,16 @@ def _train_textcnn_flags(p):
     p.add_argument("--corpus", required=True)
     p.add_argument("--embeddings", required=True)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--iters", type=int, default=1000)
+    p.add_argument("--iters", type=_count, default=1000)
     p.add_argument("--lr", type=float, default=textcnn.SolverConfig.base_lr)
-    p.add_argument("--batch", type=int, default=textcnn.SolverConfig.batch_size)
-    p.add_argument("--kernels", type=int, default=textcnn.TextCnnConfig.kernel_count)
-    p.add_argument("--kernel-width", type=int, default=textcnn.TextCnnConfig.kernel_width)
-    p.add_argument("--hidden", type=int, default=textcnn.TextCnnConfig.hidden_dim)
-    p.add_argument("--max-len", type=int, default=textcnn.TextCnnConfig.max_len)
+    p.add_argument("--batch", type=_count, default=textcnn.SolverConfig.batch_size)
+    p.add_argument("--kernels", type=_count, default=textcnn.TextCnnConfig.kernel_count)
+    p.add_argument("--kernel-width", type=_count, default=textcnn.TextCnnConfig.kernel_width)
+    p.add_argument("--hidden", type=_count, default=textcnn.TextCnnConfig.hidden_dim)
+    p.add_argument("--max-len", type=_count, default=textcnn.TextCnnConfig.max_len)
     p.add_argument("--dropout", type=float, default=textcnn.TextCnnConfig.dropout)
     p.add_argument("--augment", choices=textprep.ALL_METHODS, default=None)
-    p.add_argument("--factor", type=int, default=1)
+    p.add_argument("--factor", type=_count, default=1)
     p.add_argument("--synonyms")
     _add_common(p, cmd_train_textcnn, ("corpus", "embeddings", "synonyms"))
 

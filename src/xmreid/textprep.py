@@ -4,11 +4,12 @@ A run codes its embedding table by value once into a WordTable: the distinct
 word vectors in order of first appearance behind an all-zero row 0, so equal
 vectors share an id and an all-zero one reads as padding. A description is
 then the int32 ids of its first T in-vocabulary tokens, T at most max_len:
-the sentence CNN's one input form, past which it reads zeros. Three
-augmentation schemes expand a training corpus: random word dropping and
-ranked synonym replacement act on token lists before embedding, additive
-Gaussian noise appends the noisy word vectors of a description to the run's
-table as new ids.
+the sentence CNN's one input form, past which it reads zeros.
+build_training_tensors turns a training corpus into one group per
+description, its clean tensor followed by its augmented variants. Of the
+three schemes, random word dropping and ranked synonym replacement act on
+the token list before embedding, and additive Gaussian noise appends the
+noisy word vectors of the clean tensor to the run's table as new ids.
 """
 
 import functools
@@ -28,8 +29,7 @@ DEFAULT_REPLACE_PROB = 0.25
 # Letters and digits only; hyphens, apostrophes and all punctuation separate.
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
-TOKEN_METHODS = ("drop", "synonym")
-ALL_METHODS = TOKEN_METHODS + ("gaussian",)
+ALL_METHODS = ("drop", "synonym", "gaussian")
 
 
 def tokenize(text):
@@ -157,63 +157,31 @@ def augment_gaussian(tensor, sigma, rng) -> DescriptionTensor:
     return DescriptionTensor(ids, tensor.words)
 
 
-def augment_corpus(corpus, method, factor, rng, synonyms=None):
-    """Expand a token corpus: each description plus factor-1 fresh variants.
-
-    Entries are (identity, view, tokens); variants keep their source labels
-    and follow their original. Only the token-level methods live here;
-    Gaussian noise applies after embedding, see build_training_tensors.
-    """
-    if method not in TOKEN_METHODS:
-        raise UnknownMethod(
-            f"unknown corpus augmentation {method!r}; token-level methods are {TOKEN_METHODS}"
-        )
-    if factor < 1:
-        raise InvalidConfig(f"factor must be >= 1, got {factor}")
-    if method == "synonym" and synonyms is None:
-        raise InvalidConfig("synonym augmentation needs a synonym map")
-    out = []
-    for identity, view, tokens in corpus:
-        tokens = list(tokens)
-        out.append((identity, view, tokens))
-        for _ in range(factor - 1):
-            if method == "drop":
-                variant = augment_drop(tokens, rng)
-            else:
-                variant = augment_synonym(tokens, synonyms, rng)
-            out.append((identity, view, variant))
-    return out
-
-
-def build_training_tensors(
-    corpus,
-    words,
-    max_len=DEFAULT_MAX_LEN,
-    method=None,
-    factor=1,
-    rng=None,
-    synonyms=None,
-    sigma=DEFAULT_NOISE_SIGMA,
-):
-    """Embed a token corpus into (identity, view, tensor) training records
-    on the run's WordTable `words`.
-
-    Augmentation runs in each method's natural domain: drop and synonym
-    rewrite the token list before embedding, gaussian appends noisy word
-    vectors to `words`. method=None embeds the corpus as-is. sigma is checked on every
-    call, whether or not the gaussian method uses it.
-    """
+def build_training_tensors(corpus, words, max_len=DEFAULT_MAX_LEN, method=None, factor=1,
+                           rng=None, synonyms=None, sigma=DEFAULT_NOISE_SIGMA):
+    """One group per description of a corpus of token lists, embedded on the run's
+    WordTable `words`: its clean tensor, then, when a method is set, factor-1
+    variants of it drawn in corpus order from rng. drop and synonym rewrite the
+    tokens, gaussian noises the clean tensor into new rows of `words`. sigma is
+    checked on every call, the synonym map only when synonym variants are drawn."""
     _check_sigma(sigma)
     if method is not None and method not in ALL_METHODS:
         raise UnknownMethod(f"unknown augmentation {method!r}; methods are {ALL_METHODS}")
     if factor < 1:
         raise InvalidConfig(f"factor must be >= 1, got {factor}")
-    if method in TOKEN_METHODS and factor > 1:
-        corpus = augment_corpus(corpus, method, factor, rng, synonyms=synonyms)
-    noisy = factor - 1 if method == "gaussian" else 0
-    out = []
-    for identity, view, tokens in corpus:
+    if method == "synonym" and factor > 1 and synonyms is None:
+        raise InvalidConfig("synonym augmentation needs a synonym map")
+
+    def variant(tokens, clean):
+        if method == "drop":
+            return to_tensor(augment_drop(tokens, rng), words, max_len)
+        if method == "synonym":
+            return to_tensor(augment_synonym(tokens, synonyms, rng), words, max_len)
+        return augment_gaussian(clean, sigma, rng)
+
+    count = factor - 1 if method else 0
+    groups = []
+    for tokens in corpus:
         clean = to_tensor(tokens, words, max_len)
-        out.append((identity, view, clean))
-        out.extend((identity, view, augment_gaussian(clean, sigma, rng)) for _ in range(noisy))
-    return out
+        groups.append([clean, *(variant(tokens, clean) for _ in range(count))])
+    return groups

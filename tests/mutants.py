@@ -112,6 +112,22 @@ MUTANTS = [
            "ids[:] = tensor.words.append(noisy.T) + np.arange(len(ids))",
            "tensor.words.vectors[ids] = noisy.T",
            ("tests/test_textprep.py::TestBuildTrainingTensors::test_gaussian_leaves_clean_columns",)),
+    Mutant("training-variants-compound", "src/xmreid/textprep.py",
+           "        groups.append([clean, *(variant(tokens, clean) for _ in range(count))])\n",
+           # each variant drawn from the one before it, not from the clean description
+           "        group = [clean]\n"
+           "        for _ in range(count):\n"
+           "            if method == 'gaussian':\n"
+           "                group.append(augment_gaussian(group[-1], sigma, rng))\n"
+           "                continue\n"
+           "            if method == 'drop':\n"
+           "                tokens = augment_drop(tokens, rng)\n"
+           "            else:\n"
+           "                tokens = augment_synonym(tokens, synonyms, rng)\n"
+           "            group.append(to_tensor(tokens, words, max_len))\n"
+           "        groups.append(group)\n",
+           tuple(f"tests/test_textprep.py::TestBuildTrainingTensors::test_group_layout[{method}-3]"
+                 for method in ("drop", "synonym", "gaussian"))),
     Mutant("xqda-lift-multiplies", "src/xmreid/xqda.py",
            "w=w / scale[:, None]",
            "w=w * scale[:, None]",

@@ -318,7 +318,7 @@ class TestCriterion9Determinism:
                     "--out-dir", str(run_dir), "--seed", "5", "--quiet"]
         argvs = [
             train + ["--out-dir", str(run_dir)],
-            # augment_corpus's drop variants, drawn from the run's seed
+            # build_training_tensors' drop variants, drawn from the run's seed
             train + ["--out-dir", str(run_dir / "aug"), "--augment", "drop", "--factor", "3"],
             # VLxVL fits no CCA; VxVL fits one per split
             evaluate + ["--scenario", "VLxVL"],

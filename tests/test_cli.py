@@ -221,19 +221,23 @@ class TestTrainTextCnn:
         assert manifest["inputs"]["synonyms"]["sha256"] == hashlib.sha256(
             syn_path.read_bytes()).hexdigest()
 
-        # the variants train-textcnn draws from the same stream
+        # the variants train-textcnn draws from the same stream, in corpus order
         corpus = dataio.load_corpus(data / "corpus.corpus")
-        tokenized = [(i, v, textprep.tokenize(text)) for i, v, text in corpus]
-        augmented = textprep.augment_corpus(tokenized, "synonym", 3, stream(5, AUGMENT),
-                                            synonyms=dataio.load_synonyms(syn_path))
-        assert len(augmented) == 3 * len(corpus)
+        tokenized = [textprep.tokenize(text) for _, _, text in corpus]
+        words = textprep.word_table(dataio.load_embeddings(data / "embeddings.emb"))
+        loaded = dataio.load_synonyms(syn_path)
+        groups = textprep.build_training_tensors(tokenized, words, max_len=10, method="synonym",
+                                                 factor=3, rng=stream(5, AUGMENT), synonyms=loaded)
+        twin = stream(5, AUGMENT)
         replaced = 0
-        for k, (identity, view, original) in enumerate(tokenized):
-            assert augmented[3 * k] == (identity, view, original)
-            for variant in augmented[3 * k + 1:3 * k + 3]:
-                assert variant[:2] == (identity, view)
-                assert len(variant[2]) == len(original)
-                for before, after in zip(original, variant[2]):
+        for original, group in zip(tokenized, groups, strict=True):
+            variants = [textprep.augment_synonym(original, loaded, twin) for _ in range(2)]
+            assert [t.ids.tolist() for t in group] == [
+                textprep.to_tensor(tokens, words, 10).ids.tolist()
+                for tokens in (original, *variants)]
+            for variant in variants:
+                assert len(variant) == len(original)
+                for before, after in zip(original, variant):
                     assert after == before or after in synonyms.get(before, ())
                     replaced += after != before
         assert replaced > 0
@@ -637,6 +641,23 @@ class TestAttrSweepCli:
 
 
 class TestExitCodePartition:
+    # int() would take the padded, signed and underscored forms, str.isdecimal
+    # the Arabic-Indic three; a negative count is refused like the others
+    @pytest.mark.parametrize("value", [" 1_6", "+2", "0_42", "\u0663", "-1"])
+    @pytest.mark.parametrize("command, flag", [
+        ("gen-synth --config {d}/synth.json --out {t}", "--seed"),
+        *((TRAIN_TEXTCNN, flag) for flag in (
+            "--seed", "--iters", "--batch", "--kernels", "--kernel-width", "--hidden",
+            "--max-len", "--factor", "--threads")),
+        (EVALUATE_VXV, "--cca-k"), (ATTR_SWEEP, "--cca-k"),
+    ], ids=lambda part: part.split()[0])
+    def test_bad_integer_flag_is_refused_before_any_input_is_read(
+            self, tmp_path, capsys, command, flag, value):
+        argv = command.format(d=tmp_path / "missing", t=tmp_path).split() + [flag, value]
+        assert exit_code(argv) == 2
+        assert f"argument {flag}: expected an integer >= " in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_data_error_is_4(self, tmp_path):
         out = gen_dataset(tmp_path)
         bad = tmp_path / "bad.feat"  # two records declared, one record's body

@@ -427,15 +427,14 @@ class TestTrain:
         gen = stream(50, 1)
         words = textprep.word_table(EmbeddingTable(dimension=300, vectors={
             token: gen.standard_normal(300) for token in vocabulary}))
-        corpus = [(f"id{k // 2}", 1 + k % 2, [vocabulary[i] for i in gen.integers(0, 2000, 70)])
-                  for k in range(1264)]
+        corpus = [[vocabulary[i] for i in gen.integers(0, 2000, 70)] for _ in range(1264)]
         tracemalloc.start()
         try:
-            records = textprep.build_training_tensors(corpus, words)
+            groups = textprep.build_training_tensors(corpus, words)
             size = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        assert [len(tensor.ids) for _, _, tensor in records] == [70] * 1264
+        assert [len(tensor.ids) for (tensor,) in groups] == [70] * 1264
         assert size < 10**6
 
     def test_applied_gradients_are_freed(self):
@@ -695,11 +694,11 @@ class TestWordIds:
         words = textprep.word_table(EmbeddingTable(dimension=cfg.embed_dim, vectors={
             token: gen.standard_normal(cfg.embed_dim) for token in vocabulary}))
         zipf = 1.0 / np.arange(1, 2001)
-        corpus = [(f"id{k}", 1, [vocabulary[i] for i in gen.choice(2000, 70, p=zipf / zipf.sum())])
-                  for k in range(6)]
-        records = textprep.build_training_tensors(corpus, words, method="gaussian", factor=2,
-                                                  rng=stream(51, 2), sigma=0.3)
-        tensors = [tensor for _, _, tensor in records]
+        corpus = [[vocabulary[i] for i in gen.choice(2000, 70, p=zipf / zipf.sum())]
+                  for _ in range(6)]
+        groups = textprep.build_training_tensors(corpus, words, method="gaussian", factor=2,
+                                                 rng=stream(51, 2), sigma=0.3)
+        tensors = [tensor for group in groups for tensor in group]
         clean = np.concatenate([t.ids for t in tensors[::2]])
         noisy = np.concatenate([t.ids for t in tensors[1::2]])
         assert len(np.unique(clean)) < len(clean) and clean.max() <= 2000

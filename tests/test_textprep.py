@@ -194,44 +194,96 @@ class TestAugmentGaussian:
 
 
 class TestAugmentCorpus:
-    corpus = [("id1", 1, ["a", "short", "slim", "woman"]), ("id1", 2, ["red", "hat"])]
+    corpus = [["a", "short", "slim", "woman"], ["red", "hat"]]
 
     def test_factor_one_unchanged(self):
-        out = textprep.augment_corpus(self.corpus, "drop", 1, stream(8, 1))
-        assert [(i, v, list(t)) for i, v, t in out] == [(i, v, list(t)) for i, v, t in self.corpus]
+        words = toy_words()
+        out = textprep.build_training_tensors(self.corpus, words, method="drop", factor=1,
+                                              rng=stream(8, 1))
+        assert [[t.ids.tolist() for t in group] for group in out] == [
+            [textprep.to_tensor(tokens, words).ids.tolist()] for tokens in self.corpus]
 
     def test_record_count(self):
-        out = textprep.augment_corpus(self.corpus, "drop", 500, stream(8, 2))
-        assert len(out) == 2 * 500
+        out = textprep.build_training_tensors(self.corpus, toy_words(), method="drop",
+                                              factor=500, rng=stream(8, 2))
+        assert [len(group) for group in out] == [500, 500]
 
     def test_labels_preserved(self):
-        out = textprep.augment_corpus(self.corpus, "drop", 5, stream(8, 3))
-        assert [rec[0] for rec in out[:5]] == ["id1"] * 5
-        assert [rec[1] for rec in out[5:]] == [2] * 5
+        # a group holds only its own description's words, so its label is the description's
+        words = toy_words()
+        out = textprep.build_training_tensors(self.corpus, words, method="drop", factor=5,
+                                              rng=stream(8, 3))
+        for tokens, group in zip(self.corpus, out):
+            own = {words.ids[t] for t in tokens}
+            assert all(set(t.ids.tolist()) <= own and len(t.ids) for t in group)
 
     def test_unknown_method(self):
         with pytest.raises(UnknownMethod):
-            textprep.augment_corpus(self.corpus, "frobnicate", 2, stream(8, 4))
+            textprep.build_training_tensors(self.corpus, toy_words(), method="frobnicate",
+                                            factor=2, rng=stream(8, 4))
 
-    def test_gaussian_is_tensor_level(self):
-        with pytest.raises(UnknownMethod):
-            textprep.augment_corpus(self.corpus, "gaussian", 2, stream(8, 5))
+
+def expected_groups(corpus, embeddings, method, factor, rng, synonyms, sigma):
+    """build_training_tensors' groups made by hand on a fresh WordTable: the
+    clean tensor of each description, then factor-1 unit augmentations of it,
+    drawn in corpus order."""
+    words = textprep.word_table(embeddings)
+    groups = []
+    for tokens in corpus:
+        clean = textprep.to_tensor(tokens, words, 6)
+        group = [clean]
+        for _ in range(factor - 1 if method else 0):
+            if method == "drop":
+                group.append(textprep.to_tensor(textprep.augment_drop(tokens, rng), words, 6))
+            elif method == "synonym":
+                group.append(textprep.to_tensor(
+                    textprep.augment_synonym(tokens, synonyms, rng), words, 6))
+            else:
+                group.append(textprep.augment_gaussian(clean, sigma, rng))
+        groups.append(group)
+    return groups
 
 
 class TestBuildTrainingTensors:
-    corpus = [("id1", 1, ["a", "short"]), ("id2", 1, ["red", "hat"])]
+    corpus = [["a", "short"], ["red", "hat"]]
+
+    @pytest.mark.parametrize("factor", [1, 3])
+    @pytest.mark.parametrize("method", [None, "drop", "synonym", "gaussian"])
+    def test_group_layout(self, method, factor):
+        # one group per description: its clean tensor, then factor-1 variants
+        # of the clean description (never of the previous variant), drawn in
+        # corpus order from the one stream
+        corpus = [["a", "short", "slim", "woman", "red", "hat"], ["red", "hat", "a"],
+                  ["woman", "xyzzy", "short", "slim"]]
+        synonyms = {"red": ("hat", "slim"), "hat": ("red",), "short": ("slim", "a", "woman"),
+                    "slim": ("short",), "a": ("woman",), "woman": ("a", "red")}
+        embeddings = toy_table()
+        words = textprep.word_table(embeddings)
+        out = textprep.build_training_tensors(corpus, words, max_len=6, method=method,
+                                              factor=factor, rng=stream(9, 7),
+                                              synonyms=synonyms, sigma=0.3)
+        expected = expected_groups(corpus, embeddings, method, factor, stream(9, 7),
+                                   synonyms, 0.3)
+        assert [len(group) for group in out] == [factor if method else 1] * len(corpus)
+        for tokens, group, want in zip(corpus, out, expected):
+            assert group[0].ids.tolist() == textprep.to_tensor(tokens, words, 6).ids.tolist()
+            assert all(tensor.words is words for tensor in group)
+            assert [t.ids.tolist() for t in group] == [t.ids.tolist() for t in want]
+            assert [t.columns().tobytes() for t in group] == [t.columns().tobytes() for t in want]
+        if method and factor > 1:  # the variants are drawn, not copies of the clean tensor
+            assert any(t.ids.tolist() != group[0].ids.tolist() for group in out for t in group[1:])
 
     def test_plain_embedding(self):
         out = textprep.build_training_tensors(self.corpus, toy_words(), max_len=6)
         assert len(out) == 2
-        assert len(out[0][2].ids) == 2
+        assert len(out[0][0].ids) == 2
 
     def test_gaussian_expansion(self):
         out = textprep.build_training_tensors(
             self.corpus, toy_words(), max_len=6, method="gaussian", factor=3, rng=stream(9, 1)
         )
-        assert len(out) == 6
-        clean, noisy = out[0][2], out[1][2]
+        assert [len(group) for group in out] == [3, 3]
+        clean, noisy = out[0][0], out[0][1]
         assert not np.array_equal(clean.columns(), noisy.columns())
         assert noisy.columns().shape == clean.columns().shape == (4, 2)
 
@@ -242,6 +294,14 @@ class TestBuildTrainingTensors:
                 textprep.build_training_tensors(self.corpus, toy_words(), max_len=6, method=method,
                                                 factor=2, rng=stream(9, 1), sigma=sigma)
 
+    def test_synonym_map_needed_only_for_variants(self):
+        words = toy_words()
+        out = textprep.build_training_tensors(self.corpus, words, method="synonym", factor=1)
+        assert [len(group) for group in out] == [1, 1]
+        with pytest.raises(InvalidConfig, match="needs a synonym map"):
+            textprep.build_training_tensors(self.corpus, words, method="synonym", factor=3,
+                                            rng=stream(9, 3))
+
     def test_gaussian_leaves_clean_columns(self):
         # each noisy column is a new row of the run's table; the rows that
         # clean descriptions read are shared, so noise must not touch them
@@ -250,7 +310,7 @@ class TestBuildTrainingTensors:
         out = textprep.build_training_tensors(
             self.corpus, words, max_len=6, method="gaussian", factor=3, rng=stream(9, 1)
         )
-        for (_, _, tokens), (_, _, clean) in zip(self.corpus, out[::3]):
+        for tokens, (clean, *_) in zip(self.corpus, out):
             assert np.array_equal(clean.columns(), np.stack([table.vectors[t] for t in tokens], 1))
         assert len(words.vectors) == 1 + 6 + 2 * 2 * 2
 
@@ -259,7 +319,7 @@ class TestBuildTrainingTensors:
         # 3.84 MB, their ids far less, and max_len 70 must not multiply either by 70 / 8
         words = [f"w{i}" for i in range(8)]
         table = textprep.word_table(toy_table(dim=300, tokens=words))
-        corpus = [(f"id{i}", 1, words) for i in range(200)]
+        corpus = [words] * 200
         tracemalloc.start()
         try:
             out = textprep.build_training_tensors(corpus, table, max_len=70)
@@ -273,7 +333,7 @@ class TestBuildTrainingTensors:
         out = textprep.build_training_tensors(
             self.corpus, toy_words(), max_len=6, method="drop", factor=4, rng=stream(9, 2)
         )
-        assert len(out) == 8
+        assert [len(group) for group in out] == [4, 4]
 
     def test_unknown_method(self):
         with pytest.raises(UnknownMethod):
