@@ -6,8 +6,9 @@ ReLU, inverted dropout, FC2 to the class logits, softmax cross-entropy. All
 gradients are derived and applied by explicit backpropagation; the SGD
 loop uses Caffe's fixed momentum, weight decay and step schedule. It checks
 a step's loss first, then updates each parameter in place once the backward
-has its gradient and no longer reads the parameter, conv_w one offset slice
-at a time, so no full set of gradients is ever held.
+has its gradient and no longer reads the parameter, fc1_w BLOCK_ROWS rows and
+conv_w one offset slice at a time, so no full set of gradients is ever held;
+each part is updated BLOCK_ROWS rows at a time, so no temporary is parameter-sized.
 
 Every entry point takes descriptions as int ids into one textprep.WordTable,
 whose row 0 is all zero; tensors on different tables are refused. The
@@ -17,7 +18,8 @@ appearance, so padding is code 0, and projects the U distinct rows once per
 kernel offset, C x E @ E x U. Window p's response sums, for k = 0..w-1,
 offset k's projection of column p + k, so a batch that reuses a small
 vocabulary multiplies far fewer columns than it has windows. The responses
-are laid out C x B x P, so the max-pool reduces the contiguous last axis.
+are laid out C x B x P, so the max-pool reduces the contiguous last axis;
+later offsets add to offset 0's gather BLOCK_ROWS channels at a time.
 FC1/FC2 are B-row GEMMs. The backward sums each channel's peak gradient into
 a U x C array per offset, at the code that offset of its peak window reads,
 and multiplies that against the distinct rows, so no per-window or
@@ -40,8 +42,12 @@ from .errors import (EmptyCorpus, EmptySubset, InvalidConfig, MalformedHeader, N
 
 # Inference runs at most this many tensors at once; at paper sizes (E300,
 # C256, w5, T70) a chunk of full-length descriptions whose 7,000 words are
-# all distinct peaks at 55.8 MiB traced.
+# all distinct peaks at 43.7 MiB traced.
 INFER_CHUNK = 100
+# Rows (channels, hidden units) the response gather, FC1 gradient and SGD update take
+# at once, so none makes a response- or parameter-sized temporary. 16 rows of a GEMM
+# match the whole GEMM's bit for bit (OpenBLAS, Haswell); one row goes by GEMV.
+BLOCK_ROWS = 16
 
 
 @dataclass
@@ -90,7 +96,7 @@ class ForwardTrace:
     conv: np.ndarray | None   # B x C x P after ReLU (a view of C x B x P), None in a backward
     argmax: np.ndarray        # B x C peak position, 0-based
     pooled: np.ndarray        # B x C
-    fc1: np.ndarray           # B x H, after ReLU, before dropout
+    fc1: np.ndarray | None    # B x H after ReLU, before dropout; None after fc2_w's gradient
     logits: np.ndarray        # B x K
 
 
@@ -140,8 +146,11 @@ def init_model(config: TextCnnConfig, rng) -> TextCnnModel:
 
 
 def _dropout(units, masks, rate):
-    # Inverted dropout: kept units are scaled by 1/(1-rate); no masks, no-op.
-    return units if masks is None else units * masks / (1.0 - rate)
+    # Inverted dropout in place: kept units are scaled by 1/(1-rate); no masks, no-op.
+    if masks is not None:
+        units *= masks
+        units /= 1.0 - rate
+    return units
 
 
 def forward(model, tensors, masks=None) -> ForwardTrace:
@@ -175,20 +184,25 @@ def _forward(model, table, sentences, full=False, masks=None) -> ForwardTrace:
     ids = np.zeros((len(occupied), positions + width - 1), dtype=np.int64)  # B x (P+w-1)
     ids[np.arange(ids.shape[1]) < occupied[:, None]] = codes[1:]
     distinct = table[flat[first]]
-    # Each offset's C x U projection, from a C x E kernel copy, is gathered, then dropped.
-    def projected(k):  # C x B x P: window p reads column p + k at offset k
-        return np.take(np.ascontiguousarray(model.conv_w[:, :, k]) @ distinct.T,
-                       ids[:, k:k + positions], axis=1)
-    conv = projected(0)
+    # Each offset's C x U projection, from a C x E kernel copy, is gathered into the
+    # C x B x P responses, where window p reads column p + k at offset k, then dropped.
+    def projected(k):
+        return np.ascontiguousarray(model.conv_w[:, :, k]) @ distinct.T
+    conv = np.take(projected(0), ids[:, :positions], axis=1)
     for k in range(1, width):
-        conv += projected(k)
+        proj, window = projected(k), ids[:, k:k + positions]
+        for lo in range(0, len(conv), BLOCK_ROWS):
+            conv[lo:lo + BLOCK_ROWS] += np.take(proj[lo:lo + BLOCK_ROWS], window, axis=1)
+        del proj  # else it would meet the next offset's projection
     conv += model.conv_b[:, None, None]
     np.maximum(conv, 0.0, out=conv)
-    argmax = conv.argmax(axis=2).T  # B x C, lowest position on ties
-    pooled = conv.max(axis=2).T
-    fc1 = np.maximum(pooled @ model.fc1_w.T + model.fc1_b, 0.0)
-    logits = _dropout(fc1, masks, cfg.dropout) @ model.fc2_w.T + model.fc2_b
-    return ForwardTrace(ids=ids, distinct=distinct, conv=conv.transpose(1, 0, 2), argmax=argmax,
+    argmax = conv.argmax(axis=2)  # C x B, lowest position on ties
+    pooled = np.take_along_axis(conv, argmax[:, :, None], axis=2)[:, :, 0].T
+    fc1 = pooled @ model.fc1_w.T
+    np.maximum(np.add(fc1, model.fc1_b, out=fc1), 0.0, out=fc1)
+    logits = _dropout(fc1 if masks is None else fc1.copy(), masks, cfg.dropout) @ model.fc2_w.T
+    logits += model.fc2_b
+    return ForwardTrace(ids=ids, distinct=distinct, conv=conv.transpose(1, 0, 2), argmax=argmax.T,
                         pooled=pooled, fc1=fc1, logits=logits)
 
 
@@ -234,17 +248,22 @@ def _loss_and_gradients(model, table, sentences, full, labels, masks):
     dlogits[rows, labels] -= 1.0
     yield losses
 
-    dfc1_pre = _dropout(dlogits @ model.fc2_w, masks, cfg.dropout) * (trace.fc1 > 0.0)
+    dfc1_pre = _dropout(dlogits @ model.fc2_w, masks, cfg.dropout)
+    dfc1_pre *= trace.fc1 > 0.0
     yield "fc2_w", ..., dlogits.T @ _dropout(trace.fc1, masks, cfg.dropout)
+    trace.fc1 = None
     yield "fc2_b", ..., dlogits.sum(axis=0)
 
     # Max-pool routes to the argmax position; a zero pooled value means the
     # whole channel was clipped by the ReLU, so nothing flows back. Offset k of
     # each channel's peak window sums into its column's row of dproj; an
     # offset that reads padding reads code 0, the zero column, and adds nothing.
-    dpeak = (dfc1_pre @ model.fc1_w) * (trace.pooled > 0.0)
-    yield "fc1_w", ..., dfc1_pre.T @ trace.pooled
+    dpeak = dfc1_pre @ model.fc1_w
+    dpeak *= trace.pooled > 0.0
+    for lo in range(0, cfg.hidden_dim, BLOCK_ROWS):
+        yield "fc1_w", slice(lo, lo + BLOCK_ROWS), dfc1_pre[:, lo:lo + BLOCK_ROWS].T @ trace.pooled
     yield "fc1_b", ..., dfc1_pre.sum(axis=0)
+    del dfc1_pre
     yield "conv_b", ..., dpeak.sum(axis=0)
     channels, size = np.arange(cfg.kernel_count), trace.distinct.shape[0] * cfg.kernel_count
     for k in range(cfg.kernel_width):
@@ -261,7 +280,8 @@ def train(model, samples, solver: SolverConfig, rng):
     indices with replacement and then the batch's dropout masks, runs those
     tensors' stored columns through _forward, and applies the Caffe-style
     update v = mu*v - lr*(grad + wd*param); param += v, with grad the
-    batch-mean gradient, applied in place and freed as the backward yields it.
+    batch-mean gradient, in place, BLOCK_ROWS rows at a time, to each part of
+    a parameter the backward yields, which is then freed.
     A non-finite batch loss (divergence) raises NoConvergence before any update.
     """
     solver.validate()
@@ -291,13 +311,15 @@ def train(model, samples, solver: SolverConfig, rng):
 
         for name, index, grad in steps:
             param, vel = getattr(model, name)[index], velocity[name][index]
-            grad *= scale
-            grad += WEIGHT_DECAY * param
-            grad *= lr
-            vel *= MOMENTUM
-            vel -= grad
-            param += vel
-        del grad  # the last slice would otherwise live through the next forward
+            for lo in range(0, len(grad), BLOCK_ROWS):
+                g, p, v = (a[lo:lo + BLOCK_ROWS] for a in (grad, param, vel))
+                g *= scale
+                g += WEIGHT_DECAY * p
+                g *= lr
+                v *= MOMENTUM
+                v -= g
+                p += v
+            del grad, g  # freed before the next part or the next forward
     return history
 
 

@@ -171,6 +171,8 @@ def build_training_tensors(corpus, words, max_len=DEFAULT_MAX_LEN, method=None, 
         raise InvalidConfig(f"factor must be >= 1, got {factor}")
     if method == "synonym" and factor > 1 and synonyms is None:
         raise InvalidConfig("synonym augmentation needs a synonym map")
+    if method is not None and factor > 1 and rng is None:
+        raise InvalidConfig(f"{method} augmentation needs a random stream")
 
     def variant(tokens, clean):
         if method == "drop":

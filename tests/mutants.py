@@ -76,8 +76,8 @@ MUTANTS = [
            ("tests/test_textcnn.py::TestForward::test_valid_conv_positions",
             "tests/test_textcnn.py::TestBatchedOracle::test_zero_padded_columns")),
     Mutant("cnn-gather-offset-shifted", "src/xmreid/textcnn.py",
-           "ids[:, k:k + positions], axis=1)",
-           "ids[:, max(k - 1, 0):max(k - 1, 0) + positions], axis=1)",
+           "proj, window = projected(k), ids[:, k:k + positions]",
+           "proj, window = projected(k), ids[:, k - 1:k - 1 + positions]",
            ("tests/test_textcnn.py::TestBatchedOracle::test_dropout_masks",
             "tests/test_textcnn.py::TestBatchedOracle::test_duplicate_heavy_batch_at_paper_sizes")),
     Mutant("cnn-bincount-ignores-offset", "src/xmreid/textcnn.py",
@@ -90,14 +90,31 @@ MUTANTS = [
            "for name, index, grad in list(steps):\n            param, vel",
            ("tests/test_textcnn.py::TestTrain::test_applied_gradients_are_freed",)),
     Mutant("cnn-last-slice-kept", "src/xmreid/textcnn.py",
-           "        del grad  # the last slice would otherwise live through the next forward\n",
+           "            del grad, g  # freed before the next part or the next forward\n",
+           "",
+           ("tests/test_textcnn.py::TestTrain::test_full_width_iteration_memory",)),
+    Mutant("cnn-decay-temporary", "src/xmreid/textcnn.py",
+           "            for lo in range(0, len(grad), BLOCK_ROWS):\n"
+           "                g, p, v = (a[lo:lo + BLOCK_ROWS] for a in (grad, param, vel))\n",
+           "            for g, p, v in [(grad, param, vel)]:\n",
+           ("tests/test_textcnn.py::TestTrain::test_update_makes_no_parameter_sized_temporary",)),
+    Mutant("cnn-response-gathered-whole", "src/xmreid/textcnn.py",
+           "        for lo in range(0, len(conv), BLOCK_ROWS):\n"
+           "            conv[lo:lo + BLOCK_ROWS] += "
+           "np.take(proj[lo:lo + BLOCK_ROWS], window, axis=1)\n",
+           "        conv += np.take(proj, window, axis=1)\n",
+           ("tests/test_textcnn.py::TestTrain::test_full_width_iteration_memory",)),
+    Mutant("cnn-projection-kept", "src/xmreid/textcnn.py",
+           "        del proj  # else it would meet the next offset's projection\n",
            "",
            ("tests/test_textcnn.py::TestTrain::test_full_width_iteration_memory",)),
     Mutant("cnn-fc2-updated-before-backward-reads-it", "src/xmreid/textcnn.py",
-           "    dfc1_pre = _dropout(dlogits @ model.fc2_w, masks, cfg.dropout) * (trace.fc1 > 0.0)\n"
+           "    dfc1_pre = _dropout(dlogits @ model.fc2_w, masks, cfg.dropout)\n"
+           "    dfc1_pre *= trace.fc1 > 0.0\n"
            "    yield \"fc2_w\", ..., dlogits.T @ _dropout(trace.fc1, masks, cfg.dropout)\n",
            "    yield \"fc2_w\", ..., dlogits.T @ _dropout(trace.fc1, masks, cfg.dropout)\n"
-           "    dfc1_pre = _dropout(dlogits @ model.fc2_w, masks, cfg.dropout) * (trace.fc1 > 0.0)\n",
+           "    dfc1_pre = _dropout(dlogits @ model.fc2_w, masks, cfg.dropout)\n"
+           "    dfc1_pre *= trace.fc1 > 0.0\n",
            ("tests/test_textcnn.py::TestCutStacks::test_train_equals_full_width_loop",)),
     Mutant("cnn-tables-mixed", "src/xmreid/textcnn.py",
            "any(t.words is not words for t in tensors) or ",

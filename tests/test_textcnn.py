@@ -12,6 +12,12 @@ from xmreid.rng import stream
 from xmreid.textprep import DescriptionTensor
 
 
+# BLOCK_ROWS values the exactness tests run at: one row per block, a ragged
+# tail, the default; UNBLOCKED makes each response gather one block.
+BLOCKS = [1, 7, textcnn.BLOCK_ROWS]
+UNBLOCKED = 2**30
+
+
 def toy_config(num_classes=4, embed_dim=6, kernel_count=5, kernel_width=3,
                hidden_dim=7, max_len=9, dropout=0.0):
     return textcnn.TextCnnConfig(
@@ -373,9 +379,10 @@ class TestTrain:
 
     def test_full_width_iteration_memory(self):
         # 70-column descriptions fill all 100 x 66 windows, whose im2col rows
-        # would take 76 MiB alone. The peak, 34.1 MiB, is the 12.9 MiB C x B x P
-        # responses and one offset's gathered part of them beside the 5.0 MiB SGD
-        # velocities, the batch's 1.6 MiB distinct columns and their C x U
+        # would take 76 MiB alone. The peak, 22.0 MiB, is the 12.9 MiB C x B x P
+        # responses, one block of channels of one offset's gathered part of them
+        # (0.8 MiB; all of it would be another 12.9), the 5.0 MiB SGD velocities,
+        # the batch's 1.6 MiB distinct columns and their 1.4 MiB C x U
         # projection; the ids' table is built before tracing starts.
         # A second step peaks no higher, because the last applied conv_w slice
         # (0.6 MiB) is freed before the next forward.
@@ -395,15 +402,15 @@ class TestTrain:
 
         history, one_step = traced_run(1)
         assert np.isfinite(history[0])
-        assert one_step < 35 * 2**20
+        assert one_step < 22.5 * 2**20
         history, two_steps = traced_run(2)
         assert np.isfinite(history).all()
         assert two_steps < one_step + 256 * 2**10
 
     def test_shared_vocabulary_iteration_memory(self):
         # 70-word descriptions over a 32-word table: the batch codes at most
-        # 33 distinct columns. The peak, 31.3 MiB, is the responses as above,
-        # far below the 76 MiB that im2col rows alone took.
+        # 33 distinct columns. The peak, 20.3 MiB, is the responses and the
+        # velocities as above, far below the 76 MiB that im2col rows alone took.
         cfg = paper_config()
         model = textcnn.init_model(cfg, stream(46, 1))
         gen = stream(46, 2)
@@ -418,7 +425,7 @@ class TestTrain:
         finally:
             tracemalloc.stop()
         assert np.isfinite(history[0])
-        assert peak < 34 * 2**20
+        assert peak < 21 * 2**20
 
     def test_viper_size_corpus_ids_memory(self):
         # 1,264 descriptions of 70 words over a 2,000-word, 300-d table: their
@@ -439,12 +446,12 @@ class TestTrain:
 
     def test_applied_gradients_are_freed(self):
         # Each gradient is applied as the backward produces it and dropped, so
-        # a step never holds a full gradient set (5.4 MiB here), and no later
+        # a step never holds a full gradient set (5.0 MiB here), and no later
         # step holds the previous step's gradients beside its own; the slack
         # covers the previous losses, batch indices and the loss history.
         # Every description orders the same 8 words, so each batch codes the
         # same 9 distinct columns and its activations take the same memory.
-        # One step peaks at 11.3 MiB, of which the velocities are 5.4 MiB.
+        # One step peaks at 9.0 MiB, of which the velocities are 5.0 MiB.
         def traced_peak(iterations):
             cfg = paper_config()
             model = textcnn.init_model(cfg, stream(29, 1))
@@ -461,8 +468,26 @@ class TestTrain:
                 tracemalloc.stop()
 
         one_step = traced_peak(1)
-        assert one_step < 12 * 2**20
+        assert one_step < 9.5 * 2**20
         assert traced_peak(3) <= one_step + 64 * 2**10
+
+    def test_update_makes_no_parameter_sized_temporary(self):
+        # A one-description step holds little beside the velocities, so its
+        # peak is set while one conv_w offset slice of gradient (0.59 MiB) is
+        # applied. The update goes a block of rows at a time, so its weight
+        # decay term never takes a slice's size; at once it would add one more.
+        cfg = paper_config()
+        model = textcnn.init_model(cfg, stream(52, 1))
+        samples = [(3, *on_one_table([random_values(stream(52, 2), cfg, used=8)]))]
+        solver = textcnn.SolverConfig(iterations=1, batch_size=1)
+        velocities = sum(param.nbytes for _, param in model.params())
+        tracemalloc.start()
+        try:
+            textcnn.train(model, samples, solver, stream(52, 3))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < velocities + model.conv_w[..., 0].nbytes + 256 * 2**10
 
     def test_divergence_leaves_parameters_as_they_were(self):
         # The batch loss is checked before any update is applied: a first step
@@ -519,8 +544,10 @@ class TestTrain:
 class TestBatchedOracle:
     """The batched core against the summed per-sample oracle, to 1e-12."""
 
-    def test_dropout_masks(self):
-        cfg = toy_config(dropout=0.5, hidden_dim=16)
+    @pytest.mark.parametrize("block", BLOCKS)
+    def test_dropout_masks(self, monkeypatch, block):
+        monkeypatch.setattr(textcnn, "BLOCK_ROWS", block)
+        cfg = toy_config(dropout=0.5, hidden_dim=16, kernel_count=9)
         model = textcnn.init_model(cfg, stream(30, 1))
         gen = stream(30, 2)
         tensors = on_one_table(random_values(gen, cfg) for _ in range(8))
@@ -737,8 +764,9 @@ class TestWordIds:
 
 class TestCutStacks:
     """train and inference run only the windows forward reads, from each
-    description's stored ids; every output must stay byte-identical to the
-    full-width forward and batch_loss_and_gradients."""
+    description's stored ids, in blocks of BLOCK_ROWS rows; every output must
+    stay byte-identical to the full-width forward and batch_loss_and_gradients
+    run in one block."""
 
     def corpus(self, cfg, gen):
         """Descriptions on one table: empty, full, with zero ids inside, two
@@ -761,8 +789,10 @@ class TestCutStacks:
         model.conv_b[...] = np.resize([0.8, 0.0, -0.5], cfg.kernel_count)  # padding wins some pools
         return model
 
-    def test_train_equals_full_width_loop(self, monkeypatch):
-        cfg = toy_config(max_len=12, dropout=0.5, hidden_dim=16)
+    @pytest.mark.parametrize("block", BLOCKS)
+    def test_train_equals_full_width_loop(self, monkeypatch, block):
+        monkeypatch.setattr(textcnn, "BLOCK_ROWS", block)
+        cfg = toy_config(max_len=12, dropout=0.5, hidden_dim=16, kernel_count=9)
         tensors = self.corpus(cfg, stream(41, 2))
         labels = np.arange(len(tensors)) % cfg.num_classes
         solver = textcnn.SolverConfig(iterations=30, base_lr=0.05, batch_size=3)
@@ -780,6 +810,9 @@ class TestCutStacks:
         full = cfg.max_len - cfg.kernel_width + 1
         assert full in positions and min(positions) < full  # both paths ran
 
+        # The reference takes FC1's gradient in the same row blocks: a GEMM over
+        # a block of rows may round apart from those rows of one whole GEMM (a
+        # one-row block goes through GEMV).
         reference = self.model(cfg, 41)
         rng = stream(41, 3)
         velocity = {name: np.zeros_like(arr) for name, arr in reference.params()}
@@ -800,14 +833,17 @@ class TestCutStacks:
         for (name, got), (_, expected) in zip(model.params(), reference.params()):
             assert np.array_equal(got, expected), name
 
+    @pytest.mark.parametrize("block", BLOCKS)
     @pytest.mark.parametrize("chunk", [1, 3, textcnn.INFER_CHUNK])
-    def test_inference_equals_full_width_forward(self, monkeypatch, chunk):
+    def test_inference_equals_full_width_forward(self, monkeypatch, chunk, block):
         monkeypatch.setattr(textcnn, "INFER_CHUNK", chunk)
+        monkeypatch.setattr(textcnn, "BLOCK_ROWS", UNBLOCKED)
         cfg = toy_config(max_len=12, kernel_count=8)
         model = self.model(cfg, 42)
         tensors = self.corpus(cfg, stream(42, 2))
         traces = [textcnn.forward(model, tensors[start:start + chunk])
                   for start in range(0, len(tensors), chunk)]
+        monkeypatch.setattr(textcnn, "BLOCK_ROWS", block)
         fc1 = np.concatenate([trace.fc1 for trace in traces])
         argmax = np.concatenate([trace.argmax for trace in traces])
         assert np.array_equal(textcnn.extract_features(model, tensors), fc1)
@@ -828,9 +864,11 @@ class TestCutStacks:
                             [len(t.ids) for t in tensors])
         return [DescriptionTensor(t.ids[:width], t.words) for t, width in zip(tensors, widths)]
 
+    @pytest.mark.parametrize("block", BLOCKS)
     @pytest.mark.parametrize("chunk", [1, 3, textcnn.INFER_CHUNK])
-    def test_ragged_storage_equals_padded(self, monkeypatch, chunk):
+    def test_ragged_storage_equals_padded(self, monkeypatch, chunk, block):
         monkeypatch.setattr(textcnn, "INFER_CHUNK", chunk)
+        monkeypatch.setattr(textcnn, "BLOCK_ROWS", block)
         cfg = toy_config(max_len=12, dropout=0.5, hidden_dim=16, kernel_count=8)
         padded = self.corpus(cfg, stream(44, 2))
         ragged = self.ragged(padded)

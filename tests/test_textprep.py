@@ -302,6 +302,19 @@ class TestBuildTrainingTensors:
             textprep.build_training_tensors(self.corpus, words, method="synonym", factor=3,
                                             rng=stream(9, 3))
 
+    @pytest.mark.parametrize("method", ["drop", "synonym", "gaussian"])
+    def test_variants_need_a_stream(self, method):
+        # refused before any variant is drawn, so the table gains no noisy rows;
+        # factor 1 draws none and needs no stream
+        words = toy_words()
+        rows = len(words.vectors)
+        with pytest.raises(InvalidConfig, match="needs a random stream"):
+            textprep.build_training_tensors(self.corpus, words, method=method, factor=2,
+                                            synonyms={"red": ("hat",)})
+        assert len(words.vectors) == rows
+        out = textprep.build_training_tensors(self.corpus, words, method=method, factor=1)
+        assert [len(group) for group in out] == [1, 1]
+
     def test_gaussian_leaves_clean_columns(self):
         # each noisy column is a new row of the run's table; the rows that
         # clean descriptions read are shared, so noise must not touch them
