@@ -175,6 +175,8 @@ def cmd_train_textcnn(args):
         synonyms=synonyms,
     )
     samples = [(code, tensor) for code, group in zip(codes.tolist(), groups) for tensor in group]
+    if not any(tensor.ids.any() for _, tensor in samples):
+        raise EmptyCorpus(f"{args.corpus}: no description has a word of {args.embeddings}")
 
     config_net = textcnn.TextCnnConfig(
         num_classes=len(first), embed_dim=words.vectors.shape[1],

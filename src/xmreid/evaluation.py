@@ -213,8 +213,8 @@ def _evaluate_one_split(codes, names, views, fields, split, scenario, config, ma
     gallery_rows = gallery_rows[np.argsort(codes[gallery_rows], kind="stable")]
     starts = np.flatnonzero(np.r_[True, np.diff(codes[gallery_rows]) != 0])
     ranked_ids = codes[gallery_rows[starts]]
+    counts = np.diff(np.r_[starts, len(gallery_rows)])
     if config.gallery_mode == "single":
-        counts = np.diff(np.r_[starts, len(gallery_rows)])
         gallery_rows = gallery_rows[starts + [gen.integers(n) if n > 1 else 0 for n in counts]]
     probe_rows = np.flatnonzero(test & (views == 2))
     if not probe_rows.size:
@@ -226,8 +226,12 @@ def _evaluate_one_split(codes, names, views, fields, split, scenario, config, ma
     ranks = []
     for lo in range(0, len(probe_rows), step):
         scores = scorer(probes[lo:lo + step])
-        if config.gallery_mode == "multi":
-            scores = np.minimum.reduceat(scores, starts, axis=1)  # each identity's min
+        if config.gallery_mode == "multi":  # each identity's min, one entry slot at a time
+            folded = scores[:, starts]
+            for slot in range(1, counts.max()):
+                have = np.flatnonzero(counts > slot)
+                folded[:, have] = np.minimum(folded[:, have], scores[:, starts[have] + slot])
+            scores = folded
         ranks.append(_ranks(scores, ranked_ids, codes[probe_rows[lo:lo + step]], names))
     return _curve(np.concatenate(ranks), len(ranked_ids))
 

@@ -20,9 +20,11 @@ offset k's projection of column p + k, so a batch that reuses a small
 vocabulary multiplies far fewer columns than it has windows. The responses
 are laid out C x B x P, so the max-pool reduces the contiguous last axis;
 later offsets add to offset 0's gather BLOCK_ROWS channels at a time.
-FC1/FC2 are B-row GEMMs. The backward sums each channel's peak gradient into
-a U x C array per offset, at the code that offset of its peak window reads,
-and multiplies that against the distinct rows, so no per-window or
+FC1/FC2 are B-row GEMMs; the responses are freed once pooled, dropout scales
+FC1 in place and FC1 is freed before its gradient is formed, so a step holds
+only what its backward reads. The backward sums each channel's peak gradient
+into a U x C array per offset, at the code that offset of its peak window
+reads, and multiplies that against the distinct rows, so no per-window or
 per-sample gradient is ever held. synth.oracle_cnn_loss_and_gradients keeps
 the per-sample derivation as the oracle.
 
@@ -89,14 +91,13 @@ class TextCnnModel:
 
 @dataclass
 class ForwardTrace:
-    """A batch's activations; the backward reads all but conv."""
+    """A batch's activations, all of which the backward reads."""
 
     ids: np.ndarray           # B x (P+w-1) codes of the columns windows read, 0 for zero ones
     distinct: np.ndarray      # U x E distinct columns by code, row 0 all zero
-    conv: np.ndarray | None   # B x C x P after ReLU (a view of C x B x P), None in a backward
     argmax: np.ndarray        # B x C peak position, 0-based
     pooled: np.ndarray        # B x C
-    fc1: np.ndarray | None    # B x H after ReLU, before dropout; None after fc2_w's gradient
+    fc1: np.ndarray | None    # B x H after ReLU and dropout; None after fc2_w's gradient
     logits: np.ndarray        # B x K
 
 
@@ -157,7 +158,7 @@ def forward(model, tensors, masks=None) -> ForwardTrace:
     """Run B description tensors on one WordTable through the network at full
     width, max_len - w + 1 window positions. masks (B x H booleans, True =
     kept) switch on inverted dropout, which scales the kept FC1 units by
-    1/(1-rate); without masks nothing is dropped.
+    1/(1-rate) in the trace's fc1; without masks nothing is dropped.
 
     Columns past a tensor's last nonzero id are never projected: they read
     code 0, the zero column, whose projection is +-0 for finite weights, so a
@@ -198,12 +199,13 @@ def _forward(model, table, sentences, full=False, masks=None) -> ForwardTrace:
     np.maximum(conv, 0.0, out=conv)
     argmax = conv.argmax(axis=2)  # C x B, lowest position on ties
     pooled = np.take_along_axis(conv, argmax[:, :, None], axis=2)[:, :, 0].T
+    del conv  # the backward reads the peaks through argmax and pooled
     fc1 = pooled @ model.fc1_w.T
     np.maximum(np.add(fc1, model.fc1_b, out=fc1), 0.0, out=fc1)
-    logits = _dropout(fc1 if masks is None else fc1.copy(), masks, cfg.dropout) @ model.fc2_w.T
+    logits = _dropout(fc1, masks, cfg.dropout) @ model.fc2_w.T
     logits += model.fc2_b
-    return ForwardTrace(ids=ids, distinct=distinct, conv=conv.transpose(1, 0, 2), argmax=argmax.T,
-                        pooled=pooled, fc1=fc1, logits=logits)
+    return ForwardTrace(ids=ids, distinct=distinct, argmax=argmax.T, pooled=pooled, fc1=fc1,
+                        logits=logits)
 
 
 def softmax_cross_entropy(logits, labels):
@@ -242,16 +244,20 @@ def _loss_and_gradients(model, table, sentences, full, labels, masks):
     for getattr(model, name)[index] once the backward reads it no more; callers check labels."""
     cfg = model.config
     trace = _forward(model, table, sentences, full, masks)
-    trace.conv = None  # the backward reads the peaks through argmax and pooled
     rows = np.arange(len(labels))
     losses, dlogits = softmax_cross_entropy(trace.logits, labels)
     dlogits[rows, labels] -= 1.0
     yield losses
 
-    dfc1_pre = _dropout(dlogits @ model.fc2_w, masks, cfg.dropout)
-    dfc1_pre *= trace.fc1 > 0.0
-    yield "fc2_w", ..., dlogits.T @ _dropout(trace.fc1, masks, cfg.dropout)
+    # FC1 after dropout gives the ReLU's mask: 1/(1-rate) keeps a kept unit's
+    # sign and a dropped one's dFC1 is +-0 already. FC1 goes before dFC1 is made.
+    dfc2_w, live = dlogits.T @ trace.fc1, trace.fc1 > 0.0
     trace.fc1 = None
+    dfc1_pre = _dropout(dlogits @ model.fc2_w, masks, cfg.dropout)
+    dfc1_pre *= live
+    del live
+    yield "fc2_w", ..., dfc2_w
+    del dfc2_w
     yield "fc2_b", ..., dlogits.sum(axis=0)
 
     # Max-pool routes to the argmax position; a zero pooled value means the

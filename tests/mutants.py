@@ -110,12 +110,28 @@ MUTANTS = [
            ("tests/test_textcnn.py::TestTrain::test_full_width_iteration_memory",)),
     Mutant("cnn-fc2-updated-before-backward-reads-it", "src/xmreid/textcnn.py",
            "    dfc1_pre = _dropout(dlogits @ model.fc2_w, masks, cfg.dropout)\n"
-           "    dfc1_pre *= trace.fc1 > 0.0\n"
-           "    yield \"fc2_w\", ..., dlogits.T @ _dropout(trace.fc1, masks, cfg.dropout)\n",
-           "    yield \"fc2_w\", ..., dlogits.T @ _dropout(trace.fc1, masks, cfg.dropout)\n"
+           "    dfc1_pre *= live\n"
+           "    del live\n"
+           "    yield \"fc2_w\", ..., dfc2_w\n",
+           "    yield \"fc2_w\", ..., dfc2_w\n"
            "    dfc1_pre = _dropout(dlogits @ model.fc2_w, masks, cfg.dropout)\n"
-           "    dfc1_pre *= trace.fc1 > 0.0\n",
+           "    dfc1_pre *= live\n"
+           "    del live\n",
            ("tests/test_textcnn.py::TestCutStacks::test_train_equals_full_width_loop",)),
+    Mutant("cnn-responses-kept-through-fc1", "src/xmreid/textcnn.py",
+           "    del conv  # the backward reads the peaks through argmax and pooled\n",
+           "",
+           ("tests/test_textcnn.py::TestTrain::test_benchmark_shape_iteration_memory",)),
+    Mutant("cnn-fc1-kept-through-dfc1", "src/xmreid/textcnn.py",
+           "    trace.fc1 = None\n"
+           "    dfc1_pre = _dropout(dlogits @ model.fc2_w, masks, cfg.dropout)\n",
+           "    dfc1_pre = _dropout(dlogits @ model.fc2_w, masks, cfg.dropout)\n"
+           "    trace.fc1 = None\n",
+           ("tests/test_textcnn.py::TestTrain::test_backward_frees_fc1_before_its_gradient",)),
+    Mutant("cnn-dropout-copied", "src/xmreid/textcnn.py",
+           "logits = _dropout(fc1, masks, cfg.dropout) @ model.fc2_w.T",
+           "fc1 = _dropout(fc1.copy(), masks, cfg.dropout)\n    logits = fc1 @ model.fc2_w.T",
+           ("tests/test_textcnn.py::TestForward::test_dropout_scales_fc1_in_place",)),
     Mutant("cnn-tables-mixed", "src/xmreid/textcnn.py",
            "any(t.words is not words for t in tensors) or ",
            "",
@@ -158,6 +174,11 @@ MUTANTS = [
            "v1, v2 = features[:k], features[k - 1:]",
            ("tests/test_xqda.py::TestDifferenceCovariances"
             "::test_view_slices_match_the_gather_path",)),
+    Mutant("multi-shot-slot-skipped", "src/xmreid/evaluation.py",
+           "for slot in range(1, counts.max()):",
+           "for slot in range(2, counts.max()):",
+           ("tests/test_evaluation.py::TestIdentityCoding"
+            "::test_gallery_order_and_cmc_match_label_grouping[multi]",)),
     Mutant("roles-by-sorted-label", "src/xmreid/evaluation.py",
            'split.roles.get(name, "") for name in names.tolist()',
            'split.roles.get(name, "") for name in sorted(names.tolist())',

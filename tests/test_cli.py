@@ -294,6 +294,24 @@ class TestTrainTextCnn:
         assert code == 4
         assert list(out_dir.iterdir()) == []
 
+    @pytest.mark.parametrize("augment", [(), ("--augment", "gaussian", "--factor", "2")])
+    def test_corpus_without_known_words_is_data_error(self, tmp_path, augment):
+        # A wrong EMB file leaves every description without a word: all-padding
+        # tensors would train to chance, so the run stops before the model is built.
+        _, emb_path = toy_text_corpus(tmp_path, classes=3)
+        corpus_path = tmp_path / "unknown.corpus"
+        corpus_path.write_text("XMREID-CORPUS 1\nperson0\t1\tzebra stripes\n"
+                               "person1\t2\tquartz lantern\n", encoding="utf-8")
+        out_dir = tmp_path / "run"
+        out_dir.mkdir()
+        code = run(["train-textcnn", "--corpus", str(corpus_path),
+                    "--embeddings", str(emb_path), "--out-dir", str(out_dir),
+                    "--iters", "2", "--batch", "4", "--kernels", "4",
+                    "--kernel-width", "3", "--hidden", "8", "--max-len", "10", "--quiet",
+                    *augment])
+        assert code == 4
+        assert list(out_dir.iterdir()) == []
+
     def test_huge_max_len_stores_only_words(self, tmp_path):
         # descriptions are stored at their own width and batches are padded
         # only through the columns the network reads, so max_len costs nothing

@@ -61,6 +61,19 @@ def relative_error(got, want):
     return diff / scale if scale > 0.0 else diff
 
 
+def oracle_responses(model, trace):
+    """B x C x P responses after ReLU, from the columns trace.ids reads and
+    conv_w; the trace keeps only their peaks."""
+    windows = sliding_window_view(trace.distinct[trace.ids], model.config.kernel_width, axis=1)
+    response = np.tensordot(windows, model.conv_w, axes=[(2, 3), (1, 2)]) + model.conv_b
+    return np.maximum(response, 0.0).transpose(0, 2, 1)
+
+
+def positions(model, trace):
+    """The window positions a trace's ids were read at."""
+    return trace.ids.shape[1] - model.config.kernel_width + 1
+
+
 def sample_loss_and_gradients(model, tensor, label):
     """Loss and gradients of one tensor, run as a batch of one."""
     losses, grads = textcnn.batch_loss_and_gradients(model, [tensor], [label])
@@ -146,18 +159,18 @@ class TestForward:
         model.conv_b[...] = [0.5, 0.0, -0.5, 0.25, -0.25]
         tensor = on_one_table([random_values(stream(1, 2), cfg)])
         trace = textcnn.forward(model, tensor)
-        assert trace.conv.shape == (1, cfg.kernel_count, 66)
+        assert positions(model, trace) == 66 and trace.argmax.max() < 66
         assert list(trace.ids[0]) == list(range(1, 71))
         assert np.array_equal(trace.distinct, np.hstack([np.zeros((4, 1)), tensor[0].columns()]).T)
 
         # 8 words: the 62 padding columns read code 0, so only 9 columns are projected
         short_tensor = on_one_table([random_values(stream(1, 3), cfg, used=8)])
         short = textcnn.forward(model, short_tensor)
-        assert short.conv.shape == (1, cfg.kernel_count, 66)
+        assert positions(model, short) == 66
         assert list(short.ids[0]) == list(range(1, 9)) + [0] * 62
         assert np.array_equal(short.distinct[short.ids[0]], short_tensor[0].columns().T)
         padding = np.broadcast_to(np.maximum(model.conv_b, 0.0)[None, :, None], (1, 5, 58))
-        assert np.array_equal(short.conv[..., 8:], padding)
+        assert np.array_equal(oracle_responses(model, short)[..., 8:], padding)
 
     def test_zero_model_uniform_softmax(self):
         cfg = toy_config(num_classes=8)
@@ -186,15 +199,36 @@ class TestForward:
         masks = stream(5, 3).random((1, cfg.hidden_dim)) >= cfg.dropout
         plain = textcnn.forward(model, tensor)
         dropped = textcnn.forward(model, tensor, masks)
-        assert np.array_equal(plain.fc1, dropped.fc1)  # dropout acts after FC1
+        # dropout acts after FC1, in place: the trace keeps the dropped units
+        assert np.any(plain.fc1[~masks] > 0.0)
+        want = plain.fc1 * masks / (1.0 - cfg.dropout)
+        assert dropped.fc1.tobytes() == want.tobytes()
         assert not np.array_equal(plain.logits, dropped.logits)
+
+    def test_dropout_scales_fc1_in_place(self):
+        # Few narrow channels and a wide FC1: FC1 (2 MiB) outweighs everything
+        # else a masked forward makes, and a dropped copy of it would double that.
+        cfg = toy_config(dropout=0.5, hidden_dim=4096)
+        model = textcnn.init_model(cfg, stream(54, 1))
+        gen = stream(54, 2)
+        tensors = on_one_table(random_values(gen, cfg) for _ in range(64))
+        masks = gen.random((64, cfg.hidden_dim)) >= cfg.dropout
+        tracemalloc.start()
+        try:
+            trace = textcnn.forward(model, tensors, masks)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * trace.fc1.nbytes
 
     def test_pooled_is_rowwise_max(self):
         cfg = toy_config()
         model = textcnn.init_model(cfg, stream(6, 1))
         tensor = on_one_table([random_values(stream(6, 2), cfg)])
         trace = textcnn.forward(model, tensor)
-        assert np.array_equal(trace.pooled, trace.conv.max(axis=2))
+        response = oracle_responses(model, trace)
+        assert np.array_equal(trace.argmax, response.argmax(axis=2))
+        assert relative_error(trace.pooled, response.max(axis=2)) <= 1e-13
 
     def test_width_one_pooling_is_permutation_invariant(self):
         # with w=1 each column scores independently, so shuffling the used
@@ -409,7 +443,7 @@ class TestTrain:
 
     def test_shared_vocabulary_iteration_memory(self):
         # 70-word descriptions over a 32-word table: the batch codes at most
-        # 33 distinct columns. The peak, 20.3 MiB, is the responses and the
+        # 33 distinct columns. The peak, 19.2 MiB, is the responses and the
         # velocities as above, far below the 76 MiB that im2col rows alone took.
         cfg = paper_config()
         model = textcnn.init_model(cfg, stream(46, 1))
@@ -426,6 +460,55 @@ class TestTrain:
             tracemalloc.stop()
         assert np.isfinite(history[0])
         assert peak < 21 * 2**20
+
+    def benchmark_shape(self, seed):
+        """A paper-size model and 100 8-word descriptions over a 32-word
+        table, the benchmark's textcnn shape."""
+        cfg = paper_config()
+        model = textcnn.init_model(cfg, stream(seed, 1))
+        gen = stream(seed, 2)
+        table = gen.standard_normal((cfg.embed_dim, 32))
+        tensors = on_one_table(table[:, gen.integers(0, 32, 8)] for _ in range(100))
+        return model, [(label % cfg.num_classes, t) for label, t in enumerate(tensors)]
+
+    def test_benchmark_shape_iteration_memory(self):
+        # The batch reads 9 windows, so its responses take 1.8 MiB; with the
+        # 5.0 MiB velocities they set the peak, 7.6 MiB. They are freed once
+        # pooled: kept through FC1 (0.8 MiB) the peak would be 8.2 MiB, and
+        # with a dropped copy of FC1 beside them as well, 9.0 MiB.
+        model, samples = self.benchmark_shape(53)
+        solver = textcnn.SolverConfig(iterations=1, batch_size=100)
+        tracemalloc.start()
+        try:
+            history = textcnn.train(model, samples, solver, stream(53, 3))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.isfinite(history[0])
+        assert peak < 7.9 * 2**20
+
+    def test_backward_frees_fc1_before_its_gradient(self):
+        # From the losses to fc2_w's gradient the backward adds that gradient
+        # (80 KiB) and FC1's ReLU mask (100 KiB); FC1 (0.8 MiB) is freed before
+        # dFC1, its like, is formed, so the two are never held at once.
+        model, samples = self.benchmark_shape(55)
+        cfg = model.config
+        table, sentences = textcnn._coded([t for _, t in samples], cfg)
+        labels = np.array([label for label, _ in samples])
+        masks = stream(55, 3).random((len(labels), cfg.hidden_dim)) >= cfg.dropout
+        steps = textcnn._loss_and_gradients(model, table, sentences, False, labels, masks)
+        fc1 = len(labels) * cfg.hidden_dim * 8
+        tracemalloc.start()
+        try:
+            next(steps)
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            name, _, _ = next(steps)
+            rise = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert name == "fc2_w"
+        assert rise < fc1 / 2
 
     def test_viper_size_corpus_ids_memory(self):
         # 1,264 descriptions of 70 words over a 2,000-word, 300-d table: their
@@ -451,7 +534,7 @@ class TestTrain:
         # covers the previous losses, batch indices and the loss history.
         # Every description orders the same 8 words, so each batch codes the
         # same 9 distinct columns and its activations take the same memory.
-        # One step peaks at 9.0 MiB, of which the velocities are 5.0 MiB.
+        # One step peaks at 7.5 MiB, of which the velocities are 5.0 MiB.
         def traced_peak(iterations):
             cfg = paper_config()
             model = textcnn.init_model(cfg, stream(29, 1))
@@ -577,7 +660,9 @@ class TestBatchedOracle:
         tensors = on_one_table(np.repeat(column, cfg.max_len, axis=1) for column in columns)
         trace = textcnn.forward(model, tensors[:1])
         assert np.all(trace.argmax == 0) and np.any(trace.pooled > 0.0)
-        assert np.all(trace.conv == trace.conv[:, :, :1])
+        response = oracle_responses(model, trace)
+        assert np.all(response == response[:, :, :1])
+        assert np.array_equal(trace.pooled, response[:, :, 0])
         assert_batch_matches_oracle(model, tensors, gen.integers(0, cfg.num_classes, size=8))
 
     def test_zero_padded_columns(self):
@@ -614,8 +699,8 @@ class TestBatchedOracle:
         model = textcnn.init_model(cfg, stream(38, 1))
         model.conv_b[...] = np.resize([0.5, 0.0, -0.5], cfg.kernel_count)
         gen = stream(38, 2)
-        width, positions = cfg.kernel_width, cfg.max_len - cfg.kernel_width + 1
-        edges = [0, 1, width - 1, width, 8, positions - 1, positions, cfg.max_len]
+        width, full = cfg.kernel_width, cfg.max_len - cfg.kernel_width + 1
+        edges = [0, 1, width - 1, width, 8, full - 1, full, cfg.max_len]
         used = edges + [int(u) for u in gen.integers(0, cfg.max_len + 1, size=32 - len(edges))]
         tensors = on_one_table(random_values(gen, cfg, used=u) for u in used)
         labels = gen.integers(0, cfg.num_classes, size=len(tensors))
@@ -625,7 +710,7 @@ class TestBatchedOracle:
         values = np.stack([t.columns() for t in tensors])
         trace = textcnn.forward(model, tensors)
         # every word column is distinct and padding alone reads code 0
-        assert len(trace.distinct) == 1 + sum(used) and trace.conv.shape[2] == positions
+        assert len(trace.distinct) == 1 + sum(used) and positions(model, trace) == full
         assert np.array_equal(trace.ids > 0, np.arange(cfg.max_len) < np.array(used)[:, None])
         assert np.array_equal(trace.distinct[trace.ids].transpose(0, 2, 1), values)
         windows = sliding_window_view(values, cfg.kernel_width, axis=2)  # B x E x P x w
@@ -678,9 +763,10 @@ class TestBatchedOracle:
         plain, trace = (textcnn.forward(model, on_one_table([v])) for v in (values, negative))
         assert list(trace.ids[0]) == [1, 2, 3, 0, 0, 0, 4, 5, 6, 0, 0, 0]
         padding = np.maximum(model.conv_b, 0.0)
-        assert np.array_equal(trace.conv[0, :, 3], padding)
-        assert np.array_equal(trace.conv[0, :, 9], padding)
-        for name in ("ids", "distinct", "conv", "argmax", "pooled", "fc1", "logits"):
+        response = oracle_responses(model, trace)
+        assert np.array_equal(response[0, :, 3], padding)
+        assert np.array_equal(response[0, :, 9], padding)
+        for name in ("ids", "distinct", "argmax", "pooled", "fc1", "logits"):
             assert getattr(trace, name).tobytes() == getattr(plain, name).tobytes(), name
 
     def test_noisy_padding_makes_every_window_live(self):
@@ -796,19 +882,19 @@ class TestCutStacks:
         tensors = self.corpus(cfg, stream(41, 2))
         labels = np.arange(len(tensors)) % cfg.num_classes
         solver = textcnn.SolverConfig(iterations=30, base_lr=0.05, batch_size=3)
-        positions = []
+        read = []
         row_forward = textcnn._forward
 
-        def recording_forward(*args, **kwargs):
-            trace = row_forward(*args, **kwargs)
-            positions.append(trace.conv.shape[2])
+        def recording_forward(model, *args, **kwargs):
+            trace = row_forward(model, *args, **kwargs)
+            read.append(positions(model, trace))
             return trace
 
         monkeypatch.setattr(textcnn, "_forward", recording_forward)
         model = self.model(cfg, 41)
         history = textcnn.train(model, list(zip(labels, tensors)), solver, stream(41, 3))
         full = cfg.max_len - cfg.kernel_width + 1
-        assert full in positions and min(positions) < full  # both paths ran
+        assert full in read and min(read) < full  # both paths ran
 
         # The reference takes FC1's gradient in the same row blocks: a GEMM over
         # a block of rows may round apart from those rows of one whole GEMM (a
