@@ -14,9 +14,9 @@ probes are scored, folded and ranked in blocks of rows, so at most one block
 of scores is held, never P x G of them.
 
 SCENARIO_SPEC, the one table of the six scenarios, decides the rest: its
-cca_x/cca_y parts fit a CCA per split, its attribute parts flip bits and
-make fit_xqda(zscore=True) z-score the fused training features. A split
-fuses the columns a scenario reads once per row set and side, as arrays.
+cca_x/cca_y parts fit a CCA per split, its attribute parts flip bits, and a
+side of two or more parts is balanced by _block_scales. A split fuses the
+columns a scenario reads once per row set and side, as arrays.
 """
 
 import math
@@ -159,9 +159,9 @@ def flip_attributes(bits, n, rng):
     return out
 
 
-def _fuse(parts, fields, rows, model):
-    """The given rows of each part's column, attribute bits mapped onto
-    {-1, +1} and cca_x/cca_y projected through model, concatenated."""
+def _fuse(parts, fields, rows, model, scale=None):
+    """The given rows of each part's column (attribute bits onto {-1, +1},
+    cca_x/cca_y projected through model), concatenated, divided by scale if given."""
     pieces = []
     for part in parts:
         value = fields[PART_SOURCES[part]][rows]
@@ -170,7 +170,22 @@ def _fuse(parts, fields, rows, model):
         elif part.startswith("cca_"):
             value = cca_mod.project(model, part[-1], value)
         pieces.append(value)
-    return np.concatenate(pieces, axis=-1)
+    fused = np.concatenate(pieces, axis=-1)
+    return fused if scale is None else np.divide(fused, scale, out=fused)
+
+
+def _block_scales(fused, parts, fields, model):
+    """Per column of the fused training rows of both views, its part's RMS
+    centred norm sqrt(mean ||x - mean x||^2), taken without a centred copy; 1
+    where that is zero or rounding noise, which dividing would amplify. XQDA's
+    ridge is isotropic, so the parts must enter at one scale; scoring reuses these."""
+    widths = [model.k if p.startswith("cca_") else fields[PART_SOURCES[p]].shape[1] for p in parts]
+    scales = []
+    for block in np.split(fused, np.cumsum(widths)[:-1], axis=1):
+        mean, square = block.mean(axis=0), np.einsum("ij,ij->", block, block)
+        spread = square - len(block) * (mean @ mean)
+        scales.append(math.sqrt(spread / len(block)) if spread > 1e-12 * square else 1.0)
+    return np.repeat(scales, widths)
 
 
 def _evaluate_one_split(codes, names, views, fields, split, scenario, config, master_seed):
@@ -197,13 +212,15 @@ def _evaluate_one_split(codes, names, views, fields, split, scenario, config, ma
     train_view1 = np.flatnonzero(train & (views == 1))
     train_view2 = np.flatnonzero(train & (views == 2))
     train_rows = np.concatenate([train_view1, train_view2])
-    # View-1 then view-2 rows, so fit_xqda slices the views; the matrix dies with the call.
-    # Z-scoring balances the scales of vision features and {-1,+1} attribute bits.
-    metric = xqda_mod.fit_xqda(
-        np.vstack([_fuse(spec[GALLERY], fields, train_view1, model),
-                   _fuse(spec[QUERY], fields, train_view2, model)]),
-        names[codes[train_rows]], views[train_rows], zscore="attribute" in parts,
-    )
+    # View-1 then view-2 rows, so fit_xqda slices the views; freed before scoring.
+    fused = np.vstack([_fuse(spec[GALLERY], fields, train_view1, model),
+                       _fuse(spec[QUERY], fields, train_view2, model)])
+    scale = None
+    if len(spec[GALLERY]) > 1:  # a lone part is left as it is
+        scale = _block_scales(fused, spec[GALLERY], fields, model)
+        fused /= scale
+    metric = xqda_mod.fit_xqda(fused, names[codes[train_rows]], views[train_rows])
+    del fused
 
     # Gallery: view-1 test samples, grouped by identity in order of first
     # appearance; single-shot draws one per identity that has several.
@@ -220,8 +237,9 @@ def _evaluate_one_split(codes, names, views, fields, split, scenario, config, ma
     if not probe_rows.size:
         raise EmptySubset(f"split {split.index} has no view-2 test samples")
 
-    scorer = xqda_mod._gallery_scorer(metric, _fuse(spec[GALLERY], fields, gallery_rows, model))
-    probes = _fuse(spec[QUERY], fields, probe_rows, model)
+    scorer = xqda_mod._gallery_scorer(metric, _fuse(spec[GALLERY], fields, gallery_rows, model,
+                                                    scale))
+    probes = _fuse(spec[QUERY], fields, probe_rows, model, scale)
     step = max(1, BLOCK_ENTRIES // len(gallery_rows))
     ranks = []
     for lo in range(0, len(probe_rows), step):
@@ -270,11 +288,13 @@ def claim_margins(reports, order):
     splits of b's rank-1 minus a's and its standard error. reports maps each
     name in order to a SplitReport over the same splits, which pair the
     differences; order is the claimed ascending order of rank-1."""
+    if len(order) < 2 or not set(order) <= set(reports):
+        raise InvalidConfig(f"margins need two names in order, each in reports, got {list(order)}")
     r1 = [[r.rank(1) for r in reports[name].per_split] for name in order]
     if len({len(rates) for rates in r1}) != 1:
         raise ShapeMismatch("margins pair splits, so every report needs the same splits")
-    if len(order) < 2 or len(r1[0]) < 2:
-        raise InvalidConfig("margins need two names in order and two splits")
+    if len(r1[0]) < 2:
+        raise InvalidConfig("margins need two splits")
     diffs = np.diff(np.array(r1), axis=0)
     return {pair: (float(d.mean()), float(d.std(ddof=1) / math.sqrt(len(d))))
             for pair, d in zip(zip(order, order[1:]), diffs)}

@@ -96,6 +96,8 @@ class SynthConfig:
             raise InvalidConfig("train_fraction must lie strictly inside (0, 1)")
         if self.identity_count > 2 ** self.attribute_bits:
             raise InvalidConfig("not enough attribute patterns for unique identities")
+        if not 0 <= self.seed < 2 ** 64:  # rng.stream keys on the seed's low 64 bits
+            raise InvalidConfig(f"seed must lie in 0..2**64 - 1, got {self.seed}")
 
 
 def reference_config() -> SynthConfig:

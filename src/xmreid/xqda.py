@@ -63,9 +63,15 @@ class XqdaModel:
         return self.w.shape[1]
 
 
-def _check_inputs(features, identities, views):
-    """Row-aligned features, then per view its rows (slices if grouped view 1,
-    then view 2), their identity codes by first appearance and per-identity counts."""
+def build_difference_covariances(features, identities, views):
+    """(S_I, S_E): second moments of same/different-identity cross-view pairs.
+
+    Uses the class-mean expansion: with per-identity view sums s1_i, s2_i,
+    counts n1_i, n2_i, and per-view raw second moments, the sum over pairs of
+    (g - q)(g - q)^T needs no pair loop. Extra-personal pairs are all pairs
+    minus the same-identity ones. Each view's rows are a slice when the rows
+    come grouped, view 1 then view 2, and are gathered once otherwise.
+    """
     features = np.asarray(features, dtype=np.float64)
     identities = np.asarray(identities)
     views = np.asarray(views)
@@ -85,23 +91,7 @@ def _check_inputs(features, identities, views):
         v1, v2 = features[:k], features[k:]
     else:
         v1, v2 = features[in1], features[in2]
-    return features, v1, v2, codes[in1], codes[in2], n1, n2
-
-
-def build_difference_covariances(features, identities, views):
-    """(S_I, S_E): second moments of same/different-identity cross-view pairs.
-
-    Uses the class-mean expansion: with per-identity view sums s1_i, s2_i,
-    counts n1_i, n2_i, and per-view raw second moments, the sum over pairs of
-    (g - q)(g - q)^T needs no pair loop. Extra-personal pairs are all pairs
-    minus the same-identity ones.
-    """
-    return _difference_covariances(*_check_inputs(features, identities, views)[1:])
-
-
-def _difference_covariances(v1, v2, id1, id2, n1, n2):
-    """build_difference_covariances on _check_inputs' per-view output."""
-    dim = v1.shape[1]
+    id1, id2, dim = codes[in1], codes[in2], features.shape[1]
 
     # np.add.at adds the rows in order, as a per-identity sum(axis=0) would.
     sums1 = np.zeros((len(n1), dim))
@@ -129,28 +119,19 @@ def _difference_covariances(v1, v2, id1, id2, n1, n2):
 
 
 def fit_xqda(features, identities, views, ridge=DEFAULT_RIDGE,
-             max_rank=DEFAULT_MAX_RANK, zscore=False) -> XqdaModel:
+             max_rank=DEFAULT_MAX_RANK) -> XqdaModel:
     """Learn the XQDA subspace and kernel from labelled cross-view features.
 
     Directions with generalized eigenvalue above 1 + UNIT_EIGENVALUE_TOL separate
     extra-personal from intra-personal variation and are kept (up to
     max_rank); if none qualify the strongest direction is kept anyway and
-    the model is flagged as a fallback. One generalized eigensolve runs in
-    the (optionally z-scored) feature coordinates; dividing by one column
-    scale, all ones and so exact without zscore, lifts W to raw features.
+    the model is flagged as a fallback. The ridge is isotropic, so raw column
+    scale weighs in the metric: a caller that concatenates feature blocks
+    balances their scales first.
     """
     if max_rank < 1:
         raise InvalidConfig(f"max_rank must be >= 1, got {max_rank}")
-    features, v1, v2, *rest = _check_inputs(features, identities, views)
-
-    scale = np.ones(features.shape[1])
-    if zscore:
-        scale = features.std(axis=0)
-        scale[scale < 1e-12] = 1.0  # near-constant columns stay unscaled
-        mean = features.mean(axis=0)
-        v1, v2 = (v1 - mean) / scale, (v2 - mean) / scale
-
-    intra, extra = _difference_covariances(v1, v2, *rest)
+    intra, extra = build_difference_covariances(features, identities, views)
     extra_r, intra_r = linalg.ridged(ridge, extra, intra)  # a bad ridge before a degenerate metric
     if np.trace(intra) + np.trace(extra) <= 0.0:
         raise DegenerateMetric("both difference covariances vanish")
@@ -164,7 +145,7 @@ def fit_xqda(features, identities, views, ridge=DEFAULT_RIDGE,
     proj_intra, proj_extra = linalg.ridged(ridge, w.T @ intra @ w, w.T @ extra @ w)
     kernel = linalg.psd_power(proj_intra, -1) - linalg.psd_power(proj_extra, -1)
     kernel = (kernel + kernel.T) / 2.0
-    return XqdaModel(w=w / scale[:, None], m=kernel, fallback=fallback)
+    return XqdaModel(w=w.copy(), m=kernel, fallback=fallback)  # not a view of all d x d vectors
 
 
 def score(model: XqdaModel, gallery, query) -> float:

@@ -161,10 +161,6 @@ MUTANTS = [
            "        groups.append(group)\n",
            tuple(f"tests/test_textprep.py::TestBuildTrainingTensors::test_group_layout[{method}-3]"
                  for method in ("drop", "synonym", "gaussian"))),
-    Mutant("xqda-lift-multiplies", "src/xmreid/xqda.py",
-           "w=w / scale[:, None]",
-           "w=w * scale[:, None]",
-           ("tests/test_xqda.py::TestZscore::test_scaled_features_score_identically",)),
     Mutant("xqda-one-view-mask", "src/xmreid/xqda.py",
            "v1, v2 = features[in1], features[in2]",
            "v1, v2 = features[in1], features[in1]",
@@ -174,6 +170,16 @@ MUTANTS = [
            "v1, v2 = features[:k], features[k - 1:]",
            ("tests/test_xqda.py::TestDifferenceCovariances"
             "::test_view_slices_match_the_gather_path",)),
+    Mutant("block-scale-dropped", "src/xmreid/evaluation.py",
+           "scales.append(math.sqrt(spread / len(block)) if spread > 1e-12 * square else 1.0)",
+           "scales.append(1.0)",
+           tuple(f"tests/test_evaluation.py::TestAttributeSweep"
+                 f"::test_vision_scale_is_normalised_away[{case}]"
+                 for case in ("VxVL-vision", "VLxVL-language", "VAxVA-vision"))),
+    Mutant("block-scale-zero-norm-divided", "src/xmreid/evaluation.py",
+           "if spread > 1e-12 * square else 1.0",
+           "if True else 1.0",
+           ("tests/test_cli.py::TestExitCodePartition::test_numerical_failure_is_5",)),
     Mutant("multi-shot-slot-skipped", "src/xmreid/evaluation.py",
            "for slot in range(1, counts.max()):",
            "for slot in range(2, counts.max()):",

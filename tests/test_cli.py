@@ -99,7 +99,8 @@ class TestGenSynth:
         for body in (b'{"seed": 1', b"5", b"[]", b'{"seed": "\xff"}',
                      b'{"identity_count": "x"}', b'{"identity_count": 12.5}',
                      b'{"identity_count": true}', b'{"vision_noise": "0.5"}',
-                     b'{"nuisance_scale": NaN}', b'{"vision_noise": Infinity}'):
+                     b'{"nuisance_scale": NaN}', b'{"vision_noise": Infinity}',
+                     b'{"seed": -1}', b'{"seed": 18446744073709551616}'):
             config_path.write_bytes(body)
             assert run(["gen-synth", "--config", str(config_path), "--out", str(out),
                         "--quiet"]) == 2, body
@@ -800,16 +801,19 @@ class TestExitCodePartition:
 
     def test_numerical_failure_is_5(self, tmp_path):
         # identical features for every record: both difference covariances
-        # of the training identities vanish and the metric is degenerate
+        # of the training identities vanish and the metric is degenerate; in
+        # VLxVL each part's norm is zero too, so its scale must stay 1
         identities = np.repeat([f"id{i}" for i in range(4)], 2)
         feat = tmp_path / "flat.feat"
         dataio.save_features(identities, np.tile([1, 2], 4), np.ones((8, 3)), feat)
         split = tmp_path / "s.split"
         roles = {"id0": dataio.TRAIN, "id1": dataio.TRAIN, "id2": dataio.TEST, "id3": dataio.TEST}
         dataio.save_splits([dataio.SplitAssignment(index=0, roles=roles)], split)
-        code = run(["evaluate", "--scenario", "VxV", "--vision", str(feat), "--splits", str(split),
-                    "--out-dir", str(tmp_path), "--quiet"])
-        assert code == 5
+        for scenario in ("VxV", "VLxVL"):
+            code = run(["evaluate", "--scenario", scenario, "--vision", str(feat),
+                        "--language", str(feat), "--splits", str(split),
+                        "--out-dir", str(tmp_path), "--quiet"])
+            assert code == 5, scenario
 
     @pytest.mark.parametrize("argv", [
         "fit-cca --x {d}/vision.feat --y {d}/language.feat --out {t}/m.cca",

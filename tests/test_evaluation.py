@@ -496,6 +496,10 @@ class TestClaimMargins:
             evaluation.claim_margins({"A": a}, ["A"])
         with pytest.raises(InvalidConfig):
             evaluation.claim_margins({"A": short, "B": short}, ["A", "B"])
+        with pytest.raises(InvalidConfig):
+            evaluation.claim_margins({}, [])
+        with pytest.raises(InvalidConfig, match="'B'"):
+            evaluation.claim_margins({"A": a}, ["A", "B"])
 
 
 class TestAttributeSweep:
@@ -548,10 +552,13 @@ class TestAttributeSweep:
         evaluation.attribute_degradation_sweep(dataset, synth.gen_splits(config)[:1], [width])
         assert len(calls) == 1
 
-    def test_vision_scale_is_normalised_away(self, monkeypatch):
-        # VAxVA features are z-scored on train statistics, so scaling the
-        # vision part by 1000 must leave every CMC rank and every split's
-        # XQDA rank as it was.
+    @pytest.mark.parametrize("scenario, field", [
+        ("VxVL", "vision"), ("VLxVL", "language"), ("VAxVA", "vision"),
+    ])
+    def test_vision_scale_is_normalised_away(self, monkeypatch, scenario, field):
+        # Each part of a fused side is divided by its training RMS norm, so
+        # scaling one part by 1000 must leave every CMC rank and every
+        # split's XQDA rank as it was.
         ranks = []
         fit = xqda.fit_xqda
 
@@ -561,13 +568,14 @@ class TestAttributeSweep:
             return model
 
         monkeypatch.setattr(xqda, "fit_xqda", recording_fit)
+        pipe = evaluation.PipelineConfig(flip_bits=2)
         for config in (small_config(identity_count=24, vision_noise=1.5),
                        small_config(vision_noise=1.5)):
             dataset = self.make_attributed_dataset(config)
             splits = synth.gen_splits(config)
             ranks.clear()
-            base = evaluation.attribute_degradation_sweep(dataset, splits, [2], master_seed=4)
-            dataset.vision = dataset.vision * 1e3
-            scaled = evaluation.attribute_degradation_sweep(dataset, splits, [2], master_seed=4)
-            assert np.array_equal(base[2].mean, scaled[2].mean)
+            base = evaluation.evaluate_scenario(dataset, splits, scenario, pipe, master_seed=4)
+            setattr(dataset, field, getattr(dataset, field) * 1e3)
+            scaled = evaluation.evaluate_scenario(dataset, splits, scenario, pipe, master_seed=4)
+            assert np.array_equal(base.mean, scaled.mean)
             assert ranks[:len(splits)] == ranks[len(splits):]

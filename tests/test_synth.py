@@ -87,6 +87,11 @@ class TestGenPaired:
         for scale in (float("nan"), float("inf")):
             with pytest.raises(InvalidConfig):
                 synth.gen_paired(tiny_config(nuisance_scale=scale))
+        # rng.stream keys on the low 64 bits, so -1 would alias 2**64 - 1
+        for seed in (-1, 2 ** 64):
+            with pytest.raises(InvalidConfig, match="seed"):
+                synth.gen_paired(tiny_config(seed=seed))
+        tiny_config(seed=2 ** 64 - 1).validate()
 
 
 class TestGenAttributes:

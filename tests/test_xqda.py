@@ -74,15 +74,13 @@ class TestDifferenceCovariances:
         # so they are gathered per view; a stable sort by view groups the same
         # rows, in the same order within each view, so they are sliced instead.
         # Dropping rows 0, 21 and 22 leaves identities with unequal view counts.
+        # TestFit::test_view_grouped_rows_are_not_copied bounds the slices' memory.
         rng = stream(41, 4)
         feats, ids, views = random_reid_data(rng, n_ids=7, per_view=3, dim=5)
         keep = np.delete(np.arange(len(ids)), [0, 21, 22])
         feats, ids, views = feats[keep], np.array(ids)[keep], np.array(views)[keep]
         by_view = np.argsort(views, kind="stable")
         grouped = feats[by_view]
-        _, v1, v2, *_ = xqda._check_inputs(grouped, ids[by_view], views[by_view])
-        assert np.shares_memory(v1, grouped) and np.shares_memory(v2, grouped)
-        assert len(v1) + len(v2) == len(grouped)
         sliced = xqda.build_difference_covariances(grouped, ids[by_view], views[by_view])
         gathered = xqda.build_difference_covariances(feats, ids, views)
         for a, b in zip(sliced, gathered):
@@ -137,15 +135,14 @@ class TestFit:
         assert model.rank >= 1
         assert not model.fallback
 
-    @pytest.mark.parametrize("zscore", [False, True])
-    def test_one_input_pass_per_fit(self, monkeypatch, zscore):
-        # fit_xqda validates and codes the identities once, then hands the
-        # codes on instead of calling the public covariance builder.
+    def test_one_input_pass_per_fit(self, monkeypatch):
+        # fit_xqda validates and codes the identities once, in the covariance builder.
         feats, ids, views = random_reid_data(stream(42, 3))
         calls = []
-        check = xqda._check_inputs
-        monkeypatch.setattr(xqda, "_check_inputs", lambda *a: calls.append(1) or check(*a))
-        xqda.fit_xqda(feats, ids, views, zscore=zscore)
+        code = xqda.dataio.first_appearance_codes
+        monkeypatch.setattr(xqda.dataio, "first_appearance_codes",
+                            lambda *a: calls.append(1) or code(*a))
+        xqda.fit_xqda(feats, ids, views)
         assert len(calls) == 1
 
     def test_view_grouped_rows_are_not_copied(self):
@@ -457,16 +454,3 @@ class TestScoreMatrix:
             xqda.score_matrix(model, np.ones((1, 3)), rows)
         with pytest.raises(NonFiniteValue):
             xqda.score_matrix(model, rows, rows)
-
-
-class TestZscore:
-    def test_scaled_features_score_identically(self):
-        rng = stream(44, 1)
-        feats, ids, views = random_reid_data(rng, n_ids=6, per_view=2, dim=4)
-        scales = np.array([1.0, 10.0, 0.1, 100.0])
-        model_raw = xqda.fit_xqda(feats * scales, ids, views, zscore=True)
-        model_unit = xqda.fit_xqda(feats, ids, views, zscore=True)
-        g, q = feats[0], feats[5]
-        a = xqda.score(model_raw, g * scales, q * scales)
-        b = xqda.score(model_unit, g, q)
-        assert abs(a - b) < 1e-8 * max(abs(a), 1.0)
